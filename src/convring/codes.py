@@ -6,20 +6,30 @@ Z_p[D].  Parity-check matrices follow the same layered shape.  Codes can
 be built from raw generator rows (reduced here into layered form), from
 explicit blocks, or from a parity-check matrix alone (the kernel code).
 
-Construction validates the rank and annihilation contracts eagerly, so a
-ConvCode in hand is always internally consistent.  Instances are immutable
-and safe to share.
+Construction validates the rank and annihilation contracts eagerly, and
+derives the parity degree nu (a given nu must match it), so a ConvCode in
+hand is always internally consistent.  Instances are immutable and safe
+to share; each computes its scaled parity coefficients H^0..H^nu once.
+
+The sliding-window parity equations are assembled in one place: the
+window-equation kernel restricts them to the erased entries of a symbol
+table.  The decoder's window systems, its filled-window check and its
+oracle, the sliding window matrix and window membership all use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
 
 from .errors import ConstructionError, NotLeftPrime
 from .intsolve import solve_mod
 from .linsolve import ConstMatrix
 from .polymat import (
+    NEG_INF,
     Poly,
     PolyMatrix,
     adjugate,
@@ -73,7 +83,15 @@ class ConvCode:
             stack = self.generator_stack().proj()
             if stack.rows and rank(stack) != stack.rows:
                 raise ValueError("projected generator stack is not full row rank")
-        if self.h_blocks is not None:
+        if self.h_blocks is None:
+            if self.nu is not None:
+                raise ValueError("nu given for a code without a parity check")
+        else:
+            nu = len(self._parity_coeffs) - 1
+            if self.nu is None:
+                object.__setattr__(self, "nu", nu)
+            elif self.nu != nu:
+                raise ValueError(f"nu = {self.nu} differs from the parity degree {nu}")
             hstack = self.parity_stack().proj()
             if hstack.rows and rank(hstack) != hstack.rows:
                 raise ValueError("projected parity stack is not full row rank")
@@ -96,41 +114,31 @@ class ConvCode:
 
     def generator_stack(self) -> PolyMatrix:
         """The unscaled stack [G_0; ...; G_{r-1}] (k x n)."""
-        out = PolyMatrix.zeros(self.ctx, 0, self.n)
-        for blk in self.g_blocks:
-            out = out.vstack(blk)
-        return out
+        return _stack(self.ctx, self.n, self.g_blocks)
 
     def generator_matrix(self) -> PolyMatrix:
         """The assembled generator, level i scaled by p^i."""
-        out = PolyMatrix.zeros(self.ctx, 0, self.n)
-        for i, blk in enumerate(self.g_blocks):
-            out = out.vstack(blk.scale(self.ctx.p**i))
-        return out
+        return _stack(self.ctx, self.n, self.g_blocks, scaled=True)
 
     def parity_stack(self) -> PolyMatrix:
-        out = PolyMatrix.zeros(self.ctx, 0, self.n)
-        for blk in self.h_blocks:
-            out = out.vstack(blk)
-        return out
+        return _stack(self.ctx, self.n, self.h_blocks)
 
     def parity_matrix(self) -> PolyMatrix:
-        out = PolyMatrix.zeros(self.ctx, 0, self.n)
-        for i, blk in enumerate(self.h_blocks):
-            out = out.vstack(blk.scale(self.ctx.p**i))
-        return out
+        return _stack(self.ctx, self.n, self.h_blocks, scaled=True)
+
+    @cached_property
+    def _parity_coeffs(self) -> tuple[ConstMatrix, ...]:
+        """Scaled coefficient matrices H^0..H^deg of the assembled parity check."""
+        H = self.parity_matrix()
+        deg = 0 if H.degree == NEG_INF else int(H.degree)
+        return tuple(ConstMatrix(self.ctx, H.coeff_matrix(j), cols=self.n) for j in range(deg + 1))
 
     def parity_coeff(self, j: int) -> ConstMatrix:
         """Scaled coefficient matrix of D^j in the assembled parity check."""
-        H = self.parity_matrix()
-        return ConstMatrix(self.ctx, H.coeff_matrix(j), cols=self.n)
-
-    def parity_row_strata(self) -> tuple[int, ...]:
-        """The p-power level of each assembled parity row, top to bottom."""
-        out = []
-        for i, blk in enumerate(self.h_blocks):
-            out.extend([i] * blk.rows)
-        return tuple(out)
+        coeffs = self._parity_coeffs
+        if 0 <= j < len(coeffs):
+            return coeffs[j]
+        return ConstMatrix.zeros(self.ctx, coeffs[0].rows, self.n)
 
     # -- constructors ----------------------------------------------------
 
@@ -181,16 +189,13 @@ class ConvCode:
     ) -> "ConvCode":
         g = tuple(g_blocks)
         n = g[0].cols
-        code = cls(
+        return cls(
             ctx=ctx,
             n=n,
             k_blocks=tuple(b.rows for b in g),
             g_blocks=g,
             h_blocks=tuple(h_blocks) if h_blocks is not None else None,
         )
-        if code.h_blocks is not None:
-            code = replace(code, nu=_parity_degree(code.h_blocks, ctx))
-        return code
 
     @classmethod
     def from_parity_coeffs(
@@ -235,27 +240,14 @@ class ConvCode:
             if k0 < 0:
                 raise ValueError("parity layer sizes exceed the code length")
             k_blocks = tuple([k0] + k_rest)
-        code = cls(
-            ctx=ctx,
-            n=n,
-            k_blocks=k_blocks,
-            g_blocks=g_blocks,
-            h_blocks=h_blocks,
-            nu=_parity_degree(h_blocks, ctx),
-        )
-        return code
+        return cls(ctx=ctx, n=n, k_blocks=k_blocks, g_blocks=g_blocks, h_blocks=h_blocks)
 
     def with_parity_check(self) -> "ConvCode":
         """A copy carrying a synthesized parity check (and its metadata)."""
         if self.h_blocks is not None:
             return self
         syn = synthesize_parity_check(self)
-        return replace(
-            self,
-            h_blocks=syn.h_blocks,
-            nu=_parity_degree(syn.h_blocks, self.ctx),
-            synthesis=syn,
-        )
+        return replace(self, h_blocks=syn.h_blocks, synthesis=syn)
 
     # -- encode / membership ---------------------------------------------
 
@@ -350,14 +342,12 @@ def _solve_left_rational(B: PolyMatrix, w) -> tuple[list[Poly], Poly] | None:
     return list(chat.entries[0]), delta
 
 
-def _parity_degree(h_blocks, ctx: RingContext) -> int:
-    deg = 0
-    for i, blk in enumerate(h_blocks):
-        scaled = blk.scale(ctx.p**i)
-        d = scaled.degree
-        if d != float("-inf"):
-            deg = max(deg, int(d))
-    return deg
+def _stack(ctx: RingContext, n: int, blocks, scaled: bool = False) -> PolyMatrix:
+    """Stack layered blocks top to bottom, level i scaled by p^i when asked."""
+    out = PolyMatrix.zeros(ctx, 0, n)
+    for i, blk in enumerate(blocks):
+        out = out.vstack(blk.scale(ctx.p**i) if scaled else blk)
+    return out
 
 
 def is_observable(code: ConvCode) -> bool:
@@ -393,31 +383,16 @@ def synthesize_parity_check(code: ConvCode) -> ParityCheck:
         raise ConstructionError("generator stack is degenerate")
     observable = is_left_prime(gp)
     if observable:
-        N = complete_to_unimodular(gp)
-        M = gstack.vstack(lift_unimodular(gp.vstack(N), ctx).take_rows(k, n))
-        W = invert_unimodular(M).transpose()
+        W = _unimodular_dual(gstack, ctx)
         p_diag = tuple(Poly.one(ctx) for _ in range(n))
     else:
-        border = _fraction_field_completion(gp)
-        M = gstack.vstack(border.lift(ctx))
-        A = M.transpose()
-        adj, d = adjugate(A)
+        M = gstack.vstack(_fraction_field_completion(gp).lift(ctx))
+        W, d = adjugate(M.transpose())
         if d.proj().is_zero:
             raise ConstructionError("could not border the generator to a nonsingular matrix")
-        W = adj
         p_diag = tuple(d for _ in range(n))
-    sizes = list(code.k_blocks) + [n - k]
-    cuts = [0]
-    for s in sizes:
-        cuts.append(cuts[-1] + s)
-    L = W.take_rows(cuts[0], cuts[1])
-    h_blocks: list[PolyMatrix] = [PolyMatrix.zeros(ctx, 0, n)] * r
-    for m in range(1, r):
-        h_blocks[r - m] = W.take_rows(cuts[m], cuts[m + 1])
-    h_blocks[0] = W.take_rows(cuts[r], cuts[r + 1])
-    return ParityCheck(
-        h_blocks=tuple(h_blocks), L=L, p_diag=p_diag, exact_kernel=observable
-    )
+    L, h_blocks = _cut_layers(W, list(code.k_blocks) + [n - k], r)
+    return ParityCheck(h_blocks=h_blocks, L=L, p_diag=p_diag, exact_kernel=observable)
 
 
 def _fraction_field_completion(gp: PolyMatrix) -> PolyMatrix:
@@ -441,65 +416,113 @@ def _fraction_field_completion(gp: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(fld, out, cols=n)
 
 
+def _unimodular_dual(stack: PolyMatrix, ctx: RingContext) -> PolyMatrix:
+    """Transposed inverse of stack completed to a unimodular matrix.
+
+    The projection of stack must be left prime; the completion is found
+    over Z_p[D] and lifted.
+    """
+    proj = stack.proj()
+    N = complete_to_unimodular(proj)
+    M = stack.vstack(lift_unimodular(proj.vstack(N), ctx).take_rows(stack.rows, stack.cols))
+    return invert_unimodular(M).transpose()
+
+
+def _cut_layers(W: PolyMatrix, sizes, r: int):
+    """Split W's rows into blocks of the given sizes and read them as layers.
+
+    The first block is returned as is; blocks 1..r-1 become the layers
+    r-1..1 and the last block becomes layer 0.
+    """
+    cuts = [0, *accumulate(sizes)]
+    blocks = [W.take_rows(a, b) for a, b in zip(cuts, cuts[1:])]
+    return blocks[0], (blocks[r], *reversed(blocks[1:r]))
+
+
 def _dual_blocks(ctx: RingContext, h_blocks, n: int):
     """Generator blocks of the kernel code of a layered parity check."""
-    hstack = PolyMatrix.zeros(ctx, 0, n)
-    for blk in h_blocks:
-        hstack = hstack.vstack(blk)
-    hp = hstack.proj()
-    ell = hp.rows
-    if not is_left_prime(hp):
+    hstack = _stack(ctx, n, h_blocks)
+    if not is_left_prime(hstack.proj()):
         raise NotLeftPrime("parity stack is not left prime; kernel has no layered generator here")
-    N = complete_to_unimodular(hp)
-    M = hstack.vstack(lift_unimodular(hp.vstack(N), ctx).take_rows(ell, n))
-    W = invert_unimodular(M).transpose()
-    l_sizes = [blk.rows for blk in h_blocks]
-    sizes = l_sizes + [n - ell]
-    cuts = [0]
-    for s in sizes:
-        cuts.append(cuts[-1] + s)
-    r = ctx.r
-    g_blocks: list[PolyMatrix] = [PolyMatrix.zeros(ctx, 0, n)] * r
-    for m in range(1, r):
-        g_blocks[r - m] = W.take_rows(cuts[m], cuts[m + 1])
-    g_blocks[0] = W.take_rows(cuts[r], cuts[r + 1])
-    return tuple(g_blocks), tuple(b.rows for b in g_blocks)
+    W = _unimodular_dual(hstack, ctx)
+    _, g_blocks = _cut_layers(W, [blk.rows for blk in h_blocks] + [n - hstack.rows], ctx.r)
+    return g_blocks, tuple(b.rows for b in g_blocks)
+
+
+def _window_equations(code: ConvCode, table, lo: int, hi: int):
+    """The sliding parity equations of times lo..hi, restricted to erasures.
+
+    table maps times to symbols; None marks an erased entry, and only the
+    times lo..hi may hold one.  Times missing from the table read as zero
+    symbols, so a window at time 0 with no history entries sees the
+    zero state.  Returns (columns, equations): the erased (time, coord)
+    pairs in time-major order, and for each time s in lo..hi and each
+    assembled parity row ri, in that order, a tuple (s, ri, coeffs, rhs)
+    where coeffs are the scaled integer coefficients on the columns and
+    rhs is minus the known part, mod q.
+    """
+    q = code.ctx.q
+    coeffs = [Hm.data for Hm in code._parity_coeffs]
+    columns: list[tuple[int, int]] = []
+    col_of: dict[int, list[int | None]] = {}  # erased times: column index per coord
+    for t in range(lo, hi + 1):
+        sym = table.get(t)
+        if sym is None or None not in sym:
+            continue
+        idx = col_of[t] = []
+        for c, x in enumerate(sym):
+            if x is None:
+                idx.append(len(columns))
+                columns.append((t, c))
+            else:
+                idx.append(None)
+    e = len(columns)
+    equations = []
+    for s in range(lo, hi + 1):
+        terms = [
+            (Hm, table[s - m], col_of.get(s - m))
+            for m, Hm in enumerate(coeffs)
+            if s - m in table
+        ]
+        for ri in range(len(coeffs[0])):
+            acc = [0] * e
+            rhs = 0
+            for Hm, sym, idx in terms:
+                hrow = Hm[ri]
+                if idx is None:
+                    rhs -= sum(map(mul, hrow, sym))
+                    continue
+                for a, x, k in zip(hrow, sym, idx):
+                    if k is None:
+                        rhs -= a * x
+                    else:
+                        acc[k] = a
+            equations.append((s, ri, acc, rhs % q))
+    return tuple(columns), equations
 
 
 def sliding_matrix(code: ConvCode, j: int) -> ConstMatrix:
     """Block lower-triangular window matrix of the parity coefficients.
 
     Block row s holds [H^s ... H^0] padded with zeros; H^m = 0 for m
-    beyond the parity degree.
+    beyond the parity degree.  These are the coefficient rows of an
+    all-erased window at time 0 with zero history.
     """
     if code.h_blocks is None:
         raise ValueError("code has no parity side")
-    ctx = code.ctx
-    nu = code.nu if code.nu is not None else _parity_degree(code.h_blocks, ctx)
-    mh = sum(blk.rows for blk in code.h_blocks)
-    coeffs = [code.parity_coeff(m) for m in range(nu + 1)]
-    zero_rows = [[0] * code.n for _ in range(mh)]
-    rows = []
-    for s in range(j + 1):
-        block_row = []
-        for t in range(j + 1):
-            m = s - t
-            if 0 <= m <= nu:
-                blk = coeffs[m].data
-            else:
-                blk = zero_rows
-            block_row.append(blk)
-        for i in range(mh):
-            rows.append([x for blk in block_row for x in blk[i]])
-    return ConstMatrix(ctx, rows, cols=(j + 1) * code.n)
+    table = {t: [None] * code.n for t in range(j + 1)}
+    _, equations = _window_equations(code, table, 0, j)
+    return ConstMatrix(code.ctx, [acc for _, _, acc, _ in equations], cols=(j + 1) * code.n)
 
 
 def is_codeword_window(code: ConvCode, window: Sequence[Sequence[int]]) -> bool:
     """Check the sliding parity equations on a window starting at time 0."""
-    j = len(window) - 1
-    H = sliding_matrix(code, j)
-    flat = [x for sym in window for x in sym]
-    return all(v == 0 for v in H.mul_vec(flat))
+    if code.h_blocks is None:
+        raise ValueError("code has no parity side")
+    if any(len(sym) != code.n for sym in window):
+        raise ValueError(f"window symbols must have length {code.n}")
+    _, equations = _window_equations(code, dict(enumerate(window)), 0, len(window) - 1)
+    return all(rhs == 0 for *_, rhs in equations)
 
 
 def preimage(code: ConvCode, word: Sequence[Poly]) -> list[Poly] | None:
@@ -578,7 +601,7 @@ def module_member(
                         row.append(gpoly.coeff(dpow - ud) if dpow >= ud else 0)
                 rows.append(row)
                 rhs.append(target[coord].coeff(dpow))
-        if solve_mod(rows, rhs, ctx.q) is not None:
+        if solve_mod(ctx, rows, rhs) is not None:
             return True
     return False
 

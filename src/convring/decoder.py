@@ -19,20 +19,24 @@ into branches over that carry's finite range.
 The final list is the set of all digit recombinations over the surviving
 parameter assignments; its size is the product of the per-stage solution
 counts whenever no constraint fired.
+
+The window equations themselves come from the one window-equation kernel
+in codes: build_window_system renormalizes its rows, a filled window is
+checked against it, and the brute-force oracle enumerates against its
+raw rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterator, Sequence
 
-import numpy as np
-
-from .codes import ConvCode
+from .codes import ConvCode, _window_equations
 from .config import enumeration_cap
 from .errors import CapExceeded, InvalidReceived
-from .linsolve import AffineSet, ConstMatrix, mccoy_unique, rref_mod_p
+from .linsolve import AffineSet, ConstMatrix, enumerate_solutions, mccoy_unique, rref_mod_p
 from .ring import RingContext
 
 Symbol = Sequence[int | None]
@@ -314,9 +318,6 @@ class WindowSystem:
     def e(self) -> int:
         return len(self.columns)
 
-    def e_at(self, time: int) -> int:
-        return sum(1 for t, _ in self.columns if t == time)
-
     def scaled_matrix(self) -> ConstMatrix:
         return ConstMatrix(
             self.code.ctx, [row.orig_coeffs for row in self.rows], cols=self.e
@@ -336,30 +337,11 @@ class WindowSystem:
 
     def window_equations_hold(self, window: Sequence[Sequence[int]]) -> bool:
         """Exact parity check of the filled window against the history."""
-        code = self.code
-        q = code.ctx.q
-        nu = code.nu
-        coeffs = [code.parity_coeff(m) for m in range(nu + 1)]
-
-        def sym(t: int) -> Sequence[int]:
-            if self.i <= t <= self.i + self.T:
-                return window[t - self.i]
-            got = self.table.get(t)
-            if got is None:
-                return [0] * code.n
-            return got  # history symbols are fully known
-
-        for s in range(self.i, self.i + self.T + 1):
-            acc = [0] * coeffs[0].rows
-            for m in range(nu + 1):
-                if s - m < self.i - nu:
-                    continue
-                w = sym(s - m)
-                for ri, hrow in enumerate(coeffs[m].data):
-                    acc[ri] += sum(a * x for a, x in zip(hrow, w))
-            if any(v % q for v in acc):
-                return False
-        return True
+        i, hi = self.i, self.i + self.T
+        table = {t: self.table[t] for t in range(i - self.code.nu, i)}
+        table.update(zip(range(i, hi + 1), window))
+        _, equations = _window_equations(self.code, table, i, hi)
+        return all(rhs == 0 for *_, rhs in equations)
 
 
 def build_window_system(
@@ -371,96 +353,63 @@ def build_window_system(
 ) -> WindowSystem:
     """Assemble the restricted window system for decoding time i with delay T.
 
-    Symbols before time i must be fully known (erasures there are a usage
-    error); times beyond the stream are zero when terminated, otherwise the
-    window must fit inside the received stream.  Each row is renormalized
-    by the p-power content of its restricted coefficients; a right-hand
-    side with a smaller p-power marks the window invalid.
+    The nu history symbols before time i that the window reads must be
+    fully known (an erasure there is a usage error; older symbols are not
+    read); times outside the stream are zero when terminated, otherwise
+    the window must fit inside the received stream.  Each row is
+    renormalized by the p-power content of its restricted coefficients; a
+    right-hand side with a smaller p-power marks the window invalid.
     """
-    if code.h_blocks is None or code.nu is None:
+    if code.h_blocks is None:
         raise ValueError("decoding needs a code with a parity side")
     ctx = code.ctx
     if i < 0 or T < 0:
         raise ValueError("window start and delay must be nonnegative")
     L = len(received)
-    for t in range(min(i, L)):
-        if any(x is None for x in received[t]):
-            raise ValueError(f"erasure before window start at time {t}")
     if not terminated and i + T > L - 1:
         raise ValueError("window exceeds the unterminated stream")
-    nu = code.nu
-
-    def raw(t: int) -> list[int | None]:
-        if t < 0 or t >= L:
-            if t >= L and not terminated:
-                raise ValueError("symbol beyond unterminated stream")
-            return [0] * code.n
-        sym = list(received[t])
+    q, r = ctx.q, ctx.r
+    table: dict[int, list[int | None]] = {}
+    for t in range(i - code.nu, i + T + 1):
+        if not 0 <= t < L:
+            table[t] = [0] * code.n
+            continue
+        sym = received[t]
         if len(sym) != code.n:
             raise ValueError(f"symbol at time {t} has length {len(sym)}")
-        return [x if x is None else x % ctx.q for x in sym]
-
-    table = {t: raw(t) for t in range(i - nu, i + T + 1)}
-    columns = [
-        (t, c)
-        for t in range(i, i + T + 1)
-        for c in range(code.n)
-        if table[t][c] is None
-    ]
-    colindex = {tc: k for k, tc in enumerate(columns)}
-    e = len(columns)
-    coeffs = [code.parity_coeff(m) for m in range(nu + 1)]
-    mh = coeffs[0].rows
-    q = ctx.q
+        if t < i and None in sym:
+            raise ValueError(f"erasure before window start at time {t}")
+        table[t] = [x if x is None else x % q for x in sym]
+    columns, equations = _window_equations(code, table, i, i + T)
     rows: list[WindowRow] = []
     witness = None
-    for s in range(i, i + T + 1):
-        for ri in range(mh):
-            acc = [0] * e
-            rhs = 0
-            for m in range(nu + 1):
-                t = s - m
-                if t < i - nu:
-                    continue
-                hrow = coeffs[m].data[ri]
-                sym = table[t]
-                for c in range(code.n):
-                    a = hrow[c]
-                    if a == 0:
-                        continue
-                    x = sym[c]
-                    if x is None:
-                        acc[colindex[(t, c)]] = (acc[colindex[(t, c)]] + a) % q
-                    else:
-                        rhs = (rhs - a * x) % q
-            v = min((ctx.val(a) for a in acc), default=ctx.r)
-            v = min(v, ctx.r)
-            if v >= ctx.r:
-                if rhs % q:
-                    if witness is None:
-                        witness = ("inconsistent-known", s, ri)
-                continue
-            if ctx.val(rhs) < v:
-                if witness is None:
-                    witness = ("divisibility", s, ri)
-                continue
-            pv = ctx.p**v
-            rows.append(
-                WindowRow(
-                    time=s,
-                    h_row=ri,
-                    stratum=v,
-                    coeffs=tuple(a // pv for a in acc),
-                    rhs=(rhs // pv) % q,
-                    orig_coeffs=tuple(acc),
-                    orig_rhs=rhs,
-                )
+    for s, ri, acc, rhs in equations:
+        v = ctx.val(gcd(q, *acc))  # least valuation over the row; r for a zero row
+        if v >= r:
+            if rhs and witness is None:
+                witness = ("inconsistent-known", s, ri)
+            continue
+        if ctx.val(rhs) < v:
+            if witness is None:
+                witness = ("divisibility", s, ri)
+            continue
+        pv = ctx.p**v
+        rows.append(
+            WindowRow(
+                time=s,
+                h_row=ri,
+                stratum=v,
+                coeffs=tuple(a // pv for a in acc),
+                rhs=rhs // pv,
+                orig_coeffs=tuple(acc),
+                orig_rhs=rhs,
             )
+        )
     return WindowSystem(
         code=code,
         i=i,
         T=T,
-        columns=tuple(columns),
+        columns=columns,
         rows=rows,
         table=table,
         invalid_witness=witness,
@@ -798,71 +747,17 @@ def oracle_decode(
     """
     cap = enumeration_cap() if cap is None else cap
     sys = build_window_system(code, received, i, T, terminated=terminated)
-    ctx = code.ctx
-    q = ctx.q
-    e = sys.e
-    space = q**e
-    if space > cap:
-        raise CapExceeded(f"oracle enumeration {q}^{e} exceeds cap {cap}")
-    A = np.array([row.orig_coeffs for row in sys.rows], dtype=np.int64)
-    b = np.array([row.orig_rhs for row in sys.rows], dtype=np.int64)
-    # rows dropped during renormalization are trivially satisfied; rows that
-    # flagged a witness were left out, so re-derive pure scaled equations
-    if sys.invalid_witness is not None:
-        A, b = _scaled_equations(sys)
-    out = []
-    chunk = 1 << 14
-    for start in range(0, space, chunk):
-        stop = min(start + chunk, space)
-        idx = np.arange(start, stop, dtype=np.int64)
-        cand = np.empty((stop - start, e), dtype=np.int64)
-        rem = idx
-        for pos in range(e - 1, -1, -1):
-            cand[:, pos] = rem % q
-            rem = rem // q
-        if A.shape[0]:
-            ok = ((cand @ A.T - b) % q == 0).all(axis=1)
-        else:
-            ok = np.ones(stop - start, dtype=bool)
-        for row in cand[ok]:
-            window = sys.assemble([int(x) for x in row])
-            if sys.window_equations_hold(window):
-                out.append(tuple(tuple(sym) for sym in window))
+    _, equations = _window_equations(code, sys.table, i, i + T)
+    # a row with no coefficient and rhs 0 holds for every candidate
+    raw = [(acc, rhs) for _, _, acc, rhs in equations if rhs or any(acc)]
+    A = [acc for acc, _ in raw]
+    b = [rhs for _, rhs in raw]
+    out = set()
+    for x in enumerate_solutions(A, b, sys.e, code.ctx.q, cap):
+        window = sys.assemble([int(v) for v in x])
+        if sys.window_equations_hold(window):
+            out.add(tuple(tuple(sym) for sym in window))
     return frozenset(out)
-
-
-def _scaled_equations(sys: WindowSystem):
-    """Unrenormalized window equations, for the oracle's independent path."""
-    code = sys.code
-    ctx = code.ctx
-    q = ctx.q
-    nu = code.nu
-    coeffs = [code.parity_coeff(m) for m in range(nu + 1)]
-    colindex = {tc: k for k, tc in enumerate(sys.columns)}
-    rows = []
-    rhs = []
-    for s in range(sys.i, sys.i + sys.T + 1):
-        for ri in range(coeffs[0].rows):
-            acc = [0] * sys.e
-            b = 0
-            for m in range(nu + 1):
-                t = s - m
-                if t < sys.i - nu:
-                    continue
-                hrow = coeffs[m].data[ri]
-                sym = sys.table[t]
-                for c in range(code.n):
-                    a = hrow[c]
-                    if a == 0:
-                        continue
-                    x = sym[c]
-                    if x is None:
-                        acc[colindex[(t, c)]] = (acc[colindex[(t, c)]] + a) % q
-                    else:
-                        b = (b - a * x) % q
-            rows.append(acc)
-            rhs.append(b)
-    return np.array(rows, dtype=np.int64).reshape(-1, sys.e), np.array(rhs, dtype=np.int64)
 
 
 def project_values(

@@ -1,129 +1,66 @@
-"""Exact integer Smith reduction, used to solve linear systems mod p^r.
+"""Linear systems over Z_{p^r} by valuation-pivot elimination.
 
-Solving A x = b over Z_{p^r} cannot be done by greedy digit elimination
-when the mod-p projection is rank deficient, so membership tests go
-through the integer Smith form instead: with U A V = S diagonal over the
-integers, the diagonal congruences decide solvability outright.
+Z_{p^r} is a local ring, so Gaussian elimination stays exact when every
+step pivots on an entry of least p-adic valuation in the remaining
+submatrix: that entry divides every other entry of its column, and the
+entries right of it in its row, up to a unit.  The system is solvable
+exactly when each pivot's valuation is at most that of its reduced
+right-hand side and every zero row has a zero right-hand side
+(Storjohann and Mulders, "Fast algorithms for linear algebra modulo N",
+ESA 1998).  Entries stay reduced mod p^r throughout.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
-
-def smith_int(data: Sequence[Sequence[int]]):
-    """Integer Smith reduction: returns (U, S, V) with U A V = S diagonal.
-
-    U and V are unimodular integer matrices; S is returned as the full
-    diagonalized matrix.  Classical pivoting on minimal absolute value.
-    """
-    S = [list(r) for r in data]
-    m = len(S)
-    n = len(S[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        if i != j:
-            S[i], S[j] = S[j], S[i]
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in S:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def row_addmul(i, j, f):
-        if f:
-            S[i] = [a + f * b for a, b in zip(S[i], S[j])]
-            U[i] = [a + f * b for a, b in zip(U[i], U[j])]
-
-    def col_addmul(i, j, f):
-        if f:
-            for row in S:
-                row[i] += f * row[j]
-            for row in V:
-                row[i] += f * row[j]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        pi = pj = -1
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(S[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pi, pj = i, j
-        if best is None:
-            break
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    row_addmul(i, t, -q)
-                    if S[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_addmul(j, t, -q)
-                    if S[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            for i in range(t + 1, m):
-                done = False
-                for j in range(t + 1, n):
-                    if S[i][j] % S[t][t]:
-                        row_addmul(t, i, 1)
-                        dirty = True
-                        done = True
-                        break
-                if done:
-                    break
-        if S[t][t] < 0:
-            S[t] = [-a for a in S[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    return U, S, V
+from .ring import RingContext
 
 
-def solve_mod(data: Sequence[Sequence[int]], b: Sequence[int], modulus: int):
-    """One solution of A x = b (mod modulus), or None when inconsistent."""
+def solve_mod(ctx: RingContext, data: Sequence[Sequence[int]], b: Sequence[int]):
+    """One solution of A x = b over Z_{p^r}, or None when inconsistent."""
+    p, q = ctx.p, ctx.q
     m = len(data)
     n = len(data[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    U, S, V = smith_int(data)
-    c = [sum(U[i][j] * b[j] for j in range(m)) % modulus for i in range(m)]
+    rows = [[a % q for a in row] + [bi % q] for row, bi in zip(data, b)]
+    order = list(range(n))  # order[j]: the unknown held in column j
+    rank = 0
+    while rank < min(m, n):
+        best = None
+        for i in range(rank, m):
+            for j in range(rank, n):
+                if rows[i][j]:
+                    v = ctx.val(rows[i][j])
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None:
+            break
+        v, pi, pj = best
+        rows[rank], rows[pi] = rows[pi], rows[rank]
+        for row in rows:
+            row[rank], row[pj] = row[pj], row[rank]
+        order[rank], order[pj] = order[pj], order[rank]
+        piv = rows[rank]
+        inv = pow(piv[rank] // p**v, -1, q)
+        for row in rows[rank + 1 :]:
+            f = (row[rank] // p**v) * inv % q
+            if f:
+                row[:] = [(a - f * c) % q for a, c in zip(row, piv)]
+        rank += 1
+    if any(row[n] for row in rows[rank:]):
+        return None
     y = [0] * n
-    for i in range(min(m, n)):
-        s = S[i][i]
-        if s == 0:
-            if c[i] % modulus:
-                return None
-            continue
-        g = gcd(s, modulus)
-        if c[i] % g:
+    for k in reversed(range(rank)):
+        row = rows[k]
+        s = (row[n] - sum(row[j] * y[j] for j in range(k + 1, n))) % q
+        v = ctx.val(row[k])
+        if ctx.val(s) < v:
             return None
-        sub = modulus // g
-        y[i] = ((c[i] // g) * pow((s // g) % sub, -1, sub)) % sub if sub > 1 else 0
-    for i in range(min(m, n), m):
-        if c[i] % modulus:
-            return None
-    x = [sum(V[i][j] * y[j] for j in range(n)) % modulus for i in range(n)]
+        y[k] = (s // p**v) * pow(row[k] // p**v, -1, q) % q
+    x = [0] * n
+    for j, var in enumerate(order):
+        x[var] = y[j]
     for row, bi in zip(data, b):
-        if (sum(a * v for a, v in zip(row, x)) - bi) % modulus:
-            raise AssertionError("integer Smith solve produced a non-solution")
+        if (sum(a * v for a, v in zip(row, x)) - bi) % q:
+            raise AssertionError("valuation-pivot solve produced a non-solution")
     return x

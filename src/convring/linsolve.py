@@ -4,13 +4,16 @@ The row-reduction kernel is shared by the plain solver, rank computation,
 and the decoder's parametric stage solves (augmented payloads carry either
 numbers or affine forms).  It is also the single place where Z_p
 multiply-accumulate operations are counted, so decoding cost measurements
-all flow through OPS.
+all flow through OPS.  The brute-force enumerator behind the decoding
+oracle and the distance searches lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapExceeded
 from .ring import RingContext
@@ -32,6 +35,8 @@ class OpCounter:
 
 
 OPS = OpCounter()
+
+_CHUNK = 1 << 14  # candidates per brute-force block
 
 
 class ConstMatrix:
@@ -66,9 +71,6 @@ class ConstMatrix:
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.data)
-
-    def take_cols(self, cols: Sequence[int]) -> "ConstMatrix":
-        return ConstMatrix(self.ctx, [[r[j] for j in cols] for r in self.data], cols=len(cols))
 
     def _check(self, other: "ConstMatrix"):
         if self.ctx != other.ctx:
@@ -308,6 +310,29 @@ def solve_mod_p(data: Sequence[Sequence[int]], b: Sequence[int], p: int) -> Affi
             vec[col] = (-rows[r][free]) % p
         basis.append(tuple(vec))
     return AffineSet(p, n, True, tuple(particular), tuple(basis))
+
+
+def enumerate_solutions(
+    data: Sequence[Sequence[int]], b: Sequence[int], e: int, q: int, cap: int
+) -> Iterator[np.ndarray]:
+    """Every x in Z_q^e with A x = b (mod q), by brute force over all q^e.
+
+    Candidates are scanned in chunks, in lexicographic order with the last
+    coordinate fastest.  Raises CapExceeded when q^e exceeds cap.
+    """
+    space = q**e
+    if space > cap:
+        raise CapExceeded(f"enumeration of {q}^{e} candidates exceeds cap {cap}")
+    A = np.array(data, dtype=np.int64).reshape(len(data), e)
+    rhs = np.array(b, dtype=np.int64)
+    for start in range(0, space, _CHUNK):
+        stop = min(start + _CHUNK, space)
+        rem = np.arange(start, stop, dtype=np.int64)
+        cand = np.empty((stop - start, e), dtype=np.int64)
+        for pos in range(e - 1, -1, -1):
+            cand[:, pos] = rem % q
+            rem = rem // q
+        yield from cand[((cand @ A.T - rhs) % q == 0).all(axis=1)]
 
 
 def mccoy_unique(A: ConstMatrix) -> bool:

@@ -1,8 +1,8 @@
 """Weight and distance computations for layered convolutional codes.
 
-Column distances and the bounded free-distance search enumerate windowed
-kernel members by brute force (numpy-accelerated, capped), which keeps
-them independent of the decoder.  The erasure-capability checks test
+Column distances enumerate windowed kernel members by brute force (the
+capped numpy enumerator of linsolve) and the bounded free-distance search
+enumerates inputs, which keeps both independent of the decoder.  The erasure-capability checks test
 column subsets of the window matrix for linear dependence over Z_{p^r}
 and evaluate the weaker mod-p span condition separately, since the latter
 is necessary but not sufficient.
@@ -20,10 +20,8 @@ import numpy as np
 from .codes import ConvCode, sliding_matrix
 from .config import enumeration_cap
 from .errors import CapExceeded
-from .linsolve import rank_mod_p
+from .linsolve import enumerate_solutions, rank_mod_p
 from .polymat import Poly
-
-_CHUNK = 1 << 14
 
 
 def hamming_weight(word: Iterable) -> int:
@@ -39,34 +37,6 @@ def hamming_weight(word: Iterable) -> int:
     return total
 
 
-def _window_solutions(code: ConvCode, j: int, cap: int):
-    """Yield (flat window, weight) for every kernel member of the window.
-
-    Enumerates all q^((j+1)n) candidate windows in chunks; raises
-    CapExceeded when the space is larger than the cap.
-    """
-    q = code.ctx.q
-    n = code.n
-    length = (j + 1) * n
-    space = q**length
-    if space > cap:
-        raise CapExceeded(f"window enumeration {q}^{length} exceeds cap {cap}")
-    H = np.array(sliding_matrix(code, j).data, dtype=np.int64)
-    if H.shape[0] == 0:
-        H = np.zeros((0, length), dtype=np.int64)
-    for start in range(0, space, _CHUNK):
-        stop = min(start + _CHUNK, space)
-        idx = np.arange(start, stop, dtype=np.int64)
-        cand = np.empty((stop - start, length), dtype=np.int64)
-        rem = idx
-        for pos in range(length - 1, -1, -1):
-            cand[:, pos] = rem % q
-            rem = rem // q
-        ok = ((cand @ H.T) % q == 0).all(axis=1)
-        for row in cand[ok]:
-            yield row, int(np.count_nonzero(row))
-
-
 def column_distance(code: ConvCode, j: int, cap: int | None = None) -> int:
     """Minimum window weight over kernel members with nonzero first symbol.
 
@@ -77,10 +47,12 @@ def column_distance(code: ConvCode, j: int, cap: int | None = None) -> int:
         raise ValueError("code has no parity side")
     cap = enumeration_cap() if cap is None else cap
     n = code.n
+    H = sliding_matrix(code, j)
     best = None
-    for row, wt in _window_solutions(code, j, cap):
+    for row in enumerate_solutions(H.data, [0] * H.rows, H.cols, code.ctx.q, cap):
         if not row[:n].any():
             continue
+        wt = int(np.count_nonzero(row))
         if best is None or wt < best:
             best = wt
             if best == 1:

@@ -107,12 +107,6 @@ class Poly:
             return self
         return Poly(self.ctx, (0,) * k + self.coeffs)
 
-    def eval_at(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.ctx.q
-        return acc
-
     def proj(self) -> "Poly":
         """Coefficientwise projection into Z_p[D], re-canonicalized."""
         return Poly(self.ctx.residue_field(), self.coeffs)
@@ -298,9 +292,6 @@ class PolyMatrix:
     def scale(self, c: int) -> "PolyMatrix":
         return PolyMatrix(self.ctx, [[e.scale(c) for e in row] for row in self.entries])
 
-    def scale_poly(self, f: Poly) -> "PolyMatrix":
-        return PolyMatrix(self.ctx, [[e * f for e in row] for row in self.entries])
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(
             self.ctx,
@@ -327,9 +318,6 @@ class PolyMatrix:
     def take_rows(self, start: int, stop: int) -> "PolyMatrix":
         sub = list(self.entries[start:stop])
         return PolyMatrix(self.ctx, sub, cols=self.cols)
-
-    def coeff_lists(self) -> list[list[list[int]]]:
-        return [[list(e.coeffs) for e in row] for row in self.entries]
 
     def coeff_matrix(self, k: int) -> list[list[int]]:
         """The k-th coefficient of every entry, as plain int rows."""

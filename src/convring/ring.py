@@ -58,23 +58,6 @@ class RingContext:
         """The context of Z_p, the field this ring projects onto."""
         return self if self.r == 1 else RingContext(self.p, 1)
 
-    # int-level arithmetic; callers keep values in canonical range.
-
-    def norm(self, a: int) -> int:
-        return a % self.q
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
     def is_unit(self, a: int) -> bool:
         return a % self.p != 0
 

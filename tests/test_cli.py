@@ -194,6 +194,15 @@ class TestCliCommands:
         bad.write_text("{not json")
         assert main(["check", "--code", str(bad)]) == 2
 
+    def test_wrong_nu_is_usage_error(self, tmp_path):
+        code = generate_code(3, 2, 4, [1, 0], 1, seed=7)
+        assert code.nu == 2
+        doc = files.code_to_json(code)
+        doc["nu"] = 0
+        path = tmp_path / "wrong-nu.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--code", str(path)]) == 2
+
     def test_stats_empty(self, capsys):
         assert main(["stats"]) == 0
         out = capsys.readouterr().out

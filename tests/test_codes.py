@@ -190,6 +190,22 @@ class TestKernelReconstruction:
         assert kernel_code_z9.k_blocks == (1, 0)
         assert kernel_code_z9.nu == 1
 
+    def test_nu_derived_and_validated(self, kernel_code_z8):
+        code = kernel_code_z8
+        fields = dict(ctx=code.ctx, n=code.n, k_blocks=code.k_blocks, g_blocks=code.g_blocks,
+                      h_blocks=code.h_blocks)
+        assert ConvCode(**fields).nu == 2
+        assert ConvCode(**fields, nu=2) == code
+        for wrong in (0, 1, 3):
+            with pytest.raises(ValueError):
+                ConvCode(**fields, nu=wrong)
+        with pytest.raises(ValueError):
+            ConvCode(ctx=code.ctx, n=code.n, k_blocks=code.k_blocks, g_blocks=code.g_blocks, nu=2)
+
+    def test_parity_coeff_beyond_degree_is_zero(self, kernel_code_z8):
+        assert kernel_code_z8.parity_coeff(3).data == ((0,) * 5,) * 3
+        assert kernel_code_z8.parity_coeff(-1).data == ((0,) * 5,) * 3
+
 
 class TestSlidingWindow:
     def test_j0_is_first_coefficient(self, kernel_code_z8):
@@ -235,6 +251,12 @@ class TestWindowMembership:
                 window = [list(WORD0), list(WORD1), list(WORD2)]
                 window[t][c] = (window[t][c] + 1) % 8
                 assert not is_codeword_window(kernel_code_z8, window)
+
+    def test_malformed_window_rejected(self, kernel_code_z8, nonexact_code_z9):
+        with pytest.raises(ValueError):
+            is_codeword_window(kernel_code_z8, [[0] * 4])
+        with pytest.raises(ValueError):
+            is_codeword_window(nonexact_code_z9, [[0] * 3])
 
     def test_encoded_prefix_windows(self, kernel_code_z8):
         rng = random.Random(13)

@@ -12,6 +12,7 @@ from convring import (
     oracle_decode,
     project_values,
     sequential_decode,
+    sliding_matrix,
     try_unique_decode,
 )
 from convring.decoder import ErasurePattern, LinForm, ParamSpace, _Branch, _Fix, _fold
@@ -82,6 +83,38 @@ class TestWindowAssembly:
         rx[0][1] = None
         with pytest.raises(ValueError):
             build_window_system(kernel_code_z8, rx, 1, 1)
+
+    def test_erasure_older_than_history_is_not_read(self, kernel_code_z8):
+        rng = random.Random(3)
+        code = kernel_code_z8
+        known = code.encode([[rng.randrange(8) for _ in range(code.k)] for _ in range(5)])
+        for t, c in [(3, 0), (3, 4), (4, 2)]:
+            known[t][c] = None
+        old = [list(sym) for sym in known]
+        old[0][1] = None  # before i - nu = 1, outside the window's history
+        a = list_decode(build_window_system(code, known, 3, 1))
+        b = list_decode(build_window_system(code, old, 3, 1))
+        assert (a.kind, a.list_size, a.window) == (b.kind, b.list_size, b.window)
+        assert a.system.rows == b.system.rows
+        assert materialize_list(a) == materialize_list(b)
+
+    def test_all_erased_window_is_the_sliding_matrix(self):
+        rng = random.Random(29)
+        checked = 0
+        for ctx in (Z4, Z8, Z9):
+            for _ in range(6):
+                n = rng.randint(2, 4)
+                code = random_kernel_code(rng, ctx, n, [1] + [0] * (ctx.r - 1), rng.randint(0, 2))
+                if code is None:
+                    continue
+                T = rng.randint(0, 3)
+                sysw = build_window_system(code, [[None] * n for _ in range(T + 1)], 0, T)
+                assert sysw.columns == tuple((t, c) for t in range(T + 1) for c in range(n))
+                S = sliding_matrix(code, T)
+                # rows with no coefficient at all carry no equation
+                assert sysw.scaled_matrix().data == tuple(row for row in S.data if any(row))
+                checked += 1
+        assert checked >= 12
 
     def test_pattern_helper(self):
         pat = ErasurePattern.from_received(RECEIVED)

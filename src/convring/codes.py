@@ -129,9 +129,12 @@ class ConvCode:
     @cached_property
     def _parity_coeffs(self) -> tuple[ConstMatrix, ...]:
         """Scaled coefficient matrices H^0..H^deg of the assembled parity check."""
-        H = self.parity_matrix()
-        deg = 0 if H.degree == NEG_INF else int(H.degree)
-        return tuple(ConstMatrix(self.ctx, H.coeff_matrix(j), cols=self.n) for j in range(deg + 1))
+        return _coeff_matrices(self.parity_matrix())
+
+    @cached_property
+    def _generator_coeffs(self) -> tuple[ConstMatrix, ...]:
+        """Scaled coefficient matrices G^0..G^deg of the assembled generator."""
+        return _coeff_matrices(self.generator_matrix())
 
     def parity_coeff(self, j: int) -> ConstMatrix:
         """Scaled coefficient matrix of D^j in the assembled parity check."""
@@ -259,12 +262,9 @@ class ConvCode:
         """
         if self.g_blocks is None:
             raise ValueError("code has no generator side")
-        G = self.generator_matrix()
-        degg = G.degree
-        degg = 0 if degg == float("-inf") else int(degg)
-        coeffs = [ConstMatrix(self.ctx, G.coeff_matrix(j), cols=self.n) for j in range(degg + 1)]
+        coeffs = self._generator_coeffs
         q = self.ctx.q
-        out_len = len(inputs) + degg
+        out_len = len(inputs) + len(coeffs) - 1
         out = [[0] * self.n for _ in range(out_len)]
         for s, u in enumerate(inputs):
             if len(u) != self.k:
@@ -340,6 +340,12 @@ def _solve_left_rational(B: PolyMatrix, w) -> tuple[list[Poly], Poly] | None:
         y.append(z[i] * scale)
     chat = PolyMatrix(fld, [y]) @ sf.U
     return list(chat.entries[0]), delta
+
+
+def _coeff_matrices(M: PolyMatrix) -> tuple[ConstMatrix, ...]:
+    """The coefficient matrices M^0..M^deg of a polynomial matrix (M^0 alone when zero)."""
+    deg = 0 if M.degree == NEG_INF else int(M.degree)
+    return tuple(ConstMatrix(M.ctx, M.coeff_matrix(j), cols=M.cols) for j in range(deg + 1))
 
 
 def _stack(ctx: RingContext, n: int, blocks, scaled: bool = False) -> PolyMatrix:

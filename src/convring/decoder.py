@@ -9,16 +9,17 @@ residuals of the previous stages.
 
 Stage solutions are carried symbolically as integer affine forms in a
 growing global parameter vector over Z_p; nothing is enumerated during
-the recursion.  When a residual must be divisible by p^t but is not
-identically so, the offending digit yields a linear constraint on the
-parameters; folding a constraint eliminates one parameter and introduces
-a bounded carry variable so that all remaining forms stay exact.  In the
-rare case a constraint lands on carry variables only, the decode splits
-into branches over that carry's finite range.
+the recursion.  Every stage identity (row . f_t == digit_t(R_t) mod p)
+holds coefficient by coefficient, so it holds for any integer parameter
+values.  A rank-deficient stage can leave a dependent row whose payload
+is a nonconstant form in earlier parameters: that constraint is folded by
+substituting, for one of its parameters, the integer affine form it
+dictates in the others.  The constraint then vanishes identically and the
+remaining parameters stay free.
 
-The final list is the set of all digit recombinations over the surviving
-parameter assignments; its size is the product of the per-stage solution
-counts whenever no constraint fired.
+The final list is the set of digit recombinations over all assignments
+of the live parameters in [0, p); distinct assignments give distinct
+windows, so its size is p to the number of live parameters.
 
 The window equations themselves come from the one window-equation kernel
 in codes: build_window_system renormalizes its rows, a filled window is
@@ -62,12 +63,13 @@ class LinForm:
                     cc[v] = c
         self.coeffs = cc
 
-    def copy(self) -> "LinForm":
-        return LinForm(self.m, self.const, dict(self.coeffs))
-
     @property
     def is_const(self) -> bool:
         return not self.coeffs
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs and self.const == 0
 
     def scale(self, c: int) -> "LinForm":
         return LinForm(self.m, self.const * c, {v: k * c for v, k in self.coeffs.items()})
@@ -80,36 +82,21 @@ class LinForm:
             cc[v] = cc.get(v, 0) - f * c
         return LinForm(self.m, const, cc)
 
-    def subst(self, var: int, value: int) -> "LinForm":
+    def subst(self, var: int, form: "LinForm") -> "LinForm":
+        """Replace var by an integer affine form in the other variables."""
         c = self.coeffs.get(var)
         if c is None:
             return self
-        cc = dict(self.coeffs)
-        del cc[var]
-        return LinForm(self.m, self.const + c * value, cc)
+        cc = {v: k for v, k in self.coeffs.items() if v != var}
+        for v, k in form.coeffs.items():
+            cc[v] = cc.get(v, 0) + c * k
+        return LinForm(self.m, self.const + c * form.const, cc)
 
     def evaluate(self, values: dict[int, int]) -> int:
         acc = self.const
         for v, c in self.coeffs.items():
             acc += c * values[v]
         return acc % self.m
-
-    def val(self, p: int, r: int) -> int:
-        """Minimum p-adic valuation over the constant and all coefficients."""
-        best = r
-        for x in itertools.chain((self.const,), self.coeffs.values()):
-            x %= self.m
-            if x == 0:
-                continue
-            v = 0
-            while x % p == 0 and v < best:
-                x //= p
-                v += 1
-            if v < best:
-                best = v
-                if best == 0:
-                    return 0
-        return best
 
     def digit(self, p: int, level: int) -> "LinForm":
         """The level-th base-p digit form; needs valuation >= level."""
@@ -121,139 +108,44 @@ class LinForm:
             {v: (c // pt) % p for v, c in self.coeffs.items()},
         )
 
-    def as_mod(self, m: int) -> "LinForm":
-        return LinForm(m, self.const, dict(self.coeffs))
-
-    def rewrite(self, ev: "_Elim") -> "LinForm":
-        """Eliminate ev.pivot using the constraint behind ev, exactly.
-
-        On the surviving assignments the value is unchanged; the carry
-        variable ev.slack absorbs the base-p wraparound.
-        """
-        sigma = self.coeffs.get(ev.pivot)
-        if sigma is None:
-            return self
-        m = self.m
-        lam_inv = pow(ev.lam % m, -1, m)
-        const = ev.lam * self.const - sigma * ev.alpha
-        cc: dict[int, int] = {}
-        for v, c in self.coeffs.items():
-            if v != ev.pivot:
-                cc[v] = ev.lam * c
-        for v, c in ev.support:
-            if v != ev.pivot:
-                cc[v] = cc.get(v, 0) - sigma * c
-        cc[ev.slack] = cc.get(ev.slack, 0) + sigma * ev.p
-        return LinForm(m, const * lam_inv, {v: c * lam_inv for v, c in cc.items()})
-
     def __repr__(self):
         parts = [str(self.const)] + [f"{c}*c{v}" for v, c in sorted(self.coeffs.items())]
         return f"({' + '.join(parts)} mod {self.m})"
 
 
-@dataclass(frozen=True)
-class _Elim:
-    p: int
-    pivot: int
-    lam: int
-    support: tuple[tuple[int, int], ...]  # (var, coeff mod p), pivot included
-    alpha: int
-    slack: int
-
-
-@dataclass(frozen=True)
-class _Fix:
-    var: int
-    value: int
-
-
 class ParamSpace:
-    """Z_p-valued parameters, carry variables, and the elimination log."""
+    """Z_p-valued parameters and the fold log.
 
-    __slots__ = ("p", "kinds", "his", "eliminated", "events")
+    Each fold eliminates one parameter by an integer affine form in the
+    others (events holds (parameter, form) in fold order), so the live
+    parameters range freely over [0, p) and every assignment of them is one
+    list member.
+    """
+
+    __slots__ = ("p", "n_params", "events")
 
     def __init__(self, p: int):
         self.p = p
-        self.kinds: list[str] = []
-        self.his: list[int] = []
-        self.eliminated: set[int] = set()
-        self.events: list = []
+        self.n_params = 0
+        self.events: list[tuple[int, LinForm]] = []
 
-    def clone(self) -> "ParamSpace":
-        out = ParamSpace(self.p)
-        out.kinds = list(self.kinds)
-        out.his = list(self.his)
-        out.eliminated = set(self.eliminated)
-        out.events = list(self.events)
-        return out
+    def new_param(self) -> int:
+        self.n_params += 1
+        return self.n_params - 1
 
-    def new_free(self) -> int:
-        self.kinds.append("free")
-        self.his.append(self.p - 1)
-        return len(self.kinds) - 1
-
-    def new_slack(self, hi: int) -> int:
-        self.kinds.append("slack")
-        self.his.append(hi)
-        return len(self.kinds) - 1
-
-    def all_frees(self) -> list[int]:
-        return [i for i, k in enumerate(self.kinds) if k == "free"]
-
-    def live_frees(self) -> list[int]:
-        return [
-            i
-            for i, k in enumerate(self.kinds)
-            if k == "free" and i not in self.eliminated
-        ]
+    def live(self) -> list[int]:
+        folded = {v for v, _ in self.events}
+        return [v for v in range(self.n_params) if v not in folded]
 
     @property
-    def has_fixes(self) -> bool:
-        return any(isinstance(ev, _Fix) for ev in self.events)
+    def size(self) -> int:
+        return self.p ** (self.n_params - len(self.events))
 
-    def replay(self, assign: dict[int, int]) -> dict[int, int] | None:
-        """Extend an all-frees valuation with the carries, or None if excluded.
-
-        An assignment survives when every folded constraint evaluates to
-        zero mod p (which also makes each carry an exact division) and all
-        carry fixes match.  Each event only references parameters and
-        earlier carries, so one chronological pass suffices.
-        """
-        values = dict(assign)
-        p = self.p
-        for ev in self.events:
-            if isinstance(ev, _Elim):
-                s = ev.alpha
-                for v, c in ev.support:
-                    s += c * values[v]
-                if s % p:
-                    return None
-                values[ev.slack] = s // p
-            else:
-                if values[ev.var] != ev.value:
-                    return None
-        return values
-
-    def assignments(self, cap: int) -> Iterator[dict[int, int]]:
-        """Surviving valuations, parameters enumerated lexicographically."""
-        frees = self.all_frees()
-        total = self.p ** len(frees)
-        if total > cap:
-            raise CapExceeded(f"parameter space of size {total} exceeds cap {cap}")
-        for combo in itertools.product(range(self.p), repeat=len(frees)):
-            values = self.replay(dict(zip(frees, combo)))
-            if values is not None:
-                yield values
-
-    def count(self, cap: int) -> int:
-        """Number of surviving assignments.
-
-        Every fold pins exactly one parameter as a function of the rest,
-        so without carry fixes the count is p to the live parameters.
-        """
-        if not self.has_fixes:
-            return self.p ** len(self.live_frees())
-        return sum(1 for _ in self.assignments(cap))
+    def assignments(self) -> Iterator[dict[int, int]]:
+        """All assignments of the live parameters, lexicographically."""
+        live = self.live()
+        for combo in itertools.product(range(self.p), repeat=len(live)):
+            yield dict(zip(live, combo))
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +316,21 @@ def build_window_system(
 class DigitStage:
     """Reporting record for one digit stage.
 
-    solutions holds the stage's digit-vector family at the reference fiber
-    (earlier parameters zeroed); its basis size equals len(new_params), so
-    the stage count is p**len(new_params) = p**(e - rank) when no
-    constraint fired.
+    solutions holds the stage's digit-vector family at the all-zero
+    assignment of the earlier parameters; its basis size equals
+    len(new_params), so the stage count is p**len(new_params) =
+    p**(e - rank).
     """
 
     t: int
     rank: int
     new_params: tuple[int, ...]
-    solutions: AffineSet | None
+    solutions: AffineSet
 
 
 class _Branch:
+    """State of the digit recursion: parameters and per-stage digit forms."""
+
     __slots__ = ("space", "stage_forms", "stages")
 
     def __init__(self, space: ParamSpace):
@@ -444,59 +338,43 @@ class _Branch:
         self.stage_forms: list[list[LinForm]] = []
         self.stages: list[DigitStage] = []
 
-    def clone(self) -> "_Branch":
-        out = _Branch(self.space.clone())
-        out.stage_forms = [[f.copy() for f in forms] for forms in self.stage_forms]
-        out.stages = list(self.stages)
-        return out
 
-    def rewrite_all(self, ev: _Elim):
-        self.stage_forms = [
-            [f.rewrite(ev) for f in forms] for forms in self.stage_forms
-        ]
+def _fold(branch: _Branch, phi: LinForm, q: int) -> bool:
+    """Fold the mod-p constraint phi == 0 into the parameters.
 
-    def subst_all(self, var: int, value: int):
-        self.stage_forms = [
-            [f.subst(var, value) for f in forms] for forms in self.stage_forms
-        ]
+    A nonzero constant is a contradiction (returns False).  Otherwise the
+    newest parameter v of phi, with coefficient lam, is replaced in every
+    stage form by the integer form -lam^-1 (phi - lam v), lam^-1 taken mod
+    p.  phi then vanishes mod p coefficient by coefficient, and every stage
+    identity, holding coefficient by coefficient, holds for any integer
+    values of the remaining parameters.
 
-
-def _fold(branch: _Branch, phi: LinForm):
-    """Fold the mod-p constraint phi == 0 into the parameter space.
-
-    Returns "ok" (vacuous), "folded" (one parameter eliminated, all forms
-    rewritten), "invalid", or ("split", carry_var).
+    As v is the newest parameter of phi, the stage-u forms keep involving
+    only parameters of stages <= u: digits 0..u of a window depend on those
+    parameters alone and the stage-u ones enter digit u through their own
+    free columns.  Hence distinct assignments give distinct windows.  (With
+    an older pivot a later parameter would reach an earlier digit, and two
+    assignments can meet.)
     """
-    space = branch.space
-    p = space.p
-    support = sorted((v, c % p) for v, c in phi.coeffs.items() if c % p)
-    if not support:
-        return "ok" if phi.const % p == 0 else "invalid"
-    frees = [v for v, _ in support if space.kinds[v] == "free" and v not in space.eliminated]
-    if not frees:
-        return ("split", support[0][0])
-    pivot = frees[0]
-    lam = phi.coeffs[pivot] % p
-    alpha = phi.const % p
-    hi = (alpha + sum(c * space.his[v] for v, c in support)) // p
-    slack = space.new_slack(hi)
-    ev = _Elim(p=p, pivot=pivot, lam=lam, support=tuple(support), alpha=alpha, slack=slack)
-    space.eliminated.add(pivot)
-    space.events.append(ev)
-    branch.rewrite_all(ev)
-    return "folded"
+    if phi.is_const:
+        return phi.const == 0
+    p = branch.space.p
+    var = max(phi.coeffs)
+    lam_inv = pow(phi.coeffs[var], -1, p)
+    form = LinForm(
+        q, -lam_inv * phi.const, {v: -lam_inv * c for v, c in phi.coeffs.items() if v != var}
+    )
+    branch.space.events.append((var, form))
+    branch.stage_forms = [[f.subst(var, form) for f in forms] for forms in branch.stage_forms]
+    return True
 
 
 def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: RingContext):
-    """Advance one branch through digit stage t.
-
-    Returns ("ok", None), ("invalid", witness) or ("split", var).
-    """
-    p, r, q = ctx.p, ctx.r, ctx.q
+    """Advance the recursion through digit stage t; an invalid witness or None."""
+    p, q = ctx.p, ctx.q
     space = branch.space
     while True:
         payloads: list[LinForm] = []
-        outcome = None
         for row in rows_t:
             R = LinForm(q, row.rhs)
             for col, a in enumerate(row.coeffs):
@@ -504,86 +382,49 @@ def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: Ri
                     continue
                 for u in range(t):
                     f = branch.stage_forms[u][col]
-                    if f.is_const and f.const == 0:
+                    if f.is_zero:
                         continue
                     R = R.sub_mul((a * p**u) % q, f)
-            while True:
-                v = R.val(p, r)
-                if v >= t:
-                    break
-                res = _fold(branch, R.digit(p, v))
-                if res == "invalid":
-                    return ("invalid", ("digit", t, row.time, row.h_row, v))
-                if isinstance(res, tuple):
-                    return res
-                if res == "folded":
-                    outcome = "restart"
-                    break
-                raise AssertionError("constraint folding made no progress")
-            if outcome == "restart":
-                break
+            # the earlier stage identities hold coefficient by coefficient,
+            # so p^t divides R identically (digit asserts it)
             payloads.append(R.digit(p, t))
-        if outcome == "restart":
-            continue
 
         mat = [[c % p for c in row.coeffs] for row in rows_t]
-        pl = [f.copy() for f in payloads]
-        if mat:
-            pivots = rref_mod_p(
-                mat,
-                p,
-                pl,
-                lambda x, c: x.scale(c),
-                lambda x, f, y: x.sub_mul(f, y),
-            )
-        else:
-            pivots = []
-        restart = False
-        for idx in range(len(pivots), len(mat)):
-            phi = pl[idx]
-            if phi.is_const and phi.const % p == 0:
-                continue
-            res = _fold(branch, phi)
-            if res == "invalid":
-                return ("invalid", ("stage", t, idx))
-            if isinstance(res, tuple):
-                return res
-            restart = True
-            break
-        if restart:
-            continue
-
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(e) if c not in pivot_set]
-        new_params = [space.new_free() for _ in free_cols]
-        var_of = dict(zip(free_cols, new_params))
-        forms: list[LinForm] = []
-        for col in range(e):
-            if col in var_of:
-                forms.append(LinForm(q, 0, {var_of[col]: 1}))
-            else:
-                ridx = pivots.index(col)
-                f = pl[ridx].as_mod(q)
-                for fc in free_cols:
-                    a = mat[ridx][fc] % p
-                    if a:
-                        f = f.sub_mul(a, LinForm(q, 0, {var_of[fc]: 1}))
-                forms.append(f)
-        branch.stage_forms.append(forms)
-
-        # report the stage family at the first surviving reference fiber
-        affine = None
-        for values in space.assignments(cap=1 << 30):
-            particular = tuple(f.evaluate(values) % p for f in forms)
-            basis = tuple(
-                tuple(f.coeffs.get(var, 0) % p for f in forms) for var in new_params
-            )
-            affine = AffineSet(p, e, True, particular, basis)
-            break
-        branch.stages.append(
-            DigitStage(t=t, rank=len(pivots), new_params=tuple(new_params), solutions=affine)
+        pivots = rref_mod_p(
+            mat,
+            p,
+            payloads,
+            lambda x, c: x.scale(c),
+            lambda x, f, y: x.sub_mul(f, y),
         )
-        return ("ok", None)
+        # a dependent row whose payload is not zero constrains the parameters
+        idx = next((k for k in range(len(pivots), len(mat)) if not payloads[k].is_zero), None)
+        if idx is None:
+            break
+        if not _fold(branch, payloads[idx], q):
+            return ("stage", t, idx)
+
+    pivot_set = set(pivots)
+    var_of = {c: space.new_param() for c in range(e) if c not in pivot_set}
+    forms = [LinForm(q, 0, {var_of[c]: 1}) if c in var_of else None for c in range(e)]
+    for ridx, col in enumerate(pivots):
+        coeffs = dict(payloads[ridx].coeffs)
+        coeffs.update((var, -mat[ridx][fc]) for fc, var in var_of.items())
+        forms[col] = LinForm(q, payloads[ridx].const, coeffs)
+    branch.stage_forms.append(forms)
+
+    new_params = tuple(var_of.values())
+    particular = tuple(f.const % p for f in forms)
+    basis = tuple(tuple(f.coeffs.get(var, 0) % p for f in forms) for var in new_params)
+    branch.stages.append(
+        DigitStage(
+            t=t,
+            rank=len(pivots),
+            new_params=new_params,
+            solutions=AffineSet(p, e, True, particular, basis),
+        )
+    )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +433,11 @@ def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: Ri
 
 @dataclass
 class DecodeOutcome:
-    """Result of a window decode: unique, a list, or invalid."""
+    """Result of a window decode: unique, a list, or invalid.
+
+    branches holds the one finished digit recursion (empty when the
+    recursion did not run or found the window invalid).
+    """
 
     kind: str  # "unique" | "list" | "invalid"
     system: WindowSystem
@@ -608,15 +453,14 @@ class DecodeOutcome:
         return [p ** len(st.new_params) for st in self.stages]
 
 
-def list_decode(sys: WindowSystem, cap: int | None = None) -> DecodeOutcome:
+def list_decode(sys: WindowSystem) -> DecodeOutcome:
     """Run the digit recursion and classify the outcome.
 
-    The returned outcome carries the per-stage reports of the primary
-    branch; materialize_list enumerates the actual windows.
+    The list size p^(live parameters) needs no enumeration; the returned
+    outcome carries the per-stage reports, and materialize_list enumerates
+    the actual windows.
     """
-    cap = enumeration_cap() if cap is None else cap
-    code = sys.code
-    ctx = code.ctx
+    ctx = sys.code.ctx
     if sys.invalid_witness is not None:
         return DecodeOutcome(kind="invalid", system=sys, invalid_witness=sys.invalid_witness)
     e = sys.e
@@ -624,93 +468,62 @@ def list_decode(sys: WindowSystem, cap: int | None = None) -> DecodeOutcome:
         return DecodeOutcome(
             kind="unique", system=sys, window=sys.assemble(()), list_size=1
         )
-    branches = [_Branch(ParamSpace(ctx.p))]
-    witness = None
+    branch = _Branch(ParamSpace(ctx.p))
     for t in range(ctx.r):
         rows_t = [row for row in sys.rows if row.stratum <= ctx.r - 1 - t]
-        survivors: list[_Branch] = []
-        work = list(branches)
-        while work:
-            br = work.pop(0)
-            status, info = _run_stage(br, rows_t, t, e, ctx)
-            if status == "ok":
-                survivors.append(br)
-            elif status == "invalid":
-                witness = info
-            else:  # split on a carry variable
-                var = info
-                for value in range(br.space.his[var] + 1):
-                    clone = br.clone()
-                    clone.space.events.append(_Fix(var=var, value=value))
-                    clone.subst_all(var, value)
-                    work.append(clone)
-        branches = survivors
-        if not branches:
-            return DecodeOutcome(
-                kind="invalid", system=sys, invalid_witness=witness or ("empty", t)
-            )
-    kept: list[_Branch] = []
-    total = 0
-    for br in branches:
-        cnt = br.space.count(cap)
-        if cnt:
-            kept.append(br)
-            total += cnt
-    if total == 0:
-        return DecodeOutcome(kind="invalid", system=sys, invalid_witness=("empty", ctx.r))
-    stages = kept[0].stages
+        witness = _run_stage(branch, rows_t, t, e, ctx)
+        if witness is not None:
+            return DecodeOutcome(kind="invalid", system=sys, invalid_witness=witness)
+    size = branch.space.size
     outcome = DecodeOutcome(
-        kind="list" if total > 1 else "unique",
+        kind="list" if size > 1 else "unique",
         system=sys,
-        stages=list(stages),
-        list_size=total,
-        branches=kept,
+        stages=list(branch.stages),
+        list_size=size,
+        branches=[branch],
     )
-    if total == 1:
+    if size == 1:
         windows, _ = materialize_list(outcome, limit=1)
         outcome.window = windows[0]
     return outcome
 
 
+def _recombine(branch: _Branch, col: int, q: int, p: int) -> LinForm:
+    """The column's value sum_t p^t f_t as one form mod q."""
+    out = LinForm(q)
+    for t, forms in enumerate(branch.stage_forms):
+        out = out.sub_mul(-(p**t), forms[col])
+    return out
+
+
 def materialize_list(
     outcome: DecodeOutcome, limit: int | None = None
 ) -> tuple[list[list[list[int]]], bool]:
-    """All windows of a decode outcome, kernel-verified, up to limit.
+    """The windows of a decode outcome, kernel-verified, up to limit.
 
-    Returns (windows, truncated).  Windows merge the known symbols with
-    each digit recombination of the erased columns.
+    Returns (windows, truncated).  Windows come one per assignment of the
+    live parameters, lexicographically, and stop after limit; without a
+    limit a list larger than the enumeration cap raises CapExceeded.
     """
     sys = outcome.system
     if outcome.kind == "invalid":
         return [], False
     if outcome.kind == "unique" and outcome.window is not None and not outcome.branches:
         return [outcome.window], False
-    cap = enumeration_cap() if limit is None else max(limit, 1)
+    if limit is None:
+        limit = enumeration_cap()
+        if outcome.list_size > limit:
+            raise CapExceeded(f"list of size {outcome.list_size} exceeds cap {limit}")
     ctx = sys.code.ctx
-    p, q, r = ctx.p, ctx.q, ctx.r
+    (branch,) = outcome.branches
+    forms = [_recombine(branch, col, ctx.q, ctx.p) for col in range(sys.e)]
     windows = []
-    truncated = False
-
-    def emit():
-        for br in outcome.branches:
-            for values in br.space.assignments(cap=enumeration_cap()):
-                cols = []
-                for col in range(sys.e):
-                    total = 0
-                    for t in range(r):
-                        total += p**t * br.stage_forms[t][col].evaluate(values)
-                    cols.append(total % q)
-                window = sys.assemble(cols)
-                if not sys.window_equations_hold(window):
-                    raise AssertionError("materialized window violates the parity equations")
-                yield window
-
-    for window in emit():
-        if len(windows) == cap:
-            truncated = True
-            break
+    for values in itertools.islice(branch.space.assignments(), max(limit, 1)):
+        window = sys.assemble([f.evaluate(values) for f in forms])
+        if not sys.window_equations_hold(window):
+            raise AssertionError("materialized window violates the parity equations")
         windows.append(window)
-    return windows, truncated
+    return windows, outcome.list_size > len(windows)
 
 
 def try_unique_decode(sys: WindowSystem) -> list[list[int]] | None:
@@ -760,13 +573,12 @@ def oracle_decode(
     return frozenset(out)
 
 
-def project_values(
-    outcome: DecodeOutcome, cols: Sequence[int], cap: int = 4096
-) -> dict[int, int] | None:
+def project_values(outcome: DecodeOutcome, cols: Sequence[int]) -> dict[int, int] | None:
     """Values of the given columns when they agree across the whole list.
 
-    Symbolic when possible; otherwise enumerates up to cap windows and
-    reports None on the first disagreement (or when truncated).
+    Exact and symbolic: a column is constant over the list exactly when its
+    recombined form has no live parameter, since moving one parameter from
+    0 to 1 changes the value by that parameter's nonzero coefficient.
     """
     sys = outcome.system
     if outcome.kind == "invalid":
@@ -778,43 +590,14 @@ def project_values(
                 flat[k] = outcome.window[t - sys.i][c]
         return flat
     ctx = sys.code.ctx
-    p, q, r = ctx.p, ctx.q, ctx.r
-    symbolic: dict[int, int] = {}
-    heavy = False
+    (branch,) = outcome.branches
+    values: dict[int, int] = {}
     for col in cols:
-        vals = set()
-        for br in outcome.branches:
-            combined = LinForm(q)
-            for t in range(r):
-                combined = combined.sub_mul((-(p**t)) % q, br.stage_forms[t][col])
-            if not combined.is_const:
-                heavy = True
-                break
-            vals.add(combined.const % q)
-        if heavy or len(vals) != 1:
-            heavy = True
-            break
-        symbolic[col] = vals.pop()
-    if not heavy:
-        return symbolic
-    seen: dict[int, int] | None = None
-    count = 0
-    for br in outcome.branches:
-        for values in br.space.assignments(cap=enumeration_cap()):
-            count += 1
-            if count > cap:
-                return None
-            got = {}
-            for col in cols:
-                total = 0
-                for t in range(r):
-                    total += p**t * br.stage_forms[t][col].evaluate(values)
-                got[col] = total % q
-            if seen is None:
-                seen = got
-            elif seen != got:
-                return None
-    return seen
+        form = _recombine(branch, col, ctx.q, ctx.p)
+        if not form.is_const:
+            return None
+        values[col] = form.const
+    return values
 
 
 @dataclass

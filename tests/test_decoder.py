@@ -15,7 +15,8 @@ from convring import (
     sliding_matrix,
     try_unique_decode,
 )
-from convring.decoder import ErasurePattern, LinForm, ParamSpace, _Branch, _Fix, _fold
+from convring.decoder import ErasurePattern, LinForm, ParamSpace, _Branch, _fold
+from convring.errors import CapExceeded
 from tests.conftest import random_kernel_code
 
 Z4 = RingContext(2, 2)
@@ -343,66 +344,79 @@ class TestLawsRandomized:
 
 
 class TestParamMachinery:
-    def test_fold_eliminates_and_preserves_values(self):
-        space = ParamSpace(2)
-        br = _Branch(space)
-        a, b = space.new_free(), space.new_free()
-        # stage forms referencing both parameters
-        br.stage_forms.append([LinForm(8, 1, {a: 1, b: 1}), LinForm(8, 0, {a: 1})])
-        before = {}
-        for av in range(2):
-            for bv in range(2):
-                vals = {a: av, b: bv}
-                before[(av, bv)] = [f.evaluate(vals) for f in br.stage_forms[0]]
-        phi = LinForm(2, 1, {a: 1, b: 1})  # constraint a + b + 1 = 0 mod 2
-        assert _fold(br, phi) == "folded"
-        assert a in space.eliminated
-        # surviving assignments keep their form values
-        survivors = 0
-        for av in range(2):
-            for bv in range(2):
-                vals = space.replay({a: av, b: bv})
-                if vals is None:
+    def test_folds_match_oracle(self):
+        # rank-deficient stages over Z_8, Z_16 and Z_27 leave constraints on
+        # earlier parameters; every fold window must still list exactly the
+        # oracle's set, one member per live assignment
+        folded = 0
+        for ctx, emax in ((Z8, 5), (RingContext(2, 4), 4), (RingContext(3, 3), 3)):
+            rng = random.Random(ctx.q)
+            found = tries = 0
+            while found < 8 and tries < 300:
+                n = rng.randint(3, 5)
+                lsizes = [rng.randint(1, n - 1)] + [rng.randint(0, 1) for _ in range(ctx.r - 1)]
+                if sum(lsizes) >= n:
                     continue
-                survivors += 1
-                assert (av + bv + 1) % 2 == 0
-                got = [f.evaluate(vals) for f in br.stage_forms[0]]
-                assert got == before[(av, bv)]
-        assert survivors == 2
+                code = random_kernel_code(rng, ctx, n, lsizes, rng.randint(1, 2))
+                if code is None or code.g_blocks is None:
+                    continue
+                tries += 1
+                T = rng.randint(1, 3)
+                sent = code.encode([[rng.randrange(ctx.q) for _ in range(code.k)] for _ in range(T + 1)])
+                rx = [list(s) for s in sent]
+                spots = [(t, c) for t in range(T + 1) for c in range(n)]
+                rng.shuffle(spots)
+                for t, c in spots[: rng.randint(2, emax)]:
+                    rx[t][c] = None
+                sysw = build_window_system(code, rx, 0, T)
+                out = list_decode(sysw)
+                (branch,) = out.branches
+                if not branch.space.events:
+                    continue
+                found += 1
+                assert out.list_size == ctx.p ** len(branch.space.live())
+                windows, truncated = materialize_list(out)
+                oset = oracle_decode(code, rx, 0, T)
+                assert not truncated and len(windows) == out.list_size
+                assert as_set(windows) == oset
+                for col, (t, c) in enumerate(sysw.columns):
+                    values = {w[t][c] for w in oset}
+                    got = project_values(out, [col])
+                    assert got == ({col: values.pop()} if len(values) == 1 else None)
+            folded += found
+        assert folded >= 20
 
     def test_fold_constant_contradiction(self):
         br = _Branch(ParamSpace(2))
-        assert _fold(br, LinForm(2, 1, {})) == "invalid"
-        assert _fold(br, LinForm(2, 0, {})) == "ok"
-
-    def test_fold_splits_on_carry_only_support(self):
-        space = ParamSpace(2)
-        br = _Branch(space)
-        a = space.new_free()
-        b = space.new_free()
-        # first fold defines a carry k = (a + b) / 2 on the surviving set
-        assert _fold(br, LinForm(2, 0, {a: 1, b: 1})) == "folded"
-        (ev,) = space.events
-        k = ev.slack
-        # a constraint supported on the carry alone forces a branch split
-        res = _fold(br, LinForm(2, 1, {k: 1}))
-        assert res == ("split", k)
-        # fixing the carry filters assignments during replay
-        space.events.append(_Fix(var=k, value=1))
-        survivors = [
-            (av, bv)
-            for av in range(2)
-            for bv in range(2)
-            if space.replay({a: av, b: bv}) is not None
-        ]
-        # k = 1 requires a + b = 2, so only (1, 1) survives the fix
-        assert survivors == [(1, 1)]
+        assert not _fold(br, LinForm(2, 1, {}), 8)
+        assert _fold(br, LinForm(2, 0, {}), 8)
+        assert not br.space.events
 
     def test_assignments_enumeration_order(self):
         space = ParamSpace(3)
-        v0, v1 = space.new_free(), space.new_free()
-        combos = [(vals[v0], vals[v1]) for vals in space.assignments(cap=100)]
+        v0, v1 = space.new_param(), space.new_param()
+        combos = [(vals[v0], vals[v1]) for vals in space.assignments()]
         assert combos == [(x, y) for x in range(3) for y in range(3)]
+
+
+def test_all_erased_z4_window_is_symbolic():
+    # one level-0 parity row of degree 1 over Z_4, T = 6, all 28 entries
+    # erased: seven independent rows leave 4^21 = 2^42 windows, counted and
+    # sampled without enumerating them
+    rng = random.Random(5)
+    code = None
+    while code is None or code.nu != 1:
+        code = random_kernel_code(rng, Z4, 4, [1, 0], 1)
+    sysw = build_window_system(code, [[None] * 4 for _ in range(7)], 0, 6)
+    assert sysw.e == 28
+    out = list_decode(sysw)
+    assert out.kind == "list" and out.list_size == 2**42
+    windows, truncated = materialize_list(out, limit=1)
+    assert truncated and len(windows) == 1
+    assert sysw.window_equations_hold(windows[0])
+    assert project_values(out, [0]) is None
+    with pytest.raises(CapExceeded):
+        materialize_list(out)
 
 
 def test_unterminated_stream_bounds(kernel_code_z8):

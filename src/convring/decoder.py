@@ -9,17 +9,21 @@ residuals of the previous stages.
 
 Stage solutions are carried symbolically as integer affine forms in a
 growing global parameter vector over Z_p; nothing is enumerated during
-the recursion.  Every stage identity (row . f_t == digit_t(R_t) mod p)
-holds coefficient by coefficient, so it holds for any integer parameter
-values.  A rank-deficient stage can leave a dependent row whose payload
-is a nonconstant form in earlier parameters: that constraint is folded by
-substituting, for one of its parameters, the integer affine form it
-dictates in the others.  The constraint then vanishes identically and the
-remaining parameters stay free.
+the recursion.  Each column keeps one dense form [const, c_0, ..., c_{P-1}]
+mod q: its value sum_t p^t f_t recombined over the stages so far.  Stage
+t's payload is digit t of rhs - A G for the column forms G; the rows mod p
+and their payloads are reduced in one augmented elimination, payload
+entries riding along as extra columns.  Every stage identity (row . f_t
+== payload mod p) holds coefficient by coefficient, so it holds for any
+integer parameter values.  A rank-deficient stage can leave a dependent
+row whose payload is a nonconstant form in earlier parameters: that
+constraint is folded by substituting, for one of its parameters, the
+integer affine form it dictates in the others.  The constraint then
+vanishes identically and the remaining parameters stay free.
 
-The final list is the set of digit recombinations over all assignments
-of the live parameters in [0, p); distinct assignments give distinct
-windows, so its size is p to the number of live parameters.
+The final list is the set of values of the column forms over all
+assignments of the live parameters in [0, p); distinct assignments give
+distinct windows, so its size is p to the number of live parameters.
 
 The window equations themselves come from the one window-equation kernel
 in codes: build_window_system renormalizes its rows, a filled window is
@@ -32,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
+from operator import mul
 from typing import Iterator, Sequence
 
 from .codes import ConvCode, _window_equations
@@ -44,73 +49,7 @@ Symbol = Sequence[int | None]
 
 
 # ---------------------------------------------------------------------------
-# affine forms over a growing parameter vector
-
-
-class LinForm:
-    """const + sum coeff_v * v, reduced mod m; variables are Z_p digits."""
-
-    __slots__ = ("m", "const", "coeffs")
-
-    def __init__(self, m: int, const: int = 0, coeffs: dict[int, int] | None = None):
-        self.m = m
-        self.const = const % m
-        cc: dict[int, int] = {}
-        if coeffs:
-            for v, c in coeffs.items():
-                c %= m
-                if c:
-                    cc[v] = c
-        self.coeffs = cc
-
-    @property
-    def is_const(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs and self.const == 0
-
-    def scale(self, c: int) -> "LinForm":
-        return LinForm(self.m, self.const * c, {v: k * c for v, k in self.coeffs.items()})
-
-    def sub_mul(self, f: int, other: "LinForm") -> "LinForm":
-        """self - f * other."""
-        const = self.const - f * other.const
-        cc = dict(self.coeffs)
-        for v, c in other.coeffs.items():
-            cc[v] = cc.get(v, 0) - f * c
-        return LinForm(self.m, const, cc)
-
-    def subst(self, var: int, form: "LinForm") -> "LinForm":
-        """Replace var by an integer affine form in the other variables."""
-        c = self.coeffs.get(var)
-        if c is None:
-            return self
-        cc = {v: k for v, k in self.coeffs.items() if v != var}
-        for v, k in form.coeffs.items():
-            cc[v] = cc.get(v, 0) + c * k
-        return LinForm(self.m, self.const + c * form.const, cc)
-
-    def evaluate(self, values: dict[int, int]) -> int:
-        acc = self.const
-        for v, c in self.coeffs.items():
-            acc += c * values[v]
-        return acc % self.m
-
-    def digit(self, p: int, level: int) -> "LinForm":
-        """The level-th base-p digit form; needs valuation >= level."""
-        pt = p**level
-        assert self.const % pt == 0 and all(c % pt == 0 for c in self.coeffs.values())
-        return LinForm(
-            p,
-            (self.const // pt) % p,
-            {v: (c // pt) % p for v, c in self.coeffs.items()},
-        )
-
-    def __repr__(self):
-        parts = [str(self.const)] + [f"{c}*c{v}" for v, c in sorted(self.coeffs.items())]
-        return f"({' + '.join(parts)} mod {self.m})"
+# parameters
 
 
 class ParamSpace:
@@ -127,7 +66,7 @@ class ParamSpace:
     def __init__(self, p: int):
         self.p = p
         self.n_params = 0
-        self.events: list[tuple[int, LinForm]] = []
+        self.events: list[tuple[int, list[int]]] = []
 
     def new_param(self) -> int:
         self.n_params += 1
@@ -141,11 +80,17 @@ class ParamSpace:
     def size(self) -> int:
         return self.p ** (self.n_params - len(self.events))
 
-    def assignments(self) -> Iterator[dict[int, int]]:
-        """All assignments of the live parameters, lexicographically."""
+    def assignments(self) -> Iterator[tuple[int, ...]]:
+        """All assignments of the live parameters, lexicographically.
+
+        Each is the value vector over all parameters; folded ones read 0.
+        """
         live = self.live()
+        values = [0] * self.n_params
         for combo in itertools.product(range(self.p), repeat=len(live)):
-            yield dict(zip(live, combo))
+            for v, x in zip(live, combo):
+                values[v] = x
+            yield tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -329,99 +274,110 @@ class DigitStage:
 
 
 class _Branch:
-    """State of the digit recursion: parameters and per-stage digit forms."""
+    """State of the digit recursion: parameters and one form per column.
 
-    __slots__ = ("space", "stage_forms", "stages")
+    forms[col] is the column's recombined value sum_t p^t f_t mod q over
+    the stages run so far, as a dense integer list [const, c_0, ...,
+    c_{P-1}] over all P parameters (a folded parameter keeps coefficient 0).
+    """
 
-    def __init__(self, space: ParamSpace):
+    __slots__ = ("space", "forms", "stages")
+
+    def __init__(self, space: ParamSpace, e: int):
         self.space = space
-        self.stage_forms: list[list[LinForm]] = []
+        self.forms: list[list[int]] = [[0] for _ in range(e)]
         self.stages: list[DigitStage] = []
 
 
-def _fold(branch: _Branch, phi: LinForm, q: int) -> bool:
+def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
     """Fold the mod-p constraint phi == 0 into the parameters.
 
-    A nonzero constant is a contradiction (returns False).  Otherwise the
-    newest parameter v of phi, with coefficient lam, is replaced in every
-    stage form by the integer form -lam^-1 (phi - lam v), lam^-1 taken mod
-    p.  phi then vanishes mod p coefficient by coefficient, and every stage
-    identity, holding coefficient by coefficient, holds for any integer
-    values of the remaining parameters.
+    phi is a dense form [const, c_0, ...] mod p.  A nonzero constant is a
+    contradiction (returns False).  Otherwise the newest parameter v of
+    phi, with coefficient lam, is replaced in every column form by the
+    integer form -lam^-1 (phi - lam v), lam^-1 taken mod p.  phi then
+    vanishes mod p coefficient by coefficient, and every stage identity,
+    holding coefficient by coefficient, holds for any integer values of the
+    remaining parameters.
 
-    As v is the newest parameter of phi, the stage-u forms keep involving
-    only parameters of stages <= u: digits 0..u of a window depend on those
-    parameters alone and the stage-u ones enter digit u through their own
-    free columns.  Hence distinct assignments give distinct windows.  (With
-    an older pivot a later parameter would reach an earlier digit, and two
-    assignments can meet.)
+    As v is the newest parameter of phi, the stage-u digit forms keep
+    involving only parameters of stages <= u: digits 0..u of a window
+    depend on those parameters alone and the stage-u ones enter digit u
+    through their own free columns.  Hence distinct assignments give
+    distinct windows.  (With an older pivot a later parameter would reach
+    an earlier digit, and two assignments can meet.)
     """
-    if phi.is_const:
-        return phi.const == 0
-    p = branch.space.p
-    var = max(phi.coeffs)
-    lam_inv = pow(phi.coeffs[var], -1, p)
-    form = LinForm(
-        q, -lam_inv * phi.const, {v: -lam_inv * c for v, c in phi.coeffs.items() if v != var}
-    )
-    branch.space.events.append((var, form))
-    branch.stage_forms = [[f.subst(var, form) for f in forms] for forms in branch.stage_forms]
+    k = next((j for j in range(len(phi) - 1, 0, -1) if phi[j]), 0)
+    if not k:
+        return phi[0] == 0
+    lam_inv = pow(phi[k], -1, branch.space.p)
+    form = [-lam_inv * c % q for c in phi]
+    form[k] = 0
+    branch.space.events.append((k - 1, form))
+    for g in branch.forms:
+        c = g[k]
+        if c:
+            g[:] = [(a + c * x) % q for a, x in zip(g, form)]
+            g[k] = 0
     return True
 
 
 def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: RingContext):
-    """Advance the recursion through digit stage t; an invalid witness or None."""
-    p, q = ctx.p, ctx.q
-    space = branch.space
-    while True:
-        payloads: list[LinForm] = []
-        for row in rows_t:
-            R = LinForm(q, row.rhs)
-            for col, a in enumerate(row.coeffs):
-                if a == 0:
-                    continue
-                for u in range(t):
-                    f = branch.stage_forms[u][col]
-                    if f.is_zero:
-                        continue
-                    R = R.sub_mul((a * p**u) % q, f)
-            # the earlier stage identities hold coefficient by coefficient,
-            # so p^t divides R identically (digit asserts it)
-            payloads.append(R.digit(p, t))
+    """Advance the recursion through digit stage t; an invalid witness or None.
 
-        mat = [[c % p for c in row.coeffs] for row in rows_t]
-        pivots = rref_mod_p(
-            mat,
-            p,
-            payloads,
-            lambda x, c: x.scale(c),
-            lambda x, f, y: x.sub_mul(f, y),
-        )
+    Each pass is one augmented elimination: the stage rows mod p, followed
+    by their payload digit t of rhs - A G as dense columns over [const,
+    params].  A dependent row with a nonzero payload is folded and the pass
+    repeats.
+    """
+    p, q = ctx.p, ctx.q
+    pt = p**t
+    while True:
+        entries = list(zip(*branch.forms))  # one tuple over the columns per form entry
+        mat = []
+        for row in rows_t:
+            R = [-sum(map(mul, row.coeffs, col)) % q for col in entries]
+            R[0] = (R[0] + row.rhs) % q
+            # the earlier stage identities hold coefficient by coefficient,
+            # so p^t divides R identically
+            assert not any(x % pt for x in R)
+            mat.append([*row.coeffs, *(x // pt for x in R)])
+        pivots = rref_mod_p(mat, p, ncols=e)
         # a dependent row whose payload is not zero constrains the parameters
-        idx = next((k for k in range(len(pivots), len(mat)) if not payloads[k].is_zero), None)
+        idx = next((k for k in range(len(pivots), len(mat)) if any(mat[k][e:])), None)
         if idx is None:
             break
-        if not _fold(branch, payloads[idx], q):
+        if not _fold(branch, mat[idx][e:], q):
             return ("stage", t, idx)
 
+    # free columns get new parameters; a pivot column's digit is its
+    # payload minus the free columns' share
     pivot_set = set(pivots)
-    var_of = {c: space.new_param() for c in range(e) if c not in pivot_set}
-    forms = [LinForm(q, 0, {var_of[c]: 1}) if c in var_of else None for c in range(e)]
+    free = [c for c in range(e) if c not in pivot_set]
+    new_params = tuple(branch.space.new_param() for _ in free)
+    grow = [0] * len(free)
+    for g in branch.forms:
+        g.extend(grow)
+    for c, v in zip(free, new_params):
+        branch.forms[c][1 + v] = pt
+    particular = [0] * e
+    basis = [[0] * e for _ in free]
     for ridx, col in enumerate(pivots):
-        coeffs = dict(payloads[ridx].coeffs)
-        coeffs.update((var, -mat[ridx][fc]) for fc, var in var_of.items())
-        forms[col] = LinForm(q, payloads[ridx].const, coeffs)
-    branch.stage_forms.append(forms)
-
-    new_params = tuple(var_of.values())
-    particular = tuple(f.const % p for f in forms)
-    basis = tuple(tuple(f.coeffs.get(var, 0) % p for f in forms) for var in new_params)
+        row = mat[ridx]
+        f = row[e:] + [-row[c] % q for c in free]
+        g = branch.forms[col]
+        g[:] = [(a + pt * x) % q for a, x in zip(g, f)]
+        particular[col] = row[e]
+        for vec, c in zip(basis, free):
+            vec[col] = -row[c] % p
+    for vec, c in zip(basis, free):
+        vec[c] = 1
     branch.stages.append(
         DigitStage(
             t=t,
             rank=len(pivots),
             new_params=new_params,
-            solutions=AffineSet(p, e, True, particular, basis),
+            solutions=AffineSet(p, e, True, tuple(particular), tuple(map(tuple, basis))),
         )
     )
     return None
@@ -468,7 +424,7 @@ def list_decode(sys: WindowSystem) -> DecodeOutcome:
         return DecodeOutcome(
             kind="unique", system=sys, window=sys.assemble(()), list_size=1
         )
-    branch = _Branch(ParamSpace(ctx.p))
+    branch = _Branch(ParamSpace(ctx.p), e)
     for t in range(ctx.r):
         rows_t = [row for row in sys.rows if row.stratum <= ctx.r - 1 - t]
         witness = _run_stage(branch, rows_t, t, e, ctx)
@@ -486,14 +442,6 @@ def list_decode(sys: WindowSystem) -> DecodeOutcome:
         windows, _ = materialize_list(outcome, limit=1)
         outcome.window = windows[0]
     return outcome
-
-
-def _recombine(branch: _Branch, col: int, q: int, p: int) -> LinForm:
-    """The column's value sum_t p^t f_t as one form mod q."""
-    out = LinForm(q)
-    for t, forms in enumerate(branch.stage_forms):
-        out = out.sub_mul(-(p**t), forms[col])
-    return out
 
 
 def materialize_list(
@@ -514,12 +462,12 @@ def materialize_list(
         limit = enumeration_cap()
         if outcome.list_size > limit:
             raise CapExceeded(f"list of size {outcome.list_size} exceeds cap {limit}")
-    ctx = sys.code.ctx
+    q = sys.code.ctx.q
     (branch,) = outcome.branches
-    forms = [_recombine(branch, col, ctx.q, ctx.p) for col in range(sys.e)]
     windows = []
     for values in itertools.islice(branch.space.assignments(), max(limit, 1)):
-        window = sys.assemble([f.evaluate(values) for f in forms])
+        x = (1, *values)
+        window = sys.assemble([sum(map(mul, g, x)) % q for g in branch.forms])
         if not sys.window_equations_hold(window):
             raise AssertionError("materialized window violates the parity equations")
         windows.append(window)
@@ -589,14 +537,13 @@ def project_values(outcome: DecodeOutcome, cols: Sequence[int]) -> dict[int, int
             if k in cols:
                 flat[k] = outcome.window[t - sys.i][c]
         return flat
-    ctx = sys.code.ctx
     (branch,) = outcome.branches
     values: dict[int, int] = {}
     for col in cols:
-        form = _recombine(branch, col, ctx.q, ctx.p)
-        if not form.is_const:
+        const, *coeffs = branch.forms[col]
+        if any(coeffs):
             return None
-        values[col] = form.const
+        values[col] = const
     return values
 
 

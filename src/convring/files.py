@@ -2,7 +2,9 @@
 
 All formats use plain integers; polynomials are degree-ascending integer
 lists.  Serialization is canonical (fixed key order, two-space indent,
-trailing newline) so files round-trip byte-identically.
+trailing newline) so files round-trip byte-identically.  Loading checks
+keys, shapes and entry types and raises ValueError on a malformed file
+(a bool or a float is not an integer entry).
 """
 
 from __future__ import annotations
@@ -19,14 +21,51 @@ def _canon(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _key(doc, key: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"missing key {key!r}")
+    return doc[key]
+
+
+def _int(x, what: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what}: expected an integer, got {x!r}")
+    return x
+
+
+def _list(x, what: str, length: int | None = None) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what}: expected a list, got {x!r}")
+    if length is not None and len(x) != length:
+        raise ValueError(f"{what} has length {len(x)}, expected {length}")
+    return x
+
+
+def _symbols(doc, width_key: str, erasable: bool) -> tuple[int, list[list[int | None]]]:
+    """The width and the symbol list of a stream or message document."""
+    width = _int(_key(doc, width_key), width_key)
+    symbols = []
+    for t, sym in enumerate(_list(_key(doc, "symbols"), "symbols")):
+        what = f"symbol at time {t}"
+        symbols.append(
+            [x if x is None and erasable else _int(x, what) for x in _list(sym, what, width)]
+        )
+    return width, symbols
+
+
 def _blocks_to_json(blocks) -> list:
     return [[[list(e.coeffs) for e in row] for row in blk.entries] for blk in blocks]
 
 
-def _blocks_from_json(ctx: RingContext, data, n: int):
+def _blocks_from_json(ctx: RingContext, data, n: int, what: str):
     out = []
-    for blk in data:
-        rows = [[list(map(int, poly)) for poly in row] for row in blk]
+    for blk in _list(data, what):
+        rows = [
+            [[_int(c, what) for c in _list(poly, what)] for poly in _list(row, f"{what} row", n)]
+            for row in _list(blk, what)
+        ]
         out.append(PolyMatrix(ctx, rows, cols=n))
     return tuple(out)
 
@@ -44,21 +83,18 @@ def code_to_json(code: ConvCode) -> dict:
 
 
 def code_from_json(data: dict) -> ConvCode:
-    ctx = RingContext(int(data["p"]), int(data["r"]))
-    n = int(data["n"])
-    g = data.get("G")
-    h = data.get("H")
-    g_blocks = _blocks_from_json(ctx, g, n) if g is not None else None
-    h_blocks = _blocks_from_json(ctx, h, n) if h is not None else None
-    code = ConvCode(
+    p, r, n = (_int(_key(data, k), k) for k in ("p", "r", "n"))
+    ctx = RingContext(p, r)
+    k_blocks = tuple(_int(x, "k_blocks") for x in _list(_key(data, "k_blocks"), "k_blocks"))
+    g, h, nu = data.get("G"), data.get("H"), data.get("nu")
+    return ConvCode(
         ctx=ctx,
         n=n,
-        k_blocks=tuple(int(x) for x in data["k_blocks"]),
-        g_blocks=g_blocks,
-        h_blocks=h_blocks,
-        nu=int(data["nu"]) if data.get("nu") is not None else None,
+        k_blocks=k_blocks,
+        g_blocks=_blocks_from_json(ctx, g, n, "G") if g is not None else None,
+        h_blocks=_blocks_from_json(ctx, h, n, "H") if h is not None else None,
+        nu=_int(nu, "nu") if nu is not None else None,
     )
-    return code
 
 
 def save_code(path: str, code: ConvCode):
@@ -79,13 +115,7 @@ def save_stream(path: str, n: int, symbols: Sequence[Sequence[int | None]]):
 
 def load_stream(path: str) -> tuple[int, list[list[int | None]]]:
     with open(path) as fh:
-        doc = json.load(fh)
-    n = int(doc["n"])
-    symbols = [list(sym) for sym in doc["symbols"]]
-    for t, sym in enumerate(symbols):
-        if len(sym) != n:
-            raise ValueError(f"symbol at time {t} has length {len(sym)}, expected {n}")
-    return n, symbols
+        return _symbols(json.load(fh), "n", erasable=True)
 
 
 def save_pattern(path: str, erasures: Sequence[tuple[int, int]]):
@@ -97,7 +127,10 @@ def save_pattern(path: str, erasures: Sequence[tuple[int, int]]):
 def load_pattern(path: str) -> list[tuple[int, int]]:
     with open(path) as fh:
         doc = json.load(fh)
-    return [(int(t), int(c)) for t, c in doc["erasures"]]
+    return [
+        tuple(_int(x, "erasure") for x in _list(pair, "erasure", 2))
+        for pair in _list(_key(doc, "erasures"), "erasures")
+    ]
 
 
 def check_pattern_consistency(symbols: Sequence[Sequence[int | None]], erasures) -> None:
@@ -122,8 +155,7 @@ def save_message(path: str, k: int, symbols: Sequence[Sequence[int]]):
 
 def load_message(path: str) -> tuple[int, list[list[int]]]:
     with open(path) as fh:
-        doc = json.load(fh)
-    return int(doc["k"]), [list(map(int, sym)) for sym in doc["symbols"]]
+        return _symbols(json.load(fh), "k", erasable=False)
 
 
 def save_report(path: str, report: dict):

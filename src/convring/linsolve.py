@@ -1,17 +1,20 @@
 """Constant matrices over Z_{p^r} and exact linear solving over Z_p.
 
-The row-reduction kernel is shared by the plain solver, rank computation,
-and the decoder's parametric stage solves (augmented payloads carry either
-numbers or affine forms).  It is also the single place where Z_p
-multiply-accumulate operations are counted, so decoding cost measurements
-all flow through OPS.  The brute-force enumerator behind the decoding
-oracle and the distance searches lives here too.
+The row-reduction kernel rref_mod_p is shared by the plain solver, rank
+computation, and the decoder's digit stages.  Right-hand sides and the
+decoder's payload forms are augmented columns: they ride along through
+the row operations but never hold a pivot.  Odd p reduce list rows; over
+Z_2 each row is packed into one int, one byte per entry, and eliminated
+by XOR.  rref_mod_p is also the single place where Z_p multiply-accumulate
+operations are counted (the same count on both paths), so decoding cost
+measurements all flow through OPS.  The brute-force enumerator behind the
+decoding oracle and the distance searches lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -150,55 +153,74 @@ class ConstMatrix:
         return f"ConstMatrix({self.rows}x{self.cols} mod {self.ctx.q}: {self.data})"
 
 
-def rref_mod_p(
-    rows: list[list[int]],
-    p: int,
-    payloads: list | None = None,
-    scale_payload: Callable | None = None,
-    submul_payload: Callable | None = None,
-) -> list[int]:
+def rref_mod_p(rows: list[list[int]], p: int, ncols: int | None = None) -> list[int]:
     """In-place reduced row echelon form over Z_p; returns pivot columns.
 
-    payloads, when given, is a parallel list transformed by the same row
-    operations (scale_payload(x, c) and submul_payload(x, f, y) compute
-    c*x and x - f*y in whatever algebra the payload lives in).
+    Pivots are sought only among the first ncols columns (all by default);
+    any further columns are augmented ones that ride along through the same
+    row operations.  OPS counts the multiply-accumulates of the first ncols
+    columns only.  Entries may be any integers; the rows come back reduced
+    into [0, p).  Over Z_2 each row is packed into one int, one byte per
+    entry, and eliminated by XOR.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
+    if ncols is None:
+        ncols = n
+    if p == 2:
+        return _rref_mod_2(rows, m, n, ncols)
+    for i in range(m):
+        rows[i] = [x % p for x in rows[i]]
     pivots: list[int] = []
     r = 0
-    for col in range(n):
-        pr = -1
-        for i in range(r, m):
-            if rows[i][col] % p:
-                pr = i
-                break
+    for col in range(ncols):
+        pr = next((i for i in range(r, m) if rows[i][col]), -1)
         if pr < 0:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        if payloads is not None:
-            payloads[r], payloads[pr] = payloads[pr], payloads[r]
         inv = pow(rows[r][col], -1, p)
         if inv != 1:
             rows[r] = [(inv * x) % p for x in rows[r]]
-            OPS.add(n - col)
-            if payloads is not None:
-                payloads[r] = scale_payload(payloads[r], inv)
+            OPS.add(ncols - col)
+        rr = rows[r]
         for i in range(m):
-            if i == r:
+            f = rows[i][col]
+            if f == 0 or i == r:
                 continue
-            f = rows[i][col] % p
-            if f == 0:
-                continue
-            ri, rr = rows[i], rows[r]
-            rows[i] = [(a - f * b) % p for a, b in zip(ri, rr)]
-            OPS.add(n - col + 1)
-            if payloads is not None:
-                payloads[i] = submul_payload(payloads[i], f, payloads[r])
+            # the pivot row is zero left of col
+            ri = rows[i]
+            ri[col:] = [(a - f * b) % p for a, b in zip(ri[col:], rr[col:])]
+            OPS.add(ncols - col + 1)
         pivots.append(col)
         r += 1
         if r == m:
             break
+    return pivots
+
+
+def _rref_mod_2(rows: list[list[int]], m: int, n: int, ncols: int) -> list[int]:
+    """rref_mod_p over Z_2 on rows packed one byte per entry."""
+    packed = [int.from_bytes(bytes([x & 1 for x in row]), "little") for row in rows]
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        bit = 1 << (8 * col)
+        pr = next((i for i in range(r, m) if packed[i] & bit), -1)
+        if pr < 0:
+            continue
+        packed[r], packed[pr] = packed[pr], packed[r]
+        rr = packed[r]
+        hits = 0
+        for i in range(m):
+            if packed[i] & bit and i != r:
+                packed[i] ^= rr
+                hits += 1
+        OPS.add(hits * (ncols - col + 1))
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    rows[:] = [list(x.to_bytes(n, "little")) for x in packed]
     return pivots
 
 
@@ -282,23 +304,14 @@ def solve_mod_p(data: Sequence[Sequence[int]], b: Sequence[int], p: int) -> Affi
     """
     m = len(data)
     n = len(data[0]) if m else 0
-    rows = [list(r) for r in data]
-    payloads = [x % p for x in b]
-
-    def pscale(x, c):
-        return (x * c) % p
-
-    def psubmul(x, f, y):
-        return (x - f * y) % p
-
-    pivots = rref_mod_p(rows, p, payloads, pscale, psubmul) if m else []
+    rows = [list(r) + [x] for r, x in zip(data, b)]
+    pivots = rref_mod_p(rows, p, ncols=n)
     npiv = len(pivots)
-    for i in range(npiv, m):
-        if payloads[i] % p:
-            return AffineSet.infeasible(p, n)
+    if any(rows[i][n] for i in range(npiv, m)):
+        return AffineSet.infeasible(p, n)
     particular = [0] * n
     for r, col in enumerate(pivots):
-        particular[col] = payloads[r] % p
+        particular[col] = rows[r][n]
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
@@ -307,7 +320,7 @@ def solve_mod_p(data: Sequence[Sequence[int]], b: Sequence[int], p: int) -> Affi
         vec = [0] * n
         vec[free] = 1
         for r, col in enumerate(pivots):
-            vec[col] = (-rows[r][free]) % p
+            vec[col] = -rows[r][free] % p
         basis.append(tuple(vec))
     return AffineSet(p, n, True, tuple(particular), tuple(basis))
 

@@ -203,6 +203,71 @@ class TestCliCommands:
         path.write_text(json.dumps(doc))
         assert main(["check", "--code", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"symbols": [[5, None, 0, 6, 0]]},  # no "n"
+            {"n": 5, "symbols": 7},  # symbols not a list
+            {"n": 5, "symbols": [[5, "x", 0, 6, 0]]},
+            {"n": 5, "symbols": [[5, None, 1.5, 6, 0]]},
+            {"n": 5, "symbols": [[5, None, True, 6, 0]]},
+            {"n": 5, "symbols": [5, None, 0, 6, 0]},  # a symbol that is no list
+            {"n": 5, "symbols": [[5, None, 0, 6]]},
+            {"n": "5", "symbols": [[5, None, 0, 6, 0]]},
+            [[5, None, 0, 6, 0]],
+        ],
+        ids=["no-n", "symbols-int", "entry-str", "entry-float", "entry-bool", "symbol-int",
+             "short-symbol", "n-str", "not-object"],
+    )
+    def test_malformed_stream_is_usage_error(self, tmp_path, code_file, doc):
+        path = tmp_path / "rx.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            files.load_stream(str(path))
+        assert main(["decode", "--code", code_file, "--received", str(path), "--at", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("k_blocks"),
+            lambda d: d.pop("p"),
+            lambda d: d.update(n=5.0),
+            lambda d: d.update(k_blocks=[2, "0", 0]),
+            lambda d: d.update(H=[[["x"]]]),
+            lambda d: d["H"][0][0].pop(),  # a parity row one entry short
+            lambda d: d["H"][0][0].__setitem__(0, [1, 2.5]),
+            lambda d: d.update(nu=True),
+        ],
+        ids=["no-k_blocks", "no-p", "n-float", "k_block-str", "coeff-str", "short-row",
+             "coeff-float", "nu-bool"],
+    )
+    def test_malformed_code_is_usage_error(self, tmp_path, kernel_code_z8, edit):
+        doc = files.code_to_json(kernel_code_z8)
+        edit(doc)
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            files.load_code(str(path))
+        rx_path = tmp_path / "rx.json"
+        files.save_stream(str(rx_path), 5, [[5, None, 0, 6, 0]])
+        assert main(["decode", "--code", str(path), "--received", str(rx_path), "--at", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "loader, doc",
+        [
+            (files.load_pattern, {"erasures": [[0]]}),
+            (files.load_pattern, {"erasures": [[0, None]]}),
+            (files.load_pattern, {}),
+            (files.load_message, {"k": 2, "symbols": [[1, None]]}),
+            (files.load_message, {"k": 2, "symbols": [[1, 2, 3]]}),
+        ],
+    )
+    def test_malformed_pattern_or_message_rejected(self, tmp_path, loader, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            loader(str(path))
+
     def test_stats_empty(self, capsys):
         assert main(["stats"]) == 0
         out = capsys.readouterr().out

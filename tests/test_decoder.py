@@ -15,8 +15,9 @@ from convring import (
     sliding_matrix,
     try_unique_decode,
 )
-from convring.decoder import ErasurePattern, LinForm, ParamSpace, _Branch, _fold
+from convring.decoder import ErasurePattern, ParamSpace, _Branch, _fold
 from convring.errors import CapExceeded
+from convring.linsolve import OPS
 from tests.conftest import random_kernel_code
 
 Z4 = RingContext(2, 2)
@@ -387,10 +388,26 @@ class TestParamMachinery:
         assert folded >= 20
 
     def test_fold_constant_contradiction(self):
-        br = _Branch(ParamSpace(2))
-        assert not _fold(br, LinForm(2, 1, {}), 8)
-        assert _fold(br, LinForm(2, 0, {}), 8)
+        # dense forms [const, c_0, ...]: a nonzero constant with no live
+        # coefficient is a contradiction, the zero form folds nothing
+        br = _Branch(ParamSpace(2), 2)
+        br.space.new_param()
+        br.forms = [[1, 1], [0, 1]]
+        assert not _fold(br, [1, 0], 8)
+        assert _fold(br, [0, 0], 8)
         assert not br.space.events
+        assert br.forms == [[1, 1], [0, 1]]
+
+    def test_fold_substitutes_newest_parameter(self):
+        # phi = 1 + c0 + c1 mod 2 folds c1 := -(1 + c0) = 7 + 7 c0 mod 8
+        br = _Branch(ParamSpace(2), 2)
+        br.space.new_param()
+        br.space.new_param()
+        br.forms = [[1, 2, 1], [0, 0, 4]]
+        assert _fold(br, [1, 1, 1], 8)
+        assert br.space.events == [(1, [7, 7, 0])]
+        assert br.space.live() == [0]
+        assert br.forms == [[0, 1, 0], [4, 4, 0]]
 
     def test_assignments_enumeration_order(self):
         space = ParamSpace(3)
@@ -417,6 +434,25 @@ def test_all_erased_z4_window_is_symbolic():
     assert project_values(out, [0]) is None
     with pytest.raises(CapExceeded):
         materialize_list(out)
+
+
+@pytest.mark.parametrize(
+    "fixture, received, T, ops, kind, size",
+    [
+        ("kernel_code_z8", RECEIVED, 2, 146, "list", 64),
+        ("kernel_code_z9", [[None, 0, None], [0, None, 0], [0, 0, 0]], 1, 17, "unique", 1),
+        ("kernel_code_z9", [[None, None, None], [None, None, 0], [0, 0, 0]], 1, 40, "list", 9),
+    ],
+)
+def test_pinned_op_counts(request, fixture, received, T, ops, kind, size):
+    # Z_p multiply-accumulate counts of the digit stages; a faster
+    # elimination must leave them unchanged
+    code = request.getfixturevalue(fixture)
+    sysw = build_window_system(code, received, 0, T)
+    before = OPS.count
+    out = list_decode(sysw)
+    assert OPS.count - before == ops
+    assert (out.kind, out.list_size) == (kind, size)
 
 
 def test_unterminated_stream_bounds(kernel_code_z8):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from convring import AffineSet, ConstMatrix, RingContext, mccoy_unique, solve_mod_p
-from convring.linsolve import rank_mod_p
+from convring.linsolve import OPS, rank_mod_p, rref_mod_p
 
 Z8 = RingContext(2, 3)
 Z9 = RingContext(3, 2)
@@ -121,3 +121,79 @@ def test_mccoy_matches_bruteforce(ctx):
                 kernel_trivial = False
                 break
         assert mccoy_unique(A) == kernel_trivial
+
+
+def reference_rref(rows, p, ncols):
+    """Plain list elimination with the documented op count: a pivot row
+    scaled by a non-1 inverse costs ncols - col, each row it clears costs
+    ncols - col + 1; columns past ncols ride along uncounted."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots, ops, r = [], 0, 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        if inv != 1:
+            rows[r] = [inv * x % p for x in rows[r]]
+            ops += ncols - col
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                rows[i] = [(a - row[col] * b) % p for a, b in zip(row, rows[r])]
+                ops += ncols - col + 1
+        pivots.append(col)
+        r += 1
+    return pivots, rows, ops
+
+
+def _check_rref(rows, p, ncols=None):
+    expect = reference_rref(rows, p, len(rows[0]) if rows and ncols is None else ncols or 0)
+    work = [list(row) for row in rows]
+    before = OPS.count
+    pivots = rref_mod_p(work, p) if ncols is None else rref_mod_p(work, p, ncols=ncols)
+    assert (pivots, work, OPS.count - before) == expect
+    return pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rref_matches_reference_with_augmented_columns(p):
+    rng = random.Random(100 + p)
+    pivots_past = 0
+    for _ in range(150):
+        m, ncols, extra = rng.randrange(0, 8), rng.randrange(0, 8), rng.randrange(0, 5)
+        # unreduced and negative entries, sparse enough to leave dependent rows
+        rows = [
+            [rng.randint(-3 * p, 3 * p) if rng.random() < 0.5 else 0 for _ in range(ncols + extra)]
+            for _ in range(m)
+        ]
+        if m and ncols + extra == 0:
+            continue
+        pivots = _check_rref(rows, p, ncols)
+        assert all(col < ncols for col in pivots)
+        pivots_past += len(reference_rref(rows, p, ncols + extra)[0]) > len(pivots)
+    # augmented columns would have given pivots in many of these systems
+    assert pivots_past > 20
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rref_degenerate_inputs(p):
+    assert _check_rref([], p) == []
+    assert _check_rref([], p, ncols=3) == []
+    assert _check_rref([[0, 0, 0], [0, 0, 0]], p) == []
+    # all-zero coefficient part with live augmented columns
+    assert _check_rref([[0, 0, 1, -1], [0, p, 0, 2 * p + 1]], p, ncols=2) == []
+    assert _check_rref([[p + 1, -1], [2 * p, 0]], p, ncols=0) == []
+    assert _check_rref([[-1, 0, 7], [0, -1, 0], [1, 1, 1]], p, ncols=2) == [0, 1]
+
+
+def test_rref_z2_worked_example():
+    # over Z_2 every pivot inverse is 1, so only cleared rows cost ops:
+    # column 0 clears row 1 (4 ops + 1), column 1 clears rows 0 and 2 (2 x 4)
+    rows = [[1, 1, 0, 1], [1, 0, 1, 1], [0, 1, 1, 0]]
+    before = OPS.count
+    assert rref_mod_p(rows, 2) == [0, 1]
+    assert rows == [[1, 0, 1, 1], [0, 1, 1, 0], [0, 0, 0, 0]]
+    assert OPS.count - before == 5 + 8

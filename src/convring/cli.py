@@ -10,7 +10,9 @@ Subcommands
     stats    aggregate trial reports to CSV/JSON, optional scaling fit
 
 Exit codes: 0 success, 1 decode found the received word invalid, 2 usage
-or file format errors.
+or file format errors.  A sequential decode that halts on a list, or on an
+invalid window after a policy "first" guess ("invalid-after-guess"), exits
+0; its decisions say why it stopped.
 """
 
 from __future__ import annotations
@@ -260,10 +262,7 @@ def _cmd_decode(args) -> int:
     print(json.dumps(report, indent=2))
     if args.report:
         files.save_report(args.report, report)
-    if result.halted_at is not None and result.last_outcome is not None:
-        if result.last_outcome.kind == "invalid":
-            return 1
-    return 0
+    return 1 if result.decisions and result.decisions[-1][1] == "invalid" else 0
 
 
 def _cmd_oracle(args) -> int:

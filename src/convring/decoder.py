@@ -26,9 +26,9 @@ assignments of the live parameters in [0, p); distinct assignments give
 distinct windows, so its size is p to the number of live parameters.
 
 The window equations themselves come from the one window-equation kernel
-in codes: build_window_system renormalizes its rows, a filled window is
-checked against it, and the brute-force oracle enumerates against its
-raw rows.
+in codes: build_window_system renormalizes its rows, the column forms are
+checked once against the raw rows, and the brute-force oracle enumerates
+against its raw rows.
 """
 
 from __future__ import annotations
@@ -447,7 +447,7 @@ def list_decode(sys: WindowSystem) -> DecodeOutcome:
 def materialize_list(
     outcome: DecodeOutcome, limit: int | None = None
 ) -> tuple[list[list[list[int]]], bool]:
-    """The windows of a decode outcome, kernel-verified, up to limit.
+    """The windows of a decode outcome, verified for the whole list, up to limit.
 
     Returns (windows, truncated).  Windows come one per assignment of the
     live parameters, lexicographically, and stop after limit; without a
@@ -464,13 +464,17 @@ def materialize_list(
             raise CapExceeded(f"list of size {outcome.list_size} exceeds cap {limit}")
     q = sys.code.ctx.q
     (branch,) = outcome.branches
+    # every member is the column forms at an integer assignment, so raw rows
+    # holding coefficient by coefficient prove the whole list
+    entries = list(zip(*branch.forms))
+    for row in sys.rows:
+        R = [sum(map(mul, row.orig_coeffs, col)) % q for col in entries]
+        if (R[0] - row.orig_rhs) % q or any(R[1:]):
+            raise AssertionError("the list violates the parity equations")
     windows = []
     for values in itertools.islice(branch.space.assignments(), max(limit, 1)):
         x = (1, *values)
-        window = sys.assemble([sum(map(mul, g, x)) % q for g in branch.forms])
-        if not sys.window_equations_hold(window):
-            raise AssertionError("materialized window violates the parity equations")
-        windows.append(window)
+        windows.append(sys.assemble([sum(map(mul, g, x)) % q for g in branch.forms]))
     return windows, outcome.list_size > len(windows)
 
 
@@ -576,12 +580,15 @@ def sequential_decode(
     substituted and the scan advances.  Policies on a non-unique time:
     "halt" stops and reports the list, "first" substitutes the first list
     element, "branch" tries list elements against the rest of the stream
-    within a bounded budget.
+    within a bounded budget.  An invalid window after a "first" pick is
+    recorded as (i, "invalid-after-guess", j), j the latest picked time:
+    the guess, not the received word, may be at fault.
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")
     work = [list(sym) for sym in received]
     decisions: list[tuple] = []
+    picked = None
 
     def next_erased(start: int) -> int | None:
         for t in range(start, len(work)):
@@ -598,7 +605,8 @@ def sequential_decode(
         sys = build_window_system(code, work, i, Tw, terminated=terminated)
         outcome = list_decode(sys)
         if outcome.kind == "invalid":
-            decisions.append((i, "invalid"))
+            verdict = (i, "invalid") if picked is None else (i, "invalid-after-guess", picked)
+            decisions.append(verdict)
             return SequentialResult(
                 stream=work, decisions=decisions, halted_at=i, last_outcome=outcome
             )
@@ -622,6 +630,7 @@ def sequential_decode(
             for t in range(sys.i, sys.i + sys.T + 1):
                 work[t] = list(window[t - sys.i])
             decisions.append((i, "picked-first", outcome.list_size))
+            picked = i
             t0 = i + 1
             continue
         # policy == "branch": try candidates against the remaining stream

@@ -325,6 +325,32 @@ class TestPipeline:
             recovered += 1
         assert recovered >= 3
 
+    def test_invalid_after_guess_is_not_an_invalid_word(self, tmp_path):
+        # a valid codeword stream: "first" guesses at t = 830 and the window
+        # at 833 is then inconsistent, so the guess, not the word, is at fault
+        from convring import sequential_decode
+
+        code = generate_code(2, 2, 4, [1, 1], 1, seed=2)
+        rng = random.Random(2)
+        sent = code.encode([[rng.randrange(4) for _ in range(code.k)] for _ in range(1600)])
+        rx, _ = erase_stream(sent, "iid", 2, 0.10)
+        first = sequential_decode(code, rx, T=2, policy="first")
+        assert first.decisions[-2:] == [(830, "picked-first", 4), (833, "invalid-after-guess", 830)]
+        assert first.halted_at == 833 and first.last_outcome.kind == "invalid"
+        halt = sequential_decode(code, rx, T=2)
+        assert halt.decisions[-1] == (57, "list", 2) and halt.halted_at == 57
+        # a corrupted known symbol in the first window is the word's own fault
+        bad = [list(sym) for sym in rx]
+        bad[0][0] = (bad[0][0] + 1) % 4
+        assert sequential_decode(code, bad, T=2, policy="first").decisions == [(0, "invalid")]
+        code_path = tmp_path / "c.json"
+        files.save_code(str(code_path), code)
+        for stream, policy, rc in ((rx, "first", 0), (rx, "halt", 0), (bad, "first", 1)):
+            rx_path = tmp_path / "rx.json"
+            files.save_stream(str(rx_path), 4, stream)
+            args = ["decode", "--code", str(code_path), "--received", str(rx_path), "-T", "2"]
+            assert main([*args, "--policy", policy]) == rc
+
     def test_enumeration_cap_env(self, monkeypatch, kernel_code_z8):
         from convring import CapExceeded, column_distance
 

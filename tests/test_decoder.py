@@ -163,6 +163,16 @@ class TestWorkedDecode:
         windows, truncated = materialize_list(out, limit=10)
         assert truncated and len(windows) == 10
 
+    def test_corrupt_live_coefficient_rejected(self, kernel_code_z8):
+        # the all-zero assignment, the only member limit=1 yields, does not
+        # see a live coefficient; the check over the column forms does
+        out = list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
+        (branch,) = out.branches
+        v = branch.space.live()[0]
+        branch.forms[0][1 + v] = (branch.forms[0][1 + v] + 1) % 8
+        with pytest.raises(AssertionError):
+            materialize_list(out, limit=1)
+
 
 class TestSequential:
     def test_erasure_free_passthrough(self, kernel_code_z8):
@@ -380,6 +390,7 @@ class TestParamMachinery:
                 oset = oracle_decode(code, rx, 0, T)
                 assert not truncated and len(windows) == out.list_size
                 assert as_set(windows) == oset
+                assert all(sysw.window_equations_hold(w) for w in windows)
                 for col, (t, c) in enumerate(sysw.columns):
                     values = {w[t][c] for w in oset}
                     got = project_values(out, [col])

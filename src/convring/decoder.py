@@ -29,6 +29,13 @@ The window equations themselves come from the one window-equation kernel
 in codes: build_window_system renormalizes its rows, the column forms are
 checked once against the raw rows, and the brute-force oracle enumerates
 against its raw rows.
+
+Rows, strata, pivots, folds and the parameter part of every form depend
+only on T and on the erasure pattern relative to the window start.  So a
+sequential decode keeps per-call plans: the second window of a fold-free
+pattern also records each stage's row transform, and later windows replay
+only the constant column, with no elimination; each replayed list is then
+checked against the raw rows.
 """
 
 from __future__ import annotations
@@ -231,14 +238,15 @@ def build_window_system(
                 witness = ("divisibility", s, ri)
             continue
         pv = ctx.p**v
+        orig = tuple(acc)
         rows.append(
             WindowRow(
                 time=s,
                 h_row=ri,
                 stratum=v,
-                coeffs=tuple(a // pv for a in acc),
+                coeffs=tuple(a // pv for a in acc) if v else orig,
                 rhs=rhs // pv,
-                orig_coeffs=tuple(acc),
+                orig_coeffs=orig,
                 orig_rhs=rhs,
             )
         )
@@ -322,32 +330,39 @@ def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
     return True
 
 
-def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: RingContext):
+def _run_stage(
+    branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: RingContext, track=None
+):
     """Advance the recursion through digit stage t; an invalid witness or None.
 
     Each pass is one augmented elimination: the stage rows mod p, followed
     by their payload digit t of rhs - A G as dense columns over [const,
     params].  A dependent row with a nonzero payload is folded and the pass
-    repeats.
+    repeats.  With a track list, an identity block rides along as further
+    columns, and the last pass's pivots, row transform mod p and stage
+    report are appended to track.
     """
     p, q = ctx.p, ctx.q
     pt = p**t
     while True:
         entries = list(zip(*branch.forms))  # one tuple over the columns per form entry
+        end = e + len(entries)
         mat = []
-        for row in rows_t:
+        for j, row in enumerate(rows_t):
             R = [-sum(map(mul, row.coeffs, col)) % q for col in entries]
             R[0] = (R[0] + row.rhs) % q
             # the earlier stage identities hold coefficient by coefficient,
             # so p^t divides R identically
             assert not any(x % pt for x in R)
             mat.append([*row.coeffs, *(x // pt for x in R)])
+            if track is not None:
+                mat[-1].extend(int(k == j) for k in range(len(rows_t)))
         pivots = rref_mod_p(mat, p, ncols=e)
         # a dependent row whose payload is not zero constrains the parameters
-        idx = next((k for k in range(len(pivots), len(mat)) if any(mat[k][e:])), None)
+        idx = next((k for k in range(len(pivots), len(mat)) if any(mat[k][e:end])), None)
         if idx is None:
             break
-        if not _fold(branch, mat[idx][e:], q):
+        if not _fold(branch, mat[idx][e:end], q):
             return ("stage", t, idx)
 
     # free columns get new parameters; a pivot column's digit is its
@@ -364,7 +379,7 @@ def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: Ri
     basis = [[0] * e for _ in free]
     for ridx, col in enumerate(pivots):
         row = mat[ridx]
-        f = row[e:] + [-row[c] % q for c in free]
+        f = row[e:end] + [-row[c] % q for c in free]
         g = branch.forms[col]
         g[:] = [(a + pt * x) % q for a, x in zip(g, f)]
         particular[col] = row[e]
@@ -380,6 +395,8 @@ def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: Ri
             solutions=AffineSet(p, e, True, tuple(particular), tuple(map(tuple, basis))),
         )
     )
+    if track is not None:
+        track.append((pivots, [row[end:] for row in mat], branch.stages[-1]))
     return None
 
 
@@ -403,11 +420,6 @@ class DecodeOutcome:
     invalid_witness: tuple | None = None
     branches: list[_Branch] = field(default_factory=list)
 
-    @property
-    def stage_counts(self) -> list[int]:
-        p = self.system.code.ctx.p
-        return [p ** len(st.new_params) for st in self.stages]
-
 
 def list_decode(sys: WindowSystem) -> DecodeOutcome:
     """Run the digit recursion and classify the outcome.
@@ -416,6 +428,11 @@ def list_decode(sys: WindowSystem) -> DecodeOutcome:
     outcome carries the per-stage reports, and materialize_list enumerates
     the actual windows.
     """
+    return _decode(sys)
+
+
+def _decode(sys: WindowSystem, track=None) -> DecodeOutcome:
+    """list_decode, with each stage's pivots, row transform and report added to track."""
     ctx = sys.code.ctx
     if sys.invalid_witness is not None:
         return DecodeOutcome(kind="invalid", system=sys, invalid_witness=sys.invalid_witness)
@@ -427,9 +444,14 @@ def list_decode(sys: WindowSystem) -> DecodeOutcome:
     branch = _Branch(ParamSpace(ctx.p), e)
     for t in range(ctx.r):
         rows_t = [row for row in sys.rows if row.stratum <= ctx.r - 1 - t]
-        witness = _run_stage(branch, rows_t, t, e, ctx)
+        witness = _run_stage(branch, rows_t, t, e, ctx, track)
         if witness is not None:
             return DecodeOutcome(kind="invalid", system=sys, invalid_witness=witness)
+    return _outcome(sys, branch)
+
+
+def _outcome(sys: WindowSystem, branch: _Branch) -> DecodeOutcome:
+    """The outcome of a finished recursion; a unique window is checked and filled."""
     size = branch.space.size
     outcome = DecodeOutcome(
         kind="list" if size > 1 else "unique",
@@ -441,6 +463,68 @@ def list_decode(sys: WindowSystem) -> DecodeOutcome:
     if size == 1:
         windows, _ = materialize_list(outcome, limit=1)
         outcome.window = windows[0]
+    return outcome
+
+
+# ---------------------------------------------------------------------------
+# per-pattern plans
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The value-free half of a fold-free recursion for one erasure pattern.
+
+    Per stage its pivots, row transform mod p and report; then the final
+    parameter part of every column form.
+    """
+
+    stages: list[tuple[list[int], list[list[int]], DigitStage]]
+    params: list[tuple[int, ...]]
+
+
+def _compile(sys: WindowSystem) -> tuple[DecodeOutcome, _Plan | None]:
+    """list_decode(sys), and the plan of its pattern unless it folded or is invalid."""
+    track: list = []
+    outcome = _decode(sys, track)
+    if not outcome.branches or outcome.branches[0].space.events:
+        return outcome, None
+    return outcome, _Plan(track, [tuple(g[1:]) for g in outcome.branches[0].forms])
+
+
+def _replay(plan: _Plan, sys: WindowSystem) -> DecodeOutcome | None:
+    """list_decode(sys) from its pattern's plan, with no elimination.
+
+    Each stage transforms digit t of rhs - A G on the constant column
+    alone.  None when the window is invalid (list_decode then derives the
+    witness).  Every replayed list passes the row check of materialize_list.
+    """
+    if sys.invalid_witness is not None:
+        return None
+    ctx = sys.code.ctx
+    p, q, e = ctx.p, ctx.q, sys.e
+    consts = [0] * e
+    branch = _Branch(ParamSpace(p), e)
+    for pivots, transform, stage in plan.stages:
+        pt = p**stage.t
+        digits = [
+            (row.rhs - sum(map(mul, row.coeffs, consts))) % q // pt
+            for row in sys.rows
+            if row.stratum <= ctx.r - 1 - stage.t
+        ]
+        reduced = [sum(map(mul, tf, digits)) % p for tf in transform]
+        if any(reduced[len(pivots) :]):
+            return None
+        particular = [0] * e
+        for x, col in zip(reduced, pivots):
+            particular[col] = x
+            consts[col] = (consts[col] + pt * x) % q
+        solutions = AffineSet(p, e, True, tuple(particular), stage.solutions.basis)
+        branch.stages.append(DigitStage(stage.t, stage.rank, stage.new_params, solutions))
+    branch.space.n_params = len(plan.params[0])
+    branch.forms = [[c, *g] for c, g in zip(consts, plan.params)]
+    outcome = _outcome(sys, branch)
+    if outcome.kind == "list":
+        materialize_list(outcome, limit=1)  # the row check of the whole list
     return outcome
 
 
@@ -583,12 +667,19 @@ def sequential_decode(
     within a bounded budget.  An invalid window after a "first" pick is
     recorded as (i, "invalid-after-guess", j), j the latest picked time:
     the guess, not the received word, may be at fault.
+
+    Plans kept for this call, keyed on the delay and the erasure pattern
+    relative to i, let later windows of a pattern replay its second
+    window's eliminations on the constant column; folding patterns and
+    invalid windows run list_decode.  Outcomes equal list_decode's.
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")
     work = [list(sym) for sym in received]
     decisions: list[tuple] = []
     picked = None
+    # (Tw, pattern relative to i) -> False once seen, a plan, or None if it folds
+    plans: dict[tuple, _Plan | bool | None] = {}
 
     def next_erased(start: int) -> int | None:
         for t in range(start, len(work)):
@@ -603,7 +694,13 @@ def sequential_decode(
             return SequentialResult(stream=work, decisions=decisions)
         Tw = T if terminated else min(T, len(work) - 1 - i)
         sys = build_window_system(code, work, i, Tw, terminated=terminated)
-        outcome = list_decode(sys)
+        key = (Tw, tuple((t - i, c) for t, c in sys.columns))
+        plan = plans.get(key)
+        if plan is False:
+            outcome, plans[key] = _compile(sys)
+        else:
+            outcome = (plan and _replay(plan, sys)) or list_decode(sys)
+            plans.setdefault(key, False)
         if outcome.kind == "invalid":
             verdict = (i, "invalid") if picked is None else (i, "invalid-after-guess", picked)
             decisions.append(verdict)
@@ -627,8 +724,9 @@ def sequential_decode(
         windows, _ = materialize_list(outcome, limit=branch_budget if policy == "branch" else 1)
         if policy == "first":
             window = windows[0]
-            for t in range(sys.i, sys.i + sys.T + 1):
-                work[t] = list(window[t - sys.i])
+            # a terminated window's times past the stream end are not stream symbols
+            for t, sym in zip(range(i, len(work)), window):
+                work[t] = list(sym)
             decisions.append((i, "picked-first", outcome.list_size))
             picked = i
             t0 = i + 1
@@ -636,8 +734,8 @@ def sequential_decode(
         # policy == "branch": try candidates against the remaining stream
         for window in windows:
             trial = [list(sym) for sym in work]
-            for t in range(sys.i, sys.i + sys.T + 1):
-                trial[t] = list(window[t - sys.i])
+            for t, sym in zip(range(i, len(trial)), window):
+                trial[t] = list(sym)
             sub = sequential_decode(
                 code, trial, T, policy="halt", terminated=terminated
             )

@@ -15,6 +15,9 @@ from convring import (
     sliding_matrix,
     try_unique_decode,
 )
+from convring import decoder
+from convring.cli import erase_stream, generate_code
+from convring.codes import is_codeword_window
 from convring.decoder import ErasurePattern, ParamSpace, _Branch, _fold
 from convring.errors import CapExceeded
 from convring.linsolve import OPS
@@ -243,6 +246,16 @@ class TestSequential:
             kernel_code_z8, RECEIVED, T=2, policy="branch", terminated=False
         )
         assert res.complete
+
+    @pytest.mark.parametrize("policy", ["first", "branch"])
+    def test_pick_near_terminated_end(self, policy):
+        # the picked window reaches past the stream end, where a terminated
+        # stream reads zero symbols that are not part of the stream
+        code = generate_code(p=2, r=2, n=4, k_blocks=[1, 1], deg=1, seed=2)
+        rx = [[None, None, 1, None], [None, 0, 2, 1], [2, None, 1, None], [None, None, None, 3]]
+        res = sequential_decode(code, rx, T=2, policy=policy)
+        assert res.complete and len(res.stream) == 4
+        assert is_codeword_window(code, res.stream)
 
 
 class TestInvalidity:
@@ -484,3 +497,137 @@ def test_project_values_on_list(kernel_code_z8):
         assert got == {0: col0.pop()}
     else:
         assert got is None
+
+
+# ---------------------------------------------------------------------------
+# per-pattern plans in sequential decoding
+
+PLAN_CODES = {
+    # the Z_4 code of the invalid-after-guess repro, the benchmark's Z_9
+    # stream code, and codes over Z_8 (nu = 7) and Z_25
+    "z4": dict(p=2, r=2, n=4, k_blocks=[1, 1], deg=1, seed=2),
+    "z9": dict(p=3, r=2, n=4, k_blocks=[1, 0], deg=1, seed=7),
+    "z8": dict(p=2, r=3, n=5, k_blocks=[1, 1, 0], deg=1, seed=3),
+    "z25": dict(p=5, r=2, n=4, k_blocks=[1, 0], deg=1, seed=4),
+}
+
+
+def _plan_stream(code, seed, length, eps, corrupt=False):
+    """A seeded received stream, with one known symbol off by one if corrupt.
+
+    Erasures are iid at rate eps; eps None erases coordinates 1 and 3 of
+    every symbol instead, which on the Z_4 code makes every window a list.
+    """
+    rng = random.Random(seed)
+    q = code.ctx.q
+    sent = code.encode([[rng.randrange(q) for _ in range(code.k)] for _ in range(length)])
+    if eps is None:
+        rx = [[None if c in (1, 3) else x for c, x in enumerate(sym)] for sym in sent]
+    else:
+        rx, _ = erase_stream(sent, "iid", seed, eps)
+    if corrupt:
+        known = [(t, c) for t, sym in enumerate(rx) for c, x in enumerate(sym) if x is not None]
+        t, c = rng.choice(known)
+        rx[t][c] = (rx[t][c] + 1) % q
+    return rx
+
+
+def _outcome_key(out):
+    forms = [g for br in out.branches for g in br.forms]
+    return (out.kind, out.list_size, out.invalid_witness, out.window, out.stages, forms)
+
+
+def _reference_sequential(code, received, T, policy, terminated):
+    """sequential_decode for halt and first, with list_decode on every window."""
+    work = [list(sym) for sym in received]
+    decisions, picked, start = [], None, 0
+    while True:
+        i = next((t for t in range(start, len(work)) if None in work[t]), None)
+        if i is None:
+            return work, decisions, None, None
+        Tw = T if terminated else min(T, len(work) - 1 - i)
+        out = list_decode(build_window_system(code, work, i, Tw, terminated=terminated))
+        if out.kind == "invalid":
+            decisions.append((i, "invalid") if picked is None else (i, "invalid-after-guess", picked))
+            return work, decisions, i, out
+        columns = out.system.columns
+        got = project_values(out, [k for k, (t, _) in enumerate(columns) if t == i])
+        if got is not None:
+            for k, x in got.items():
+                t, c = columns[k]
+                work[t][c] = x
+            decisions.append((i, "unique"))
+        elif policy == "halt":
+            decisions.append((i, "list", out.list_size))
+            return work, decisions, i, out
+        else:
+            windows, _ = materialize_list(out, limit=1)
+            work[i : i + Tw + 1] = [list(sym) for sym in windows[0]][: len(work) - i]
+            decisions.append((i, "picked-first", out.list_size))
+            picked = i
+        start = i + 1
+
+
+class TestPlanReplay:
+    @pytest.mark.parametrize("name", sorted(PLAN_CODES))
+    def test_replays_equal_list_decode(self, name, monkeypatch):
+        code = generate_code(**PLAN_CODES[name])
+        replay = decoder._replay
+        replays = []
+
+        def checked(plan, sysw):
+            out = replay(plan, sysw)
+            if out is not None:
+                replays.append(out.kind)
+                assert _outcome_key(out) == _outcome_key(list_decode(sysw))
+            return out
+
+        monkeypatch.setattr(decoder, "_replay", checked)
+        streams = [_plan_stream(code, s, 60 + 20 * s, 0.15, corrupt=s == 3) for s in range(4)]
+        for rx in [*streams, _plan_stream(code, 4, 30, None)]:
+            for T in (1, 2, 3):
+                for policy in ("halt", "first"):
+                    for terminated in (True, False):
+                        res = sequential_decode(code, rx, T, policy=policy, terminated=terminated)
+                        ref = _reference_sequential(code, rx, T, policy, terminated)
+                        assert (res.stream, res.decisions, res.halted_at) == ref[:3]
+                        last = ref[3]
+                        assert (res.last_outcome is None) == (last is None)
+                        if last is not None:
+                            assert _outcome_key(res.last_outcome) == _outcome_key(last)
+        assert len(replays) > 50 and "unique" in replays
+        if name == "z4":
+            assert "list" in replays
+
+    def test_store_is_per_call_and_saves_ops(self):
+        code = generate_code(**PLAN_CODES["z9"])
+        rx = _plan_stream(code, 1, 400, 0.10)
+        deltas = []
+        for _ in range(2):
+            before = OPS.count
+            res = sequential_decode(code, rx, 2)
+            deltas.append(OPS.count - before)
+        before = OPS.count
+        work, decisions, _, _ = _reference_sequential(code, rx, 2, "halt", True)
+        reference = OPS.count - before
+        assert (res.stream, res.decisions) == (work, decisions)
+        assert deltas[0] == deltas[1] < reference
+
+    @pytest.mark.parametrize("name, eps", [("z9", 0.10), ("z4", None)])
+    def test_corrupted_plan_raises(self, name, eps, monkeypatch):
+        # one transform entry of every plan is off by one; the row check of
+        # the replayed forms must stop the decode before it commits
+        code = generate_code(**PLAN_CODES[name])
+        rx = _plan_stream(code, 1, 400, eps)
+        compile_ = decoder._compile
+
+        def corrupted(sysw):
+            out, plan = compile_(sysw)
+            if plan is not None:
+                transform = plan.stages[0][1]
+                transform[0][0] = (transform[0][0] + 1) % code.ctx.p
+            return out, plan
+
+        monkeypatch.setattr(decoder, "_compile", corrupted)
+        with pytest.raises(AssertionError, match="violates the parity equations"):
+            sequential_decode(code, rx, 2)

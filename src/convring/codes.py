@@ -25,6 +25,8 @@ from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
+import numpy as np
+
 from .errors import ConstructionError, NotLeftPrime
 from .intsolve import solve_mod
 from .linsolve import ConstMatrix
@@ -34,7 +36,7 @@ from .polymat import (
     PolyMatrix,
     adjugate,
     complete_to_unimodular,
-    det,
+    exact_dtype,
     invert_unimodular,
     is_left_prime,
     lift_unimodular,
@@ -135,6 +137,15 @@ class ConvCode:
     def _generator_coeffs(self) -> tuple[ConstMatrix, ...]:
         """Scaled coefficient matrices G^0..G^deg of the assembled generator."""
         return _coeff_matrices(self.generator_matrix())
+
+    @cached_property
+    def _generator_array(self) -> np.ndarray:
+        """G^0..G^deg as one (deg + 1) x k x n array, exact for encode's sums."""
+        coeffs = self._generator_coeffs
+        dtype = exact_dtype(len(coeffs) * self.k, self.ctx.q)
+        return np.array([Gj.data for Gj in coeffs], dtype=dtype).reshape(
+            len(coeffs), self.k, self.n
+        )
 
     def parity_coeff(self, j: int) -> ConstMatrix:
         """Scaled coefficient matrix of D^j in the assembled parity check."""
@@ -258,26 +269,23 @@ class ConvCode:
         """Convolve per-time input k-vectors into stream symbols.
 
         Output length is len(inputs) + deg(G); entry s is
-        sum_j (G^j)^T u^{s-j} over Z_{p^r}.
+        sum_j (G^j)^T u^{s-j} over Z_{p^r}.  Computed as deg(G) + 1 block
+        products of the input array (reduced mod q) with the generator
+        coefficient matrices, summed and reduced once.
         """
         if self.g_blocks is None:
             raise ValueError("code has no generator side")
-        coeffs = self._generator_coeffs
-        q = self.ctx.q
-        out_len = len(inputs) + len(coeffs) - 1
-        out = [[0] * self.n for _ in range(out_len)]
         for s, u in enumerate(inputs):
             if len(u) != self.k:
                 raise ValueError(f"input at time {s} has length {len(u)}, expected {self.k}")
-            for j, Gj in enumerate(coeffs):
-                tgt = out[s + j]
-                for row_idx, grow in enumerate(Gj.data):
-                    uv = u[row_idx]
-                    if uv % q == 0:
-                        continue
-                    for c in range(self.n):
-                        tgt[c] += uv * grow[c]
-        return [[x % q for x in row] for row in out]
+        G = self._generator_array
+        q, steps = self.ctx.q, len(inputs)
+        u = np.array([[x % q for x in row] for row in inputs], dtype=G.dtype)
+        u = u.reshape(steps, self.k)
+        out = np.zeros((steps + len(G) - 1, self.n), dtype=G.dtype)
+        for j, Gj in enumerate(G):
+            out[j : j + steps] += u @ Gj
+        return (out % q).tolist()
 
 
 def _reduce_row_against(accepted, w, ctx: RingContext):

@@ -2,8 +2,9 @@
 
 Provides exact matrix arithmetic, Smith normal form over Z_p[D] with
 recorded transforms, left-primeness tests, unimodular completion, the
-digit-zero lift from Z_p[D] to Z_{p^r}[D], Newton inversion of unimodular
-matrices, and exact determinants/adjugates over rings with zero divisors.
+digit-zero lift from Z_p[D] to Z_{p^r}[D], inversion of unimodular
+matrices as a D-adic power series on integer coefficient matrices, and
+exact determinants/adjugates over rings with zero divisors.
 
 Coefficients are plain canonical integers; the owning RingContext decides
 the modulus.  The zero polynomial has degree NEG_INF so degree arithmetic
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import NotLeftPrime, NotUnimodular
 from .ring import RingContext
@@ -623,29 +626,69 @@ def lift_unimodular(U_p: PolyMatrix, ctx: RingContext) -> PolyMatrix:
     return U_p.lift(ctx)
 
 
+def exact_dtype(terms: int, q: int):
+    """numpy dtype that sums `terms` products of residues mod q exactly.
+
+    int64 while terms * (q - 1)^2 fits, Python integers (object) beyond.
+    """
+    return np.int64 if terms * (q - 1) ** 2 < 2**63 else object
+
+
+def _inverse_mod(A: list[list[int]], ctx: RingContext) -> list[list[int]]:
+    """Inverse of a square integer matrix mod q by Gauss-Jordan with unit pivots."""
+    q = ctx.q
+    n = len(A)
+    work = [[x % q for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if ctx.is_unit(work[i][c])), None)
+        if piv is None:
+            raise NotUnimodular("U(0) is singular mod p")
+        work[c], work[piv] = work[piv], work[c]
+        inv = ctx.inv(work[c][c])
+        prow = work[c] = [x * inv % q for x in work[c]]
+        for i in range(n):
+            f = work[i][c]
+            if i != c and f:
+                work[i] = [(x - f * y) % q for x, y in zip(work[i], prow)]
+    return [row[n:] for row in work]
+
+
 def invert_unimodular(U: PolyMatrix) -> PolyMatrix:
     """Exact polynomial inverse of a unimodular matrix over Z_{p^r}[D].
 
-    Starts from the Z_p inverse (adjugate over the field) and lifts it by
-    Newton iteration V <- V (2I - U V), doubling p-adic accuracy until the
-    product is exactly the identity.
+    Computed as the D-adic power series V = sum_k V_k D^k of U^{-1}: with
+    U = sum_j U_j D^j of degree d, V_0 = U_0^{-1} mod p^r and, from U V = I,
+    V_k = -V_0 sum_{j=1..min(k,d)} U_j V_{k-j}.  Each term depends on the d
+    before it only, so d zero terms in a row end the series.  A unimodular
+    U has an inverse of degree at most (n-1)d + (r-1)nd (that of adj(U)
+    plus that of det(U)^{-1}); a series still running past it raises.
+    The result is checked exactly: U V == V U == I.
     """
     if not U.is_square:
         raise NotUnimodular("only square matrices can be unimodular")
-    ctx = U.ctx
-    Up = U.proj()
-    d = det(Up)
-    if not d.is_unit_const:
-        raise NotUnimodular("mod-p projection is not unimodular")
-    adj, _ = adjugate(Up)
-    V = adj.scale(Up.ctx.inv(d.coeffs[0])).lift(ctx)
-    ident = PolyMatrix.identity(ctx, U.rows)
-    two_i = ident.scale(2)
-    for _ in range(max(1, ctx.r.bit_length() + 1)):
-        prod = U @ V
-        if prod == ident:
+    ctx, n, q = U.ctx, U.rows, U.ctx.q
+    d = 0 if U.degree == NEG_INF else int(U.degree)
+    dtype = exact_dtype(n * max(d, 1), q)
+    V0 = np.array(_inverse_mod(U.coeff_matrix(0), ctx), dtype=dtype).reshape(n, n)
+    # [U_1 | U_2 | ... | U_d], so U_j meets V_{k-j} in one product
+    wide = np.array([U.coeff_matrix(j) for j in range(1, d + 1)], dtype=dtype)
+    wide = wide.reshape(d, n, n).transpose(1, 0, 2).reshape(n, d * n)
+    bound = (n - 1) * d + (ctx.r - 1) * n * d
+    terms = [V0]
+    run = 0
+    for k in range(1, bound + d + 1):
+        m = min(k, d)
+        past = np.concatenate(terms[: -m - 1 : -1])  # V_{k-1}, ..., V_{k-m}
+        Vk = -(V0 @ (wide[:, : m * n] @ past % q)) % q
+        terms.append(Vk)
+        run = run + 1 if not Vk.any() else 0
+        if run == d:
             break
-        V = V @ (two_i - prod)
+    if run < d:
+        raise NotUnimodular("the D-adic inverse series does not end: U is not unimodular")
+    coeffs = np.array(terms[: len(terms) - run], dtype=dtype).transpose(1, 2, 0).tolist()
+    V = PolyMatrix(ctx, coeffs, cols=n)
+    ident = PolyMatrix.identity(ctx, n)
     if U @ V != ident or V @ U != ident:
-        raise NotUnimodular("Newton lifting failed to produce an exact inverse")
+        raise NotUnimodular("the D-adic inverse series failed to produce an exact inverse")
     return V

@@ -1,5 +1,7 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
 from convring import (
@@ -17,6 +19,7 @@ from convring import (
     sliding_matrix,
     synthesize_parity_check,
 )
+from convring.cli import generate_code
 
 Z8 = RingContext(2, 3)
 Z9 = RingContext(3, 2)
@@ -282,3 +285,94 @@ class TestPreimage:
     def test_non_kernel_word_rejected(self, kernel_code_z8, z8):
         word = [Poly.const(z8, 1)] + [Poly.zero(z8)] * 4
         assert preimage(kernel_code_z8, word) is None
+
+
+def reference_encode(code, inputs):
+    """Entry-by-entry convolution sum_j (G^j)^T u^{s-j} mod q."""
+    coeffs = code._generator_coeffs
+    q = code.ctx.q
+    out = [[0] * code.n for _ in range(len(inputs) + len(coeffs) - 1)]
+    for s, u in enumerate(inputs):
+        for j, Gj in enumerate(coeffs):
+            tgt = out[s + j]
+            for row_idx, grow in enumerate(Gj.data):
+                uv = u[row_idx]
+                if uv % q == 0:
+                    continue
+                for c in range(code.n):
+                    tgt[c] += uv * grow[c]
+    return [[x % q for x in row] for row in out]
+
+
+P31 = 2**31 - 1  # (p - 1)^2 is just under 2^62
+
+
+class TestEncode:
+    @pytest.mark.parametrize(
+        "p, r, n, k_blocks, deg, seed",
+        [
+            (2, 2, 4, [1, 1], 2, 1),  # Z_4
+            (2, 3, 5, [1, 1, 1], 1, 2),  # Z_8
+            (3, 2, 4, [2, 1], 2, 3),  # Z_9
+            (5, 2, 3, [1, 1], 1, 4),  # Z_25
+        ],
+    )
+    def test_matches_reference(self, p, r, n, k_blocks, deg, seed):
+        code = generate_code(p, r, n, k_blocks, deg, seed)
+        q = code.ctx.q
+        assert code._generator_array.dtype == np.int64
+        rng = random.Random(seed)
+        for steps in (0, 1, 2, 7):
+            u = [[rng.randrange(q) for _ in range(code.k)] for _ in range(steps)]
+            got = code.encode(u)
+            assert got == reference_encode(code, u)
+            assert len(got) == steps + code.generator_matrix().degree
+            assert all(type(x) is int for row in got for x in row)
+        # entries outside [0, q) act through their residues
+        u = [[rng.randrange(-3 * q, 3 * q) for _ in range(code.k)] for _ in range(5)]
+        u.append([q] * code.k)
+        u.append([-(10**30) - 1] * code.k)
+        got = code.encode(u)
+        assert got == reference_encode(code, u)
+        assert got == code.encode([[x % q for x in row] for row in u])
+
+    def test_wrong_length_rejected(self, kernel_code_z8):
+        with pytest.raises(ValueError, match="input at time 1 has length 3"):
+            kernel_code_z8.encode([[0] * 4, [1, 2, 3]])
+        with pytest.raises(ValueError):
+            kernel_code_z8.encode([[0] * 5])
+
+    @pytest.mark.parametrize("deg, dtype", [(1, np.int64), (2, object)])
+    def test_int64_bound(self, deg, dtype):
+        # deg + 1 products of (q - 1)^2: 2^63 - 2^34 + 8 at deg 1, past 2^63 at deg 2
+        ctx = RingContext(P31, 1)
+        code = ConvCode.from_generator(ctx, [[[P31 - 1] * (deg + 1), [P31 - 1]]])
+        assert code._generator_array.dtype == dtype
+        u = [[P31 - 1]] * 4 + [[-1]]
+        assert code.encode(u) == reference_encode(code, u)
+
+    def test_wide_modulus_uses_python_integers(self):
+        # q = (2^31 - 1)^2 puts one product of residues near 2^124
+        ctx = RingContext(P31, 2)
+        q = ctx.q
+        code = ConvCode.from_generator(
+            ctx, [[[q - 1, 5, q - 2], [3, q - 1]], [[q - 7], [1, 0, q - 1]]]
+        )
+        assert code.h_blocks is None and code.k == 2
+        assert code._generator_array.dtype == object
+        rng = random.Random(31)
+        for steps in (0, 3):
+            u = [[rng.randrange(-q, 2 * q) for _ in range(2)] for _ in range(steps)]
+            got = code.encode(u)
+            assert got == reference_encode(code, u)
+            assert all(type(x) is int and 0 <= x < q for row in got for x in row)
+
+
+def test_inverse_start_finishes_quickly():
+    # spec 123 of the code-design workload on seed 1: its 6 x 6 Z_3[D]
+    # projection has degree 28, where a Smith-form start ran for over a minute
+    t0 = time.perf_counter()
+    code = generate_code(p=3, r=2, n=6, k_blocks=[1, 4], deg=2, seed=928865527)
+    assert time.perf_counter() - t0 < 5
+    prod = code.parity_matrix() @ code.generator_matrix().transpose()
+    assert all(e.is_zero for row in prod.entries for e in row)

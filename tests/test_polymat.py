@@ -17,12 +17,16 @@ from convring import (
     rank,
     smith_form,
 )
+from convring import polymat
 from convring.polymat import NEG_INF, poly_gcd, poly_lcm
 
 Z8 = RingContext(2, 3)
 Z9 = RingContext(3, 2)
 Z2 = RingContext(2, 1)
 Z3 = RingContext(3, 1)
+Z4 = RingContext(2, 2)
+Z5 = RingContext(5, 1)
+Z25 = RingContext(5, 2)
 
 
 def rand_poly(rng, ctx, deg):
@@ -279,6 +283,119 @@ class TestLifting:
         two = PolyMatrix(Z8, [[[2]]])
         with pytest.raises(NotUnimodular):
             invert_unimodular(two)
+
+
+def unit_poly(rng, ctx, deg):
+    """A unit c + p w(D) of Z_{p^r}[D] (a constant over Z_p) and its inverse."""
+    c = rng.randrange(1, ctx.p) + ctx.p * rng.randrange(ctx.q // ctx.p)
+    u = Poly(ctx, [c] + [ctx.p * rng.randrange(ctx.q) for _ in range(deg)])
+    # u = c (1 + x) with every coefficient of x divisible by p, so x^r = 0
+    cinv = ctx.inv(c)
+    x = (u - Poly.const(ctx, c)).scale(cinv)
+    inv = term = Poly.one(ctx)
+    for _ in range(1, ctx.r):
+        term = term * -x
+        inv = inv + term
+    return u, inv.scale(cinv)
+
+
+def unimodular_with_inverse(rng, ctx, n, ops):
+    """Product of elementary, unit-scaling and swap matrices, and its inverse."""
+    M = Minv = PolyMatrix.identity(ctx, n)
+    for _ in range(ops):
+        E = [list(r) for r in PolyMatrix.identity(ctx, n).entries]
+        Einv = [list(r) for r in E]
+        kind = rng.randrange(3) if n > 1 else 1
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if kind == 0:
+            f = rand_poly(rng, ctx, rng.randrange(3))
+            E[i][j], Einv[i][j] = f, -f
+        elif kind == 1:
+            E[i][i], Einv[i][i] = unit_poly(rng, ctx, rng.randrange(3))
+        else:
+            for rows in (E, Einv):
+                rows[i], rows[j] = rows[j], rows[i]
+        M = M @ PolyMatrix(ctx, E)
+        Minv = PolyMatrix(ctx, Einv) @ Minv
+    return M, Minv
+
+
+class TestInverse:
+    def test_unit_poly_inverse(self):
+        rng = random.Random(5)
+        for ctx in (Z4, Z8, Z9, Z25, Z5):
+            u, v = unit_poly(rng, ctx, 2)
+            assert u * v == Poly.one(ctx)
+        one_plus_pd = Poly(Z9, [1, 3])
+        assert invert_unimodular(PolyMatrix(Z9, [[one_plus_pd]])) == PolyMatrix(
+            Z9, [[Poly(Z9, [1, -3])]]
+        )
+
+    @pytest.mark.parametrize("ctx", [Z4, Z8, Z9, Z25, Z5], ids=["z4", "z8", "z9", "z25", "z5"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_known_inverse(self, ctx, n):
+        rng = random.Random(ctx.q * 10 + n)
+        M, Minv = unimodular_with_inverse(rng, ctx, n, 2 * n + 2)
+        assert invert_unimodular(M) == Minv
+        assert invert_unimodular(Minv) == M
+
+    def test_wide_modulus(self):
+        # q = (2^31 - 1)^2: coefficient products overflow int64
+        ctx = RingContext(2**31 - 1, 2)
+        M, Minv = unimodular_with_inverse(random.Random(17), ctx, 3, 8)
+        assert polymat.exact_dtype(3, ctx.q) is object
+        assert invert_unimodular(M) == Minv
+
+    def test_constant_and_empty(self):
+        rng = random.Random(9)
+        M, Minv = unimodular_with_inverse(rng, Z8, 3, 4)
+        M0 = PolyMatrix(Z8, M.coeff_matrix(0))
+        V0 = invert_unimodular(M0)
+        assert V0.degree == 0 and M0 @ V0 == PolyMatrix.identity(Z8, 3)
+        assert invert_unimodular(PolyMatrix.zeros(Z8, 0, 0)) == PolyMatrix.zeros(Z8, 0, 0)
+
+    def test_uses_no_determinants(self, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("determinant computed")
+
+        monkeypatch.setattr(polymat, "det", refuse)
+        monkeypatch.setattr(polymat, "adjugate", refuse)
+        M, Minv = unimodular_with_inverse(random.Random(3), Z25, 4, 8)
+        assert invert_unimodular(M) == Minv
+
+    @pytest.mark.parametrize(
+        "ctx, entries",
+        [
+            (Z8, [[[1], [1]], [[1], [1, 1]]]),  # U(0) singular, det = D
+            (Z9, [[[3, 1]]]),  # U(0) = 3 is not a unit
+            (Z9, [[[0, 1]]]),  # U = D
+            (Z25, [[[5], [1]], [[0, 1], [5]]]),  # U(0) = [[5, 1], [0, 5]]
+        ],
+    )
+    def test_singular_start_rejected(self, ctx, entries):
+        U = PolyMatrix(ctx, entries)
+        assert not det(PolyMatrix(ctx, U.coeff_matrix(0))).is_unit_const
+        with pytest.raises(NotUnimodular, match="singular"):
+            invert_unimodular(U)
+
+    @pytest.mark.parametrize(
+        "ctx, entries",
+        [
+            (Z2, [[[1, 1]]]),  # 1 + D
+            (Z9, [[[1], [0]], [[0], [1, 1]]]),  # diag(1, 1 + D)
+            (Z4, [[[1], [0, 1]], [[0, 1], [1]]]),  # det = 1 - D^2
+            (Z25, [[[1, 1, 0, 0, 1]]]),  # 1 + D + D^4
+        ],
+    )
+    def test_unit_start_non_unit_det_rejected(self, ctx, entries):
+        U = PolyMatrix(ctx, entries)
+        assert det(PolyMatrix(ctx, U.coeff_matrix(0))).is_unit_const
+        with pytest.raises(NotUnimodular, match="does not end"):
+            invert_unimodular(U)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(NotUnimodular):
+            invert_unimodular(PolyMatrix(Z8, [[1, 0]]))
 
 
 class TestDetAdjugate:

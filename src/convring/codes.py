@@ -13,8 +13,11 @@ to share; each computes its scaled parity coefficients H^0..H^nu once.
 
 The sliding-window parity equations are assembled in one place: the
 window-equation kernel restricts them to the erased entries of a symbol
-table.  The decoder's window systems, its filled-window check and its
-oracle, the sliding window matrix and window membership all use it.
+table.  Each parity row is read once as its block row H^nu | ... | H^0:
+an equation's coefficients are a gather of the erased positions, which
+depends only on the pattern, and its right-hand side is one dot product
+with the known symbols.  The decoder's window systems and filled-window
+check, the sliding window matrix and window membership all use it.
 """
 
 from __future__ import annotations
@@ -146,6 +149,12 @@ class ConvCode:
         return np.array([Gj.data for Gj in coeffs], dtype=dtype).reshape(
             len(coeffs), self.k, self.n
         )
+
+    @cached_property
+    def _parity_block_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each assembled parity row ri as its sliding block H^nu[ri] | ... | H^0[ri]."""
+        coeffs = self._parity_coeffs[::-1]
+        return tuple(sum((Hm.data[ri] for Hm in coeffs), ()) for ri in range(coeffs[0].rows))
 
     def parity_coeff(self, j: int) -> ConstMatrix:
         """Scaled coefficient matrix of D^j in the assembled parity check."""
@@ -475,44 +484,46 @@ def _window_equations(code: ConvCode, table, lo: int, hi: int):
     where coeffs are the scaled integer coefficients on the columns and
     rhs is minus the known part, mod q.
     """
-    q = code.ctx.q
-    coeffs = [Hm.data for Hm in code._parity_coeffs]
-    columns: list[tuple[int, int]] = []
-    col_of: dict[int, list[int | None]] = {}  # erased times: column index per coord
-    for t in range(lo, hi + 1):
-        sym = table.get(t)
-        if sym is None or None not in sym:
-            continue
-        idx = col_of[t] = []
-        for c, x in enumerate(sym):
-            if x is None:
-                idx.append(len(columns))
-                columns.append((t, c))
-            else:
-                idx.append(None)
-    e = len(columns)
-    equations = []
-    for s in range(lo, hi + 1):
-        terms = [
-            (Hm, table[s - m], col_of.get(s - m))
-            for m, Hm in enumerate(coeffs)
-            if s - m in table
-        ]
-        for ri in range(len(coeffs[0])):
-            acc = [0] * e
-            rhs = 0
-            for Hm, sym, idx in terms:
-                hrow = Hm[ri]
-                if idx is None:
-                    rhs -= sum(map(mul, hrow, sym))
-                    continue
-                for a, x, k in zip(hrow, sym, idx):
-                    if k is None:
-                        rhs -= a * x
-                    else:
-                        acc[k] = a
-            equations.append((s, ri, acc, rhs % q))
-    return tuple(columns), equations
+    columns = tuple(
+        (t, c) for t in range(lo, hi + 1) for c, x in enumerate(table.get(t, ())) if x is None
+    )
+    m = len(code._parity_block_rows)
+    pairs = zip(_window_coeffs(code, columns, lo, hi), _window_rhs(code, table, lo, hi))
+    return columns, [(lo + k // m, k % m, acc, rhs) for k, (acc, rhs) in enumerate(pairs)]
+
+
+def _window_coeffs(code: ConvCode, columns, lo: int, hi: int) -> list[list[int]]:
+    """The coefficients of those equations: a gather of the erased positions.
+
+    Equation s reads the nu + 1 symbols ending at time s, which its block
+    row H^nu[ri] | ... | H^0[ri] multiplies; a column outside them gets 0.
+    Depends only on hi - lo and the columns relative to lo.
+    """
+    n, nu, block_rows = code.n, code.nu, code._parity_block_rows
+    width = (nu + 1) * n
+    flat = [(t - lo + nu) * n + c for t, c in columns]
+    out = []
+    for base in range(0, (hi - lo + 1) * n, n):
+        pos = [f - base for f in flat]
+        out.extend([brow[j] if 0 <= j < width else 0 for j in pos] for brow in block_rows)
+    return out
+
+
+def _window_rhs(code: ConvCode, table, lo: int, hi: int) -> list[int]:
+    """The right-hand sides of those equations, mod q.
+
+    Each is minus one dot product of a block row with the symbols of times
+    s - nu..s, erasures read as 0.
+    """
+    n, q = code.n, code.ctx.q
+    width = (code.nu + 1) * n
+    zero = (0,) * n
+    vec = [x or 0 for t in range(lo - code.nu, hi + 1) for x in table.get(t, zero)]
+    return [
+        -sum(map(mul, brow, vec[base : base + width])) % q
+        for base in range(0, (hi - lo + 1) * n, n)
+        for brow in code._parity_block_rows
+    ]
 
 
 def sliding_matrix(code: ConvCode, j: int) -> ConstMatrix:
@@ -535,8 +546,7 @@ def is_codeword_window(code: ConvCode, window: Sequence[Sequence[int]]) -> bool:
         raise ValueError("code has no parity side")
     if any(len(sym) != code.n for sym in window):
         raise ValueError(f"window symbols must have length {code.n}")
-    _, equations = _window_equations(code, dict(enumerate(window)), 0, len(window) - 1)
-    return all(rhs == 0 for *_, rhs in equations)
+    return not any(_window_rhs(code, dict(enumerate(window)), 0, len(window) - 1))
 
 
 def preimage(code: ConvCode, word: Sequence[Poly]) -> list[Poly] | None:

@@ -25,17 +25,20 @@ The final list is the set of values of the column forms over all
 assignments of the live parameters in [0, p); distinct assignments give
 distinct windows, so its size is p to the number of live parameters.
 
-The window equations themselves come from the one window-equation kernel
-in codes: build_window_system renormalizes its rows, the column forms are
-checked once against the raw rows, and the brute-force oracle enumerates
-against its raw rows.
+The window equations come from the one window-equation kernel in codes,
+in two parts.  Columns, coefficients, strata and renormalized rows depend
+only on T and on the erasure pattern relative to the window start, and
+build_window_system makes them once per pattern; the received values
+enter only through one dot product per row, its right-hand side.  The
+column forms are checked once against the raw rows, and the brute-force
+oracle enumerates against them.
 
-Rows, strata, pivots, folds and the parameter part of every form depend
-only on T and on the erasure pattern relative to the window start.  So a
-sequential decode keeps per-call plans: the second window of a fold-free
-pattern also records each stage's row transform, and later windows replay
-only the constant column, with no elimination; each replayed list is then
-checked against the raw rows.
+Pivots, folds and the parameter part of every form depend only on the
+pattern as well.  So a sequential decode keeps one store per call, keyed
+on the delay and the relative pattern: each window's pattern part, and
+the plan made from a fold-free pattern's second window, with each stage's
+row transform.  Later windows replay only the constant column, with no
+elimination; each replayed list is then checked against the raw rows.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from math import gcd
 from operator import mul
 from typing import Iterator, Sequence
 
-from .codes import ConvCode, _window_equations
+from .codes import ConvCode, _window_coeffs, _window_rhs
 from .config import enumeration_cap
 from .errors import CapExceeded, InvalidReceived
 from .linsolve import AffineSet, ConstMatrix, enumerate_solutions, mccoy_unique, rref_mod_p
@@ -157,6 +160,7 @@ class WindowSystem:
     rows: list[WindowRow]
     table: dict[int, list[int | None]]  # window + needed history symbols
     invalid_witness: tuple | None = None
+    pattern: _Pattern | None = field(default=None, repr=False, compare=False)
 
     @property
     def e(self) -> int:
@@ -184,8 +188,32 @@ class WindowSystem:
         i, hi = self.i, self.i + self.T
         table = {t: self.table[t] for t in range(i - self.code.nu, i)}
         table.update(zip(range(i, hi + 1), window))
-        _, equations = _window_equations(self.code, table, i, hi)
-        return all(rhs == 0 for *_, rhs in equations)
+        return not any(_window_rhs(self.code, table, i, hi))
+
+
+class _Pattern:
+    """The value-free part of the window systems of one delay and pattern.
+
+    columns are the erased (time - i, coord) pairs; equations hold, per
+    parity equation in kernel order, (time - i, h_row, stratum, p^stratum,
+    renormalized coeffs, orig coeffs).  A sequential decode also counts its
+    windows of the pattern and keeps the pattern's plan here.
+    """
+
+    __slots__ = ("columns", "equations", "sightings", "plan")
+
+    def __init__(self, code: ConvCode, T: int, erased: Sequence[int]):
+        ctx, n = code.ctx, code.n
+        m = len(code._parity_block_rows)
+        self.columns = tuple(divmod(f, n) for f in erased)
+        self.equations = []
+        for k, acc in enumerate(_window_coeffs(code, self.columns, 0, T)):
+            v = ctx.val(gcd(ctx.q, *acc))  # least valuation over the row; r for a zero row
+            pv, orig = ctx.p**v, tuple(acc)
+            coeffs = tuple(a // pv for a in acc) if v else orig
+            self.equations.append((k // m, k % m, v, pv, coeffs, orig))
+        self.sightings = 0
+        self.plan: _Plan | None = None
 
 
 def build_window_system(
@@ -194,6 +222,7 @@ def build_window_system(
     i: int,
     T: int,
     terminated: bool = True,
+    store: dict | None = None,
 ) -> WindowSystem:
     """Assemble the restricted window system for decoding time i with delay T.
 
@@ -203,6 +232,11 @@ def build_window_system(
     the window must fit inside the received stream.  Each row is
     renormalized by the p-power content of its restricted coefficients; a
     right-hand side with a smaller p-power marks the window invalid.
+
+    Columns, coefficients and strata depend only on T and on the erasure
+    pattern relative to i, so they are built once per pattern and kept in
+    store when one is given (keyed on T and the relative pattern); the
+    received values enter only through one right-hand side per row.
     """
     if code.h_blocks is None:
         raise ValueError("decoding needs a code with a parity side")
@@ -212,52 +246,48 @@ def build_window_system(
     L = len(received)
     if not terminated and i + T > L - 1:
         raise ValueError("window exceeds the unterminated stream")
-    q, r = ctx.q, ctx.r
+    q, r, n = ctx.q, ctx.r, code.n
     table: dict[int, list[int | None]] = {}
+    erased: list[int] = []  # (t - i) * n + c per erased entry, time-major
     for t in range(i - code.nu, i + T + 1):
         if not 0 <= t < L:
-            table[t] = [0] * code.n
+            table[t] = [0] * n
             continue
         sym = received[t]
-        if len(sym) != code.n:
+        if len(sym) != n:
             raise ValueError(f"symbol at time {t} has length {len(sym)}")
-        if t < i and None in sym:
-            raise ValueError(f"erasure before window start at time {t}")
+        if None in sym:
+            if t < i:
+                raise ValueError(f"erasure before window start at time {t}")
+            erased.extend((t - i) * n + c for c, x in enumerate(sym) if x is None)
         table[t] = [x if x is None else x % q for x in sym]
-    columns, equations = _window_equations(code, table, i, i + T)
+    key = (T, tuple(erased))
+    store = {} if store is None else store
+    pattern = store.get(key)
+    if pattern is None:
+        pattern = store[key] = _Pattern(code, T, erased)
     rows: list[WindowRow] = []
     witness = None
-    for s, ri, acc, rhs in equations:
-        v = ctx.val(gcd(q, *acc))  # least valuation over the row; r for a zero row
+    for (s, ri, v, pv, coeffs, orig), rhs in zip(
+        pattern.equations, _window_rhs(code, table, i, i + T)
+    ):
         if v >= r:
             if rhs and witness is None:
-                witness = ("inconsistent-known", s, ri)
-            continue
-        if ctx.val(rhs) < v:
+                witness = ("inconsistent-known", i + s, ri)
+        elif rhs % pv:
             if witness is None:
-                witness = ("divisibility", s, ri)
-            continue
-        pv = ctx.p**v
-        orig = tuple(acc)
-        rows.append(
-            WindowRow(
-                time=s,
-                h_row=ri,
-                stratum=v,
-                coeffs=tuple(a // pv for a in acc) if v else orig,
-                rhs=rhs // pv,
-                orig_coeffs=orig,
-                orig_rhs=rhs,
-            )
-        )
+                witness = ("divisibility", i + s, ri)
+        else:
+            rows.append(WindowRow(i + s, ri, v, coeffs, rhs // pv, orig, rhs))
     return WindowSystem(
         code=code,
         i=i,
         T=T,
-        columns=columns,
+        columns=tuple((i + dt, c) for dt, c in pattern.columns),
         rows=rows,
         table=table,
         invalid_witness=witness,
+        pattern=pattern,
     )
 
 
@@ -593,14 +623,13 @@ def oracle_decode(
 
     Returns the set of window fillings (times i..i+T, as tuples) that
     satisfy the window parity equations exactly.  Capped at q^e candidates.
+    Candidates solve the window's raw rows; each filled window is then
+    checked against every equation, those the rows leave out included.
     """
     cap = enumeration_cap() if cap is None else cap
     sys = build_window_system(code, received, i, T, terminated=terminated)
-    _, equations = _window_equations(code, sys.table, i, i + T)
-    # a row with no coefficient and rhs 0 holds for every candidate
-    raw = [(acc, rhs) for _, _, acc, rhs in equations if rhs or any(acc)]
-    A = [acc for acc, _ in raw]
-    b = [rhs for _, rhs in raw]
+    A = [row.orig_coeffs for row in sys.rows]
+    b = [row.orig_rhs for row in sys.rows]
     out = set()
     for x in enumerate_solutions(A, b, sys.e, code.ctx.q, cap):
         window = sys.assemble([int(v) for v in x])
@@ -668,8 +697,9 @@ def sequential_decode(
     recorded as (i, "invalid-after-guess", j), j the latest picked time:
     the guess, not the received word, may be at fault.
 
-    Plans kept for this call, keyed on the delay and the erasure pattern
-    relative to i, let later windows of a pattern replay its second
+    A store kept for this call, keyed on the delay and the erasure pattern
+    relative to i, holds each pattern's window rows and plan: later windows
+    of a pattern assemble only their right-hand sides and replay its second
     window's eliminations on the constant column; folding patterns and
     invalid windows run list_decode.  Outcomes equal list_decode's.
     """
@@ -678,8 +708,7 @@ def sequential_decode(
     work = [list(sym) for sym in received]
     decisions: list[tuple] = []
     picked = None
-    # (Tw, pattern relative to i) -> False once seen, a plan, or None if it folds
-    plans: dict[tuple, _Plan | bool | None] = {}
+    patterns: dict[tuple, _Pattern] = {}  # per (Tw, pattern relative to i)
 
     def next_erased(start: int) -> int | None:
         for t in range(start, len(work)):
@@ -693,14 +722,13 @@ def sequential_decode(
         if i is None:
             return SequentialResult(stream=work, decisions=decisions)
         Tw = T if terminated else min(T, len(work) - 1 - i)
-        sys = build_window_system(code, work, i, Tw, terminated=terminated)
-        key = (Tw, tuple((t - i, c) for t, c in sys.columns))
-        plan = plans.get(key)
-        if plan is False:
-            outcome, plans[key] = _compile(sys)
+        sys = build_window_system(code, work, i, Tw, terminated=terminated, store=patterns)
+        pattern = sys.pattern
+        if pattern.sightings == 1:
+            outcome, pattern.plan = _compile(sys)
         else:
-            outcome = (plan and _replay(plan, sys)) or list_decode(sys)
-            plans.setdefault(key, False)
+            outcome = (pattern.plan and _replay(pattern.plan, sys)) or list_decode(sys)
+        pattern.sightings += 1
         if outcome.kind == "invalid":
             verdict = (i, "invalid") if picked is None else (i, "invalid-after-guess", picked)
             decisions.append(verdict)

@@ -1,5 +1,6 @@
 import random
 import time
+from operator import mul
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from convring import (
     synthesize_parity_check,
 )
 from convring.cli import generate_code
+from convring.codes import _window_equations
+from tests.conftest import random_kernel_code
 
 Z8 = RingContext(2, 3)
 Z9 = RingContext(3, 2)
@@ -239,6 +242,87 @@ class TestSlidingWindow:
         S1 = sliding_matrix(kernel_code_z9, 1)
         for i in range(S1.rows):
             assert S2.data[i][: S1.cols] == S1.data[i]
+
+
+def reference_window_equations(code, table, lo, hi):
+    """The window-equation kernel, coordinate by coordinate.
+
+    Same contract as codes._window_equations: erased (time, coord) columns
+    of times lo..hi, time-major, and per time s and parity row ri a tuple
+    (s, ri, coeffs, rhs); times missing from the table read as zero.
+    """
+    q = code.ctx.q
+    coeffs = [Hm.data for Hm in code._parity_coeffs]
+    columns = []
+    col_of = {}  # erased times: column index per coord
+    for t in range(lo, hi + 1):
+        sym = table.get(t)
+        if sym is None or None not in sym:
+            continue
+        idx = col_of[t] = []
+        for c, x in enumerate(sym):
+            if x is None:
+                idx.append(len(columns))
+                columns.append((t, c))
+            else:
+                idx.append(None)
+    e = len(columns)
+    equations = []
+    for s in range(lo, hi + 1):
+        terms = [
+            (Hm, table[s - m], col_of.get(s - m))
+            for m, Hm in enumerate(coeffs)
+            if s - m in table
+        ]
+        for ri in range(len(coeffs[0])):
+            acc = [0] * e
+            rhs = 0
+            for Hm, sym, idx in terms:
+                hrow = Hm[ri]
+                if idx is None:
+                    rhs -= sum(map(mul, hrow, sym))
+                    continue
+                for a, x, k in zip(hrow, sym, idx):
+                    if k is None:
+                        rhs -= a * x
+                    else:
+                        acc[k] = a
+            equations.append((s, ri, acc, rhs % q))
+    return tuple(columns), equations
+
+
+class TestWindowKernel:
+    @pytest.mark.parametrize("ctx", [Z4, Z8, Z9, RingContext(5, 2)], ids=lambda c: f"z{c.q}")
+    def test_matches_reference(self, ctx):
+        # random tables: with or without the history before lo, with or
+        # without missing times in lo..hi, entries unreduced (negative or at
+        # least q), erasures absent, sparse, dense or covering the window
+        rng = random.Random(ctx.q)
+        q = ctx.q
+        checked = 0
+        for trial in range(64):
+            n = rng.randint(2, 5)
+            lsizes = [rng.randint(1, n - 1)] + [rng.randint(0, 1) for _ in range(ctx.r - 1)]
+            code = random_kernel_code(rng, ctx, n, lsizes, rng.randint(0, 2))
+            if code is None:
+                continue
+            lo = rng.randint(0, 3)
+            hi = lo + rng.randint(0, 3)
+            rate = (0.0, 0.3, 0.7, 1.0)[trial % 4]
+            history = trial // 4 % 2 == 0
+            missing = {rng.randint(lo, hi)} if trial // 8 % 2 else set()
+            table = {}
+            for t in range(lo if not history else lo - code.nu, hi + 1):
+                if t in missing:
+                    continue
+                sym = [rng.randrange(-q, 2 * q) for _ in range(n)]
+                if t >= lo:
+                    sym = [None if rng.random() < rate else x for x in sym]
+                table[t] = sym
+            got = _window_equations(code, table, lo, hi)
+            assert got == reference_window_equations(code, table, lo, hi)
+            checked += 1
+        assert checked >= 48
 
 
 class TestWindowMembership:

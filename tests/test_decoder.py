@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from convring import (
     InvalidReceived,
@@ -26,6 +29,7 @@ from tests.conftest import random_kernel_code
 Z4 = RingContext(2, 2)
 Z8 = RingContext(2, 3)
 Z9 = RingContext(3, 2)
+Z25 = RingContext(5, 2)
 
 W0 = [5, 5, 0, 6, 0]
 W1 = [6, 6, 4, 3, 6]
@@ -438,6 +442,109 @@ class TestParamMachinery:
         v0, v1 = space.new_param(), space.new_param()
         combos = [(vals[v0], vals[v1]) for vals in space.assignments()]
         assert combos == [(x, y) for x in range(3) for y in range(3)]
+
+
+# ---------------------------------------------------------------------------
+# per-pattern window assembly
+
+
+@functools.cache
+def _store_code(ring: int, k: int):
+    """A fixed random kernel code over Z_4, Z_8, Z_9 or Z_25: n <= 5, degree <= 2."""
+    ctx = (Z4, Z8, Z9, Z25)[ring]
+    rng = random.Random(1000 * ctx.q + k)
+    while True:
+        n = rng.randint(2, 5)
+        lsizes = [rng.randint(1, n - 1)] + [rng.randint(0, 1) for _ in range(ctx.r - 1)]
+        code = random_kernel_code(rng, ctx, n, lsizes, rng.randint(0, 2))
+        if code is not None and code.g_blocks is not None:
+            return code
+
+
+@st.composite
+def shared_pattern_windows(draw):
+    """Windows of one code and delay T that share a relative erasure pattern.
+
+    Each holds another codeword stream and start i, and may have one known
+    symbol it reads corrupted.  Terminated windows may reach past the
+    stream end; unterminated ones are cut to Tw = min(T, L - 1 - i).
+    Returns (code, T, terminated, [(received, i, Tw), ...]).
+    """
+    code = _store_code(draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+    n, q = code.n, code.ctx.q
+    T = draw(st.integers(0, 3))
+    terminated = draw(st.booleans())
+    erased = draw(st.sets(st.integers(0, (T + 1) * n - 1), max_size=6))
+    top = max(erased, default=0) // n  # latest erased time, relative to i
+    windows = []
+    for _ in range(draw(st.integers(2, 4))):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        steps = draw(st.integers(4, 7))
+        rx = code.encode([[rng.randrange(q) for _ in range(code.k)] for _ in range(steps)])
+        L = len(rx)
+        i = draw(st.integers(0, L - 1 - top))
+        Tw = T if terminated else min(T, L - 1 - i)
+        for f in erased:
+            rx[i + f // n][f % n] = None
+        if draw(st.booleans()):
+            known = [
+                (t, c)
+                for t in range(max(0, i - code.nu), min(L, i + Tw + 1))
+                for c in range(n)
+                if rx[t][c] is not None
+            ]
+            if known:
+                t, c = draw(st.sampled_from(known))
+                rx[t][c] = (rx[t][c] + draw(st.integers(1, q - 1))) % q
+        windows.append((rx, i, Tw))
+    return code, T, terminated, windows
+
+
+def _check_pattern_store(case):
+    """One shared store gives every window exactly its fresh build; the features seen."""
+    code, T, terminated, windows = case
+    store = {}
+    features = set()
+    for rx, i, Tw in windows:
+        shared = build_window_system(code, rx, i, Tw, terminated=terminated, store=store)
+        fresh = build_window_system(code, rx, i, Tw, terminated=terminated)
+        assert shared.columns == fresh.columns
+        assert shared.rows == fresh.rows  # every WindowRow field
+        assert shared.table == fresh.table
+        assert shared.invalid_witness == fresh.invalid_witness
+        if fresh.invalid_witness is not None:
+            features.add(fresh.invalid_witness[0])
+        if terminated and i + Tw >= len(rx):
+            features.add("past-end")
+        if Tw < T:
+            features.add("tail")
+    # windows of one delay share one stored pattern, whatever their start
+    assert len(store) == len({Tw for _, _, Tw in windows})
+    return features
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_pattern_windows())
+def test_pattern_store_matches_fresh_builds(case):
+    _check_pattern_store(case)
+
+
+@pytest.mark.parametrize("feature", ["inconsistent-known", "divisibility", "past-end", "tail"])
+def test_pattern_store_cases_cover(feature):
+    # the strategy reaches each kind of window, and the first case found
+    # with it passes the same check
+    case = find(
+        shared_pattern_windows(),
+        lambda case: feature in _check_pattern_store(case),
+        settings=settings(
+            max_examples=2000,
+            deadline=None,
+            database=None,
+            derandomize=True,
+            phases=[Phase.generate],
+        ),
+    )
+    assert feature in _check_pattern_store(case)
 
 
 def test_all_erased_z4_window_is_symbolic():

@@ -43,7 +43,6 @@ from .polymat import (
     invert_unimodular,
     is_left_prime,
     lift_unimodular,
-    poly_lcm,
     rank,
     smith_form,
 )
@@ -204,23 +203,6 @@ class ConvCode:
         return cls(ctx=ctx, n=n, k_blocks=k_blocks, g_blocks=g_blocks)
 
     @classmethod
-    def from_blocks(
-        cls,
-        ctx: RingContext,
-        g_blocks: Sequence[PolyMatrix],
-        h_blocks: Sequence[PolyMatrix] | None = None,
-    ) -> "ConvCode":
-        g = tuple(g_blocks)
-        n = g[0].cols
-        return cls(
-            ctx=ctx,
-            n=n,
-            k_blocks=tuple(b.rows for b in g),
-            g_blocks=g,
-            h_blocks=tuple(h_blocks) if h_blocks is not None else None,
-        )
-
-    @classmethod
     def from_parity_coeffs(
         cls, ctx: RingContext, h_coeffs: Sequence[Sequence[Sequence[int]]]
     ) -> "ConvCode":
@@ -347,9 +329,7 @@ def _solve_left_rational(B: PolyMatrix, w) -> tuple[list[Poly], Poly] | None:
         if not z[j].is_zero:
             return None
     assert all(not f.is_zero for f in factors)
-    delta = Poly.one(fld)
-    for f in factors:
-        delta = poly_lcm(delta, f)
+    delta = factors[-1]  # monic factors, each dividing the next: the last is their lcm
     y = []
     for i in range(k):
         scale, rem = delta.divmod_by(factors[i])
@@ -390,11 +370,13 @@ def is_observable(code: ConvCode) -> bool:
 def synthesize_parity_check(code: ConvCode) -> ParityCheck:
     """Construct layered parity blocks annihilating the generator.
 
-    Observable codes: complete the projected stack to a unimodular matrix,
-    lift, invert exactly, and read the layers out of the transposed
-    inverse; the kernel then equals the code.  Otherwise the adjugate of a
-    nonsingular bordered matrix replaces the inverse and the code is only
-    contained in the kernel, with the determinant on the diagonal.
+    First the projected stack is completed to a unimodular matrix, lifted
+    and inverted exactly, and the layers are read out of the transposed
+    inverse; the kernel then equals the code.  The completion's Smith form
+    also decides observability: when the projected stack is not left prime
+    (NotLeftPrime), the adjugate of a nonsingular bordered matrix replaces
+    the inverse and the code is only contained in the kernel, with the
+    determinant on the diagonal.
     """
     if code.g_blocks is None:
         raise ValueError("code has no generator side")
@@ -404,18 +386,19 @@ def synthesize_parity_check(code: ConvCode) -> ParityCheck:
     gp = gstack.proj()
     if gp.rows == 0 or rank(gp) != gp.rows:
         raise ConstructionError("generator stack is degenerate")
-    observable = is_left_prime(gp)
-    if observable:
+    try:
         W = _unimodular_dual(gstack, ctx)
-        p_diag = tuple(Poly.one(ctx) for _ in range(n))
-    else:
+    except NotLeftPrime:
         M = gstack.vstack(_fraction_field_completion(gp).lift(ctx))
         W, d = adjugate(M.transpose())
         if d.proj().is_zero:
             raise ConstructionError("could not border the generator to a nonsingular matrix")
-        p_diag = tuple(d for _ in range(n))
+        observable = False
+    else:
+        d = Poly.one(ctx)
+        observable = True
     L, h_blocks = _cut_layers(W, list(code.k_blocks) + [n - k], r)
-    return ParityCheck(h_blocks=h_blocks, L=L, p_diag=p_diag, exact_kernel=observable)
+    return ParityCheck(h_blocks=h_blocks, L=L, p_diag=(d,) * n, exact_kernel=observable)
 
 
 def _fraction_field_completion(gp: PolyMatrix) -> PolyMatrix:
@@ -442,8 +425,8 @@ def _fraction_field_completion(gp: PolyMatrix) -> PolyMatrix:
 def _unimodular_dual(stack: PolyMatrix, ctx: RingContext) -> PolyMatrix:
     """Transposed inverse of stack completed to a unimodular matrix.
 
-    The projection of stack must be left prime; the completion is found
-    over Z_p[D] and lifted.
+    The completion is found over Z_p[D] and lifted; NotLeftPrime is raised
+    when the projection of stack is not left prime.
     """
     proj = stack.proj()
     N = complete_to_unimodular(proj)
@@ -465,8 +448,6 @@ def _cut_layers(W: PolyMatrix, sizes, r: int):
 def _dual_blocks(ctx: RingContext, h_blocks, n: int):
     """Generator blocks of the kernel code of a layered parity check."""
     hstack = _stack(ctx, n, h_blocks)
-    if not is_left_prime(hstack.proj()):
-        raise NotLeftPrime("parity stack is not left prime; kernel has no layered generator here")
     W = _unimodular_dual(hstack, ctx)
     _, g_blocks = _cut_layers(W, [blk.rows for blk in h_blocks] + [n - hstack.rows], ctx.r)
     return g_blocks, tuple(b.rows for b in g_blocks)

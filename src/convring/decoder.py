@@ -108,29 +108,6 @@ class ParamSpace:
 
 
 @dataclass(frozen=True)
-class ErasurePattern:
-    """Erased coordinate indices per time, sorted; e is the total count."""
-
-    by_time: tuple[tuple[int, tuple[int, ...]], ...]
-
-    @classmethod
-    def from_received(cls, received: Sequence[Symbol]) -> "ErasurePattern":
-        out = []
-        for t, sym in enumerate(received):
-            coords = tuple(c for c, x in enumerate(sym) if x is None)
-            if coords:
-                out.append((t, coords))
-        return cls(by_time=tuple(out))
-
-    @property
-    def e(self) -> int:
-        return sum(len(coords) for _, coords in self.by_time)
-
-    def times(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.by_time)
-
-
-@dataclass(frozen=True)
 class WindowRow:
     """One renormalized parity equation restricted to the erased columns.
 

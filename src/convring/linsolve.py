@@ -65,49 +65,8 @@ class ConstMatrix:
     def zeros(cls, ctx: RingContext, m: int, n: int) -> "ConstMatrix":
         return cls(ctx, [[0] * n for _ in range(m)], cols=n)
 
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.data)
-
-    def _check(self, other: "ConstMatrix"):
-        if self.ctx != other.ctx:
-            raise ValueError("mismatched ring contexts")
-
-    def __add__(self, other: "ConstMatrix") -> "ConstMatrix":
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix addition")
-        return ConstMatrix(
-            self.ctx,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-            cols=self.cols,
-        )
-
-    def __neg__(self) -> "ConstMatrix":
-        return ConstMatrix(self.ctx, [[-a for a in row] for row in self.data], cols=self.cols)
-
-    def __matmul__(self, other: "ConstMatrix") -> "ConstMatrix":
-        self._check(other)
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        q = self.ctx.q
-        out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            row = []
-            for j in range(other.cols):
-                acc = 0
-                for k in range(self.cols):
-                    acc += ri[k] * other.data[k][j]
-                row.append(acc % q)
-            out.append(row)
-        return ConstMatrix(self.ctx, out, cols=other.cols)
 
     def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -115,28 +74,8 @@ class ConstMatrix:
         q = self.ctx.q
         return tuple(sum(a * x for a, x in zip(row, vec)) % q for row in self.data)
 
-    def scale(self, c: int) -> "ConstMatrix":
-        return ConstMatrix(self.ctx, [[c * a for a in row] for row in self.data], cols=self.cols)
-
-    def transpose(self) -> "ConstMatrix":
-        return ConstMatrix(
-            self.ctx,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
     def proj(self) -> "ConstMatrix":
         return ConstMatrix(self.ctx.residue_field(), self.data, cols=self.cols)
-
-    def vstack(self, other: "ConstMatrix") -> "ConstMatrix":
-        self._check(other)
-        if other.rows == 0:
-            return self
-        if self.rows == 0:
-            return other
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return ConstMatrix(self.ctx, list(self.data) + list(other.data))
 
     def __eq__(self, other):
         return (

@@ -198,26 +198,3 @@ def erasure_capability(
         dependent_witness=dependent_witness,
         span_condition_ok=span_ok,
     )
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    """Column-distance profile with a bounded free-distance estimate.
-
-    d_free fields are None for kernel-only codes (no generator to
-    enumerate inputs from).
-    """
-
-    column_distances: dict[int, int]
-    d_free_lower: float | None
-    d_free_exact: bool
-
-
-def distance_profile(code: ConvCode, max_j: int, max_degree: int = 2) -> DistanceReport:
-    cds = {}
-    for j in range(max_j + 1):
-        cds[j] = column_distance(code, j)
-    if code.g_blocks is None:
-        return DistanceReport(column_distances=cds, d_free_lower=None, d_free_exact=False)
-    lower, exact = free_distance_bounded(code, max_degree)
-    return DistanceReport(column_distances=cds, d_free_lower=lower, d_free_exact=exact)

@@ -1,7 +1,8 @@
 """Polynomials and dense polynomial matrices over Z_{p^r} and Z_p.
 
-Provides exact matrix arithmetic, Smith normal form over Z_p[D] with
-recorded transforms, left-primeness tests, unimodular completion, the
+Provides exact matrix arithmetic, Smith normal form over Z_p[D] with the
+transforms U, V and V^{-1}, left-primeness tests, unimodular completion
+read from one Smith form (which also decides left primeness), the
 digit-zero lift from Z_p[D] to Z_{p^r}[D], inversion of unimodular
 matrices as a D-adic power series on integer coefficient matrices, and
 exact determinants/adjugates over rings with zero divisors.
@@ -52,10 +53,6 @@ class Poly:
     @classmethod
     def one(cls, ctx: RingContext) -> "Poly":
         return cls(ctx, (1,))
-
-    @classmethod
-    def x(cls, ctx: RingContext) -> "Poly":
-        return cls(ctx, (0, 1))
 
     @property
     def degree(self):
@@ -131,12 +128,6 @@ class Poly:
         """Minimum p-adic valuation over coefficients; r for the zero poly."""
         return min((self.ctx.val(c) for c in self.coeffs), default=self.ctx.r)
 
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        lead = self.coeffs[-1]
-        return self.scale(self.ctx.inv(lead))
-
     def divmod_by(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Polynomial division with remainder; divisor needs a unit lead."""
         self._check(other)
@@ -183,24 +174,6 @@ class Poly:
         return " + ".join(terms)
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Z_p[D] (field coefficients only)."""
-    if not a.ctx.is_field:
-        raise ValueError("gcd needs field coefficients")
-    while not b.is_zero:
-        _, rem = a.divmod_by(b)
-        a, b = b, rem
-    return a.monic() if not a.is_zero else a
-
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero or b.is_zero:
-        return Poly.zero(a.ctx)
-    g = poly_gcd(a, b)
-    q, rem = (a * b).divmod_by(g)
-    assert rem.is_zero
-    return q.monic()
-
-
 class PolyMatrix:
     """Dense matrix of Poly entries sharing one context."""
 
@@ -238,9 +211,6 @@ class PolyMatrix:
     def __getitem__(self, ij) -> Poly:
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Poly, ...]:
-        return self.entries[i]
 
     @property
     def degree(self):
@@ -436,14 +406,14 @@ def rank(M: PolyMatrix) -> int:
 class SmithForm:
     """U @ A @ V == S with S diagonal, monic invariant factors in a chain.
 
-    U, V are unimodular over Z_p[D]; U_inv and V_inv are their recorded
-    inverses (built from the same elementary operations).
+    U, V are unimodular over Z_p[D]; V_inv is the recorded inverse of V
+    (built from the same elementary column operations), whose trailing
+    rows complete a left prime A.
     """
 
     U: PolyMatrix
     S: PolyMatrix
     V: PolyMatrix
-    U_inv: PolyMatrix
     V_inv: PolyMatrix
 
     @property
@@ -465,18 +435,14 @@ def smith_form(A: PolyMatrix) -> SmithForm:
     m, n = A.rows, A.cols
     S = [list(row) for row in A.entries]
     U = [[Poly.const(ctx, 1 if i == j else 0) for j in range(m)] for i in range(m)]
-    Ui = [row[:] for row in U]
     V = [[Poly.const(ctx, 1 if i == j else 0) for j in range(n)] for i in range(n)]
     Vi = [row[:] for row in V]
-    zero = Poly.zero(ctx)
 
     def swap_rows(i, j):
         if i == j:
             return
         S[i], S[j] = S[j], S[i]
         U[i], U[j] = U[j], U[i]
-        for row in Ui:
-            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         if i == j:
@@ -493,9 +459,6 @@ def smith_form(A: PolyMatrix) -> SmithForm:
             return
         S[i] = [a + f * b for a, b in zip(S[i], S[j])]
         U[i] = [a + f * b for a, b in zip(U[i], U[j])]
-        # inverse picks up the opposite column operation
-        for row in Ui:
-            row[j] = row[j] - f * row[i]
 
     def col_addmul(i, j, f: Poly):
         # col i += f * col j
@@ -510,11 +473,8 @@ def smith_form(A: PolyMatrix) -> SmithForm:
     def scale_row(i, c: int):
         if c == 1:
             return
-        inv = ctx.inv(c)
         S[i] = [a.scale(c) for a in S[i]]
         U[i] = [a.scale(c) for a in U[i]]
-        for row in Ui:
-            row[i] = row[i].scale(inv)
 
     t = 0
     limit = min(m, n)
@@ -571,7 +531,6 @@ def smith_form(A: PolyMatrix) -> SmithForm:
         U=PolyMatrix(ctx, U),
         S=PolyMatrix(ctx, S),
         V=PolyMatrix(ctx, V),
-        U_inv=PolyMatrix(ctx, Ui),
         V_inv=PolyMatrix(ctx, Vi),
     )
 
@@ -595,8 +554,11 @@ def complete_to_unimodular(A: PolyMatrix) -> PolyMatrix:
     """Rows N making stack(A, N) unimodular over Z_p[D]; A must be left prime.
 
     Taken from the recorded Smith data: with U A V = [I | 0], the bottom
-    n-k rows of V^{-1} complete A.
+    n-k rows of V^{-1} complete A.  The one Smith form decides left
+    primeness too: NotLeftPrime is raised when A is not.
     """
+    if A.rows > A.cols:
+        raise ValueError("left primeness needs k <= n")
     if not A.ctx.is_field:
         raise ValueError("completion runs over Z_p[D]; project first")
     sf = smith_form(A)

@@ -20,6 +20,7 @@ from convring import (
     sliding_matrix,
     synthesize_parity_check,
 )
+from convring import polymat
 from convring.cli import generate_code
 from convring.codes import _window_equations
 from tests.conftest import random_kernel_code
@@ -178,6 +179,53 @@ class TestSynthesis:
         object.__setattr__(code, "k_blocks", (0, 0))
         with pytest.raises(ConstructionError):
             synthesize_parity_check(code)
+
+
+class TestOneSmithFormPerCompletion:
+    """Completion decides left primeness itself, so no separate test runs first."""
+
+    @pytest.fixture
+    def smith_calls(self, monkeypatch):
+        calls = []
+        inner = polymat.smith_form
+
+        def counted(A):
+            calls.append(A)
+            return inner(A)
+
+        monkeypatch.setattr(polymat, "smith_form", counted)
+        return calls
+
+    def test_synthesis_of_observable_code(self, smith_calls):
+        full = generate_code(p=2, r=2, n=4, k_blocks=[1, 0], deg=1, seed=7)
+        code = ConvCode(ctx=full.ctx, n=full.n, k_blocks=full.k_blocks, g_blocks=full.g_blocks)
+        smith_calls.clear()
+        syn = synthesize_parity_check(code)
+        assert len(smith_calls) == 1
+        assert syn == full.synthesis and syn.exact_kernel
+
+    def test_synthesis_of_non_observable_code(self, smith_calls, nonexact_code_z9):
+        syn = synthesize_parity_check(nonexact_code_z9)
+        assert len(smith_calls) == 1
+        assert not syn.exact_kernel
+        code = nonexact_code_z9.with_parity_check()
+        prod = code.parity_matrix() @ code.generator_matrix().transpose()
+        assert all(e.is_zero for row in prod.entries for e in row)
+
+    def test_left_prime_parity_check(self, smith_calls, kernel_code_z8, z8):
+        coeffs = [kernel_code_z8.parity_coeff(m).data for m in range(3)]
+        assert ConvCode.from_parity_coeffs(z8, coeffs) == kernel_code_z8
+        assert len(smith_calls) == 1
+        assert kernel_code_z8.g_blocks is not None
+
+    def test_not_left_prime_parity_check_is_kernel_only(self, smith_calls, z4):
+        code = ConvCode.from_parity_coeffs(z4, [[[1, 1, 0]], [[1, 1, 0]]])
+        assert len(smith_calls) == 1
+        assert code.g_blocks is None and code.k_blocks == (2, 0)
+
+    def test_tall_parity_check_rejected(self, z4):
+        with pytest.raises(ValueError, match="left primeness needs k <= n"):
+            ConvCode.from_parity_coeffs(z4, [[[1, 0], [0, 1], [1, 1]]])
 
 
 class TestKernelReconstruction:

@@ -21,7 +21,7 @@ from convring import (
 from convring import decoder
 from convring.cli import erase_stream, generate_code
 from convring.codes import is_codeword_window
-from convring.decoder import ErasurePattern, ParamSpace, _Branch, _fold
+from convring.decoder import ParamSpace, _Branch, _fold
 from convring.errors import CapExceeded
 from convring.linsolve import OPS
 from tests.conftest import random_kernel_code
@@ -124,12 +124,6 @@ class TestWindowAssembly:
                 assert sysw.scaled_matrix().data == tuple(row for row in S.data if any(row))
                 checked += 1
         assert checked >= 12
-
-    def test_pattern_helper(self):
-        pat = ErasurePattern.from_received(RECEIVED)
-        assert pat.e == 8
-        assert pat.times() == (0, 1, 2, 3)
-        assert pat.by_time[0] == (0, (1, 2, 4))
 
 
 class TestWorkedDecode:

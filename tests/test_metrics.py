@@ -9,7 +9,6 @@ from convring import (
     Poly,
     RingContext,
     column_distance,
-    distance_profile,
     erasure_capability,
     free_distance_bounded,
     hamming_weight,
@@ -158,10 +157,3 @@ class TestErasureCapability:
             if d > 1:
                 worse = erasure_capability(code, j, d + 1)
                 assert not worse.independent_ok
-
-
-def test_distance_profile(kernel_code_z9):
-    rep = distance_profile(kernel_code_z9, 1, max_degree=1)
-    assert rep.column_distances[1] == 2
-    assert rep.column_distances[0] <= rep.column_distances[1]
-    assert rep.d_free_lower is None  # kernel-only code has no generator

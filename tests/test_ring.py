@@ -1,8 +1,6 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from convring import NotAUnit, RingContext, Zq, order, p_adic_expand, reconstruct
+from convring import NotAUnit, RingContext
 
 RINGS = [RingContext(2, 3), RingContext(3, 2), RingContext(2, 2), RingContext(5, 1)]
 
@@ -18,104 +16,21 @@ def test_context_validation():
     assert RingContext(3, 2).residue_field() == RingContext(3, 1)
 
 
-def test_scalar_arithmetic():
-    z8 = RingContext(2, 3)
-    z9 = RingContext(3, 2)
-    assert Zq(5, z8) * Zq(3, z8) == 7
-    assert Zq(3, z9) + Zq(3, z9) == 6
-    assert Zq(6, z8) * Zq(2, z8) == 4  # direct modular oracle: 12 mod 8
-    assert -Zq(3, z8) == 5
-    assert Zq(2, z8) - Zq(5, z8) == 5
-
-
-def test_context_mismatch_rejected():
-    a = Zq(1, RingContext(2, 3))
-    b = Zq(1, RingContext(3, 2))
-    with pytest.raises(ValueError):
-        a + b
-
-
-def test_p_adic_expand_golden():
-    z8 = RingContext(2, 3)
-    z9 = RingContext(3, 2)
-    assert p_adic_expand(Zq(5, z8)) == (1, 0, 1)
-    assert p_adic_expand(Zq(0, z9)) == (0, 0)
-    assert p_adic_expand(Zq(6, z8)) == (0, 1, 1)  # repeated-division oracle
-
-
-@pytest.mark.parametrize("ctx", RINGS)
-def test_digit_roundtrip_exhaustive(ctx):
-    for a in range(ctx.q):
-        digits = ctx.digits(a)
-        assert len(digits) == ctx.r
-        assert all(0 <= d < ctx.p for d in digits)
-        assert ctx.from_digits(digits) == a
-        assert reconstruct(ctx, p_adic_expand(Zq(a, ctx))) == Zq(a, ctx)
-
-
-def test_order_golden():
-    z8 = RingContext(2, 3)
-    z9 = RingContext(3, 2)
-    assert order([Zq(4, z8), Zq(0, z8)]) == 1
-    assert order([Zq(1, z8), Zq(2, z8)]) == 3
-    assert order([Zq(3, z9), Zq(6, z9)]) == 1
-    assert order([Zq(0, z8), Zq(0, z8)]) == 0
-    assert order([], RingContext(2, 3)) == 0
-
-
-@pytest.mark.parametrize("ctx", RINGS)
-def test_order_properties(ctx):
-    import itertools
-
-    for vec in itertools.product(range(ctx.q), repeat=2):
-        zvec = [Zq(x, ctx) for x in vec]
-        s = order(zvec, ctx)
-        # order r exactly when a unit is present
-        assert (s == ctx.r) == any(x % ctx.p for x in vec)
-        # multiplying by p drops the order by one, clamped at zero
-        pvec = [Zq(ctx.p * x, ctx) for x in vec]
-        assert order(pvec, ctx) == max(s - 1, 0)
-        # definition: p^s v = 0 and p^(s-1) v != 0
-        assert all((ctx.p**s * x) % ctx.q == 0 for x in vec)
-        if s > 0:
-            assert any((ctx.p ** (s - 1) * x) % ctx.q for x in vec)
-
-
-def test_projection_golden():
-    z8 = RingContext(2, 3)
-    z9 = RingContext(3, 2)
-    assert Zq(5, z8).proj() == 1
-    assert Zq(0, z8).proj() == 0
-    assert Zq(7, z9).proj() == 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(RINGS),
-    st.integers(min_value=0, max_value=10**6),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_projection_is_ring_morphism(ctx, a, b):
-    za, zb = Zq(a, ctx), Zq(b, ctx)
-    p = ctx.p
-    assert (za + zb).proj() == (za.proj() + zb.proj()) % p
-    assert (za * zb).proj() == (za.proj() * zb.proj()) % p
-
-
 @pytest.mark.parametrize("ctx", RINGS)
 def test_invert_unit_exhaustive(ctx):
     for a in range(ctx.q):
         if a % ctx.p:
-            inv = Zq(a, ctx).inverse()
-            assert Zq(a, ctx) * inv == 1
+            inv = ctx.inv(a)
+            assert 0 <= inv < ctx.q
+            assert a * inv % ctx.q == 1
         else:
             with pytest.raises(NotAUnit):
-                Zq(a, ctx).inverse()
+                ctx.inv(a)
 
 
 def test_invert_unit_golden():
     z8 = RingContext(2, 3)
     z9 = RingContext(3, 2)
-    assert Zq(3, z8).inverse() == 3  # 9 = 1 mod 8
-    assert Zq(1, z8).inverse() == 1
-    assert Zq(2, z9).inverse() == 5  # extended-Euclid oracle: 10 = 1 mod 9
+    assert z8.inv(3) == 3  # 9 = 1 mod 8
+    assert z8.inv(1) == 1
+    assert z9.inv(2) == 5  # extended-Euclid oracle: 10 = 1 mod 9

@@ -1,0 +1,76 @@
+"""Static checks on the package source: every import is used, and __all__ is sound."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import convring
+
+SRC = Path(convring.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _annotation_names(node):
+    """Names inside a quoted annotation such as -> "ConvCode"."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _used_names(tree) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    return used
+
+
+def _imported_names(tree):
+    """(name, line) for each name an import binds, except submodules of the package.
+
+    `from . import files` binds the submodule as a package attribute, which is
+    its use; `from __future__ import ...` binds nothing.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__" or (node.level and node.module is None):
+                continue
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _all_entries(tree) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree) | set(_all_entries(tree))
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_all_is_complete_and_unique():
+    entries = _all_entries(ast.parse((SRC / "__init__.py").read_text()))
+    assert entries == list(convring.__all__)
+    twice = [name for name, count in Counter(entries).items() if count > 1]
+    assert not twice, f"listed more than once in __all__: {twice}"
+    missing = [name for name in entries if not hasattr(convring, name)]
+    assert not missing, f"__all__ names what the package does not define: {missing}"

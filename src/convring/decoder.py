@@ -37,8 +37,12 @@ Pivots, folds and the parameter part of every form depend only on the
 pattern as well.  So a sequential decode keeps one store per call, keyed
 on the delay and the relative pattern: each window's pattern part, and
 the plan made from a fold-free pattern's second window, with each stage's
-row transform.  Later windows replay only the constant column, with no
-elimination; each replayed list is then checked against the raw rows.
+row transform and the final parameter part, checked against the raw rows
+once when the plan is made.  Later windows replay only the constant
+column, with no elimination, and check it against their raw rows; the two
+halves make up the row check of the whole list.  Where the plan leaves
+no parameter on time i, a replayed window commits time i straight from
+its constant column; only a list at time i builds the full outcome.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .codes import ConvCode, _window_coeffs, _window_rhs
 from .config import enumeration_cap
@@ -107,8 +111,7 @@ class ParamSpace:
 # window systems
 
 
-@dataclass(frozen=True)
-class WindowRow:
+class WindowRow(NamedTuple):
     """One renormalized parity equation restricted to the erased columns.
 
     The original scaled equation is coeffs * p^stratum (same for rhs); the
@@ -482,57 +485,96 @@ class _Plan:
     """The value-free half of a fold-free recursion for one erasure pattern.
 
     Per stage its pivots, row transform mod p and report; then the final
-    parameter part of every column form.
+    parameter part of every column form, proven against the pattern's raw
+    rows; and whether that part is zero on every time-0 column, in which
+    case a window's time-0 values are its constant column.
     """
 
     stages: list[tuple[list[int], list[list[int]], DigitStage]]
     params: list[tuple[int, ...]]
+    head_fixed: bool
 
 
 def _compile(sys: WindowSystem) -> tuple[DecodeOutcome, _Plan | None]:
-    """list_decode(sys), and the plan of its pattern unless it folded or is invalid."""
+    """list_decode(sys), and the plan of its pattern unless it folded or is invalid.
+
+    The kept rows of a valid window depend only on the pattern, so the
+    parameter half of the list's row check is made here once:
+    orig_coeffs . params_k == 0 mod q for every row and parameter k.
+    """
     track: list = []
     outcome = _decode(sys, track)
     if not outcome.branches or outcome.branches[0].space.events:
         return outcome, None
-    return outcome, _Plan(track, [tuple(g[1:]) for g in outcome.branches[0].forms])
+    params = [tuple(g[1:]) for g in outcome.branches[0].forms]
+    _check_rows(sys.rows, None, list(zip(*params)), sys.code.ctx.q)
+    head = sum(t == sys.i for t, _ in sys.columns)
+    return outcome, _Plan(track, params, not any(map(any, params[:head])))
 
 
-def _replay(plan: _Plan, sys: WindowSystem) -> DecodeOutcome | None:
-    """list_decode(sys) from its pattern's plan, with no elimination.
+def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
+    """The constant column of list_decode(sys) from its pattern's plan, with no elimination.
 
     Each stage transforms digit t of rhs - A G on the constant column
     alone.  None when the window is invalid (list_decode then derives the
-    witness).  Every replayed list passes the row check of materialize_list.
+    witness).  The column is checked against every raw row,
+    orig_coeffs . consts == orig_rhs mod q; with the parameter half proven
+    at compile time, that is the row check of materialize_list.
     """
     if sys.invalid_witness is not None:
         return None
     ctx = sys.code.ctx
-    p, q, e = ctx.p, ctx.q, sys.e
-    consts = [0] * e
-    branch = _Branch(ParamSpace(p), e)
+    p, q, r = ctx.p, ctx.q, ctx.r
+    consts = [0] * sys.e
     for pivots, transform, stage in plan.stages:
         pt = p**stage.t
+        top = r - 1 - stage.t
         digits = [
             (row.rhs - sum(map(mul, row.coeffs, consts))) % q // pt
             for row in sys.rows
-            if row.stratum <= ctx.r - 1 - stage.t
+            if row.stratum <= top
         ]
         reduced = [sum(map(mul, tf, digits)) % p for tf in transform]
         if any(reduced[len(pivots) :]):
             return None
-        particular = [0] * e
+        # stage t writes digit t of its pivot columns only
         for x, col in zip(reduced, pivots):
-            particular[col] = x
-            consts[col] = (consts[col] + pt * x) % q
-        solutions = AffineSet(p, e, True, tuple(particular), stage.solutions.basis)
+            consts[col] += pt * x
+    _check_rows(sys.rows, consts, (), q)
+    return consts
+
+
+def _replayed_outcome(plan: _Plan, sys: WindowSystem, consts: list[int]) -> DecodeOutcome:
+    """list_decode(sys) from its replayed constant column and the plan.
+
+    A column's stage-t particular value is digit t of its constant: the
+    stage's pivot digit, or 0 where the column was free.
+    """
+    p, e = sys.code.ctx.p, sys.e
+    branch = _Branch(ParamSpace(p), e)
+    for _, _, stage in plan.stages:
+        pt = p**stage.t
+        particular = tuple(c // pt % p for c in consts)
+        solutions = AffineSet(p, e, True, particular, stage.solutions.basis)
         branch.stages.append(DigitStage(stage.t, stage.rank, stage.new_params, solutions))
     branch.space.n_params = len(plan.params[0])
     branch.forms = [[c, *g] for c, g in zip(consts, plan.params)]
-    outcome = _outcome(sys, branch)
-    if outcome.kind == "list":
-        materialize_list(outcome, limit=1)  # the row check of the whole list
-    return outcome
+    return _outcome(sys, branch)
+
+
+def _check_rows(rows: Sequence[WindowRow], consts, param_cols, q: int) -> None:
+    """Raise unless column forms solve every raw row, coefficient by coefficient.
+
+    The constant column consts (unless None) must give each row's orig_rhs
+    mod q, and every parameter column in param_cols must give 0.
+    """
+    holds = all(sum(map(mul, row.orig_coeffs, col)) % q == 0 for col in param_cols for row in rows)
+    if consts is not None:
+        holds = holds and all(
+            (sum(map(mul, row.orig_coeffs, consts)) - row.orig_rhs) % q == 0 for row in rows
+        )
+    if not holds:
+        raise AssertionError("the list violates the parity equations")
 
 
 def materialize_list(
@@ -557,11 +599,8 @@ def materialize_list(
     (branch,) = outcome.branches
     # every member is the column forms at an integer assignment, so raw rows
     # holding coefficient by coefficient prove the whole list
-    entries = list(zip(*branch.forms))
-    for row in sys.rows:
-        R = [sum(map(mul, row.orig_coeffs, col)) % q for col in entries]
-        if (R[0] - row.orig_rhs) % q or any(R[1:]):
-            raise AssertionError("the list violates the parity equations")
+    consts, *param_cols = zip(*branch.forms)
+    _check_rows(sys.rows, consts, param_cols, q)
     windows = []
     for values in itertools.islice(branch.space.assignments(), max(limit, 1)):
         x = (1, *values)
@@ -677,8 +716,10 @@ def sequential_decode(
     A store kept for this call, keyed on the delay and the erasure pattern
     relative to i, holds each pattern's window rows and plan: later windows
     of a pattern assemble only their right-hand sides and replay its second
-    window's eliminations on the constant column; folding patterns and
-    invalid windows run list_decode.  Outcomes equal list_decode's.
+    window's eliminations on the constant column.  Time i is committed from
+    that column when the plan leaves no parameter on it; otherwise the full
+    outcome is built from the same replay.  Folding patterns and invalid
+    windows run list_decode.  Decisions and outcomes equal list_decode's.
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -689,7 +730,7 @@ def sequential_decode(
 
     def next_erased(start: int) -> int | None:
         for t in range(start, len(work)):
-            if any(x is None for x in work[t]):
+            if None in work[t]:
                 return t
         return None
 
@@ -700,24 +741,29 @@ def sequential_decode(
             return SequentialResult(stream=work, decisions=decisions)
         Tw = T if terminated else min(T, len(work) - 1 - i)
         sys = build_window_system(code, work, i, Tw, terminated=terminated, store=patterns)
-        pattern = sys.pattern
+        pattern, plan = sys.pattern, sys.pattern.plan
         if pattern.sightings == 1:
             outcome, pattern.plan = _compile(sys)
+        elif plan is not None and (consts := _replay(plan, sys)) is not None:
+            outcome = None if plan.head_fixed else _replayed_outcome(plan, sys, consts)
         else:
-            outcome = (pattern.plan and _replay(pattern.plan, sys)) or list_decode(sys)
+            outcome = list_decode(sys)
         pattern.sightings += 1
-        if outcome.kind == "invalid":
+        if outcome is not None and outcome.kind == "invalid":
             verdict = (i, "invalid") if picked is None else (i, "invalid-after-guess", picked)
             decisions.append(verdict)
             return SequentialResult(
                 stream=work, decisions=decisions, halted_at=i, last_outcome=outcome
             )
+        # the columns are time-major, so time i's come first
         target_cols = [k for k, (t, _) in enumerate(sys.columns) if t == i]
-        got = project_values(outcome, target_cols)
+        if outcome is None:
+            got = dict(zip(target_cols, consts))
+        else:
+            got = project_values(outcome, target_cols)
         if got is not None:
-            for k, (t, c) in enumerate(sys.columns):
-                if k in got:
-                    work[t][c] = got[k]
+            for k, x in got.items():
+                work[i][sys.columns[k][1]] = x
             decisions.append((i, "unique"))
             t0 = i + 1
             continue

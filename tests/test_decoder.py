@@ -633,6 +633,19 @@ def _plan_stream(code, seed, length, eps, corrupt=False):
     return rx
 
 
+def _burst_stream(code, seed, length, burst, period):
+    """A seeded stream whose first burst symbols in every period are erased.
+
+    Every burst repeats one relative pattern.  With T = 2, bursts of two in
+    eight are lists at their first time on the PLAN_CODES, so "first" picks
+    there; every other symbol erased gives unique times in list windows.
+    """
+    rng = random.Random(seed)
+    q = code.ctx.q
+    sent = code.encode([[rng.randrange(q) for _ in range(code.k)] for _ in range(length)])
+    return [[None] * code.n if t % period < burst else sym for t, sym in enumerate(sent)]
+
+
 def _outcome_key(out):
     forms = [g for br in out.branches for g in br.forms]
     return (out.kind, out.list_size, out.invalid_witness, out.window, out.stages, forms)
@@ -672,20 +685,36 @@ def _reference_sequential(code, received, T, policy, terminated):
 class TestPlanReplay:
     @pytest.mark.parametrize("name", sorted(PLAN_CODES))
     def test_replays_equal_list_decode(self, name, monkeypatch):
+        # a value-only replay commits exactly list_decode's time-i values,
+        # and the whole outcome built from any replay is list_decode's
         code = generate_code(**PLAN_CODES[name])
-        replay = decoder._replay
-        replays = []
+        replay, replayed_outcome = decoder._replay, decoder._replayed_outcome
+        commits, outcomes, built = [], [], []
 
-        def checked(plan, sysw):
-            out = replay(plan, sysw)
-            if out is not None:
-                replays.append(out.kind)
-                assert _outcome_key(out) == _outcome_key(list_decode(sysw))
+        def checked_replay(plan, sysw):
+            consts = replay(plan, sysw)
+            if consts is not None:
+                reference = list_decode(sysw)
+                out = replayed_outcome(plan, sysw, consts)
+                outcomes.append(out.kind)
+                assert _outcome_key(out) == _outcome_key(reference)
+                if plan.head_fixed:
+                    head = [k for k, (t, _) in enumerate(sysw.columns) if t == sysw.i]
+                    committed = dict(zip(head, consts))
+                    assert committed == project_values(reference, head)
+                    commits.append(committed)
+            return consts
+
+        def checked_outcome(plan, sysw, consts):
+            out = replayed_outcome(plan, sysw, consts)
+            built.append(out.kind)
+            assert _outcome_key(out) == _outcome_key(list_decode(sysw))
             return out
 
-        monkeypatch.setattr(decoder, "_replay", checked)
+        monkeypatch.setattr(decoder, "_replay", checked_replay)
+        monkeypatch.setattr(decoder, "_replayed_outcome", checked_outcome)
         streams = [_plan_stream(code, s, 60 + 20 * s, 0.15, corrupt=s == 3) for s in range(4)]
-        for rx in [*streams, _plan_stream(code, 4, 30, None)]:
+        for rx in [*streams, _plan_stream(code, 4, 30, None), _burst_stream(code, 5, 40, 2, 8)]:
             for T in (1, 2, 3):
                 for policy in ("halt", "first"):
                     for terminated in (True, False):
@@ -696,9 +725,29 @@ class TestPlanReplay:
                         assert (res.last_outcome is None) == (last is None)
                         if last is not None:
                             assert _outcome_key(res.last_outcome) == _outcome_key(last)
-        assert len(replays) > 50 and "unique" in replays
+        assert len(commits) > 50
+        assert "list" in built  # the picks at the bursts
         if name == "z4":
-            assert "list" in replays
+            assert "list" in outcomes
+
+    def test_value_only_share(self, monkeypatch):
+        # most windows of a long stream commit from the constant column
+        # alone (448 of 692 here); a silent fallback to the full outcome
+        # fails here
+        code = generate_code(**PLAN_CODES["z9"])
+        rx = _plan_stream(code, 1, 2000, 0.10)
+        replay = decoder._replay
+        value_only = []
+
+        def counted(plan, sysw):
+            consts = replay(plan, sysw)
+            value_only.append(consts is not None and plan.head_fixed)
+            return consts
+
+        monkeypatch.setattr(decoder, "_replay", counted)
+        res = sequential_decode(code, rx, 2)
+        assert res.complete
+        assert sum(value_only) >= 0.6 * len(res.decisions)
 
     def test_store_is_per_call_and_saves_ops(self):
         code = generate_code(**PLAN_CODES["z9"])
@@ -732,3 +781,83 @@ class TestPlanReplay:
         monkeypatch.setattr(decoder, "_compile", corrupted)
         with pytest.raises(AssertionError, match="violates the parity equations"):
             sequential_decode(code, rx, 2)
+
+    @pytest.mark.parametrize("name", sorted(PLAN_CODES))
+    def test_corrupted_plan_params_raises(self, name, monkeypatch):
+        # one parameter coefficient of the first plan with parameters is off
+        # by one; the compile-time check of the parameter half must stop the
+        # decode in the compiling window, before it commits
+        code = generate_code(**PLAN_CODES[name])
+        q = code.ctx.q
+        # every window commits its unique first time from the constant
+        # column, so only the compile-time check reads the parameters
+        rx = _burst_stream(code, 1, 40, 1, 2)
+        decode_, build = decoder._decode, decoder.build_window_system
+        starts, corrupted_at = [], []
+
+        def corrupted(sysw, track=None):
+            out = decode_(sysw, track)
+            if track is None or corrupted_at or not out.branches:
+                return out
+            branch = out.branches[0]
+            if branch.space.events or branch.space.n_params == 0:
+                return out
+            # a column some row reads, so the off-by-one shows in that row
+            col = next(k for k in range(sysw.e) if any(row.orig_coeffs[k] % q for row in sysw.rows))
+            branch.forms[col][1] += 1  # the plan takes its params from these forms
+            corrupted_at.append(sysw.i)
+            return out
+
+        def recorded(code, received, i, *args, **kwargs):
+            starts.append(i)
+            return build(code, received, i, *args, **kwargs)
+
+        monkeypatch.setattr(decoder, "_decode", corrupted)
+        monkeypatch.setattr(decoder, "build_window_system", recorded)
+        with pytest.raises(AssertionError, match="violates the parity equations"):
+            sequential_decode(code, rx, 2)
+        # the window that compiled the plan was the last one built
+        assert corrupted_at == starts[-1:]
+
+
+@st.composite
+def sequential_cases(draw):
+    """A received stream for sequential_decode over a code of the pattern store test.
+
+    Erasures are iid, or the same coordinates every period symbols, so that
+    patterns repeat; one known symbol may be off.  Returns (code, received,
+    T, policy, terminated).
+    """
+    code = _store_code(draw(st.integers(0, 3)), draw(st.integers(0, 2)))
+    n, q = code.n, code.ctx.q
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    length = draw(st.integers(4, 40))
+    rx = code.encode([[rng.randrange(q) for _ in range(code.k)] for _ in range(length)])
+    if draw(st.booleans()):
+        eps = draw(st.sampled_from([0.05, 0.15, 0.3]))
+        erased = {(t, c) for t in range(len(rx)) for c in range(n) if rng.random() < eps}
+    else:
+        cols = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        erased = {(t, c) for t in range(0, len(rx), draw(st.integers(1, 4))) for c in cols}
+    rx = [[None if (t, c) in erased else x for c, x in enumerate(sym)] for t, sym in enumerate(rx)]
+    if draw(st.booleans()):
+        known = [(t, c) for t, sym in enumerate(rx) for c, x in enumerate(sym) if x is not None]
+        if known:
+            t, c = draw(st.sampled_from(known))
+            rx[t][c] = (rx[t][c] + draw(st.integers(1, q - 1))) % q
+    T = draw(st.integers(0, 3))
+    return code, rx, T, draw(st.sampled_from(["halt", "first"])), draw(st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequential_cases())
+def test_sequential_matches_list_decode_reference(case):
+    # plans, value-only replays and rebuilt outcomes decide exactly as
+    # list_decode on every window does
+    code, rx, T, policy, terminated = case
+    res = sequential_decode(code, rx, T, policy=policy, terminated=terminated)
+    work, decisions, halted_at, last = _reference_sequential(code, rx, T, policy, terminated)
+    assert (res.stream, res.decisions, res.halted_at) == (work, decisions, halted_at)
+    assert (res.last_outcome is None) == (last is None)
+    if last is not None:
+        assert _outcome_key(res.last_outcome) == _outcome_key(last)

@@ -22,9 +22,10 @@ import json
 import random
 import sys
 import time
+from dataclasses import replace
 
 from . import files
-from .codes import ConvCode, is_observable
+from .codes import ConvCode, _exact_parity_check, is_observable
 from .decoder import (
     build_window_system,
     list_decode,
@@ -32,7 +33,7 @@ from .decoder import (
     oracle_decode,
     sequential_decode,
 )
-from .errors import ConvringError, GenerationFailed
+from .errors import ConstructionError, ConvringError, GenerationFailed, NotLeftPrime
 from .linsolve import OPS
 from .ring import RingContext
 
@@ -95,10 +96,11 @@ def generate_code(
             continue
         if code.k_blocks != tuple(k_blocks):
             continue
-        if not is_observable(code):
-            continue
-        code = code.with_parity_check()
-        return code
+        try:
+            syn = _exact_parity_check(code)
+        except (NotLeftPrime, ConstructionError):
+            continue  # not observable, or a degenerate generator stack
+        return replace(code, h_blocks=syn.h_blocks, synthesis=syn)
     raise GenerationFailed(f"no observable code found in {retries} attempts")
 
 

@@ -380,25 +380,35 @@ def synthesize_parity_check(code: ConvCode) -> ParityCheck:
     """
     if code.g_blocks is None:
         raise ValueError("code has no generator side")
+    try:
+        return _exact_parity_check(code)
+    except NotLeftPrime:
+        pass
     ctx = code.ctx
-    n, k, r = code.n, code.k, code.ctx.r
+    gstack = code.generator_stack()
+    M = gstack.vstack(_fraction_field_completion(gstack.proj()).lift(ctx))
+    W, d = adjugate(M.transpose())
+    if d.proj().is_zero:
+        raise ConstructionError("could not border the generator to a nonsingular matrix")
+    L, h_blocks = _cut_layers(W, list(code.k_blocks) + [code.n - code.k], ctx.r)
+    return ParityCheck(h_blocks=h_blocks, L=L, p_diag=(d,) * code.n, exact_kernel=False)
+
+
+def _exact_parity_check(code: ConvCode) -> ParityCheck:
+    """The parity check of an observable code, whose kernel equals the code.
+
+    Raises ConstructionError when the generator stack is degenerate and
+    NotLeftPrime when the code is not observable; the completion's Smith
+    form decides the latter, so no separate is_observable is needed.
+    """
+    ctx = code.ctx
     gstack = code.generator_stack()
     gp = gstack.proj()
     if gp.rows == 0 or rank(gp) != gp.rows:
         raise ConstructionError("generator stack is degenerate")
-    try:
-        W = _unimodular_dual(gstack, ctx)
-    except NotLeftPrime:
-        M = gstack.vstack(_fraction_field_completion(gp).lift(ctx))
-        W, d = adjugate(M.transpose())
-        if d.proj().is_zero:
-            raise ConstructionError("could not border the generator to a nonsingular matrix")
-        observable = False
-    else:
-        d = Poly.one(ctx)
-        observable = True
-    L, h_blocks = _cut_layers(W, list(code.k_blocks) + [n - k], r)
-    return ParityCheck(h_blocks=h_blocks, L=L, p_diag=(d,) * n, exact_kernel=observable)
+    W = _unimodular_dual(gstack, ctx)
+    L, h_blocks = _cut_layers(W, list(code.k_blocks) + [code.n - code.k], ctx.r)
+    return ParityCheck(h_blocks=h_blocks, L=L, p_diag=(Poly.one(ctx),) * code.n, exact_kernel=True)
 
 
 def _fraction_field_completion(gp: PolyMatrix) -> PolyMatrix:

@@ -33,13 +33,15 @@ enter only through one dot product per row, its right-hand side.  The
 column forms are checked once against the raw rows, and the brute-force
 oracle enumerates against them.
 
-Pivots, folds and the parameter part of every form depend only on the
-pattern as well.  So a sequential decode keeps one store per call, keyed
-on the delay and the relative pattern: each window's pattern part, and
-the plan made from a fold-free pattern's second window, with each stage's
-row transform and the final parameter part, checked against the raw rows
-once when the plan is made.  Later windows replay only the constant
-column, with no elimination, and check it against their raw rows; the two
+Pivots, folds, row operations and the parameter part of every form
+depend only on the pattern as well.  Each digit stage logs the row
+operations of its elimination (rref_mod_p's log), so a sequential decode
+keeps one store per call, keyed on the delay and the relative pattern:
+each window's pattern part, and the plan that the first valid, fold-free
+list_decode of the pattern leaves, with each stage's pivots and log and
+the final parameter part, checked against the raw rows once when the
+plan is made.  Later windows replay the logs on the constant column
+alone, with no elimination, and check it against their raw rows; the two
 halves make up the row check of the whole list.  Where the plan leaves
 no parameter on time i, a replayed window commits time i straight from
 its constant column; only a list at time i builds the full outcome.
@@ -48,15 +50,22 @@ its constant column; only a list at time i builds the full outcome.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from math import gcd
-from operator import mul
+from operator import add, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .codes import ConvCode, _window_coeffs, _window_rhs
 from .config import enumeration_cap
 from .errors import CapExceeded, InvalidReceived
-from .linsolve import AffineSet, ConstMatrix, enumerate_solutions, mccoy_unique, rref_mod_p
+from .linsolve import (
+    AffineSet,
+    ConstMatrix,
+    enumerate_solutions,
+    mccoy_unique,
+    replay_rref_log,
+    rref_mod_p,
+)
 from .ring import RingContext
 
 Symbol = Sequence[int | None]
@@ -176,11 +185,11 @@ class _Pattern:
 
     columns are the erased (time - i, coord) pairs; equations hold, per
     parity equation in kernel order, (time - i, h_row, stratum, p^stratum,
-    renormalized coeffs, orig coeffs).  A sequential decode also counts its
-    windows of the pattern and keeps the pattern's plan here.
+    renormalized coeffs, orig coeffs).  A sequential decode also keeps the
+    pattern's plan here.
     """
 
-    __slots__ = ("columns", "equations", "sightings", "plan")
+    __slots__ = ("columns", "equations", "plan")
 
     def __init__(self, code: ConvCode, T: int, erased: Sequence[int]):
         ctx, n = code.ctx, code.n
@@ -192,7 +201,6 @@ class _Pattern:
             pv, orig = ctx.p**v, tuple(acc)
             coeffs = tuple(a // pv for a in acc) if v else orig
             self.equations.append((k // m, k % m, v, pv, coeffs, orig))
-        self.sightings = 0
         self.plan: _Plan | None = None
 
 
@@ -297,14 +305,17 @@ class _Branch:
     forms[col] is the column's recombined value sum_t p^t f_t mod q over
     the stages run so far, as a dense integer list [const, c_0, ...,
     c_{P-1}] over all P parameters (a folded parameter keeps coefficient 0).
+    logs holds, per finished stage, its pivots and the row-operation log of
+    its last elimination pass.
     """
 
-    __slots__ = ("space", "forms", "stages")
+    __slots__ = ("space", "forms", "stages", "logs")
 
     def __init__(self, space: ParamSpace, e: int):
         self.space = space
         self.forms: list[list[int]] = [[0] for _ in range(e)]
         self.stages: list[DigitStage] = []
+        self.logs: list[tuple[list[int], list]] = []
 
 
 def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
@@ -340,39 +351,34 @@ def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
     return True
 
 
-def _run_stage(
-    branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: RingContext, track=None
-):
+def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: RingContext):
     """Advance the recursion through digit stage t; an invalid witness or None.
 
     Each pass is one augmented elimination: the stage rows mod p, followed
     by their payload digit t of rhs - A G as dense columns over [const,
     params].  A dependent row with a nonzero payload is folded and the pass
-    repeats.  With a track list, an identity block rides along as further
-    columns, and the last pass's pivots, row transform mod p and stage
-    report are appended to track.
+    repeats.  The last pass's pivots and row-operation log go to
+    branch.logs, beside the stage report.
     """
     p, q = ctx.p, ctx.q
     pt = p**t
     while True:
         entries = list(zip(*branch.forms))  # one tuple over the columns per form entry
-        end = e + len(entries)
         mat = []
-        for j, row in enumerate(rows_t):
+        for row in rows_t:
             R = [-sum(map(mul, row.coeffs, col)) % q for col in entries]
             R[0] = (R[0] + row.rhs) % q
             # the earlier stage identities hold coefficient by coefficient,
             # so p^t divides R identically
             assert not any(x % pt for x in R)
             mat.append([*row.coeffs, *(x // pt for x in R)])
-            if track is not None:
-                mat[-1].extend(int(k == j) for k in range(len(rows_t)))
-        pivots = rref_mod_p(mat, p, ncols=e)
+        log: list = []
+        pivots = rref_mod_p(mat, p, ncols=e, log=log)
         # a dependent row whose payload is not zero constrains the parameters
-        idx = next((k for k in range(len(pivots), len(mat)) if any(mat[k][e:end])), None)
+        idx = next((k for k in range(len(pivots), len(mat)) if any(mat[k][e:])), None)
         if idx is None:
             break
-        if not _fold(branch, mat[idx][e:end], q):
+        if not _fold(branch, mat[idx][e:], q):
             return ("stage", t, idx)
 
     # free columns get new parameters; a pivot column's digit is its
@@ -389,7 +395,7 @@ def _run_stage(
     basis = [[0] * e for _ in free]
     for ridx, col in enumerate(pivots):
         row = mat[ridx]
-        f = row[e:end] + [-row[c] % q for c in free]
+        f = row[e:] + [-row[c] % q for c in free]
         g = branch.forms[col]
         g[:] = [(a + pt * x) % q for a, x in zip(g, f)]
         particular[col] = row[e]
@@ -405,8 +411,7 @@ def _run_stage(
             solutions=AffineSet(p, e, True, tuple(particular), tuple(map(tuple, basis))),
         )
     )
-    if track is not None:
-        track.append((pivots, [row[end:] for row in mat], branch.stages[-1]))
+    branch.logs.append((pivots, log))
     return None
 
 
@@ -438,11 +443,6 @@ def list_decode(sys: WindowSystem) -> DecodeOutcome:
     outcome carries the per-stage reports, and materialize_list enumerates
     the actual windows.
     """
-    return _decode(sys)
-
-
-def _decode(sys: WindowSystem, track=None) -> DecodeOutcome:
-    """list_decode, with each stage's pivots, row transform and report added to track."""
     ctx = sys.code.ctx
     if sys.invalid_witness is not None:
         return DecodeOutcome(kind="invalid", system=sys, invalid_witness=sys.invalid_witness)
@@ -454,7 +454,7 @@ def _decode(sys: WindowSystem, track=None) -> DecodeOutcome:
     branch = _Branch(ParamSpace(ctx.p), e)
     for t in range(ctx.r):
         rows_t = [row for row in sys.rows if row.stratum <= ctx.r - 1 - t]
-        witness = _run_stage(branch, rows_t, t, e, ctx, track)
+        witness = _run_stage(branch, rows_t, t, e, ctx)
         if witness is not None:
             return DecodeOutcome(kind="invalid", system=sys, invalid_witness=witness)
     return _outcome(sys, branch)
@@ -484,49 +484,54 @@ def _outcome(sys: WindowSystem, branch: _Branch) -> DecodeOutcome:
 class _Plan:
     """The value-free half of a fold-free recursion for one erasure pattern.
 
-    Per stage its pivots, row transform mod p and report; then the final
-    parameter part of every column form, proven against the pattern's raw
-    rows; and whether that part is zero on every time-0 column, in which
-    case a window's time-0 values are its constant column.
+    Per stage its pivots, the row-operation log of its elimination and its
+    report; then the final parameter part of every column form, proven
+    against the pattern's raw rows; and whether that part is zero on every
+    time-0 column, in which case a window's time-0 values are its constant
+    column.
     """
 
-    stages: list[tuple[list[int], list[list[int]], DigitStage]]
+    stages: list[tuple[list[int], list, DigitStage]]
     params: list[tuple[int, ...]]
     head_fixed: bool
 
 
-def _compile(sys: WindowSystem) -> tuple[DecodeOutcome, _Plan | None]:
-    """list_decode(sys), and the plan of its pattern unless it folded or is invalid.
+def _make_plan(outcome: DecodeOutcome) -> _Plan | None:
+    """The plan left by list_decode's outcome, None when it folded or is invalid.
 
     The kept rows of a valid window depend only on the pattern, so the
     parameter half of the list's row check is made here once:
-    orig_coeffs . params_k == 0 mod q for every row and parameter k.
+    orig_coeffs . params_k == 0 mod q for every row and parameter k.  (A
+    unique outcome has no parameters, and materialize_list has proven its
+    forms already.)
     """
-    track: list = []
-    outcome = _decode(sys, track)
     if not outcome.branches or outcome.branches[0].space.events:
-        return outcome, None
-    params = [tuple(g[1:]) for g in outcome.branches[0].forms]
+        return None
+    (branch,) = outcome.branches
+    sys = outcome.system
+    params = [tuple(g[1:]) for g in branch.forms]
     _check_rows(sys.rows, None, list(zip(*params)), sys.code.ctx.q)
     head = sum(t == sys.i for t, _ in sys.columns)
-    return outcome, _Plan(track, params, not any(map(any, params[:head])))
+    stages = [(pivots, log, stage) for (pivots, log), stage in zip(branch.logs, branch.stages)]
+    return _Plan(stages, params, not any(map(any, params[:head])))
 
 
 def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
     """The constant column of list_decode(sys) from its pattern's plan, with no elimination.
 
-    Each stage transforms digit t of rhs - A G on the constant column
-    alone.  None when the window is invalid (list_decode then derives the
-    witness).  The column is checked against every raw row,
-    orig_coeffs . consts == orig_rhs mod q; with the parameter half proven
-    at compile time, that is the row check of materialize_list.
+    Each stage replays its logged row operations on digit t of rhs - A G
+    for the constant column alone.  None when the window is invalid
+    (list_decode then derives the witness).  The column is checked against
+    every raw row, orig_coeffs . consts == orig_rhs mod q; with the
+    parameter half proven when the plan was made, that is the row check of
+    materialize_list.
     """
     if sys.invalid_witness is not None:
         return None
     ctx = sys.code.ctx
     p, q, r = ctx.p, ctx.q, ctx.r
     consts = [0] * sys.e
-    for pivots, transform, stage in plan.stages:
+    for pivots, log, stage in plan.stages:
         pt = p**stage.t
         top = r - 1 - stage.t
         digits = [
@@ -534,7 +539,7 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
             for row in sys.rows
             if row.stratum <= top
         ]
-        reduced = [sum(map(mul, tf, digits)) % p for tf in transform]
+        reduced = replay_rref_log(log, digits, p)
         if any(reduced[len(pivots) :]):
             return None
         # stage t writes digit t of its pivot columns only
@@ -560,6 +565,36 @@ def _replayed_outcome(plan: _Plan, sys: WindowSystem, consts: list[int]) -> Deco
     branch.space.n_params = len(plan.params[0])
     branch.forms = [[c, *g] for c, g in zip(consts, plan.params)]
     return _outcome(sys, branch)
+
+
+def _planned_decode(
+    sys: WindowSystem, counts: PlanCounts
+) -> tuple[DecodeOutcome | None, list[int] | None]:
+    """list_decode(sys) through its pattern's plan: (outcome, constant column).
+
+    A pattern with no plan runs list_decode, whose outcome leaves the plan
+    unless it folded or is invalid.  Later windows replay the plan: the
+    outcome is None when the plan leaves time i free of parameters, whose
+    values are then the column's, and is built from the column otherwise.
+    A replay that finds the window invalid hands it to list_decode.  The
+    path taken is counted in counts.
+    """
+    pattern = sys.pattern
+    plan = pattern.plan
+    if plan is None:
+        counts.first_decodes += 1
+        outcome = list_decode(sys)
+        pattern.plan = _make_plan(outcome)
+        return outcome, None
+    consts = _replay(plan, sys)
+    if consts is None:
+        counts.fallbacks += 1
+        return list_decode(sys), None
+    if plan.head_fixed:
+        counts.value_replays += 1
+        return None, consts
+    counts.outcome_replays += 1
+    return _replayed_outcome(plan, sys, consts), consts
 
 
 def _check_rows(rows: Sequence[WindowRow], consts, param_cols, q: int) -> None:
@@ -681,6 +716,23 @@ def project_values(outcome: DecodeOutcome, cols: Sequence[int]) -> dict[int, int
 
 
 @dataclass
+class PlanCounts:
+    """How the windows of a sequential decode were decoded; one count per decision.
+
+    first_decodes ran list_decode on a pattern with no plan: once per
+    pattern, and on every window of a pattern whose decode folds.
+    value_replays committed time i from the replayed constant column,
+    outcome_replays built the list outcome from it, and fallbacks are
+    replays that found the window invalid and ran list_decode.
+    """
+
+    first_decodes: int = 0
+    value_replays: int = 0
+    outcome_replays: int = 0
+    fallbacks: int = 0
+
+
+@dataclass
 class SequentialResult:
     """Per-time decisions of a sequential pass over a received stream."""
 
@@ -688,6 +740,7 @@ class SequentialResult:
     decisions: list[tuple]
     halted_at: int | None = None
     last_outcome: DecodeOutcome | None = None
+    plan_counts: PlanCounts = field(default_factory=PlanCounts)
 
     @property
     def complete(self) -> bool:
@@ -714,12 +767,14 @@ def sequential_decode(
     the guess, not the received word, may be at fault.
 
     A store kept for this call, keyed on the delay and the erasure pattern
-    relative to i, holds each pattern's window rows and plan: later windows
-    of a pattern assemble only their right-hand sides and replay its second
-    window's eliminations on the constant column.  Time i is committed from
-    that column when the plan leaves no parameter on it; otherwise the full
+    relative to i, holds each pattern's window rows and plan: the first
+    list_decode of a pattern leaves the plan, its elimination logs, and
+    later windows of the pattern assemble only their right-hand sides and
+    replay the logs on the constant column.  Time i is committed from that
+    column when the plan leaves no parameter on it; otherwise the full
     outcome is built from the same replay.  Folding patterns and invalid
-    windows run list_decode.  Decisions and outcomes equal list_decode's.
+    windows run list_decode.  Decisions and outcomes equal list_decode's;
+    plan_counts says which path each window took.
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -727,6 +782,7 @@ def sequential_decode(
     decisions: list[tuple] = []
     picked = None
     patterns: dict[tuple, _Pattern] = {}  # per (Tw, pattern relative to i)
+    counts = PlanCounts()
 
     def next_erased(start: int) -> int | None:
         for t in range(start, len(work)):
@@ -738,23 +794,14 @@ def sequential_decode(
     while True:
         i = next_erased(t0)
         if i is None:
-            return SequentialResult(stream=work, decisions=decisions)
+            return SequentialResult(stream=work, decisions=decisions, plan_counts=counts)
         Tw = T if terminated else min(T, len(work) - 1 - i)
         sys = build_window_system(code, work, i, Tw, terminated=terminated, store=patterns)
-        pattern, plan = sys.pattern, sys.pattern.plan
-        if pattern.sightings == 1:
-            outcome, pattern.plan = _compile(sys)
-        elif plan is not None and (consts := _replay(plan, sys)) is not None:
-            outcome = None if plan.head_fixed else _replayed_outcome(plan, sys, consts)
-        else:
-            outcome = list_decode(sys)
-        pattern.sightings += 1
+        outcome, consts = _planned_decode(sys, counts)
         if outcome is not None and outcome.kind == "invalid":
             verdict = (i, "invalid") if picked is None else (i, "invalid-after-guess", picked)
             decisions.append(verdict)
-            return SequentialResult(
-                stream=work, decisions=decisions, halted_at=i, last_outcome=outcome
-            )
+            return SequentialResult(work, decisions, i, outcome, counts)
         # the columns are time-major, so time i's come first
         target_cols = [k for k, (t, _) in enumerate(sys.columns) if t == i]
         if outcome is None:
@@ -769,9 +816,7 @@ def sequential_decode(
             continue
         if policy == "halt":
             decisions.append((i, "list", outcome.list_size))
-            return SequentialResult(
-                stream=work, decisions=decisions, halted_at=i, last_outcome=outcome
-            )
+            return SequentialResult(work, decisions, i, outcome, counts)
         windows, _ = materialize_list(outcome, limit=branch_budget if policy == "branch" else 1)
         if policy == "first":
             window = windows[0]
@@ -793,8 +838,7 @@ def sequential_decode(
             if sub.complete:
                 decisions.append((i, "branched", outcome.list_size))
                 decisions.extend(sub.decisions)
-                return SequentialResult(stream=sub.stream, decisions=decisions)
+                total = PlanCounts(*map(add, astuple(counts), astuple(sub.plan_counts)))
+                return SequentialResult(stream=sub.stream, decisions=decisions, plan_counts=total)
         decisions.append((i, "list", outcome.list_size))
-        return SequentialResult(
-            stream=work, decisions=decisions, halted_at=i, last_outcome=outcome
-        )
+        return SequentialResult(work, decisions, i, outcome, counts)

@@ -7,8 +7,10 @@ the row operations but never hold a pivot.  Odd p reduce list rows; over
 Z_2 each row is packed into one int, one byte per entry, and eliminated
 by XOR.  rref_mod_p is also the single place where Z_p multiply-accumulate
 operations are counted (the same count on both paths), so decoding cost
-measurements all flow through OPS.  The brute-force enumerator behind the
-decoding oracle and the distance searches lives here too.
+measurements all flow through OPS.  It can log its row operations, and
+replay_rref_log applies a log to one more column without eliminating
+again.  The brute-force enumerator behind the decoding oracle and the
+distance searches lives here too.
 """
 
 from __future__ import annotations
@@ -92,7 +94,9 @@ class ConstMatrix:
         return f"ConstMatrix({self.rows}x{self.cols} mod {self.ctx.q}: {self.data})"
 
 
-def rref_mod_p(rows: list[list[int]], p: int, ncols: int | None = None) -> list[int]:
+def rref_mod_p(
+    rows: list[list[int]], p: int, ncols: int | None = None, log: list | None = None
+) -> list[int]:
     """In-place reduced row echelon form over Z_p; returns pivot columns.
 
     Pivots are sought only among the first ncols columns (all by default);
@@ -101,13 +105,20 @@ def rref_mod_p(rows: list[list[int]], p: int, ncols: int | None = None) -> list[
     columns only.  Entries may be any integers; the rows come back reduced
     into [0, p).  Over Z_2 each row is packed into one int, one byte per
     entry, and eliminated by XOR.
+
+    With a log list, the row operations are appended to it, one entry per
+    pivot k: (the row swapped into row k, the scale factor of row k, and
+    the (row, factor) eliminations row -= factor * row k).  Over Z_2 the
+    scale is 1 and the eliminations are the rows of the XOR hits alone.
+    replay_rref_log applies them to one more column; keeping the log adds
+    no Z_p ops to OPS.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if ncols is None:
         ncols = n
     if p == 2:
-        return _rref_mod_2(rows, m, n, ncols)
+        return _rref_mod_2(rows, m, n, ncols, log)
     for i in range(m):
         rows[i] = [x % p for x in rows[i]]
     pivots: list[int] = []
@@ -122,6 +133,7 @@ def rref_mod_p(rows: list[list[int]], p: int, ncols: int | None = None) -> list[
             rows[r] = [(inv * x) % p for x in rows[r]]
             OPS.add(ncols - col)
         rr = rows[r]
+        elims = []
         for i in range(m):
             f = rows[i][col]
             if f == 0 or i == r:
@@ -130,6 +142,9 @@ def rref_mod_p(rows: list[list[int]], p: int, ncols: int | None = None) -> list[
             ri = rows[i]
             ri[col:] = [(a - f * b) % p for a, b in zip(ri[col:], rr[col:])]
             OPS.add(ncols - col + 1)
+            elims.append((i, f))
+        if log is not None:
+            log.append((pr, inv, elims))
         pivots.append(col)
         r += 1
         if r == m:
@@ -137,7 +152,9 @@ def rref_mod_p(rows: list[list[int]], p: int, ncols: int | None = None) -> list[
     return pivots
 
 
-def _rref_mod_2(rows: list[list[int]], m: int, n: int, ncols: int) -> list[int]:
+def _rref_mod_2(
+    rows: list[list[int]], m: int, n: int, ncols: int, log: list | None
+) -> list[int]:
     """rref_mod_p over Z_2 on rows packed one byte per entry."""
     packed = [int.from_bytes(bytes([x & 1 for x in row]), "little") for row in rows]
     pivots: list[int] = []
@@ -149,18 +166,37 @@ def _rref_mod_2(rows: list[list[int]], m: int, n: int, ncols: int) -> list[int]:
             continue
         packed[r], packed[pr] = packed[pr], packed[r]
         rr = packed[r]
-        hits = 0
+        hits = []
         for i in range(m):
             if packed[i] & bit and i != r:
                 packed[i] ^= rr
-                hits += 1
-        OPS.add(hits * (ncols - col + 1))
+                hits.append(i)
+        OPS.add(len(hits) * (ncols - col + 1))
+        if log is not None:
+            log.append((pr, 1, hits))
         pivots.append(col)
         r += 1
         if r == m:
             break
     rows[:] = [list(x.to_bytes(n, "little")) for x in packed]
     return pivots
+
+
+def replay_rref_log(log: list, column: Sequence[int], p: int) -> list[int]:
+    """One more augmented column put through a logged rref_mod_p, reduced into [0, p)."""
+    col = [x % p for x in column]
+    for k, (pr, inv, elims) in enumerate(log):
+        col[k], col[pr] = col[pr], col[k]
+        x = col[k] = col[k] * inv % p
+        if not x:
+            continue
+        if p == 2:
+            for i in elims:
+                col[i] ^= 1
+        else:
+            for i, f in elims:
+                col[i] = (col[i] - f * x) % p
+    return col
 
 
 def rank_mod_p(data: Sequence[Sequence[int]], p: int) -> int:

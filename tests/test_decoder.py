@@ -1,5 +1,6 @@
 import functools
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -732,7 +733,7 @@ class TestPlanReplay:
 
     def test_value_only_share(self, monkeypatch):
         # most windows of a long stream commit from the constant column
-        # alone (448 of 692 here); a silent fallback to the full outcome
+        # alone (519 of 692 here); a silent fallback to the full outcome
         # fails here
         code = generate_code(**PLAN_CODES["z9"])
         rx = _plan_stream(code, 1, 2000, 0.10)
@@ -765,59 +766,105 @@ class TestPlanReplay:
 
     @pytest.mark.parametrize("name, eps", [("z9", 0.10), ("z4", None)])
     def test_corrupted_plan_raises(self, name, eps, monkeypatch):
-        # one transform entry of every plan is off by one; the row check of
-        # the replayed forms must stop the decode before it commits
+        # in every plan, the last pivot of the first stage with two pivots
+        # gets one more logged elimination, of pivot row 0 with factor 1 (an
+        # added XOR hit on Z_2); the row check of the replayed forms must
+        # stop the decode before it commits
         code = generate_code(**PLAN_CODES[name])
+        p = code.ctx.p
         rx = _plan_stream(code, 1, 400, eps)
-        compile_ = decoder._compile
+        make_plan = decoder._make_plan
 
-        def corrupted(sysw):
-            out, plan = compile_(sysw)
-            if plan is not None:
-                transform = plan.stages[0][1]
-                transform[0][0] = (transform[0][0] + 1) % code.ctx.p
-            return out, plan
+        def corrupted(outcome):
+            plan = make_plan(outcome)
+            logs = [log for _, log, _ in plan.stages if len(log) > 1] if plan else []
+            if logs:
+                _, _, elims = logs[0][-1]
+                elims.append(0 if p == 2 else (0, 1))
+            return plan
 
-        monkeypatch.setattr(decoder, "_compile", corrupted)
+        monkeypatch.setattr(decoder, "_make_plan", corrupted)
         with pytest.raises(AssertionError, match="violates the parity equations"):
             sequential_decode(code, rx, 2)
 
     @pytest.mark.parametrize("name", sorted(PLAN_CODES))
     def test_corrupted_plan_params_raises(self, name, monkeypatch):
         # one parameter coefficient of the first plan with parameters is off
-        # by one; the compile-time check of the parameter half must stop the
-        # decode in the compiling window, before it commits
+        # by one; the plan's check of the parameter half must stop the
+        # decode in the window that made the plan, before it commits
         code = generate_code(**PLAN_CODES[name])
         q = code.ctx.q
         # every window commits its unique first time from the constant
-        # column, so only the compile-time check reads the parameters
+        # column, so only the plan's check reads the parameters
         rx = _burst_stream(code, 1, 40, 1, 2)
-        decode_, build = decoder._decode, decoder.build_window_system
+        make_plan, build = decoder._make_plan, decoder.build_window_system
         starts, corrupted_at = [], []
 
-        def corrupted(sysw, track=None):
-            out = decode_(sysw, track)
-            if track is None or corrupted_at or not out.branches:
-                return out
-            branch = out.branches[0]
-            if branch.space.events or branch.space.n_params == 0:
-                return out
-            # a column some row reads, so the off-by-one shows in that row
-            col = next(k for k in range(sysw.e) if any(row.orig_coeffs[k] % q for row in sysw.rows))
-            branch.forms[col][1] += 1  # the plan takes its params from these forms
-            corrupted_at.append(sysw.i)
-            return out
+        def corrupted(out):
+            branch = out.branches[0] if out.branches else None
+            if not corrupted_at and branch and not branch.space.events and branch.space.n_params:
+                sysw = out.system
+                # a column some row reads, so the off-by-one shows in that row
+                col = next(k for k in range(sysw.e) if any(row.orig_coeffs[k] % q for row in sysw.rows))
+                branch.forms[col][1] += 1  # the plan takes its params from these forms
+                corrupted_at.append(sysw.i)
+            return make_plan(out)
 
         def recorded(code, received, i, *args, **kwargs):
             starts.append(i)
             return build(code, received, i, *args, **kwargs)
 
-        monkeypatch.setattr(decoder, "_decode", corrupted)
+        monkeypatch.setattr(decoder, "_make_plan", corrupted)
         monkeypatch.setattr(decoder, "build_window_system", recorded)
         with pytest.raises(AssertionError, match="violates the parity equations"):
             sequential_decode(code, rx, 2)
-        # the window that compiled the plan was the last one built
+        # the window that made the plan was the last one built
         assert corrupted_at == starts[-1:]
+
+    def test_plan_counts(self, monkeypatch):
+        # each pattern runs list_decode once and leaves its plan there; every
+        # later window of it replays, and each decision has one count
+        code = generate_code(**PLAN_CODES["z9"])
+        rx = _plan_stream(code, 1, 400, 0.10)
+        build, patterns = decoder.build_window_system, set()
+
+        def recorded(*args, **kwargs):
+            sysw = build(*args, **kwargs)
+            patterns.add(sysw.pattern)
+            return sysw
+
+        monkeypatch.setattr(decoder, "build_window_system", recorded)
+        res = sequential_decode(code, rx, 2)
+        counts = res.plan_counts
+        assert res.complete
+        assert counts.first_decodes == len(patterns)
+        assert counts.fallbacks == 0
+        assert sum(astuple(counts)) == len(res.decisions)
+
+    def test_plan_from_first_valid_window(self):
+        # a pattern whose first window is invalid leaves no plan there; its
+        # next, valid window runs list_decode and leaves it, and the window
+        # after that replays it
+        code = generate_code(**PLAN_CODES["z9"])
+        sent = _plan_stream(code, 1, 30, 0.0)
+        rx = [list(sym) for sym in sent]
+        for t in (10, 12, 20, 22):
+            rx[t][1] = None
+        bad = [list(sym) for sym in rx]
+        bad[11][0] = (bad[11][0] + 1) % code.ctx.q
+        store, counts = {}, decoder.PlanCounts()
+        out, _ = decoder._planned_decode(build_window_system(code, bad, 10, 2, store=store), counts)
+        (pattern,) = store.values()
+        assert out.kind == "invalid" and pattern.plan is None
+        out, _ = decoder._planned_decode(build_window_system(code, rx, 10, 2, store=store), counts)
+        assert out.kind != "invalid" and pattern.plan is not None
+        sysw = build_window_system(code, rx, 20, 2, store=store)
+        out, consts = decoder._planned_decode(sysw, counts)
+        assert len(store) == 1 and consts is not None
+        assert (counts.first_decodes, counts.fallbacks) == (2, 0)
+        assert counts.value_replays + counts.outcome_replays == 1
+        head = [k for k, (t, _) in enumerate(sysw.columns) if t == 20]
+        assert dict(zip(head, consts)) == project_values(list_decode(sysw), head)
 
 
 @st.composite

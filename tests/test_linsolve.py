@@ -4,7 +4,7 @@ import random
 import pytest
 
 from convring import AffineSet, ConstMatrix, RingContext, mccoy_unique, solve_mod_p
-from convring.linsolve import OPS, rank_mod_p, rref_mod_p
+from convring.linsolve import OPS, rank_mod_p, replay_rref_log, rref_mod_p
 
 Z8 = RingContext(2, 3)
 Z9 = RingContext(3, 2)
@@ -197,3 +197,25 @@ def test_rref_z2_worked_example():
     assert rref_mod_p(rows, 2) == [0, 1]
     assert rows == [[1, 0, 1, 1], [0, 1, 1, 0], [0, 0, 0, 0]]
     assert OPS.count - before == 5 + 8
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rref_log_replays_each_column(p):
+    # the logged row operations, replayed on one column, give what the
+    # elimination did to it, augmented columns included; the log adds no ops
+    rng = random.Random(200 + p)
+    for _ in range(150):
+        m, ncols, extra = rng.randrange(1, 8), rng.randrange(0, 8), rng.randrange(1, 5)
+        rows = [
+            [rng.randint(-3 * p, 3 * p) if rng.random() < 0.5 else 0 for _ in range(ncols + extra)]
+            for _ in range(m)
+        ]
+        plain, logged, log = [list(row) for row in rows], [list(row) for row in rows], []
+        before = OPS.count
+        pivots = rref_mod_p(plain, p, ncols=ncols)
+        plain_ops, before = OPS.count - before, OPS.count
+        assert rref_mod_p(logged, p, ncols=ncols, log=log) == pivots
+        assert OPS.count - before == plain_ops
+        assert logged == plain and len(log) == len(pivots)
+        for j in range(ncols + extra):
+            assert replay_rref_log(log, [row[j] for row in rows], p) == [row[j] for row in plain]

@@ -478,25 +478,42 @@ def _window_equations(code: ConvCode, table, lo: int, hi: int):
     columns = tuple(
         (t, c) for t in range(lo, hi + 1) for c, x in enumerate(table.get(t, ())) if x is None
     )
-    m = len(code._parity_block_rows)
-    pairs = zip(_window_coeffs(code, columns, lo, hi), _window_rhs(code, table, lo, hi))
-    return columns, [(lo + k // m, k % m, acc, rhs) for k, (acc, rhs) in enumerate(pairs)]
+    e = len(columns)
+    rhs = iter(_window_rhs(code, table, lo, hi))  # in the same order: time, then parity row
+    return columns, [
+        (lo + s, ri, [0] * a + list(band) + [0] * (e - b), next(rhs))
+        for s, (a, b, bands) in enumerate(_window_coeffs(code, columns, lo, hi))
+        for ri, band in enumerate(bands)
+    ]
 
 
-def _window_coeffs(code: ConvCode, columns, lo: int, hi: int) -> list[list[int]]:
-    """The coefficients of those equations: a gather of the erased positions.
+def _window_coeffs(
+    code: ConvCode, columns, lo: int, hi: int
+) -> list[tuple[int, int, list[tuple[int, ...]]]]:
+    """The coefficients of those equations, banded: a gather of the erased positions.
 
     Equation s reads the nu + 1 symbols ending at time s, which its block
-    row H^nu[ri] | ... | H^0[ri] multiplies; a column outside them gets 0.
-    Depends only on hi - lo and the columns relative to lo.
+    row H^nu[ri] | ... | H^0[ri] multiplies.  As columns are time-major,
+    the columns of those times are one run columns[a:b], found by two
+    pointers over the columns' times; every other column gets 0.  Returns,
+    per time s in lo..hi, (a, b, bands): bands holds each parity row's
+    coefficients on that run.  Depends only on hi - lo and the columns
+    relative to lo.
     """
     n, nu, block_rows = code.n, code.nu, code._parity_block_rows
-    width = (nu + 1) * n
-    flat = [(t - lo + nu) * n + c for t, c in columns]
+    times = [t - lo for t, _ in columns]
+    flat = [(t + nu) * n + c for t, (_, c) in zip(times, columns)]
+    e = len(columns)
     out = []
-    for base in range(0, (hi - lo + 1) * n, n):
-        pos = [f - base for f in flat]
-        out.extend([brow[j] if 0 <= j < width else 0 for j in pos] for brow in block_rows)
+    a = b = 0
+    for s in range(hi - lo + 1):
+        while a < e and times[a] < s - nu:
+            a += 1
+        while b < e and times[b] <= s:
+            b += 1
+        base = s * n
+        pos = [f - base for f in flat[a:b]]
+        out.append((a, b, [tuple(map(brow.__getitem__, pos)) for brow in block_rows]))
     return out
 
 

@@ -30,8 +30,13 @@ in two parts.  Columns, coefficients, strata and renormalized rows depend
 only on T and on the erasure pattern relative to the window start, and
 build_window_system makes them once per pattern; the received values
 enter only through one dot product per row, its right-hand side.  The
-column forms are checked once against the raw rows, and the brute-force
-oracle enumerates against them.
+sliding parity-check matrix is block Toeplitz: equation s reads only the
+symbols of times s - nu..s, so its coefficients vanish outside one run of
+the time-major columns, its span.  The pattern keeps each row's span and
+its coefficients there, its band, and every row-by-column product of the
+digit stages and of the list check reads the band alone.  The column
+forms are checked once per list against the raw rows, and the
+brute-force oracle enumerates against them.
 
 Pivots, folds, row operations and the parameter part of every form
 depend only on the pattern as well.  Each digit stage logs the row
@@ -162,14 +167,10 @@ class WindowSystem:
 
     def assemble(self, col_values: Sequence[int]) -> list[list[int]]:
         """The window symbols (times i..i+T) with unknowns filled in."""
-        lookup = dict(zip(self.columns, col_values))
-        out = []
-        for t in range(self.i, self.i + self.T + 1):
-            sym = list(self.table[t])
-            for c in range(len(sym)):
-                if sym[c] is None:
-                    sym[c] = lookup[(t, c)]
-            out.append(sym)
+        i = self.i
+        out = [list(self.table[t]) for t in range(i, i + self.T + 1)]
+        for (t, c), x in zip(self.columns, col_values):
+            out[t - i][c] = x
         return out
 
     def window_equations_hold(self, window: Sequence[Sequence[int]]) -> bool:
@@ -185,22 +186,38 @@ class _Pattern:
 
     columns are the erased (time - i, coord) pairs; equations hold, per
     parity equation in kernel order, (time - i, h_row, stratum, p^stratum,
-    renormalized coeffs, orig coeffs).  A sequential decode also keeps the
-    pattern's plan here.
+    renormalized coeffs, orig coeffs), the coefficients None on a row that
+    is zero mod q.  Equation s reads only the columns of times s - nu..s,
+    one run (a, b) of the time-major columns: its span.  bands holds, per
+    equation that is not zero mod q (so per row of every valid window, in
+    order), (span, renormalized coeffs, orig coeffs) on its span alone, and
+    the products of the digit stages and of the list check read only
+    those; equations of one time share one span object.  A sequential
+    decode also keeps the pattern's plan here.
     """
 
-    __slots__ = ("columns", "equations", "plan")
+    __slots__ = ("columns", "equations", "bands", "plan")
 
     def __init__(self, code: ConvCode, T: int, erased: Sequence[int]):
         ctx, n = code.ctx, code.n
-        m = len(code._parity_block_rows)
+        p, q, r = ctx.p, ctx.q, ctx.r
+        stratum = {p**v: v for v in range(r + 1)}  # gcd(q, *band) is p^v, v the least valuation
+        e = len(erased)
         self.columns = tuple(divmod(f, n) for f in erased)
         self.equations = []
-        for k, acc in enumerate(_window_coeffs(code, self.columns, 0, T)):
-            v = ctx.val(gcd(ctx.q, *acc))  # least valuation over the row; r for a zero row
-            pv, orig = ctx.p**v, tuple(acc)
-            coeffs = tuple(a // pv for a in acc) if v else orig
-            self.equations.append((k // m, k % m, v, pv, coeffs, orig))
+        self.bands = []
+        for s, (a, b, bands) in enumerate(_window_coeffs(code, self.columns, 0, T)):
+            span, left, right = (a, b), (0,) * a, (0,) * (e - b)
+            for ri, orig in enumerate(bands):
+                pv = gcd(q, *orig)
+                if pv == q:  # a zero row
+                    self.equations.append((s, ri, r, q, None, None))
+                    continue
+                coeffs = tuple(map(pv.__rfloordiv__, orig)) if pv > 1 else orig
+                self.bands.append((span, coeffs, orig))
+                self.equations.append(
+                    (s, ri, stratum[pv], pv, left + coeffs + right, left + orig + right)
+                )
         self.plan: _Plan | None = None
 
 
@@ -305,17 +322,18 @@ class _Branch:
     forms[col] is the column's recombined value sum_t p^t f_t mod q over
     the stages run so far, as a dense integer list [const, c_0, ...,
     c_{P-1}] over all P parameters (a folded parameter keeps coefficient 0).
-    logs holds, per finished stage, its pivots and the row-operation log of
-    its last elimination pass.
+    logs, kept only by a recursion that is to leave a plan (None
+    otherwise), holds per finished stage its pivots and the row-operation
+    log of its last elimination pass.
     """
 
     __slots__ = ("space", "forms", "stages", "logs")
 
-    def __init__(self, space: ParamSpace, e: int):
+    def __init__(self, space: ParamSpace, e: int, logged: bool = False):
         self.space = space
         self.forms: list[list[int]] = [[0] for _ in range(e)]
         self.stages: list[DigitStage] = []
-        self.logs: list[tuple[list[int], list]] = []
+        self.logs: list[tuple[list[int], list]] | None = [] if logged else None
 
 
 def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
@@ -351,28 +369,50 @@ def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
     return True
 
 
-def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: RingContext):
+def _stage_rows(forms, rows_t, pt: int, e: int, q: int) -> list[list[int]]:
+    """The augmented rows of stage t >= 1: each row, then digit t of rhs - A G.
+
+    Each row's product reads the column forms over its span alone.
+    """
+    entries = list(zip(*forms))  # one tuple over the columns per form entry
+    mat = []
+    last = None
+    for row, (span, coeffs, _) in rows_t:
+        if span is not last:
+            last, (a, b) = span, span
+            sub = entries if b - a == e else [col[a:b] for col in entries]
+        R = [-sum(map(mul, coeffs, col)) % q for col in sub]
+        R[0] = (R[0] + row.rhs) % q
+        # the earlier stage identities hold coefficient by coefficient, so
+        # p^t divides R identically
+        if any(map(pt.__rmod__, R)):
+            raise AssertionError(f"stage payload is not divisible by p^t = {pt}")
+        mat.append([*row.coeffs, *map(pt.__rfloordiv__, R)])
+    return mat
+
+
+def _run_stage(
+    branch: _Branch, rows_t: list[tuple[WindowRow, tuple]], t: int, e: int, ctx: RingContext
+):
     """Advance the recursion through digit stage t; an invalid witness or None.
 
-    Each pass is one augmented elimination: the stage rows mod p, followed
-    by their payload digit t of rhs - A G as dense columns over [const,
-    params].  A dependent row with a nonzero payload is folded and the pass
-    repeats.  The last pass's pivots and row-operation log go to
-    branch.logs, beside the stage report.
+    rows_t pairs each stage row with its band.  Each pass is one augmented
+    elimination: the stage rows mod p, followed by their payload digit t of
+    rhs - A G as dense columns over [const, params], each row's product
+    read over its span alone.  A dependent row with a nonzero payload is
+    folded and the pass repeats.  With branch.logs, the last pass's pivots
+    and row-operation log go there, beside the stage report.
     """
     p, q = ctx.p, ctx.q
     pt = p**t
     while True:
-        entries = list(zip(*branch.forms))  # one tuple over the columns per form entry
-        mat = []
-        for row in rows_t:
-            R = [-sum(map(mul, row.coeffs, col)) % q for col in entries]
-            R[0] = (R[0] + row.rhs) % q
-            # the earlier stage identities hold coefficient by coefficient,
-            # so p^t divides R identically
-            assert not any(x % pt for x in R)
-            mat.append([*row.coeffs, *(x // pt for x in R)])
-        log: list = []
+        if not t:
+            # every form is 0 before stage 0 (whose folds only find
+            # contradictions), so the payload is the rhs alone
+            mat = [[*row.coeffs, row.rhs] for row, _ in rows_t]
+        else:
+            mat = _stage_rows(branch.forms, rows_t, pt, e, q)
+        log = None if branch.logs is None else []
         pivots = rref_mod_p(mat, p, ncols=e, log=log)
         # a dependent row whose payload is not zero constrains the parameters
         idx = next((k for k in range(len(pivots), len(mat)) if any(mat[k][e:])), None)
@@ -411,7 +451,8 @@ def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: Ri
             solutions=AffineSet(p, e, True, tuple(particular), tuple(map(tuple, basis))),
         )
     )
-    branch.logs.append((pivots, log))
+    if log is not None:
+        branch.logs.append((pivots, log))
     return None
 
 
@@ -443,6 +484,11 @@ def list_decode(sys: WindowSystem) -> DecodeOutcome:
     outcome carries the per-stage reports, and materialize_list enumerates
     the actual windows.
     """
+    return _decode(sys, logged=False)
+
+
+def _decode(sys: WindowSystem, logged: bool) -> DecodeOutcome:
+    """list_decode(sys); with logged, each stage keeps its log in the branch for a plan."""
     ctx = sys.code.ctx
     if sys.invalid_witness is not None:
         return DecodeOutcome(kind="invalid", system=sys, invalid_witness=sys.invalid_witness)
@@ -451,9 +497,12 @@ def list_decode(sys: WindowSystem) -> DecodeOutcome:
         return DecodeOutcome(
             kind="unique", system=sys, window=sys.assemble(()), list_size=1
         )
-    branch = _Branch(ParamSpace(ctx.p), e)
+    branch = _Branch(ParamSpace(ctx.p), e, logged)
+    # a valid window keeps exactly the rows that have bands, in order
+    rows = list(zip(sys.rows, sys.pattern.bands))
     for t in range(ctx.r):
-        rows_t = [row for row in sys.rows if row.stratum <= ctx.r - 1 - t]
+        top = ctx.r - 1 - t
+        rows_t = [rb for rb in rows if rb[0].stratum <= top]
         witness = _run_stage(branch, rows_t, t, e, ctx)
         if witness is not None:
             return DecodeOutcome(kind="invalid", system=sys, invalid_witness=witness)
@@ -510,7 +559,7 @@ def _make_plan(outcome: DecodeOutcome) -> _Plan | None:
     (branch,) = outcome.branches
     sys = outcome.system
     params = [tuple(g[1:]) for g in branch.forms]
-    _check_rows(sys.rows, None, list(zip(*params)), sys.code.ctx.q)
+    _check_rows(sys, None, list(zip(*params)))
     head = sum(t == sys.i for t, _ in sys.columns)
     stages = [(pivots, log, stage) for (pivots, log), stage in zip(branch.logs, branch.stages)]
     return _Plan(stages, params, not any(map(any, params[:head])))
@@ -524,7 +573,8 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
     (list_decode then derives the witness).  The column is checked against
     every raw row, orig_coeffs . consts == orig_rhs mod q; with the
     parameter half proven when the plan was made, that is the row check of
-    materialize_list.
+    materialize_list.  The replay's products run over whole rows: its
+    windows are narrow, and per-row spans cost more than they save there.
     """
     if sys.invalid_witness is not None:
         return None
@@ -545,7 +595,8 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
         # stage t writes digit t of its pivot columns only
         for x, col in zip(reduced, pivots):
             consts[col] += pt * x
-    _check_rows(sys.rows, consts, (), q)
+    if any((sum(map(mul, row.orig_coeffs, consts)) - row.orig_rhs) % q for row in sys.rows):
+        raise AssertionError(_VIOLATION)
     return consts
 
 
@@ -583,7 +634,7 @@ def _planned_decode(
     plan = pattern.plan
     if plan is None:
         counts.first_decodes += 1
-        outcome = list_decode(sys)
+        outcome = _decode(sys, logged=True)
         pattern.plan = _make_plan(outcome)
         return outcome, None
     consts = _replay(plan, sys)
@@ -597,19 +648,33 @@ def _planned_decode(
     return _replayed_outcome(plan, sys, consts), consts
 
 
-def _check_rows(rows: Sequence[WindowRow], consts, param_cols, q: int) -> None:
-    """Raise unless column forms solve every raw row, coefficient by coefficient.
+_VIOLATION = "the list violates the parity equations"
+
+
+def _check_rows(sys: WindowSystem, consts, param_cols) -> None:
+    """Raise unless column forms solve every raw row of a valid window, coefficient by coefficient.
 
     The constant column consts (unless None) must give each row's orig_rhs
-    mod q, and every parameter column in param_cols must give 0.
+    mod q, and every parameter column in param_cols must give 0.  Each row
+    reads its span of the columns alone, as the coefficients outside it
+    are 0.
     """
-    holds = all(sum(map(mul, row.orig_coeffs, col)) % q == 0 for col in param_cols for row in rows)
-    if consts is not None:
-        holds = holds and all(
-            (sum(map(mul, row.orig_coeffs, consts)) - row.orig_rhs) % q == 0 for row in rows
-        )
-    if not holds:
-        raise AssertionError("the list violates the parity equations")
+    if consts is None and not param_cols:
+        return
+    q, e = sys.code.ctx.q, sys.e
+    last = None
+    for row, (span, _, orig) in zip(sys.rows, sys.pattern.bands):
+        if span is not last:
+            last, (a, b) = span, span
+            if b - a == e:
+                band_consts, band_params = consts, param_cols
+            else:
+                band_consts = None if consts is None else consts[a:b]
+                band_params = [col[a:b] for col in param_cols]
+        if (band_params and any(sum(map(mul, orig, col)) % q for col in band_params)) or (
+            band_consts is not None and (sum(map(mul, orig, band_consts)) - row.orig_rhs) % q
+        ):
+            raise AssertionError(_VIOLATION)
 
 
 def materialize_list(
@@ -619,12 +684,14 @@ def materialize_list(
 
     Returns (windows, truncated).  Windows come one per assignment of the
     live parameters, lexicographically, and stop after limit; without a
-    limit a list larger than the enumeration cap raises CapExceeded.
+    limit a list larger than the enumeration cap raises CapExceeded.  A
+    unique outcome's window was proven when the outcome was made, so it is
+    returned as it is.
     """
     sys = outcome.system
     if outcome.kind == "invalid":
         return [], False
-    if outcome.kind == "unique" and outcome.window is not None and not outcome.branches:
+    if outcome.kind == "unique" and outcome.window is not None:
         return [outcome.window], False
     if limit is None:
         limit = enumeration_cap()
@@ -635,7 +702,7 @@ def materialize_list(
     # every member is the column forms at an integer assignment, so raw rows
     # holding coefficient by coefficient prove the whole list
     consts, *param_cols = zip(*branch.forms)
-    _check_rows(sys.rows, consts, param_cols, q)
+    _check_rows(sys, consts, param_cols)
     windows = []
     for values in itertools.islice(branch.space.assignments(), max(limit, 1)):
         x = (1, *values)

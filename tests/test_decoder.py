@@ -21,7 +21,7 @@ from convring import (
 )
 from convring import decoder
 from convring.cli import erase_stream, generate_code
-from convring.codes import is_codeword_window
+from convring.codes import _window_coeffs, is_codeword_window
 from convring.decoder import ParamSpace, _Branch, _fold
 from convring.errors import CapExceeded
 from convring.linsolve import OPS
@@ -540,6 +540,200 @@ def test_pattern_store_cases_cover(feature):
         ),
     )
     assert feature in _check_pattern_store(case)
+
+
+# ---------------------------------------------------------------------------
+# banded window rows
+
+SPAN_RINGS = (RingContext(2, 1), Z4, Z8, Z9, Z25)
+
+
+@functools.cache
+def _span_code(ring: int, nu: int):
+    """A fixed random kernel code over Z_2, Z_4, Z_8, Z_9 or Z_25 with parity degree nu, n <= 4."""
+    ctx = SPAN_RINGS[ring]
+    rng = random.Random(100 * ctx.q + nu)
+    while True:
+        n = rng.randint(2, 4)
+        lsizes = [rng.randint(1, n - 1)] + [rng.randint(0, 1) for _ in range(ctx.r - 1)]
+        code = random_kernel_code(rng, ctx, n, lsizes, nu)
+        if code is not None and code.nu == nu and code.g_blocks is not None:
+            return code
+
+
+@st.composite
+def banded_windows(draw):
+    """One window of a span code over a codeword stream, with erasures.
+
+    Erasures fall at a drawn rate on the window's times inside the stream;
+    a terminated window may reach past the stream end, an unterminated one
+    is cut to Tw = min(T, L - 1 - i).  One known symbol the window reads may
+    be off.  Returns (code, received, i, Tw, terminated).
+    """
+    code = _span_code(draw(st.integers(0, 4)), draw(st.integers(0, 3)))
+    n, q = code.n, code.ctx.q
+    T = draw(st.integers(0, 7))
+    terminated = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    steps = draw(st.integers(1, 8))
+    rx = code.encode([[rng.randrange(q) for _ in range(code.k)] for _ in range(steps)])
+    L = len(rx)
+    i = draw(st.integers(0, L - 1))
+    Tw = T if terminated else min(T, L - 1 - i)
+    rate = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    for t in range(i, min(L, i + Tw + 1)):
+        rx[t] = [None if rng.random() < rate else x for x in rx[t]]
+    if draw(st.booleans()):
+        known = [
+            (t, c)
+            for t in range(max(0, i - code.nu), min(L, i + Tw + 1))
+            for c in range(n)
+            if rx[t][c] is not None
+        ]
+        if known:
+            t, c = draw(st.sampled_from(known))
+            rx[t][c] = (rx[t][c] + draw(st.integers(1, q - 1))) % q
+    return code, rx, i, Tw, terminated
+
+
+@settings(max_examples=200, deadline=None)
+@given(banded_windows())
+def test_pattern_rows_vanish_outside_their_span(case):
+    # every equation of a pattern equals the sliding parity row at its
+    # columns and is zero outside its span, the run of columns of times
+    # s - nu..s; the bands are the rows' coefficients on that run
+    code, rx, i, Tw, terminated = case
+    pattern = build_window_system(code, rx, i, Tw, terminated=terminated).pattern
+    nu, q = code.nu, code.ctx.q
+    bands = iter(pattern.bands)
+    for s, ri, v, pv, coeffs, orig in pattern.equations:
+        ref = [code.parity_coeff(s - dt).data[ri][c] % q for dt, c in pattern.columns]
+        if coeffs is None:  # zero mod q: no row, no band
+            assert not any(ref) and v == code.ctx.r
+            continue
+        (a, b), band_coeffs, band_orig = next(bands)
+        assert [k for k, (dt, _) in enumerate(pattern.columns) if s - nu <= dt <= s] == list(
+            range(a, b)
+        )
+        assert list(orig) == ref
+        assert not any(orig[:a] + orig[b:]) and not any(coeffs[:a] + coeffs[b:])
+        assert (band_orig, band_coeffs) == (orig[a:b], coeffs[a:b])
+        assert pv == code.ctx.p**v and [x * pv for x in coeffs] == list(orig)
+    assert next(bands, None) is None
+
+
+def _widened_coeffs(code, columns, lo, hi):
+    """codes._window_coeffs with every span widened to all columns."""
+    e = len(columns)
+    return [
+        (0, e, [(0,) * a + band + (0,) * (e - b) for band in bands])
+        for a, b, bands in _window_coeffs(code, columns, lo, hi)
+    ]
+
+
+def _decode_record(sysw):
+    """list_decode and materialize_list of a window: outcome, fold events, windows, OPS per call."""
+    before = OPS.count
+    out = list_decode(sysw)
+    mid = OPS.count
+    windows = materialize_list(out, limit=8)
+    events = [br.space.events for br in out.branches]
+    return _outcome_key(out), events, windows, mid - before, OPS.count - mid
+
+
+def _check_widened(case):
+    """Banded and all-column spans decode a window alike; the features seen."""
+    code, rx, i, Tw, terminated = case
+    sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
+    narrow = any(span != (0, sysw.e) for span, _, _ in sysw.pattern.bands)
+    banded = _decode_record(sysw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder, "_window_coeffs", _widened_coeffs)
+        sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
+        assert all(span == (0, sysw.e) for span, _, _ in sysw.pattern.bands)
+        wide = _decode_record(sysw)
+    assert banded == wide
+    (kind, _, witness, *_), events, *_ = banded
+    features = {kind}
+    if narrow and kind == "list":
+        features.add("narrow-list")
+    if any(events):
+        features.add("fold")
+    if witness is not None and witness[0] == "stage":
+        features.add("stage-invalid")
+    return features
+
+
+@settings(max_examples=150, deadline=None)
+@given(banded_windows())
+def test_widened_spans_decode_alike(case):
+    _check_widened(case)
+
+
+@pytest.mark.parametrize("feature", ["fold", "invalid", "stage-invalid", "narrow-list"])
+def test_widened_spans_cases_cover(feature):
+    # the strategy reaches folding, invalid and stage-invalid windows, and
+    # lists with spans narrower than the window; the first case found with
+    # each passes the same check
+    case = find(
+        banded_windows(),
+        lambda case: feature in _check_widened(case),
+        settings=settings(
+            max_examples=2000,
+            deadline=None,
+            database=None,
+            derandomize=True,
+            phases=[Phase.generate],
+        ),
+    )
+    assert feature in _check_widened(case)
+
+
+def test_window_proven_once(kernel_code_z8, kernel_code_z9, monkeypatch):
+    # a unique window is proven once, by list_decode, and materialize_list
+    # returns it as proven; a list is proven by every materialize_list call
+    check_rows, calls = decoder._check_rows, []
+
+    def counted(*args):
+        calls.append(args)
+        return check_rows(*args)
+
+    monkeypatch.setattr(decoder, "_check_rows", counted)
+    rx = [[None, 0, None], [0, None, 0], [0, 0, 0]]
+    unique = list_decode(build_window_system(kernel_code_z9, rx, 0, 1))
+    assert unique.kind == "unique" and len(calls) == 1
+    for _ in range(2):
+        assert materialize_list(unique) == ([unique.window], False)
+    assert len(calls) == 1
+    listed = list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
+    assert listed.kind == "list" and len(calls) == 1
+    materialize_list(listed, limit=1)
+    materialize_list(listed)
+    assert len(calls) == 3
+
+
+def test_list_decode_keeps_no_log(kernel_code_z8):
+    # only the decode that leaves a plan logs its eliminations
+    sysw = build_window_system(kernel_code_z8, RECEIVED, 0, 2)
+    assert list_decode(sysw).branches[0].logs is None
+    out, _ = decoder._planned_decode(sysw, decoder.PlanCounts())
+    assert [len(pivots) for pivots, _ in out.branches[0].logs] == [7, 5, 3]
+
+
+def test_corrupt_stage_form_raises(kernel_code_z8, monkeypatch):
+    # a stage-0 form off by one on a column that a stage-1 row reads with
+    # a unit breaks p | payload; the check raises, under python -O too
+    run_stage, p = decoder._run_stage, kernel_code_z8.ctx.p
+
+    def corrupted(branch, rows_t, t, e, ctx):
+        if t == 1:
+            col = next(k for row, _ in rows_t for k, x in enumerate(row.coeffs) if x % p)
+            branch.forms[col][0] += 1
+        return run_stage(branch, rows_t, t, e, ctx)
+
+    monkeypatch.setattr(decoder, "_run_stage", corrupted)
+    with pytest.raises(AssertionError, match="not divisible by p"):
+        list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
 
 
 def test_all_erased_z4_window_is_symbolic():

@@ -12,8 +12,11 @@ growing global parameter vector over Z_p; nothing is enumerated during
 the recursion.  Each column keeps one dense form [const, c_0, ..., c_{P-1}]
 mod q: its value sum_t p^t f_t recombined over the stages so far.  Stage
 t's payload is digit t of rhs - A G for the column forms G; the rows mod p
-and their payloads are reduced in one augmented elimination, payload
-entries riding along as extra columns.  Every stage identity (row . f_t
+and their payloads are reduced in one augmented elimination
+(linsolve.reduce_stage), payload entries riding along as extra columns.
+The stage prepares its rows mod p once and reads back only the first
+dependent row with a nonzero payload, or else, per pivot row, its payload
+and its entries in the free columns.  Every stage identity (row . f_t
 == payload mod p) holds coefficient by coefficient, so it holds for any
 integer parameter values.  A rank-deficient stage can leave a dependent
 row whose payload is a nonconstant form in earlier parameters: that
@@ -66,10 +69,11 @@ from .errors import CapExceeded, InvalidReceived
 from .linsolve import (
     AffineSet,
     ConstMatrix,
+    StageMatrix,
     enumerate_solutions,
     mccoy_unique,
+    reduce_stage,
     replay_rref_log,
-    rref_mod_p,
 )
 from .ring import RingContext
 
@@ -369,13 +373,13 @@ def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
     return True
 
 
-def _stage_rows(forms, rows_t, pt: int, e: int, q: int) -> list[list[int]]:
-    """The augmented rows of stage t >= 1: each row, then digit t of rhs - A G.
+def _stage_payload(forms, rows_t, pt: int, e: int, q: int) -> list[tuple[int, ...]]:
+    """The payload of stage t >= 1: per row, digit t of rhs - A G over [const, params].
 
     Each row's product reads the column forms over its span alone.
     """
     entries = list(zip(*forms))  # one tuple over the columns per form entry
-    mat = []
+    payload = []
     last = None
     for row, (span, coeffs, _) in rows_t:
         if span is not last:
@@ -387,8 +391,8 @@ def _stage_rows(forms, rows_t, pt: int, e: int, q: int) -> list[list[int]]:
         # p^t divides R identically
         if any(map(pt.__rmod__, R)):
             raise AssertionError(f"stage payload is not divisible by p^t = {pt}")
-        mat.append([*row.coeffs, *map(pt.__rfloordiv__, R)])
-    return mat
+        payload.append(tuple(map(pt.__rfloordiv__, R)))
+    return payload
 
 
 def _run_stage(
@@ -396,35 +400,36 @@ def _run_stage(
 ):
     """Advance the recursion through digit stage t; an invalid witness or None.
 
-    rows_t pairs each stage row with its band.  Each pass is one augmented
-    elimination: the stage rows mod p, followed by their payload digit t of
-    rhs - A G as dense columns over [const, params], each row's product
-    read over its span alone.  A dependent row with a nonzero payload is
-    folded and the pass repeats.  With branch.logs, the last pass's pivots
-    and row-operation log go there, beside the stage report.
+    rows_t pairs each stage row with its band.  The stage rows mod p are
+    prepared for elimination once; each pass reduces them with their
+    payload, digit t of rhs - A G as dense columns over [const, params],
+    each row's product read over its span alone, riding along.  A dependent
+    row with a nonzero payload is folded and the pass repeats.  With
+    branch.logs, the last pass's pivots and row-operation log go there,
+    beside the stage report.
     """
     p, q = ctx.p, ctx.q
     pt = p**t
+    matrix = StageMatrix([row.coeffs for row, _ in rows_t], e, p)
     while True:
         if not t:
             # every form is 0 before stage 0 (whose folds only find
             # contradictions), so the payload is the rhs alone
-            mat = [[*row.coeffs, row.rhs] for row, _ in rows_t]
+            payload = [(row.rhs,) for row, _ in rows_t]
         else:
-            mat = _stage_rows(branch.forms, rows_t, pt, e, q)
+            payload = _stage_payload(branch.forms, rows_t, pt, e, q)
         log = None if branch.logs is None else []
-        pivots = rref_mod_p(mat, p, ncols=e, log=log)
-        # a dependent row whose payload is not zero constrains the parameters
-        idx = next((k for k in range(len(pivots), len(mat)) if any(mat[k][e:])), None)
-        if idx is None:
+        red = reduce_stage(matrix, payload, log)
+        if red.fold is None:
             break
-        if not _fold(branch, mat[idx][e:], q):
+        # a dependent row whose payload is not zero constrains the parameters
+        idx, phi = red.fold
+        if not _fold(branch, phi, q):
             return ("stage", t, idx)
 
     # free columns get new parameters; a pivot column's digit is its
     # payload minus the free columns' share
-    pivot_set = set(pivots)
-    free = [c for c in range(e) if c not in pivot_set]
+    pivots, free = red.pivots, red.free
     new_params = tuple(branch.space.new_param() for _ in free)
     grow = [0] * len(free)
     for g in branch.forms:
@@ -433,14 +438,13 @@ def _run_stage(
         branch.forms[c][1 + v] = pt
     particular = [0] * e
     basis = [[0] * e for _ in free]
-    for ridx, col in enumerate(pivots):
-        row = mat[ridx]
-        f = row[e:] + [-row[c] % q for c in free]
+    for col, (pay, at_free) in zip(pivots, red.rows):
+        f = [*pay, *[-x % q for x in at_free]]
         g = branch.forms[col]
         g[:] = [(a + pt * x) % q for a, x in zip(g, f)]
-        particular[col] = row[e]
-        for vec, c in zip(basis, free):
-            vec[col] = -row[c] % p
+        particular[col] = pay[0]
+        for vec, x in zip(basis, at_free):
+            vec[col] = -x % p
     for vec, c in zip(basis, free):
         vec[c] = 1
     branch.stages.append(

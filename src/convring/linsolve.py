@@ -1,22 +1,29 @@
 """Constant matrices over Z_{p^r} and exact linear solving over Z_p.
 
-The row-reduction kernel rref_mod_p is shared by the plain solver, rank
-computation, and the decoder's digit stages.  Right-hand sides and the
-decoder's payload forms are augmented columns: they ride along through
-the row operations but never hold a pivot.  Odd p reduce list rows; over
-Z_2 each row is packed into one int, one byte per entry, and eliminated
-by XOR.  rref_mod_p is also the single place where Z_p multiply-accumulate
-operations are counted (the same count on both paths), so decoding cost
-measurements all flow through OPS.  It can log its row operations, and
-replay_rref_log applies a log to one more column without eliminating
-again.  The brute-force enumerator behind the decoding oracle and the
-distance searches lives here too.
+The row-reduction kernel rref_mod_p is shared by the plain solver and
+rank computation, and reduce_stage runs it for the decoder's digit
+stages.  Right-hand sides and the decoder's payload forms are augmented
+columns: they ride along through the row operations but never hold a
+pivot.  Odd p reduce list rows; over Z_2 the matrix is packed into one
+int per column, bit i of column j holding row i, and each pivot makes one
+XOR pass over the columns to its right.  A digit stage packs its
+coefficient columns once (StageMatrix) and only its payload columns per
+pass, and reads back only what the stage uses: the fold row, or the pivot
+rows' payload and free-column entries.  The elimination kernels are also
+the single place where Z_p multiply-accumulate operations are counted
+(the same count on both paths), so decoding cost measurements all flow
+through OPS.  rref_mod_p can log its row operations, and replay_rref_log
+applies a log to one more column without eliminating again.  The
+brute-force enumerator behind the decoding oracle and the distance
+searches lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import repeat
+from operator import add
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,22 +110,25 @@ def rref_mod_p(
     any further columns are augmented ones that ride along through the same
     row operations.  OPS counts the multiply-accumulates of the first ncols
     columns only.  Entries may be any integers; the rows come back reduced
-    into [0, p).  Over Z_2 each row is packed into one int, one byte per
-    entry, and eliminated by XOR.
+    into [0, p).  Over Z_2 the rows are packed into column bitmasks and
+    eliminated by XOR (_eliminate_2), then unpacked.
 
     With a log list, the row operations are appended to it, one entry per
     pivot k: (the row swapped into row k, the scale factor of row k, and
     the (row, factor) eliminations row -= factor * row k).  Over Z_2 the
-    scale is 1 and the eliminations are the rows of the XOR hits alone.
-    replay_rref_log applies them to one more column; keeping the log adds
-    no Z_p ops to OPS.
+    scale is 1 and the eliminations are the rows of the XOR hits alone, in
+    increasing order.  replay_rref_log applies them to one more column;
+    keeping the log adds no Z_p ops to OPS.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if ncols is None:
         ncols = n
     if p == 2:
-        return _rref_mod_2(rows, m, n, ncols, log)
+        cols = _pack_2(rows, n)
+        pivots = _eliminate_2(cols, m, ncols, log)
+        rows[:] = _unpack_2(cols, m)
+        return pivots
     for i in range(m):
         rows[i] = [x % p for x in rows[i]]
     pivots: list[int] = []
@@ -152,34 +162,167 @@ def rref_mod_p(
     return pivots
 
 
-def _rref_mod_2(
-    rows: list[list[int]], m: int, n: int, ncols: int, log: list | None
-) -> list[int]:
-    """rref_mod_p over Z_2 on rows packed one byte per entry."""
-    packed = [int.from_bytes(bytes([x & 1 for x in row]), "little") for row in rows]
+# Z_2 matrices are lists of column bitmasks: bit i of column j is row i.
+# Rows go in and out through bytes: one parity character per entry, one
+# strided slice per column or row.
+_PARITY = bytes(48 + (b & 1) for b in range(256))  # byte -> b"0" or b"1"
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack_2(rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The n column bitmasks of rows mod 2."""
+    if not rows:
+        return [0] * n
+    try:
+        flat = b"".join(map(bytes, rows))
+    except ValueError:  # an entry outside [0, 256)
+        flat = b"".join(bytes([x & 1 for x in row]) for row in rows)
+    # reversed, column j reads rows m-1..0, most significant bit first
+    flat = flat.translate(_PARITY)[::-1]
+    return [int(flat[k::n], 2) for k in range(n - 1, -1, -1)]
+
+
+def _unpack_2(cols: Sequence[int], m: int) -> list[list[int]]:
+    """The m rows of column bitmasks, entries 0 and 1."""
+    if not m:
+        return []
+    # reversed, the columns come in order, each rows 0..m-1
+    flat = "".join([format(c, f"0{m}b") for c in reversed(cols)]).encode()
+    flat = flat.translate(_DIGITS)[::-1]
+    return [list(flat[i::m]) for i in range(m)]
+
+
+def _head_bits(x: int, k: int) -> bytes:
+    """Rows 0..k-1 of a column bitmask, entries 0 and 1."""
+    return format(x & ((1 << k) - 1), f"0{k}b").encode().translate(_DIGITS)[::-1]
+
+
+def _bits(x: int) -> list[int]:
+    """The set bits of x, in increasing order."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _eliminate_2(cols: list[int], m: int, ncols: int, log: list | None) -> list[int]:
+    """rref_mod_p over Z_2 on m-row column bitmasks, in place; returns pivot columns.
+
+    The rows at and below the next pivot row r are zero left of the pivot
+    column, so each pivot touches only the columns to its right, in one
+    pass that swaps rows r and pr and XORs the hit set (the pivot column's
+    other rows) into every column holding a 1 in row r.
+    """
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        bit = 1 << (8 * col)
-        pr = next((i for i in range(r, m) if packed[i] & bit), -1)
-        if pr < 0:
+    r = ops = 0
+    for col in range(ncols if m else 0):
+        c = cols[col]
+        low = c >> r
+        if not low:
             continue
-        packed[r], packed[pr] = packed[pr], packed[r]
-        rr = packed[r]
-        hits = []
-        for i in range(m):
-            if packed[i] & bit and i != r:
-                packed[i] ^= rr
-                hits.append(i)
-        OPS.add(len(hits) * (ncols - col + 1))
+        pr = r + (low & -low).bit_length() - 1
+        pbit = 1 << r
+        if pr == r:
+            hits = c ^ pbit
+            if hits:
+                cols[col + 1 :] = [x ^ hits if x & pbit else x for x in cols[col + 1 :]]
+        else:
+            # rows r..pr-1 are zero in the pivot column; a column's XOR mask
+            # is looked up from its bits r and pr (bit pr, after the swap
+            # in row r, selects the hits)
+            hits = c ^ (1 << pr)
+            swap = pbit | 1 << pr
+            masks = (0, swap, swap ^ hits, hits)
+            pr1 = pr - 1
+            cols[col + 1 :] = [x ^ masks[(x >> r & 1) | (x >> pr1 & 2)] for x in cols[col + 1 :]]
+        cols[col] = pbit
+        ops += hits.bit_count() * (ncols - col + 1)
         if log is not None:
-            log.append((pr, 1, hits))
+            log.append((pr, 1, _bits(hits)))
         pivots.append(col)
         r += 1
         if r == m:
             break
-    rows[:] = [list(x.to_bytes(n, "little")) for x in packed]
+    OPS.add(ops)
     return pivots
+
+
+class StageMatrix:
+    """The coefficient rows of one digit stage, kept for every reduce_stage pass.
+
+    Over Z_2 they are packed into column bitmasks once; over odd p they
+    are kept as tuples, and each pass reduces them with its payload in
+    rref_mod_p's list kernel.  The layout is linsolve's alone.
+    """
+
+    __slots__ = ("p", "e", "m", "data")
+
+    def __init__(self, rows: Sequence[Sequence[int]], e: int, p: int):
+        self.p, self.e, self.m = p, e, len(rows)
+        self.data = _pack_2(rows, e) if p == 2 else list(map(tuple, rows))
+
+
+class StageReduction(NamedTuple):
+    """What a digit stage reads back from reduce_stage.
+
+    fold is the first dependent row with a nonzero payload, as (row index,
+    its payload), or None; rows, read only when fold is None, holds per
+    pivot row its payload and its entries in the free columns.  Entries are
+    in [0, p).
+    """
+
+    pivots: list[int]
+    free: list[int]
+    fold: tuple[int, list[int]] | None
+    rows: list[tuple[Sequence[int], Sequence[int]]]
+
+
+def reduce_stage(
+    matrix: StageMatrix, payload: Sequence[Sequence[int]], log: list | None = None
+) -> StageReduction:
+    """rref_mod_p of the stage rows with their payload columns riding along.
+
+    payload holds one row per stage row, all of the same width.  Pivots,
+    the reduced rows, OPS and the log are rref_mod_p's on the augmented
+    rows; only what the stage uses comes back (see StageReduction).
+    """
+    p, e, m = matrix.p, matrix.e, matrix.m
+    if p != 2:
+        mat = list(map(add, matrix.data, map(tuple, payload)))
+        pivots = rref_mod_p(mat, p, ncols=e, log=log)
+        npiv = len(pivots)
+        free = _free(pivots, e)
+        for k in range(npiv, m):
+            if any(mat[k][e:]):
+                return StageReduction(pivots, free, (k, mat[k][e:]), [])
+        top = mat[:npiv]
+        at_free = [[row[c] for c in free] for row in top] if free else repeat(())
+        return StageReduction(pivots, free, None, list(zip([row[e:] for row in top], at_free)))
+    cols = matrix.data + _pack_2(payload, len(payload[0]) if m else 0)
+    pivots = _eliminate_2(cols, m, e, log)
+    npiv = len(pivots)
+    free = _free(pivots, e)
+    pay = cols[e:]
+    dependent = 0
+    for x in pay:
+        dependent |= x
+    dependent >>= npiv
+    if dependent:
+        idx = npiv + (dependent & -dependent).bit_length() - 1
+        return StageReduction(pivots, free, (idx, [x >> idx & 1 for x in pay]), [])
+    if not npiv:
+        return StageReduction(pivots, free, None, [])
+    # the pivot rows alone, of the payload and free columns
+    pays = zip(*[_head_bits(x, npiv) for x in pay])
+    at_free = zip(*[_head_bits(cols[c], npiv) for c in free]) if free else repeat(())
+    return StageReduction(pivots, free, None, list(zip(pays, at_free)))
+
+
+def _free(pivots: list[int], e: int) -> list[int]:
+    pivot_set = set(pivots)
+    return [c for c in range(e) if c not in pivot_set]
 
 
 def replay_rref_log(log: list, column: Sequence[int], p: int) -> list[int]:
@@ -200,10 +343,12 @@ def replay_rref_log(log: list, column: Sequence[int], p: int) -> list[int]:
 
 
 def rank_mod_p(data: Sequence[Sequence[int]], p: int) -> int:
-    rows = [list(r) for r in data]
-    if not rows:
+    if not data:
         return 0
-    return len(rref_mod_p(rows, p))
+    if p == 2:
+        n = len(data[0])
+        return len(_eliminate_2(_pack_2(data, n), len(data), n, None))
+    return len(rref_mod_p([list(r) for r in data], p))
 
 
 @dataclass(frozen=True)

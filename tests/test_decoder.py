@@ -24,7 +24,7 @@ from convring.cli import erase_stream, generate_code
 from convring.codes import _window_coeffs, is_codeword_window
 from convring.decoder import ParamSpace, _Branch, _fold
 from convring.errors import CapExceeded
-from convring.linsolve import OPS
+from convring.linsolve import OPS, rref_mod_p
 from tests.conftest import random_kernel_code
 
 Z4 = RingContext(2, 2)
@@ -545,12 +545,13 @@ def test_pattern_store_cases_cover(feature):
 # ---------------------------------------------------------------------------
 # banded window rows
 
-SPAN_RINGS = (RingContext(2, 1), Z4, Z8, Z9, Z25)
+SPAN_RINGS = (RingContext(2, 1), Z4, Z8, Z9, Z25, RingContext(2, 4))
+Z2_POWER_RINGS = (0, 1, 2, 5)  # Z_2, Z_4, Z_8, Z_16
 
 
 @functools.cache
 def _span_code(ring: int, nu: int):
-    """A fixed random kernel code over Z_2, Z_4, Z_8, Z_9 or Z_25 with parity degree nu, n <= 4."""
+    """A fixed random kernel code over Z_2, Z_4, Z_8, Z_9, Z_25 or Z_16 with parity degree nu, n <= 4."""
     ctx = SPAN_RINGS[ring]
     rng = random.Random(100 * ctx.q + nu)
     while True:
@@ -562,15 +563,17 @@ def _span_code(ring: int, nu: int):
 
 
 @st.composite
-def banded_windows(draw):
+def banded_windows(draw, rings=None):
     """One window of a span code over a codeword stream, with erasures.
 
+    The code's ring is one of the first five SPAN_RINGS, or one of rings.
     Erasures fall at a drawn rate on the window's times inside the stream;
     a terminated window may reach past the stream end, an unterminated one
     is cut to Tw = min(T, L - 1 - i).  One known symbol the window reads may
     be off.  Returns (code, received, i, Tw, terminated).
     """
-    code = _span_code(draw(st.integers(0, 4)), draw(st.integers(0, 3)))
+    ring = draw(st.integers(0, 4) if rings is None else st.sampled_from(rings))
+    code = _span_code(ring, draw(st.integers(0, 3)))
     n, q = code.n, code.ctx.q
     T = draw(st.integers(0, 7))
     terminated = draw(st.booleans())
@@ -734,6 +737,81 @@ def test_corrupt_stage_form_raises(kernel_code_z8, monkeypatch):
     monkeypatch.setattr(decoder, "_run_stage", corrupted)
     with pytest.raises(AssertionError, match="not divisible by p"):
         list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
+
+
+def _check_z2_stages(case):
+    """Each reduce_stage call of a Z_{2^r} window's decode reads back what rref_mod_p's list rows hold.
+
+    Pivots, free columns and log; the first dependent row with a nonzero
+    payload, and that payload; or each pivot row's payload and free-column
+    entries.  Returns the features seen.
+    """
+    code, rx, i, Tw, terminated = case
+    real_matrix, real_reduce, coeff_rows = decoder.StageMatrix, decoder.reduce_stage, {}
+
+    def stage_matrix(rows, e, p):
+        matrix = real_matrix(rows, e, p)
+        coeff_rows[matrix] = [list(row) for row in rows]
+        return matrix
+
+    def reduce_stage(matrix, payload, log=None):
+        got_log = [] if log is None else log
+        got = real_reduce(matrix, payload, got_log)
+        rows = [[*row, *pay] for row, pay in zip(coeff_rows[matrix], payload)]
+        e, ref_log = matrix.e, []
+        pivots = rref_mod_p(rows, 2, ncols=e, log=ref_log)
+        free = [c for c in range(e) if c not in pivots]
+        assert (got.pivots, got.free, got_log) == (pivots, free, ref_log)
+        idx = next((k for k in range(len(pivots), len(rows)) if any(rows[k][e:])), None)
+        if idx is None:
+            assert got.fold is None
+            assert [(list(pay), list(at_free)) for pay, at_free in got.rows] == [
+                (row[e:], [row[c] for c in free]) for row in rows[: len(pivots)]
+            ]
+        else:
+            assert got.fold == (idx, rows[idx][e:]) and got.rows == []
+            features.add("fold" if idx == len(pivots) else "late-fold")
+        if not rows:
+            features.add("empty-stage")
+        return got
+
+    features = set()
+    sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decoder, "StageMatrix", stage_matrix)
+        mp.setattr(decoder, "reduce_stage", reduce_stage)
+        out = decoder._decode(sysw, logged=True)
+    if out.invalid_witness is not None and out.invalid_witness[0] == "stage":
+        features.add("stage-invalid")
+    if code.ctx.q == 16 and coeff_rows:
+        features.add("z16")
+    return features
+
+
+@settings(max_examples=150, deadline=None)
+@given(banded_windows(Z2_POWER_RINGS))
+def test_z2_stage_readback_matches_list_rows(case):
+    _check_z2_stages(case)
+
+
+@pytest.mark.parametrize("feature", ["fold", "late-fold", "stage-invalid", "empty-stage", "z16"])
+def test_z2_stage_readback_cases_cover(feature):
+    # the Z_2, Z_4, Z_8 and Z_16 windows reach folds (of the first
+    # dependent row, or of a later one after dependent rows with a zero
+    # payload), ("stage", t, idx) witnesses and stages with no rows; the
+    # first case found with each passes the same check
+    case = find(
+        banded_windows(Z2_POWER_RINGS),
+        lambda case: feature in _check_z2_stages(case),
+        settings=settings(
+            max_examples=2000,
+            deadline=None,
+            database=None,
+            derandomize=True,
+            phases=[Phase.generate],
+        ),
+    )
+    assert feature in _check_z2_stages(case)
 
 
 def test_all_erased_z4_window_is_symbolic():

@@ -219,3 +219,66 @@ def test_rref_log_replays_each_column(p):
         assert logged == plain and len(log) == len(pivots)
         for j in range(ncols + extra):
             assert replay_rref_log(log, [row[j] for row in rows], p) == [row[j] for row in plain]
+
+
+def reference_z2_log(rows, ncols):
+    """The row operations of reference_rref over Z_2: (swapped row, 1, hit rows) per pivot."""
+    rows = [[x % 2 for x in row] for row in rows]
+    log, r = [], 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        hits = [i for i, row in enumerate(rows) if i != r and row[col]]
+        for i in hits:
+            rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
+        log.append((pr, 1, hits))
+        r += 1
+    return log
+
+
+def _z2_entry(rng, density):
+    """An entry of any parity: small, past one byte, or negative."""
+    if rng.random() >= density:
+        return rng.choice([0, 2, -2, 256, -256, 1 << 70])
+    return rng.choice([1, 3, -1, -3, 255, 257, 1025, -255, (1 << 70) + 1])
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+def test_rref_z2_bitmask_kernel(shape):
+    # shapes up to 80 x 80, so a column mask or a row passes 64 bits, with
+    # entries outside [0, 256) (which bytes cannot pack) in about half the
+    # systems; pivots, rows, OPS, log and replay match the list reference
+    rng = random.Random({"tall": 301, "wide": 302, "square": 303}[shape])
+    biggest = 0
+    for case in range(24):
+        small, big = sorted(rng.randrange(0, 81) for _ in range(2))
+        biggest = max(biggest, big)
+        m, n = {"tall": (big, small), "wide": (small, big), "square": (big, big)}[shape]
+        ncols = rng.randrange(0, n + 1)
+        density = rng.choice([0.05, 0.3, 0.5])
+        if case % 2:
+            rows = [[_z2_entry(rng, density) for _ in range(n)] for _ in range(m)]
+        else:
+            rows = [[rng.randrange(0, 8) * (rng.random() < density) for _ in range(n)] for _ in range(m)]
+        pivots = _check_rref(rows, 2, ncols)
+        assert rank_mod_p(rows, 2) == len(_check_rref(rows, 2))
+        log, work = [], [list(row) for row in rows]
+        assert rref_mod_p(work, 2, ncols=ncols, log=log) == pivots
+        assert log == reference_z2_log(rows, ncols)
+        for j in range(n):
+            assert replay_rref_log(log, [row[j] for row in rows], 2) == [row[j] for row in work]
+    assert biggest > 64
+
+
+@pytest.mark.parametrize("m, n, ncols", [(0, 0, 0), (0, 0, 5), (3, 0, 0), (1, 70, 0), (70, 1, 1), (0, 0, 80)])
+def test_rref_z2_bitmask_kernel_degenerate(m, n, ncols):
+    # m = 0, n = 0 and ncols = 0, alone and together, with unpackable entries
+    rows = [[-1 if (i + j) % 3 else 300 for j in range(n)] for i in range(m)]
+    pivots, log = _check_rref(rows, 2, ncols), []
+    assert rref_mod_p([list(row) for row in rows], 2, ncols=ncols, log=log) == pivots
+    assert log == reference_z2_log(rows, ncols)
+    assert rank_mod_p(rows, 2) == len(reference_rref(rows, 2, n)[0])

@@ -37,14 +37,13 @@ from .polymat import (
     NEG_INF,
     Poly,
     PolyMatrix,
+    _kernel_basis,
     adjugate,
     complete_to_unimodular,
     exact_dtype,
     invert_unimodular,
     is_left_prime,
-    lift_unimodular,
     rank,
-    smith_form,
 )
 from .ring import RingContext
 
@@ -317,26 +316,14 @@ def _solve_left_rational(B: PolyMatrix, w) -> tuple[list[Poly], Poly] | None:
     """Solve c B = w over the fraction field of Z_p[D].
 
     Returns cleared-denominator coefficients (chat, delta) with
-    chat B = delta w, or None when w is independent of B's rows.
+    chat B = delta w, read from a minimal left kernel vector (chat, -delta)
+    of the stack [B; w], or None when w is independent of B's rows.
     """
-    fld = B.ctx
-    sf = smith_form(B)
-    k = B.rows
-    wv = PolyMatrix(fld, [w]) @ sf.V
-    z = wv.entries[0]
-    factors = sf.invariant_factors
-    for j in range(k, B.cols):
-        if not z[j].is_zero:
-            return None
-    assert all(not f.is_zero for f in factors)
-    delta = factors[-1]  # monic factors, each dividing the next: the last is their lcm
-    y = []
-    for i in range(k):
-        scale, rem = delta.divmod_by(factors[i])
-        assert rem.is_zero
-        y.append(z[i] * scale)
-    chat = PolyMatrix(fld, [y]) @ sf.U
-    return list(chat.entries[0]), delta
+    K = _kernel_basis(B.vstack(PolyMatrix(B.ctx, [w])).transpose())
+    if K.cols == 0:
+        return None
+    v = [row[0] for row in K.entries]
+    return v[:-1], -v[-1]
 
 
 def _coeff_matrices(M: PolyMatrix) -> tuple[ConstMatrix, ...]:
@@ -372,8 +359,9 @@ def synthesize_parity_check(code: ConvCode) -> ParityCheck:
 
     First the projected stack is completed to a unimodular matrix, lifted
     and inverted exactly, and the layers are read out of the transposed
-    inverse; the kernel then equals the code.  The completion's Smith form
-    also decides observability: when the projected stack is not left prime
+    inverse; the kernel then equals the code.  The completion, read from a
+    minimal kernel basis of the projected stack, also decides
+    observability: when the projected stack is not left prime
     (NotLeftPrime), the adjugate of a nonsingular bordered matrix replaces
     the inverse and the code is only contained in the kernel, with the
     determinant on the diagonal.
@@ -398,8 +386,9 @@ def _exact_parity_check(code: ConvCode) -> ParityCheck:
     """The parity check of an observable code, whose kernel equals the code.
 
     Raises ConstructionError when the generator stack is degenerate and
-    NotLeftPrime when the code is not observable; the completion's Smith
-    form decides the latter, so no separate is_observable is needed.
+    NotLeftPrime when the code is not observable; the completion decides
+    the latter (its stack is unimodular exactly when the projected
+    generator stack is left prime), so no separate is_observable is needed.
     """
     ctx = code.ctx
     gstack = code.generator_stack()
@@ -435,12 +424,14 @@ def _fraction_field_completion(gp: PolyMatrix) -> PolyMatrix:
 def _unimodular_dual(stack: PolyMatrix, ctx: RingContext) -> PolyMatrix:
     """Transposed inverse of stack completed to a unimodular matrix.
 
-    The completion is found over Z_p[D] and lifted; NotLeftPrime is raised
-    when the projection of stack is not left prime.
+    The completion is found over Z_p[D] and lifted digit zero, which keeps
+    it unimodular; invert_unimodular's exact product check proves that, so
+    no determinant is taken.  NotLeftPrime is raised when the projection
+    of stack is not left prime.
     """
     proj = stack.proj()
     N = complete_to_unimodular(proj)
-    M = stack.vstack(lift_unimodular(proj.vstack(N), ctx).take_rows(stack.rows, stack.cols))
+    M = stack.vstack(N.lift(ctx))
     return invert_unimodular(M).transpose()
 
 

@@ -1,11 +1,12 @@
 """Polynomials and dense polynomial matrices over Z_{p^r} and Z_p.
 
-Provides exact matrix arithmetic, Smith normal form over Z_p[D] with the
-transforms U, V and V^{-1}, left-primeness tests, unimodular completion
-read from one Smith form (which also decides left primeness), the
-digit-zero lift from Z_p[D] to Z_{p^r}[D], inversion of unimodular
-matrices as a D-adic power series on integer coefficient matrices, and
-exact determinants/adjugates over rings with zero divisors.
+Provides exact matrix arithmetic, minimal right kernel bases over Z_p[D]
+read from the nullspaces of block-Toeplitz matrices (the structure of the
+sliding parity-check matrix) with the Z_p row reduction of linsolve,
+unimodular completion from such a basis (which also decides left
+primeness), the digit-zero lift from Z_p[D] to Z_{p^r}[D], inversion of
+unimodular matrices as a D-adic power series on integer coefficient
+matrices, and exact determinants/adjugates over rings with zero divisors.
 
 Coefficients are plain canonical integers; the owning RingContext decides
 the modulus.  The zero polynomial has degree NEG_INF so degree arithmetic
@@ -14,12 +15,12 @@ needs no special cases.  Everything here is pure and immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import NotLeftPrime, NotUnimodular
+from .linsolve import rref_mod_p, solve_mod_p
 from .ring import RingContext
 
 NEG_INF = float("-inf")
@@ -402,174 +403,103 @@ def rank(M: PolyMatrix) -> int:
     return r
 
 
-@dataclass
-class SmithForm:
-    """U @ A @ V == S with S diagonal, monic invariant factors in a chain.
+def _toeplitz(coeffs: list[list[list[int]]], depth: int) -> list[list[int]]:
+    """Block-Toeplitz matrix of M = sum_i M_i D^i on vectors of degree <= depth.
 
-    U, V are unimodular over Z_p[D]; V_inv is the recorded inverse of V
-    (built from the same elementary column operations), whose trailing
-    rows complete a left prime A.
+    coeffs are M_0..M_d (m x n each).  Column j n + c holds coefficient j of
+    coordinate c, and row t m + i coefficient t of entry i of the product.
     """
-
-    U: PolyMatrix
-    S: PolyMatrix
-    V: PolyMatrix
-    V_inv: PolyMatrix
-
-    @property
-    def invariant_factors(self) -> tuple[Poly, ...]:
-        k = min(self.S.rows, self.S.cols)
-        return tuple(self.S.entries[i][i] for i in range(k))
+    d, m, n = len(coeffs) - 1, len(coeffs[0]), len(coeffs[0][0])
+    zero = [0] * n
+    return [
+        [x for j in range(depth + 1) for x in (coeffs[t - j][i] if 0 <= t - j <= d else zero)]
+        for t in range(d + depth + 1)
+        for i in range(m)
+    ]
 
 
-def smith_form(A: PolyMatrix) -> SmithForm:
-    """Smith normal form over the Euclidean domain Z_p[D].
+def _kernel_basis(A: PolyMatrix) -> PolyMatrix:
+    """A minimal right kernel basis of A over Z_p[D], as the columns of K.
 
-    Classical gcd-driven pivoting: repeatedly move a minimum-degree entry
-    to the pivot, clear its row and column by division with remainder, and
-    absorb non-divisible trailing entries into the pivot row.
+    The kernel vectors of degree <= delta are the nullspace of A's
+    block-Toeplitz matrix of depth delta.  The shifts D^s b of the basis
+    vectors b found so far span part of it; one rref of the shifts followed
+    by the nullspace vectors, as columns, picks by its pivot columns the
+    vectors that extend that span: the basis vectors of degree delta.
+    Taking as many as possible at each degree keeps K column reduced, so
+    the shifts stay independent.  The search ends at n - rank(A) vectors,
+    none of degree above rank(A) deg(A).
     """
-    ctx = A.ctx
-    if not ctx.is_field:
-        raise ValueError("Smith form is computed over Z_p[D]; project first")
-    m, n = A.rows, A.cols
-    S = [list(row) for row in A.entries]
-    U = [[Poly.const(ctx, 1 if i == j else 0) for j in range(m)] for i in range(m)]
-    V = [[Poly.const(ctx, 1 if i == j else 0) for j in range(n)] for i in range(n)]
-    Vi = [row[:] for row in V]
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for row in S:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
-
-    def row_addmul(i, j, f: Poly):
-        # row i += f * row j
-        if f.is_zero:
-            return
-        S[i] = [a + f * b for a, b in zip(S[i], S[j])]
-        U[i] = [a + f * b for a, b in zip(U[i], U[j])]
-
-    def col_addmul(i, j, f: Poly):
-        # col i += f * col j
-        if f.is_zero:
-            return
-        for row in S:
-            row[i] = row[i] + f * row[j]
-        for row in V:
-            row[i] = row[i] + f * row[j]
-        Vi[j] = [a - f * b for a, b in zip(Vi[j], Vi[i])]
-
-    def scale_row(i, c: int):
-        if c == 1:
-            return
-        S[i] = [a.scale(c) for a in S[i]]
-        U[i] = [a.scale(c) for a in U[i]]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        pi = pj = -1
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = S[i][j]
-                if e.is_zero:
-                    continue
-                if best is None or e.degree < best:
-                    best = e.degree
-                    pi, pj = i, j
-        if best is None:
-            break
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if S[i][t].is_zero:
-                    continue
-                q, rem = S[i][t].divmod_by(S[t][t])
-                row_addmul(i, t, -q)
-                if not rem.is_zero:
-                    swap_rows(t, i)
-                    dirty = True
-            for j in range(t + 1, n):
-                if S[t][j].is_zero:
-                    continue
-                q, rem = S[t][j].divmod_by(S[t][t])
-                col_addmul(j, t, -q)
-                if not rem.is_zero:
-                    swap_cols(t, j)
-                    dirty = True
-            if dirty:
-                continue
-            # pivot must divide everything that remains
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    _, rem = S[i][j].divmod_by(S[t][t])
-                    if not rem.is_zero:
-                        row_addmul(t, i, Poly.one(ctx))
-                        dirty = True
-                        break
-                if dirty:
-                    break
-        scale_row(t, ctx.inv(S[t][t].coeffs[-1]))
-        t += 1
-
-    return SmithForm(
-        U=PolyMatrix(ctx, U),
-        S=PolyMatrix(ctx, S),
-        V=PolyMatrix(ctx, V),
-        V_inv=PolyMatrix(ctx, Vi),
-    )
+    ctx, n, p = A.ctx, A.cols, A.ctx.p
+    if A.degree == NEG_INF:
+        return PolyMatrix.identity(ctx, n)
+    dA, rho = int(A.degree), rank(A)
+    coeffs = [A.coeff_matrix(j) for j in range(dA + 1)]
+    found: list[tuple[int, list[int]]] = []  # (degree, coefficients b_0 | ... | b_deg)
+    delta = 0
+    while len(found) < n - rho:
+        if delta > rho * dA:
+            raise AssertionError("the kernel basis passed its degree bound")
+        T = _toeplitz(coeffs, delta)
+        null = [list(v) for v in solve_mod_p(T, [0] * len(T), p).basis]
+        shifts = [
+            [0] * (s * n) + b + [0] * ((delta - d - s) * n)
+            for d, b in found
+            for s in range(delta - d + 1)
+        ]
+        picked = rref_mod_p([list(col) for col in zip(*shifts, *null)], p)
+        found += [(delta, null[j - len(shifts)]) for j in picked if j >= len(shifts)]
+        delta += 1
+    return PolyMatrix(ctx, [[b[c::n] for _, b in found] for c in range(n)], cols=len(found))
 
 
 def is_left_prime(A: PolyMatrix) -> bool:
     """True when the k x n matrix (k <= n) over Z_p[D] is left prime.
 
-    Equivalent to all k invariant factors being nonzero constants.
+    Decided by complete_to_unimodular, which succeeds exactly for left prime A.
     """
-    if A.rows > A.cols:
-        raise ValueError("left primeness needs k <= n")
-    if not A.ctx.is_field:
-        raise ValueError("left primeness is tested over Z_p[D]; project first")
-    if A.rows == 0:
-        return True
-    factors = smith_form(A).invariant_factors
-    return all(f.is_unit_const for f in factors)
+    try:
+        complete_to_unimodular(A)
+    except NotLeftPrime:
+        return False
+    return True
 
 
 def complete_to_unimodular(A: PolyMatrix) -> PolyMatrix:
     """Rows N making stack(A, N) unimodular over Z_p[D]; A must be left prime.
 
-    Taken from the recorded Smith data: with U A V = [I | 0], the bottom
-    n-k rows of V^{-1} complete A.  The one Smith form decides left
-    primeness too: NotLeftPrime is raised when A is not.
+    With K a minimal right kernel basis of A, N solves N K = I, degree by
+    degree on the block-Toeplitz matrix of K^T.  For any right inverse R
+    of A, [A; N] [R K] = [[I, 0], [N R, I]], so the square stack is
+    unimodular exactly when A is left prime, and invert_unimodular decides
+    it: NotLeftPrime is raised when A is not (or has deficient rank).
     """
     if A.rows > A.cols:
         raise ValueError("left primeness needs k <= n")
     if not A.ctx.is_field:
         raise ValueError("completion runs over Z_p[D]; project first")
-    sf = smith_form(A)
-    if not all(f.is_unit_const for f in sf.invariant_factors):
-        raise NotLeftPrime("matrix is not left prime; no unimodular completion exists")
-    n, k = A.cols, A.rows
-    N = sf.V_inv.take_rows(k, n)
-    stack = A.vstack(N)
-    d = det(stack)
-    if not d.is_unit_const:
-        raise AssertionError("completion contract violated")
+    ctx, n, p = A.ctx, A.cols, A.ctx.p
+    K = _kernel_basis(A)
+    ell = K.cols
+    if A.rows + ell != n:
+        raise NotLeftPrime("matrix has deficient rank; no unimodular completion exists")
+    N = PolyMatrix.zeros(ctx, 0, n)
+    if ell:
+        dK = int(K.degree)
+        coeffs = [K.transpose().coeff_matrix(j) for j in range(dK + 1)]
+        # a right prime K has a left inverse of degree below (2 ell - 1) dK
+        for dN in range((2 * ell - 1) * dK + 1):
+            T = _toeplitz(coeffs, dN)
+            sols = [solve_mod_p(T, [int(t == i) for t in range(len(T))], p) for i in range(ell)]
+            if all(s.feasible for s in sols):
+                break
+        else:
+            raise AssertionError("the minimal kernel basis has no polynomial left inverse")
+        N = PolyMatrix(ctx, [[s.particular[c::n] for c in range(n)] for s in sols], cols=n)
+    try:
+        invert_unimodular(A.vstack(N))
+    except NotUnimodular:
+        raise NotLeftPrime("matrix is not left prime; no unimodular completion exists") from None
     return N
 
 

@@ -22,7 +22,7 @@ from convring import (
 )
 from convring import polymat
 from convring.cli import generate_code
-from convring.codes import _window_equations
+from convring.codes import _solve_left_rational, _window_equations
 from tests.conftest import random_kernel_code
 
 Z8 = RingContext(2, 3)
@@ -181,46 +181,46 @@ class TestSynthesis:
             synthesize_parity_check(code)
 
 
-class TestOneSmithFormPerCompletion:
+class TestOneKernelBasisPerCompletion:
     """Completion decides left primeness itself, so no separate test runs first."""
 
     @pytest.fixture
-    def smith_calls(self, monkeypatch):
+    def kernel_calls(self, monkeypatch):
         calls = []
-        inner = polymat.smith_form
+        inner = polymat._kernel_basis
 
         def counted(A):
             calls.append(A)
             return inner(A)
 
-        monkeypatch.setattr(polymat, "smith_form", counted)
+        monkeypatch.setattr(polymat, "_kernel_basis", counted)
         return calls
 
-    def test_synthesis_of_observable_code(self, smith_calls):
+    def test_synthesis_of_observable_code(self, kernel_calls):
         full = generate_code(p=2, r=2, n=4, k_blocks=[1, 0], deg=1, seed=7)
         code = ConvCode(ctx=full.ctx, n=full.n, k_blocks=full.k_blocks, g_blocks=full.g_blocks)
-        smith_calls.clear()
+        kernel_calls.clear()
         syn = synthesize_parity_check(code)
-        assert len(smith_calls) == 1
+        assert len(kernel_calls) == 1
         assert syn == full.synthesis and syn.exact_kernel
 
-    def test_synthesis_of_non_observable_code(self, smith_calls, nonexact_code_z9):
+    def test_synthesis_of_non_observable_code(self, kernel_calls, nonexact_code_z9):
         syn = synthesize_parity_check(nonexact_code_z9)
-        assert len(smith_calls) == 1
+        assert len(kernel_calls) == 1
         assert not syn.exact_kernel
         code = nonexact_code_z9.with_parity_check()
         prod = code.parity_matrix() @ code.generator_matrix().transpose()
         assert all(e.is_zero for row in prod.entries for e in row)
 
-    def test_left_prime_parity_check(self, smith_calls, kernel_code_z8, z8):
+    def test_left_prime_parity_check(self, kernel_calls, kernel_code_z8, z8):
         coeffs = [kernel_code_z8.parity_coeff(m).data for m in range(3)]
         assert ConvCode.from_parity_coeffs(z8, coeffs) == kernel_code_z8
-        assert len(smith_calls) == 1
+        assert len(kernel_calls) == 1
         assert kernel_code_z8.g_blocks is not None
 
-    def test_not_left_prime_parity_check_is_kernel_only(self, smith_calls, z4):
+    def test_not_left_prime_parity_check_is_kernel_only(self, kernel_calls, z4):
         code = ConvCode.from_parity_coeffs(z4, [[[1, 1, 0]], [[1, 1, 0]]])
-        assert len(smith_calls) == 1
+        assert len(kernel_calls) == 1
         assert code.g_blocks is None and code.k_blocks == (2, 0)
 
     def test_tall_parity_check_rejected(self, z4):
@@ -501,10 +501,42 @@ class TestEncode:
 
 
 def test_inverse_start_finishes_quickly():
-    # spec 123 of the code-design workload on seed 1: its 6 x 6 Z_3[D]
-    # projection has degree 28, where a Smith-form start ran for over a minute
+    # spec 123 of the code-design workload on seed 1: the unimodular matrix it
+    # inverts once had a 6 x 6 Z_3[D] projection of degree 28, on which a
+    # gcd-driven (Smith form) inverse start ran for over a minute
     t0 = time.perf_counter()
     code = generate_code(p=3, r=2, n=6, k_blocks=[1, 4], deg=2, seed=928865527)
     assert time.perf_counter() - t0 < 5
     prod = code.parity_matrix() @ code.generator_matrix().transpose()
     assert all(e.is_zero for row in prod.entries for e in row)
+
+
+def test_high_degree_completion_builds_quickly():
+    # a completion that never reduced degrees gave this 4 x 8 degree-4 stack
+    # rows of degree 594 and did not finish in 40 s
+    n, r = 8, 2
+    t0 = time.perf_counter()
+    code = generate_code(p=2, r=r, n=n, k_blocks=[2, 2], deg=4, seed=7)
+    assert time.perf_counter() - t0 < 1
+    prod = code.parity_matrix() @ code.generator_matrix().transpose()
+    assert all(e.is_zero for row in prod.entries for e in row)
+    gp = code.generator_stack().proj()
+    d = int(gp.vstack(polymat.complete_to_unimodular(gp)).degree)
+    # invert_unimodular's bound on the inverse, from which H is read
+    assert code.nu <= (n - 1) * d + (r - 1) * n * d
+
+
+@pytest.mark.parametrize("ctx", [Z2, RingContext(3, 1)], ids=["z2", "z3"])
+def test_solve_left_rational(ctx):
+    B = PolyMatrix(ctx, [[1, [0, 1], 0, [1, 1]], [0, 1, [1, 1], 1]])
+    rng = random.Random(ctx.p)
+    for _ in range(5):
+        c = PolyMatrix(ctx, [[[rng.randrange(ctx.p) for _ in range(3)] for _ in range(2)]])
+        w = list((c @ B).entries[0])
+        chat, delta = _solve_left_rational(B, w)
+        assert not delta.is_zero
+        assert list((PolyMatrix(ctx, [chat]) @ B).entries[0]) == [delta * x for x in w]
+    # the first two coordinates of a row combination pin it to zero
+    free = PolyMatrix(ctx, [[0, 0, 0, 1]])
+    assert rank(B.vstack(free)) == 3
+    assert _solve_left_rational(B, list(free.entries[0])) is None

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,10 +16,10 @@ from convring import (
     is_left_prime,
     lift_unimodular,
     rank,
-    smith_form,
+    rank_mod_p,
 )
 from convring import polymat
-from convring.polymat import NEG_INF
+from convring.polymat import NEG_INF, _kernel_basis
 
 Z8 = RingContext(2, 3)
 Z9 = RingContext(3, 2)
@@ -120,61 +121,141 @@ class TestMatrixOps:
         assert B.proj()[0, 0].is_zero  # digit oracle: both coefficients vanish
 
 
+def poly_gcd(a, b):
+    """Monic gcd over Z_p[D] by Euclid; zero when both are zero."""
+    while not b.is_zero:
+        a, b = b, a.divmod_by(b)[1]
+    return a if a.is_zero else a.scale(a.ctx.inv(a.coeffs[-1]))
+
+
+def minors(A, i):
+    """All i x i minors of A, by Laplace det."""
+    return [
+        det(PolyMatrix(A.ctx, [[A[r, c] for c in S] for r in R]))
+        for R in combinations(range(A.rows), i)
+        for S in combinations(range(A.cols), i)
+    ]
+
+
+def invariant_factors(A):
+    """The nonzero Smith invariant factors of A over Z_p[D], from minors alone.
+
+    The determinantal divisor d_i is the monic gcd of the i x i minors, and
+    the i-th invariant factor is d_i / d_{i-1}; the divisors must form a chain.
+    """
+    out, prev = [], Poly.one(A.ctx)
+    for i in range(1, min(A.rows, A.cols) + 1):
+        d = Poly.zero(A.ctx)
+        for m in minors(A, i):
+            d = poly_gcd(d, m)
+        if d.is_zero:
+            break
+        f, rem = d.divmod_by(prev)
+        assert rem.is_zero
+        out.append(f)
+        prev = d
+    return out
+
+
+def column_degrees(K):
+    return [max(int(e.degree) for e in col if not e.is_zero) for col in K.transpose().entries]
+
+
+def assert_minimal_kernel(A, K, rho):
+    """K is a column reduced basis of A's right kernel, of n - rho columns."""
+    assert K.rows == A.cols and K.cols == A.cols - rho
+    assert all(e.is_zero for row in (A @ K).entries for e in row)
+    if not K.cols:
+        return
+    degs = column_degrees(K)
+    lead = [[K[i, j].coeff(d) for j, d in enumerate(degs)] for i in range(K.rows)]
+    assert rank_mod_p(lead, A.ctx.p) == K.cols
+    if rho == A.rows:
+        # Forney: the minimal indices of the kernel of a full row rank A sum
+        # to the top degree of its maximal minors less that of their gcd
+        full = [m for m in minors(A, rho) if not m.is_zero]
+        g = Poly.zero(A.ctx)
+        for m in full:
+            g = poly_gcd(g, m)
+        assert sum(degs) == max(m.degree for m in full) - g.degree
+
+
 class TestSmith:
+    """Smith invariants, read from minors alone (by det), against the kernel basis and primeness."""
+
     def test_fixed_diagonal(self):
         A = PolyMatrix(Z2, [[[1], [0]], [[0], [0, 1]]])
-        sf = smith_form(A)
-        assert sf.S == A
-        assert sf.U @ A @ sf.V == sf.S
+        assert invariant_factors(A) == [Poly.one(Z2), Poly(Z2, [0, 1])]
+        assert _kernel_basis(A).cols == 0
+        assert not is_left_prime(A)
 
     def test_rank_deficient(self):
         A = PolyMatrix(Z2, [[[0, 1], [0, 1]], [[0], [0]]])
-        sf = smith_form(A)
-        assert sf.invariant_factors[0] == Poly(Z2, [0, 1])
-        assert sf.invariant_factors[1].is_zero
+        assert invariant_factors(A) == [Poly(Z2, [0, 1])]
+        assert _kernel_basis(A) == PolyMatrix(Z2, [[1], [1]])
+        with pytest.raises(NotLeftPrime, match="deficient rank"):
+            complete_to_unimodular(A)
 
     def test_worked_stack_over_z3(self):
         # gcd of 2x2 minors is 1+D, so the second factor is not a unit
         G = PolyMatrix(Z3, [[[1, 1], [1, 1], [1, 1]], [[1], [1], [0]]])
-        sf = smith_form(G)
-        assert sf.invariant_factors == (Poly.one(Z3), Poly(Z3, [1, 1]))
+        assert invariant_factors(G) == [Poly.one(Z3), Poly(Z3, [1, 1])]
+        assert_minimal_kernel(G, _kernel_basis(G), 2)
+        assert not is_left_prime(G)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_contract_and_chain(self, seed):
         rng = random.Random(seed)
         ctx = rng.choice([Z2, Z3])
         A = rand_matrix(rng, ctx, rng.randrange(1, 4), rng.randrange(1, 4), 2)
-        sf = smith_form(A)
-        assert sf.U @ A @ sf.V == sf.S
-        assert sf.V @ sf.V_inv == PolyMatrix.identity(ctx, A.cols)
-        assert det(sf.U).is_unit_const and det(sf.V).is_unit_const
-        factors = sf.invariant_factors
-        for a, b in zip(factors, factors[1:]):
-            if a.is_zero:
-                assert b.is_zero
-            elif not b.is_zero:
-                _, rem = b.divmod_by(a)
-                assert rem.is_zero
-        # off-diagonal must vanish
-        for i in range(sf.S.rows):
-            for j in range(sf.S.cols):
-                if i != j:
-                    assert sf.S[i, j].is_zero
+        factors = invariant_factors(A)
+        assert_minimal_kernel(A, _kernel_basis(A), len(factors))
+        if A.rows <= A.cols:
+            prime = len(factors) == A.rows and all(f.is_unit_const for f in factors)
+            assert is_left_prime(A) == prime
 
     @pytest.mark.parametrize("seed", range(6))
     def test_invariant_under_elementary_ops(self, seed):
         rng = random.Random(100 + seed)
         ctx = Z3
-        A = rand_matrix(rng, ctx, 3, 3, 1)
-        base = smith_form(A).invariant_factors
-        # random elementary row/col operation
-        E = PolyMatrix.identity(ctx, 3)
-        rows = [list(r) for r in E.entries]
-        i, j = rng.sample(range(3), 2)
-        rows[i][j] = rand_poly(rng, ctx, 1)
-        E = PolyMatrix(ctx, rows)
-        assert smith_form(E @ A).invariant_factors == base
-        assert smith_form(A @ E).invariant_factors == base
+        A = rand_matrix(rng, ctx, 2, 3, 1)
+        base = invariant_factors(A)
+        left, right = random_unimodular(rng, ctx, 2) @ A, A @ random_unimodular(rng, ctx, 3)
+        assert invariant_factors(left) == base == invariant_factors(right)
+        assert is_left_prime(left) == is_left_prime(A) == is_left_prime(right)
+        # a row operation keeps the kernel, so its minimal degrees too
+        assert sorted(column_degrees(_kernel_basis(left))) == sorted(
+            column_degrees(_kernel_basis(A))
+        )
+
+
+class TestKernelBasis:
+    @pytest.mark.parametrize("ctx", [Z2, Z3, Z5], ids=["z2", "z3", "z5"])
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 4), (3, 3), (4, 2), (2, 5)])
+    def test_random_full_rank(self, ctx, shape):
+        rng = random.Random(ctx.p * 100 + shape[0] * 10 + shape[1])
+        for _ in range(3):
+            A = rand_matrix(rng, ctx, *shape, rng.randrange(3))
+            assert_minimal_kernel(A, _kernel_basis(A), len(invariant_factors(A)))
+
+    @pytest.mark.parametrize("ctx", [Z2, Z3, Z5], ids=["z2", "z3", "z5"])
+    def test_rank_deficient_products(self, ctx):
+        rng = random.Random(ctx.p)
+        for m, rho, n in [(2, 1, 3), (3, 2, 4), (4, 2, 3)]:
+            A = rand_matrix(rng, ctx, m, rho, 1) @ rand_matrix(rng, ctx, rho, n, 1)
+            factors = invariant_factors(A)
+            assert len(factors) <= rho
+            assert_minimal_kernel(A, _kernel_basis(A), len(factors))
+
+    def test_zero_and_empty(self):
+        for A in (PolyMatrix.zeros(Z3, 2, 3), PolyMatrix.zeros(Z3, 0, 3)):
+            assert _kernel_basis(A) == PolyMatrix.identity(Z3, 3)
+
+    def test_shifted_dependency(self):
+        # the kernel of [D, 1] is spanned by [1, -D], up to a unit
+        A = PolyMatrix(Z5, [[[0, 1], [1]]])
+        K = _kernel_basis(A)
+        assert K in [PolyMatrix(Z5, [[[c]], [[0, -c]]]) for c in range(1, 5)]
 
 
 class TestPrimenessCompletion:
@@ -215,6 +296,33 @@ class TestPrimenessCompletion:
         N = complete_to_unimodular(A)
         d = det(A.vstack(N))
         assert d.is_unit_const
+
+    @pytest.mark.parametrize("ctx", [Z2, Z3, Z5], ids=["z2", "z3", "z5"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_of_unimodular_are_left_prime(self, ctx, seed):
+        rng = random.Random(600 + seed)
+        n = rng.randrange(2, 5)
+        k = rng.randrange(1, n + 1)
+        A = random_unimodular(rng, ctx, n).take_rows(0, k)
+        assert is_left_prime(A)
+        N = complete_to_unimodular(A)
+        assert N.rows == n - k and det(A.vstack(N)).is_unit_const
+
+    @pytest.mark.parametrize("ctx", [Z2, Z3, Z5], ids=["z2", "z3", "z5"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nonconstant_left_factor_is_not_left_prime(self, ctx, seed):
+        rng = random.Random(700 + seed)
+        n = rng.randrange(2, 5)
+        k = rng.randrange(1, n + 1)
+        # F has determinant c (D - a) for a unit c, so F A keeps the factor D - a
+        a = rng.randrange(ctx.p)
+        diag = [[[-a, 1] if i == j == 0 else int(i == j) for j in range(k)] for i in range(k)]
+        F = random_unimodular(rng, ctx, k) @ PolyMatrix(ctx, diag)
+        A = F @ random_unimodular(rng, ctx, n).take_rows(0, k)
+        assert not det(F).is_unit_const
+        assert not is_left_prime(A)
+        with pytest.raises(NotLeftPrime):
+            complete_to_unimodular(A)
 
 
 def random_unimodular(rng, ctx, n, ops=6):
@@ -433,5 +541,4 @@ class TestRank:
         rng = random.Random(500 + seed)
         ctx = rng.choice([Z2, Z3])
         A = rand_matrix(rng, ctx, rng.randrange(1, 4), rng.randrange(1, 4), 2)
-        nz = sum(1 for f in smith_form(A).invariant_factors if not f.is_zero)
-        assert rank(A) == nz
+        assert rank(A) == len(invariant_factors(A))

@@ -9,16 +9,18 @@ residuals of the previous stages.
 
 Stage solutions are carried symbolically as integer affine forms in a
 growing global parameter vector over Z_p; nothing is enumerated during
-the recursion.  Each column keeps one dense form [const, c_0, ..., c_{P-1}]
-mod q: its value sum_t p^t f_t recombined over the stages so far.  Stage
-t's payload is digit t of rhs - A G for the column forms G; the rows mod p
-and their payloads are reduced in one augmented elimination
-(linsolve.reduce_stage), payload entries riding along as extra columns.
-The stage prepares its rows mod p once and reads back only the first
-dependent row with a nonzero payload, or else, per pivot row, its payload
-and its entries in the free columns.  Every stage identity (row . f_t
-== payload mod p) holds coefficient by coefficient, so it holds for any
-integer parameter values.  A rank-deficient stage can leave a dependent
+the recursion.  Column c's form is its value sum_t p^t f_t recombined over
+the stages so far, cols[0][c] + sum_v cols[1 + v][c] x_v mod q: the forms
+are kept entry by entry, the constants and each parameter's coefficients
+as one list over the erased columns.  Stage t's payload is digit t of
+rhs - A G for the column forms G, one list over the stage rows per form
+entry; the rows mod p and their payloads are reduced in one augmented
+elimination (linsolve.reduce_stage), payload lists riding along as extra
+columns.  The stage prepares its rows mod p once and reads back only the
+first dependent row with a nonzero payload, or else, per payload and per
+free column, its entries in the pivot rows.  Every stage identity (row .
+f_t == payload mod p) holds coefficient by coefficient, so it holds for
+any integer parameter values.  A rank-deficient stage can leave a dependent
 row whose payload is a nonconstant form in earlier parameters: that
 constraint is folded by substituting, for one of its parameters, the
 integer affine form it dictates in the others.  The constraint then
@@ -26,7 +28,9 @@ vanishes identically and the remaining parameters stay free.
 
 The final list is the set of values of the column forms over all
 assignments of the live parameters in [0, p); distinct assignments give
-distinct windows, so its size is p to the number of live parameters.
+distinct windows, so its size is p to the number of live parameters.  Its
+first n windows, lexicographically, move only the last k live parameters
+(p^k >= n), and are read off their coefficient lists by vector adds.
 
 The window equations come from the one window-equation kernel in codes,
 in two parts.  Columns, coefficients, strata and renormalized rows depend
@@ -321,21 +325,22 @@ class DigitStage:
 
 
 class _Branch:
-    """State of the digit recursion: parameters and one form per column.
+    """State of the digit recursion: parameters and the column forms, entry by entry.
 
-    forms[col] is the column's recombined value sum_t p^t f_t mod q over
-    the stages run so far, as a dense integer list [const, c_0, ...,
-    c_{P-1}] over all P parameters (a folded parameter keeps coefficient 0).
-    logs, kept only by a recursion that is to leave a plan (None
-    otherwise), holds per finished stage its pivots and the row-operation
-    log of its last elimination pass.
+    Column c's form is its recombined value sum_t p^t f_t mod q over the
+    stages run so far, the integer affine form cols[0][c] + sum_v
+    cols[1 + v][c] x_v over all P parameters: cols holds P + 1 lists over
+    the e columns, the constants and then one per parameter (a folded
+    parameter keeps a zero list).  logs, kept only by a recursion that is
+    to leave a plan (None otherwise), holds per finished stage its pivots
+    and the row-operation log of its last elimination pass.
     """
 
-    __slots__ = ("space", "forms", "stages", "logs")
+    __slots__ = ("space", "cols", "stages", "logs")
 
     def __init__(self, space: ParamSpace, e: int, logged: bool = False):
         self.space = space
-        self.forms: list[list[int]] = [[0] for _ in range(e)]
+        self.cols: list[list[int]] = [[0] * e]
         self.stages: list[DigitStage] = []
         self.logs: list[tuple[list[int], list]] | None = [] if logged else None
 
@@ -365,34 +370,51 @@ def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
     form = [-lam_inv * c % q for c in phi]
     form[k] = 0
     branch.space.events.append((k - 1, form))
-    for g in branch.forms:
-        c = g[k]
-        if c:
-            g[:] = [(a + c * x) % q for a, x in zip(g, form)]
-            g[k] = 0
+    cols = branch.cols
+    at_v = cols[k]
+    for j, f in enumerate(form):
+        if f:
+            cols[j] = [(a + c * f) % q for a, c in zip(cols[j], at_v)]
+    cols[k] = [0] * len(at_v)
     return True
 
 
-def _stage_payload(forms, rows_t, pt: int, e: int, q: int) -> list[tuple[int, ...]]:
-    """The payload of stage t >= 1: per row, digit t of rhs - A G over [const, params].
+def _span_runs(bands, k: int) -> list[tuple[tuple[int, int], list]]:
+    """Item k of each band, in runs of one span: [(span, [item, ...]), ...].
 
-    Each row's product reads the column forms over its span alone.
+    Rows of one time share a span object, and rows come in time order.
     """
-    entries = list(zip(*forms))  # one tuple over the columns per form entry
-    payload = []
-    last = None
-    for row, (span, coeffs, _) in rows_t:
-        if span is not last:
-            last, (a, b) = span, span
-            sub = entries if b - a == e else [col[a:b] for col in entries]
-        R = [-sum(map(mul, coeffs, col)) % q for col in sub]
-        R[0] = (R[0] + row.rhs) % q
-        # the earlier stage identities hold coefficient by coefficient, so
-        # p^t divides R identically
-        if any(map(pt.__rmod__, R)):
-            raise AssertionError(f"stage payload is not divisible by p^t = {pt}")
-        payload.append(tuple(map(pt.__rfloordiv__, R)))
-    return payload
+    runs, last = [], None
+    for band in bands:
+        if band[0] is not last:
+            last, run = band[0], []
+            runs.append((last, run))
+        run.append(band[k])
+    return runs
+
+
+def _stage_payload(cols, runs, rhs, pt: int, q: int) -> list[list[int]]:
+    """The payload of stage t >= 1: per form entry, digit t of rhs - A G over the stage rows.
+
+    runs holds the stage rows' coefficient bands in runs of one span
+    (_span_runs), so each row's product reads the entry over its span
+    alone, one slice per run and entry.
+    """
+    pays = [
+        [
+            -sum(map(mul, coeffs, sub)) % q
+            for (a, b), bands in runs
+            for sub in (col[a:b],)
+            for coeffs in bands
+        ]
+        for col in cols
+    ]
+    pays[0] = [(x + y) % q for x, y in zip(pays[0], rhs)]
+    # the earlier stage identities hold coefficient by coefficient, so p^t
+    # divides every entry
+    if any(any(map(pt.__rmod__, pay)) for pay in pays):
+        raise AssertionError(f"stage payload is not divisible by p^t = {pt}")
+    return [list(map(pt.__rfloordiv__, pay)) for pay in pays]
 
 
 def _run_stage(
@@ -402,22 +424,23 @@ def _run_stage(
 
     rows_t pairs each stage row with its band.  The stage rows mod p are
     prepared for elimination once; each pass reduces them with their
-    payload, digit t of rhs - A G as dense columns over [const, params],
-    each row's product read over its span alone, riding along.  A dependent
-    row with a nonzero payload is folded and the pass repeats.  With
-    branch.logs, the last pass's pivots and row-operation log go there,
-    beside the stage report.
+    payload, digit t of rhs - A G per form entry, each row's product read
+    over its span alone, riding along.  A dependent row with a nonzero
+    payload is folded and the pass repeats.  With branch.logs, the last
+    pass's pivots and row-operation log go there, beside the stage report.
     """
     p, q = ctx.p, ctx.q
     pt = p**t
     matrix = StageMatrix([row.coeffs for row, _ in rows_t], e, p)
+    rhs = [row.rhs for row, _ in rows_t]
+    runs = _span_runs([band for _, band in rows_t], 1)
     while True:
         if not t:
             # every form is 0 before stage 0 (whose folds only find
             # contradictions), so the payload is the rhs alone
-            payload = [(row.rhs,) for row, _ in rows_t]
+            payload = [rhs]
         else:
-            payload = _stage_payload(branch.forms, rows_t, pt, e, q)
+            payload = _stage_payload(branch.cols, runs, rhs, pt, q)
         log = None if branch.logs is None else []
         red = reduce_stage(matrix, payload, log)
         if red.fold is None:
@@ -427,32 +450,34 @@ def _run_stage(
         if not _fold(branch, phi, q):
             return ("stage", t, idx)
 
-    # free columns get new parameters; a pivot column's digit is its
-    # payload minus the free columns' share
-    pivots, free = red.pivots, red.free
-    new_params = tuple(branch.space.new_param() for _ in free)
-    grow = [0] * len(free)
-    for g in branch.forms:
-        g.extend(grow)
-    for c, v in zip(free, new_params):
-        branch.forms[c][1 + v] = pt
+    # a pivot column's digit is its payload minus the free columns' share;
+    # the existing entries change only at pivot positions with a nonzero digit
+    pivots = red.pivots
+    for col, pay in zip(branch.cols, red.pays):
+        for c, x in zip(pivots, pay):
+            if x:
+                col[c] = (col[c] + pt * x) % q
     particular = [0] * e
-    basis = [[0] * e for _ in free]
-    for col, (pay, at_free) in zip(pivots, red.rows):
-        f = [*pay, *[-x % q for x in at_free]]
-        g = branch.forms[col]
-        g[:] = [(a + pt * x) % q for a, x in zip(g, f)]
-        particular[col] = pay[0]
-        for vec, x in zip(basis, at_free):
-            vec[col] = -x % p
-    for vec, c in zip(basis, free):
-        vec[c] = 1
+    for c, x in zip(pivots, red.pays[0]):
+        particular[c] = x
+    # each free column gets a new parameter: its coefficient list and the
+    # stage's basis vector
+    new_params, basis = [], []
+    for c, at_free in zip(red.free, red.at_free):
+        new_params.append(branch.space.new_param())
+        col, vec = [0] * e, [0] * e
+        for k, x in zip(pivots, at_free):
+            if x:
+                col[k], vec[k] = -pt * x % q, p - x
+        col[c], vec[c] = pt, 1
+        branch.cols.append(col)
+        basis.append(tuple(vec))
     branch.stages.append(
         DigitStage(
             t=t,
             rank=len(pivots),
-            new_params=new_params,
-            solutions=AffineSet(p, e, True, tuple(particular), tuple(map(tuple, basis))),
+            new_params=tuple(new_params),
+            solutions=AffineSet(p, e, True, tuple(particular), tuple(basis)),
         )
     )
     if log is not None:
@@ -538,10 +563,10 @@ class _Plan:
     """The value-free half of a fold-free recursion for one erasure pattern.
 
     Per stage its pivots, the row-operation log of its elimination and its
-    report; then the final parameter part of every column form, proven
-    against the pattern's raw rows; and whether that part is zero on every
-    time-0 column, in which case a window's time-0 values are its constant
-    column.
+    report; then the final parameter part of the column forms, one
+    coefficient tuple over the columns per parameter, proven against the
+    pattern's raw rows; and whether no parameter reaches a time-0 column,
+    in which case a window's time-0 values are its constant column.
     """
 
     stages: list[tuple[list[int], list, DigitStage]]
@@ -562,11 +587,11 @@ def _make_plan(outcome: DecodeOutcome) -> _Plan | None:
         return None
     (branch,) = outcome.branches
     sys = outcome.system
-    params = [tuple(g[1:]) for g in branch.forms]
-    _check_rows(sys, None, list(zip(*params)))
+    params = list(map(tuple, branch.cols[1:]))
+    _check_rows(sys, None, params)
     head = sum(t == sys.i for t, _ in sys.columns)
     stages = [(pivots, log, stage) for (pivots, log), stage in zip(branch.logs, branch.stages)]
-    return _Plan(stages, params, not any(map(any, params[:head])))
+    return _Plan(stages, params, not any(any(col[:head]) for col in params))
 
 
 def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
@@ -617,8 +642,8 @@ def _replayed_outcome(plan: _Plan, sys: WindowSystem, consts: list[int]) -> Deco
         particular = tuple(c // pt % p for c in consts)
         solutions = AffineSet(p, e, True, particular, stage.solutions.basis)
         branch.stages.append(DigitStage(stage.t, stage.rank, stage.new_params, solutions))
-    branch.space.n_params = len(plan.params[0])
-    branch.forms = [[c, *g] for c, g in zip(consts, plan.params)]
+    branch.space.n_params = len(plan.params)
+    branch.cols = [consts, *map(list, plan.params)]
     return _outcome(sys, branch)
 
 
@@ -658,27 +683,25 @@ _VIOLATION = "the list violates the parity equations"
 def _check_rows(sys: WindowSystem, consts, param_cols) -> None:
     """Raise unless column forms solve every raw row of a valid window, coefficient by coefficient.
 
-    The constant column consts (unless None) must give each row's orig_rhs
-    mod q, and every parameter column in param_cols must give 0.  Each row
-    reads its span of the columns alone, as the coefficients outside it
-    are 0.
+    The constant list consts (unless None) must give each row's orig_rhs
+    (reduced mod q), and every parameter list in param_cols must give 0.
+    Each row reads its span of a list alone, as the coefficients outside
+    it are 0, one slice per span and list.
     """
     if consts is None and not param_cols:
         return
-    q, e = sys.code.ctx.q, sys.e
-    last = None
-    for row, (span, _, orig) in zip(sys.rows, sys.pattern.bands):
-        if span is not last:
-            last, (a, b) = span, span
-            if b - a == e:
-                band_consts, band_params = consts, param_cols
-            else:
-                band_consts = None if consts is None else consts[a:b]
-                band_params = [col[a:b] for col in param_cols]
-        if (band_params and any(sum(map(mul, orig, col)) % q for col in band_params)) or (
-            band_consts is not None and (sum(map(mul, orig, band_consts)) - row.orig_rhs) % q
-        ):
-            raise AssertionError(_VIOLATION)
+    q = sys.code.ctx.q
+    runs = _span_runs(sys.pattern.bands, 2)
+
+    def products(col):
+        return [
+            sum(map(mul, orig, sub)) % q for (a, b), origs in runs for sub in (col[a:b],) for orig in origs
+        ]
+
+    if any(any(products(col)) for col in param_cols if any(col)) or (
+        consts is not None and products(consts) != [row.orig_rhs for row in sys.rows]
+    ):
+        raise AssertionError(_VIOLATION)
 
 
 def materialize_list(
@@ -691,6 +714,11 @@ def materialize_list(
     limit a list larger than the enumeration cap raises CapExceeded.  A
     unique outcome's window was proven when the outcome was made, so it is
     returned as it is.
+
+    The first n <= p^k assignments move only the last k live parameters
+    and leave the others 0, so the windows are the constant column plus
+    the p^k combinations of those k parameter columns, expanded one
+    parameter at a time by vector adds.
     """
     sys = outcome.system
     if outcome.kind == "invalid":
@@ -701,16 +729,21 @@ def materialize_list(
         limit = enumeration_cap()
         if outcome.list_size > limit:
             raise CapExceeded(f"list of size {outcome.list_size} exceeds cap {limit}")
-    q = sys.code.ctx.q
+    p, q = sys.code.ctx.p, sys.code.ctx.q
     (branch,) = outcome.branches
+    cols = branch.cols
     # every member is the column forms at an integer assignment, so raw rows
     # holding coefficient by coefficient prove the whole list
-    consts, *param_cols = zip(*branch.forms)
-    _check_rows(sys, consts, param_cols)
-    windows = []
-    for values in itertools.islice(branch.space.assignments(), max(limit, 1)):
-        x = (1, *values)
-        windows.append(sys.assemble([sum(map(mul, g, x)) % q for g in branch.forms]))
+    _check_rows(sys, cols[0], cols[1:])
+    live, n, k = branch.space.live(), max(limit, 1), 0
+    while k < len(live) and p**k < n:
+        k += 1
+    values = [cols[0]]
+    for v in live[len(live) - k :]:
+        steps = [[x * c % q for c in cols[1 + v]] for x in range(p)]
+        expand = (list(map(q.__rmod__, map(add, vec, step))) for vec in values for step in steps)
+        values = list(itertools.islice(expand, n))
+    windows = [sys.assemble(vec) for vec in values]
     return windows, outcome.list_size > len(windows)
 
 
@@ -776,13 +809,12 @@ def project_values(outcome: DecodeOutcome, cols: Sequence[int]) -> dict[int, int
             if k in cols:
                 flat[k] = outcome.window[t - sys.i][c]
         return flat
-    (branch,) = outcome.branches
+    consts, *params = outcome.branches[0].cols
     values: dict[int, int] = {}
     for col in cols:
-        const, *coeffs = branch.forms[col]
-        if any(coeffs):
+        if any(param[col] for param in params):
             return None
-        values[col] = const
+        values[col] = consts[col]
     return values
 
 

@@ -8,20 +8,19 @@ pivot.  Odd p reduce list rows; over Z_2 the matrix is packed into one
 int per column, bit i of column j holding row i, and each pivot makes one
 XOR pass over the columns to its right.  A digit stage packs its
 coefficient columns once (StageMatrix) and only its payload columns per
-pass, and reads back only what the stage uses: the fold row, or the pivot
-rows' payload and free-column entries.  The elimination kernels are also
-the single place where Z_p multiply-accumulate operations are counted
-(the same count on both paths), so decoding cost measurements all flow
-through OPS.  rref_mod_p can log its row operations, and replay_rref_log
-applies a log to one more column without eliminating again.  The
-brute-force enumerator behind the decoding oracle and the distance
-searches lives here too.
+pass, one column at a time, and reads back only what the stage uses: the
+fold row, or the payload and free columns' entries in the pivot rows.
+The elimination kernels are also the single place where Z_p
+multiply-accumulate operations are counted (the same count on both
+paths), so decoding cost measurements all flow through OPS.  rref_mod_p
+can log its row operations, and replay_rref_log applies a log to one more
+column without eliminating again.  The brute-force enumerator behind the
+decoding oracle and the distance searches lives here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
@@ -192,9 +191,20 @@ def _unpack_2(cols: Sequence[int], m: int) -> list[list[int]]:
     return [list(flat[i::m]) for i in range(m)]
 
 
+def _column_2(col: Sequence[int]) -> int:
+    """The bitmask of one column mod 2, bit i holding entry i."""
+    try:
+        flat = bytes(col)
+    except ValueError:  # an entry outside [0, 256)
+        flat = bytes([x & 1 for x in col])
+    # reversed, the entries read m-1..0, most significant bit first
+    return int(flat.translate(_PARITY)[::-1] or b"0", 2)
+
+
 def _head_bits(x: int, k: int) -> bytes:
-    """Rows 0..k-1 of a column bitmask, entries 0 and 1."""
-    return format(x & ((1 << k) - 1), f"0{k}b").encode().translate(_DIGITS)[::-1]
+    """Rows 0..k-1 of a column bitmask, entries 0 and 1 (none when k is 0)."""
+    # bit k set, the format has exactly k + 1 digits, the first of them 1
+    return format(x & ((1 << k) - 1) | 1 << k, "b")[:0:-1].encode().translate(_DIGITS)
 
 
 def _bits(x: int) -> list[int]:
@@ -265,18 +275,19 @@ class StageMatrix:
 
 
 class StageReduction(NamedTuple):
-    """What a digit stage reads back from reduce_stage.
+    """What a digit stage reads back from reduce_stage, column by column.
 
     fold is the first dependent row with a nonzero payload, as (row index,
-    its payload), or None; rows, read only when fold is None, holds per
-    pivot row its payload and its entries in the free columns.  Entries are
-    in [0, p).
+    its payload entries), or None; pays and at_free, read only when fold is
+    None (empty otherwise), hold per payload column and per free column its
+    entries in the pivot rows.  Entries are in [0, p).
     """
 
     pivots: list[int]
     free: list[int]
     fold: tuple[int, list[int]] | None
-    rows: list[tuple[Sequence[int], Sequence[int]]]
+    pays: list[Sequence[int]]
+    at_free: list[Sequence[int]]
 
 
 def reduce_stage(
@@ -284,23 +295,24 @@ def reduce_stage(
 ) -> StageReduction:
     """rref_mod_p of the stage rows with their payload columns riding along.
 
-    payload holds one row per stage row, all of the same width.  Pivots,
-    the reduced rows, OPS and the log are rref_mod_p's on the augmented
-    rows; only what the stage uses comes back (see StageReduction).
+    payload holds the payload columns, each one entry per stage row.
+    Pivots, the reduced rows, OPS and the log are rref_mod_p's on the
+    augmented rows; only what the stage uses comes back (see
+    StageReduction).
     """
     p, e, m = matrix.p, matrix.e, matrix.m
     if p != 2:
-        mat = list(map(add, matrix.data, map(tuple, payload)))
+        mat = list(map(add, matrix.data, zip(*payload)))
         pivots = rref_mod_p(mat, p, ncols=e, log=log)
         npiv = len(pivots)
         free = _free(pivots, e)
         for k in range(npiv, m):
             if any(mat[k][e:]):
-                return StageReduction(pivots, free, (k, mat[k][e:]), [])
-        top = mat[:npiv]
-        at_free = [[row[c] for c in free] for row in top] if free else repeat(())
-        return StageReduction(pivots, free, None, list(zip([row[e:] for row in top], at_free)))
-    cols = matrix.data + _pack_2(payload, len(payload[0]) if m else 0)
+                return StageReduction(pivots, free, (k, mat[k][e:]), [], [])
+        # the pivot rows alone, column by column
+        cols = list(zip(*mat[:npiv])) or [()] * (e + len(payload))
+        return StageReduction(pivots, free, None, cols[e:], [cols[c] for c in free])
+    cols = matrix.data + list(map(_column_2, payload))
     pivots = _eliminate_2(cols, m, e, log)
     npiv = len(pivots)
     free = _free(pivots, e)
@@ -311,13 +323,10 @@ def reduce_stage(
     dependent >>= npiv
     if dependent:
         idx = npiv + (dependent & -dependent).bit_length() - 1
-        return StageReduction(pivots, free, (idx, [x >> idx & 1 for x in pay]), [])
-    if not npiv:
-        return StageReduction(pivots, free, None, [])
+        return StageReduction(pivots, free, (idx, [x >> idx & 1 for x in pay]), [], [])
     # the pivot rows alone, of the payload and free columns
-    pays = zip(*[_head_bits(x, npiv) for x in pay])
-    at_free = zip(*[_head_bits(cols[c], npiv) for c in free]) if free else repeat(())
-    return StageReduction(pivots, free, None, list(zip(pays, at_free)))
+    pays = [_head_bits(x, npiv) for x in pay]
+    return StageReduction(pivots, free, None, pays, [_head_bits(cols[c], npiv) for c in free])
 
 
 def _free(pivots: list[int], e: int) -> list[int]:

@@ -554,7 +554,9 @@ def invert_unimodular(U: PolyMatrix) -> PolyMatrix:
     before it only, so d zero terms in a row end the series.  A unimodular
     U has an inverse of degree at most (n-1)d + (r-1)nd (that of adj(U)
     plus that of det(U)^{-1}); a series still running past it raises.
-    The result is checked exactly: U V == V U == I.
+    The result is checked exactly by one product, U V == I: over a
+    commutative ring det U det V = 1 then makes det U a unit, so U has a
+    two-sided inverse, and V, a right inverse, is it (V U == I).
     """
     if not U.is_square:
         raise NotUnimodular("only square matrices can be unimodular")
@@ -581,6 +583,6 @@ def invert_unimodular(U: PolyMatrix) -> PolyMatrix:
     coeffs = np.array(terms[: len(terms) - run], dtype=dtype).transpose(1, 2, 0).tolist()
     V = PolyMatrix(ctx, coeffs, cols=n)
     ident = PolyMatrix.identity(ctx, n)
-    if U @ V != ident or V @ U != ident:
+    if U @ V != ident:
         raise NotUnimodular("the D-adic inverse series failed to produce an exact inverse")
     return V

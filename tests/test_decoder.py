@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from dataclasses import astuple
 
@@ -171,7 +172,7 @@ class TestWorkedDecode:
         out = list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
         (branch,) = out.branches
         v = branch.space.live()[0]
-        branch.forms[0][1 + v] = (branch.forms[0][1 + v] + 1) % 8
+        branch.cols[1 + v][0] = (branch.cols[1 + v][0] + 1) % 8
         with pytest.raises(AssertionError):
             materialize_list(out, limit=1)
 
@@ -411,26 +412,28 @@ class TestParamMachinery:
         assert folded >= 20
 
     def test_fold_constant_contradiction(self):
-        # dense forms [const, c_0, ...]: a nonzero constant with no live
-        # coefficient is a contradiction, the zero form folds nothing
+        # phi is a dense form [const, c_0, ...]: a nonzero constant with no
+        # live coefficient is a contradiction, the zero form folds nothing;
+        # the column forms 1 + c0 and c0 are kept entry by entry
         br = _Branch(ParamSpace(2), 2)
         br.space.new_param()
-        br.forms = [[1, 1], [0, 1]]
+        br.cols = [[1, 0], [1, 1]]
         assert not _fold(br, [1, 0], 8)
         assert _fold(br, [0, 0], 8)
         assert not br.space.events
-        assert br.forms == [[1, 1], [0, 1]]
+        assert br.cols == [[1, 0], [1, 1]]
 
     def test_fold_substitutes_newest_parameter(self):
-        # phi = 1 + c0 + c1 mod 2 folds c1 := -(1 + c0) = 7 + 7 c0 mod 8
+        # phi = 1 + c0 + c1 mod 2 folds c1 := -(1 + c0) = 7 + 7 c0 mod 8;
+        # the column forms 1 + 2 c0 + c1 and 4 c1 become c0 and 4 + 4 c0
         br = _Branch(ParamSpace(2), 2)
         br.space.new_param()
         br.space.new_param()
-        br.forms = [[1, 2, 1], [0, 0, 4]]
+        br.cols = [[1, 0], [2, 0], [1, 4]]
         assert _fold(br, [1, 1, 1], 8)
         assert br.space.events == [(1, [7, 7, 0])]
         assert br.space.live() == [0]
-        assert br.forms == [[0, 1, 0], [4, 4, 0]]
+        assert br.cols == [[0, 4], [1, 4], [0, 0]]
 
     def test_assignments_enumeration_order(self):
         space = ParamSpace(3)
@@ -545,13 +548,13 @@ def test_pattern_store_cases_cover(feature):
 # ---------------------------------------------------------------------------
 # banded window rows
 
-SPAN_RINGS = (RingContext(2, 1), Z4, Z8, Z9, Z25, RingContext(2, 4))
+SPAN_RINGS = (RingContext(2, 1), Z4, Z8, Z9, Z25, RingContext(2, 4), RingContext(3, 3))
 Z2_POWER_RINGS = (0, 1, 2, 5)  # Z_2, Z_4, Z_8, Z_16
 
 
 @functools.cache
 def _span_code(ring: int, nu: int):
-    """A fixed random kernel code over Z_2, Z_4, Z_8, Z_9, Z_25 or Z_16 with parity degree nu, n <= 4."""
+    """A fixed random kernel code over Z_2, Z_4, Z_8, Z_9, Z_25, Z_16 or Z_27 with parity degree nu, n <= 4."""
     ctx = SPAN_RINGS[ring]
     rng = random.Random(100 * ctx.q + nu)
     while True:
@@ -731,7 +734,7 @@ def test_corrupt_stage_form_raises(kernel_code_z8, monkeypatch):
     def corrupted(branch, rows_t, t, e, ctx):
         if t == 1:
             col = next(k for row, _ in rows_t for k, x in enumerate(row.coeffs) if x % p)
-            branch.forms[col][0] += 1
+            branch.cols[0][col] += 1
         return run_stage(branch, rows_t, t, e, ctx)
 
     monkeypatch.setattr(decoder, "_run_stage", corrupted)
@@ -743,8 +746,8 @@ def _check_z2_stages(case):
     """Each reduce_stage call of a Z_{2^r} window's decode reads back what rref_mod_p's list rows hold.
 
     Pivots, free columns and log; the first dependent row with a nonzero
-    payload, and that payload; or each pivot row's payload and free-column
-    entries.  Returns the features seen.
+    payload, and that payload; or the entries of each payload column and
+    each free column in the pivot rows.  Returns the features seen.
     """
     code, rx, i, Tw, terminated = case
     real_matrix, real_reduce, coeff_rows = decoder.StageMatrix, decoder.reduce_stage, {}
@@ -757,7 +760,7 @@ def _check_z2_stages(case):
     def reduce_stage(matrix, payload, log=None):
         got_log = [] if log is None else log
         got = real_reduce(matrix, payload, got_log)
-        rows = [[*row, *pay] for row, pay in zip(coeff_rows[matrix], payload)]
+        rows = [[*row, *pay] for row, pay in zip(coeff_rows[matrix], zip(*payload))]
         e, ref_log = matrix.e, []
         pivots = rref_mod_p(rows, 2, ncols=e, log=ref_log)
         free = [c for c in range(e) if c not in pivots]
@@ -765,11 +768,13 @@ def _check_z2_stages(case):
         idx = next((k for k in range(len(pivots), len(rows)) if any(rows[k][e:])), None)
         if idx is None:
             assert got.fold is None
-            assert [(list(pay), list(at_free)) for pay, at_free in got.rows] == [
-                (row[e:], [row[c] for c in free]) for row in rows[: len(pivots)]
+            top = rows[: len(pivots)]
+            assert list(map(list, got.pays)) == [
+                [row[e + j] for row in top] for j in range(len(payload))
             ]
+            assert list(map(list, got.at_free)) == [[row[c] for row in top] for c in free]
         else:
-            assert got.fold == (idx, rows[idx][e:]) and got.rows == []
+            assert got.fold == (idx, rows[idx][e:]) and got.pays == got.at_free == []
             features.add("fold" if idx == len(pivots) else "late-fold")
         if not rows:
             features.add("empty-stage")
@@ -812,6 +817,74 @@ def test_z2_stage_readback_cases_cover(feature):
         ),
     )
     assert feature in _check_z2_stages(case)
+
+
+ENUM_RINGS = (1, 2, 3, 5, 4, 6)  # Z_4, Z_8, Z_9, Z_16, Z_25, Z_27
+ENUM_CAP = 1024
+
+
+def _check_enumeration(case):
+    """materialize_list against the forms at the first assignments of ParamSpace.assignments.
+
+    Window for window and in order, at limits 1, 5, 16, 17, 64 and None:
+    the reference value of column c is sum_k cols[k][c] x_k mod q, x_0 = 1
+    and x_{1+v} the assignment's value of parameter v.  With the
+    enumeration cap at ENUM_CAP, a larger list raises CapExceeded at limit
+    None.  Returns the features seen.
+    """
+    code, rx, i, Tw, terminated = case
+    sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
+    out = list_decode(sysw)
+    if not out.branches:
+        return set()
+    (branch,) = out.branches
+    q, cols = code.ctx.q, branch.cols
+    features = {f"z{q}"}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CONVRING_CAP", str(ENUM_CAP))
+        for limit in (1, 5, 16, 17, 64, None):
+            if limit is None and out.list_size > ENUM_CAP:
+                with pytest.raises(CapExceeded):
+                    materialize_list(out)
+                continue
+            assignments = itertools.islice(branch.space.assignments(), limit or ENUM_CAP)
+            reference = [
+                sysw.assemble([sum(col[c] * x for col, x in zip(cols, (1, *values))) % q for c in range(sysw.e)])
+                for values in assignments
+            ]
+            windows, truncated = materialize_list(out, limit)
+            assert windows == reference
+            assert truncated == (out.list_size > len(reference))
+    if branch.space.events and out.kind == "list":
+        features.add("fold")
+    if out.list_size > 64:
+        features.add("over-limit")
+    return features
+
+
+@settings(max_examples=150, deadline=None)
+@given(banded_windows(ENUM_RINGS))
+def test_materialize_list_enumerates_assignments_in_order(case):
+    _check_enumeration(case)
+
+
+@pytest.mark.parametrize("feature", ["fold", "over-limit", "z27"])
+def test_materialize_list_enumeration_cases_cover(feature):
+    # the windows reach lists with folded parameters, lists larger than
+    # every finite limit, and Z_27; the first case found with each passes
+    # the same check
+    case = find(
+        banded_windows(ENUM_RINGS),
+        lambda case: feature in _check_enumeration(case),
+        settings=settings(
+            max_examples=2000,
+            deadline=None,
+            database=None,
+            derandomize=True,
+            phases=[Phase.generate],
+        ),
+    )
+    assert feature in _check_enumeration(case)
 
 
 def test_all_erased_z4_window_is_symbolic():
@@ -920,8 +993,8 @@ def _burst_stream(code, seed, length, burst, period):
 
 
 def _outcome_key(out):
-    forms = [g for br in out.branches for g in br.forms]
-    return (out.kind, out.list_size, out.invalid_witness, out.window, out.stages, forms)
+    cols = [col for br in out.branches for col in br.cols]
+    return (out.kind, out.list_size, out.invalid_witness, out.window, out.stages, cols)
 
 
 def _reference_sequential(code, received, T, policy, terminated):
@@ -1078,7 +1151,7 @@ class TestPlanReplay:
                 sysw = out.system
                 # a column some row reads, so the off-by-one shows in that row
                 col = next(k for k in range(sysw.e) if any(row.orig_coeffs[k] % q for row in sysw.rows))
-                branch.forms[col][1] += 1  # the plan takes its params from these forms
+                branch.cols[1][col] += 1  # the plan takes its params from these forms
                 corrupted_at.append(sysw.i)
             return make_plan(out)
 

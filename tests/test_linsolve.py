@@ -4,7 +4,14 @@ import random
 import pytest
 
 from convring import AffineSet, ConstMatrix, RingContext, mccoy_unique, solve_mod_p
-from convring.linsolve import OPS, rank_mod_p, replay_rref_log, rref_mod_p
+from convring.linsolve import (
+    OPS,
+    _column_2,
+    _head_bits,
+    rank_mod_p,
+    replay_rref_log,
+    rref_mod_p,
+)
 
 Z8 = RingContext(2, 3)
 Z9 = RingContext(3, 2)
@@ -282,3 +289,22 @@ def test_rref_z2_bitmask_kernel_degenerate(m, n, ncols):
     assert rref_mod_p([list(row) for row in rows], 2, ncols=ncols, log=log) == pivots
     assert log == reference_z2_log(rows, ncols)
     assert rank_mod_p(rows, 2) == len(reference_rref(rows, 2, n)[0])
+
+
+@pytest.mark.parametrize("k", [0, 1, 70])
+def test_head_bits_reads_rows_below_k(k):
+    # rows 0..k-1 of a column bitmask, none at k = 0, whatever the bits at
+    # and past row k hold
+    rng = random.Random(k)
+    for x in (0, (1 << (k + 5)) - 1, rng.getrandbits(k + 5), rng.getrandbits(k) | 1 << (k + 2)):
+        assert list(_head_bits(x, k)) == [x >> i & 1 for i in range(k)]
+
+
+@pytest.mark.parametrize("m", [0, 1, 9, 70])
+def test_column_2_packs_entry_parities(m):
+    # bit i holds entry i mod 2, entries outside [0, 256) included
+    rng = random.Random(400 + m)
+    for density in (0.0, 0.5, 1.0):
+        col = [_z2_entry(rng, density) for _ in range(m)]
+        x = _column_2(col)
+        assert x >> m == 0 and list(_head_bits(x, m)) == [v & 1 for v in col]

@@ -39,11 +39,12 @@ build_window_system makes them once per pattern; the received values
 enter only through one dot product per row, its right-hand side.  The
 sliding parity-check matrix is block Toeplitz: equation s reads only the
 symbols of times s - nu..s, so its coefficients vanish outside one run of
-the time-major columns, its span.  The pattern keeps each row's span and
-its coefficients there, its band, and every row-by-column product of the
-digit stages and of the list check reads the band alone.  The column
-forms are checked once per list against the raw rows, and the
-brute-force oracle enumerates against them.
+the time-major columns, its span.  A row is stored as its span and its
+coefficients there, its band, renormalized and original; every
+row-by-column product of the digit stages and of the list check reads
+the band alone.  Only a plan's replay, whose windows are narrow, and the
+brute-force oracle pad rows to the full width, once per plan and per
+call.  The column forms are checked once per list against the raw rows.
 
 Pivots, folds, row operations and the parameter part of every form
 depend only on the pattern as well.  Each digit stage logs the row
@@ -69,16 +70,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .codes import ConvCode, _window_coeffs, _window_rhs
 from .config import enumeration_cap
-from .errors import CapExceeded, InvalidReceived
-from .linsolve import (
-    AffineSet,
-    ConstMatrix,
-    StageMatrix,
-    enumerate_solutions,
-    mccoy_unique,
-    reduce_stage,
-    replay_rref_log,
-)
+from .errors import CapExceeded
+from .linsolve import AffineSet, StageMatrix, enumerate_solutions, reduce_stage, replay_rref_log
 from .ring import RingContext
 
 Symbol = Sequence[int | None]
@@ -134,20 +127,23 @@ class ParamSpace:
 
 
 class WindowRow(NamedTuple):
-    """One renormalized parity equation restricted to the erased columns.
+    """One renormalized parity equation restricted to the erased columns, as a band.
 
-    The original scaled equation is coeffs * p^stratum (same for rhs); the
-    renormalized coefficients contain a unit.  The equation constrains the
-    unknowns mod p^(r - stratum), so it takes part in digit stages
+    The equation reads only the columns span = (a, b), a..b-1; band and
+    orig_band hold its coefficients there, and every other coefficient is
+    0.  The original scaled equation is band * p^stratum (same for rhs);
+    the renormalized coefficients contain a unit.  The equation constrains
+    the unknowns mod p^(r - stratum), so it takes part in digit stages
     t <= r - 1 - stratum.
     """
 
     time: int
     h_row: int
     stratum: int
-    coeffs: tuple[int, ...]
+    span: tuple[int, int]
+    band: tuple[int, ...]
     rhs: int
-    orig_coeffs: tuple[int, ...]
+    orig_band: tuple[int, ...]
     orig_rhs: int
 
 
@@ -168,11 +164,6 @@ class WindowSystem:
     def e(self) -> int:
         return len(self.columns)
 
-    def scaled_matrix(self) -> ConstMatrix:
-        return ConstMatrix(
-            self.code.ctx, [row.orig_coeffs for row in self.rows], cols=self.e
-        )
-
     def assemble(self, col_values: Sequence[int]) -> list[list[int]]:
         """The window symbols (times i..i+T) with unknowns filled in."""
         i = self.i
@@ -192,40 +183,32 @@ class WindowSystem:
 class _Pattern:
     """The value-free part of the window systems of one delay and pattern.
 
-    columns are the erased (time - i, coord) pairs; equations hold, per
-    parity equation in kernel order, (time - i, h_row, stratum, p^stratum,
-    renormalized coeffs, orig coeffs), the coefficients None on a row that
-    is zero mod q.  Equation s reads only the columns of times s - nu..s,
-    one run (a, b) of the time-major columns: its span.  bands holds, per
-    equation that is not zero mod q (so per row of every valid window, in
-    order), (span, renormalized coeffs, orig coeffs) on its span alone, and
-    the products of the digit stages and of the list check read only
-    those; equations of one time share one span object.  A sequential
-    decode also keeps the pattern's plan here.
+    columns are the erased (time - i, coord) pairs.  Equation s reads only
+    the columns of times s - nu..s, one run (a, b) of the time-major
+    columns: its span, one object shared by the equations of time s.
+    equations hold, per parity equation in kernel order, (time - i, h_row,
+    stratum, p^stratum, span, renormalized band, orig band), the bands the
+    coefficients on the span alone, None on a row that is zero mod q.  A
+    sequential decode also keeps the pattern's plan here.
     """
 
-    __slots__ = ("columns", "equations", "bands", "plan")
+    __slots__ = ("columns", "equations", "plan")
 
     def __init__(self, code: ConvCode, T: int, erased: Sequence[int]):
         ctx, n = code.ctx, code.n
         p, q, r = ctx.p, ctx.q, ctx.r
         stratum = {p**v: v for v in range(r + 1)}  # gcd(q, *band) is p^v, v the least valuation
-        e = len(erased)
         self.columns = tuple(divmod(f, n) for f in erased)
         self.equations = []
-        self.bands = []
         for s, (a, b, bands) in enumerate(_window_coeffs(code, self.columns, 0, T)):
-            span, left, right = (a, b), (0,) * a, (0,) * (e - b)
+            span = (a, b)
             for ri, orig in enumerate(bands):
                 pv = gcd(q, *orig)
                 if pv == q:  # a zero row
-                    self.equations.append((s, ri, r, q, None, None))
+                    self.equations.append((s, ri, r, q, span, None, None))
                     continue
-                coeffs = tuple(map(pv.__rfloordiv__, orig)) if pv > 1 else orig
-                self.bands.append((span, coeffs, orig))
-                self.equations.append(
-                    (s, ri, stratum[pv], pv, left + coeffs + right, left + orig + right)
-                )
+                band = tuple(map(pv.__rfloordiv__, orig)) if pv > 1 else orig
+                self.equations.append((s, ri, stratum[pv], pv, span, band, orig))
         self.plan: _Plan | None = None
 
 
@@ -281,7 +264,7 @@ def build_window_system(
         pattern = store[key] = _Pattern(code, T, erased)
     rows: list[WindowRow] = []
     witness = None
-    for (s, ri, v, pv, coeffs, orig), rhs in zip(
+    for (s, ri, v, pv, span, band, orig), rhs in zip(
         pattern.equations, _window_rhs(code, table, i, i + T)
     ):
         if v >= r:
@@ -291,7 +274,7 @@ def build_window_system(
             if witness is None:
                 witness = ("divisibility", i + s, ri)
         else:
-            rows.append(WindowRow(i + s, ri, v, coeffs, rhs // pv, orig, rhs))
+            rows.append(WindowRow(i + s, ri, v, span, band, rhs // pv, orig, rhs))
     return WindowSystem(
         code=code,
         i=i,
@@ -379,26 +362,26 @@ def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
     return True
 
 
-def _span_runs(bands, k: int) -> list[tuple[tuple[int, int], list]]:
-    """Item k of each band, in runs of one span: [(span, [item, ...]), ...].
+def _span_runs(rows: Sequence[WindowRow], orig: bool) -> list[tuple[tuple[int, int], list]]:
+    """The rows' bands (orig_band with orig), in runs of one span: [(span, [band, ...]), ...].
 
     Rows of one time share a span object, and rows come in time order.
     """
     runs, last = [], None
-    for band in bands:
-        if band[0] is not last:
-            last, run = band[0], []
+    for row in rows:
+        if row.span is not last:
+            last, run = row.span, []
             runs.append((last, run))
-        run.append(band[k])
+        run.append(row.orig_band if orig else row.band)
     return runs
 
 
 def _stage_payload(cols, runs, rhs, pt: int, q: int) -> list[list[int]]:
     """The payload of stage t >= 1: per form entry, digit t of rhs - A G over the stage rows.
 
-    runs holds the stage rows' coefficient bands in runs of one span
-    (_span_runs), so each row's product reads the entry over its span
-    alone, one slice per run and entry.
+    runs holds the stage rows' bands in runs of one span (_span_runs), so
+    each row's product reads the entry over its span alone, one slice per
+    run and entry.
     """
     pays = [
         [
@@ -417,23 +400,21 @@ def _stage_payload(cols, runs, rhs, pt: int, q: int) -> list[list[int]]:
     return [list(map(pt.__rfloordiv__, pay)) for pay in pays]
 
 
-def _run_stage(
-    branch: _Branch, rows_t: list[tuple[WindowRow, tuple]], t: int, e: int, ctx: RingContext
-):
+def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: RingContext):
     """Advance the recursion through digit stage t; an invalid witness or None.
 
-    rows_t pairs each stage row with its band.  The stage rows mod p are
-    prepared for elimination once; each pass reduces them with their
-    payload, digit t of rhs - A G per form entry, each row's product read
-    over its span alone, riding along.  A dependent row with a nonzero
-    payload is folded and the pass repeats.  With branch.logs, the last
-    pass's pivots and row-operation log go there, beside the stage report.
+    The stage rows' bands mod p are prepared for elimination once; each
+    pass reduces them with their payload, digit t of rhs - A G per form
+    entry, each row's product read over its span alone, riding along.  A
+    dependent row with a nonzero payload is folded and the pass repeats.
+    With branch.logs, the last pass's pivots and row-operation log go
+    there, beside the stage report.
     """
     p, q = ctx.p, ctx.q
     pt = p**t
-    matrix = StageMatrix([row.coeffs for row, _ in rows_t], e, p)
-    rhs = [row.rhs for row, _ in rows_t]
-    runs = _span_runs([band for _, band in rows_t], 1)
+    matrix = StageMatrix([(row.span, row.band) for row in rows_t], e, p)
+    rhs = [row.rhs for row in rows_t]
+    runs = _span_runs(rows_t, orig=False)
     while True:
         if not t:
             # every form is 0 before stage 0 (whose folds only find
@@ -527,11 +508,9 @@ def _decode(sys: WindowSystem, logged: bool) -> DecodeOutcome:
             kind="unique", system=sys, window=sys.assemble(()), list_size=1
         )
     branch = _Branch(ParamSpace(ctx.p), e, logged)
-    # a valid window keeps exactly the rows that have bands, in order
-    rows = list(zip(sys.rows, sys.pattern.bands))
     for t in range(ctx.r):
         top = ctx.r - 1 - t
-        rows_t = [rb for rb in rows if rb[0].stratum <= top]
+        rows_t = [row for row in sys.rows if row.stratum <= top]
         witness = _run_stage(branch, rows_t, t, e, ctx)
         if witness is not None:
             return DecodeOutcome(kind="invalid", system=sys, invalid_witness=witness)
@@ -565,13 +544,23 @@ class _Plan:
     Per stage its pivots, the row-operation log of its elimination and its
     report; then the final parameter part of the column forms, one
     coefficient tuple over the columns per parameter, proven against the
-    pattern's raw rows; and whether no parameter reaches a time-0 column,
-    in which case a window's time-0 values are its constant column.
+    pattern's raw rows; whether no parameter reaches a time-0 column, in
+    which case a window's time-0 values are its constant column; and the
+    replay's rows, the renormalized and the original bands of a valid
+    window's rows padded over all the columns, in row order.
     """
 
     stages: list[tuple[list[int], list, DigitStage]]
     params: list[tuple[int, ...]]
     head_fixed: bool
+    coeffs: list[tuple[int, ...]]
+    origs: list[tuple[int, ...]]
+
+
+def _dense(span: tuple[int, int], band: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """A band padded with zeros over all e columns."""
+    a, b = span
+    return (0,) * a + band + (0,) * (e - b)
 
 
 def _make_plan(outcome: DecodeOutcome) -> _Plan | None:
@@ -579,9 +568,9 @@ def _make_plan(outcome: DecodeOutcome) -> _Plan | None:
 
     The kept rows of a valid window depend only on the pattern, so the
     parameter half of the list's row check is made here once:
-    orig_coeffs . params_k == 0 mod q for every row and parameter k.  (A
+    orig_band . params_k == 0 mod q for every row and parameter k.  (A
     unique outcome has no parameters, and materialize_list has proven its
-    forms already.)
+    forms already.)  The rows are padded here too, once per plan.
     """
     if not outcome.branches or outcome.branches[0].space.events:
         return None
@@ -591,7 +580,13 @@ def _make_plan(outcome: DecodeOutcome) -> _Plan | None:
     _check_rows(sys, None, params)
     head = sum(t == sys.i for t, _ in sys.columns)
     stages = [(pivots, log, stage) for (pivots, log), stage in zip(branch.logs, branch.stages)]
-    return _Plan(stages, params, not any(any(col[:head]) for col in params))
+    return _Plan(
+        stages,
+        params,
+        not any(any(col[:head]) for col in params),
+        [_dense(row.span, row.band, sys.e) for row in sys.rows],
+        [_dense(row.span, row.orig_band, sys.e) for row in sys.rows],
+    )
 
 
 def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
@@ -600,10 +595,11 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
     Each stage replays its logged row operations on digit t of rhs - A G
     for the constant column alone.  None when the window is invalid
     (list_decode then derives the witness).  The column is checked against
-    every raw row, orig_coeffs . consts == orig_rhs mod q; with the
+    every raw row, orig_band . consts == orig_rhs mod q; with the
     parameter half proven when the plan was made, that is the row check of
-    materialize_list.  The replay's products run over whole rows: its
-    windows are narrow, and per-row spans cost more than they save there.
+    materialize_list.  The replay's products run over the plan's padded
+    rows, which a valid window's rows match one for one: its windows are
+    narrow, and per-row spans cost more than they save there.
     """
     if sys.invalid_witness is not None:
         return None
@@ -614,8 +610,8 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
         pt = p**stage.t
         top = r - 1 - stage.t
         digits = [
-            (row.rhs - sum(map(mul, row.coeffs, consts))) % q // pt
-            for row in sys.rows
+            (row.rhs - sum(map(mul, coeffs, consts))) % q // pt
+            for row, coeffs in zip(sys.rows, plan.coeffs)
             if row.stratum <= top
         ]
         reduced = replay_rref_log(log, digits, p)
@@ -624,7 +620,9 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
         # stage t writes digit t of its pivot columns only
         for x, col in zip(reduced, pivots):
             consts[col] += pt * x
-    if any((sum(map(mul, row.orig_coeffs, consts)) - row.orig_rhs) % q for row in sys.rows):
+    if any(
+        (sum(map(mul, orig, consts)) - row.orig_rhs) % q for row, orig in zip(sys.rows, plan.origs)
+    ):
         raise AssertionError(_VIOLATION)
     return consts
 
@@ -685,13 +683,13 @@ def _check_rows(sys: WindowSystem, consts, param_cols) -> None:
 
     The constant list consts (unless None) must give each row's orig_rhs
     (reduced mod q), and every parameter list in param_cols must give 0.
-    Each row reads its span of a list alone, as the coefficients outside
-    it are 0, one slice per span and list.
+    Each row reads its span of a list alone through its orig_band, as the
+    coefficients outside it are 0, one slice per span and list.
     """
     if consts is None and not param_cols:
         return
     q = sys.code.ctx.q
-    runs = _span_runs(sys.pattern.bands, 2)
+    runs = _span_runs(sys.rows, orig=True)
 
     def products(col):
         return [
@@ -710,8 +708,10 @@ def materialize_list(
     """The windows of a decode outcome, verified for the whole list, up to limit.
 
     Returns (windows, truncated).  Windows come one per assignment of the
-    live parameters, lexicographically, and stop after limit; without a
-    limit a list larger than the enumeration cap raises CapExceeded.  A
+    live parameters, lexicographically, and stop after limit (limit 0
+    gives none; a negative limit raises ValueError); without a limit a
+    list larger than the enumeration cap raises CapExceeded.  truncated is
+    true exactly when the list has members that were not returned.  A
     unique outcome's window was proven when the outcome was made, so it is
     returned as it is.
 
@@ -720,9 +720,13 @@ def materialize_list(
     the p^k combinations of those k parameter columns, expanded one
     parameter at a time by vector adds.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     sys = outcome.system
     if outcome.kind == "invalid":
         return [], False
+    if limit == 0:
+        return [], True
     if outcome.kind == "unique" and outcome.window is not None:
         return [outcome.window], False
     if limit is None:
@@ -735,35 +739,16 @@ def materialize_list(
     # every member is the column forms at an integer assignment, so raw rows
     # holding coefficient by coefficient prove the whole list
     _check_rows(sys, cols[0], cols[1:])
-    live, n, k = branch.space.live(), max(limit, 1), 0
-    while k < len(live) and p**k < n:
+    live, k = branch.space.live(), 0
+    while k < len(live) and p**k < limit:
         k += 1
     values = [cols[0]]
     for v in live[len(live) - k :]:
         steps = [[x * c % q for c in cols[1 + v]] for x in range(p)]
         expand = (list(map(q.__rmod__, map(add, vec, step))) for vec in values for step in steps)
-        values = list(itertools.islice(expand, n))
+        values = list(itertools.islice(expand, limit))
     windows = [sys.assemble(vec) for vec in values]
     return windows, outcome.list_size > len(windows)
-
-
-def try_unique_decode(sys: WindowSystem) -> list[list[int]] | None:
-    """The unique filled window, or None when the list has several members.
-
-    Raises InvalidReceived when the window system is inconsistent (the
-    received word cannot be a codeword).
-    """
-    if sys.invalid_witness is not None:
-        raise InvalidReceived(f"window is inconsistent: {sys.invalid_witness}")
-    if sys.e == 0:
-        return sys.assemble(())
-    if not mccoy_unique(sys.scaled_matrix()):
-        return None
-    outcome = list_decode(sys)
-    if outcome.kind == "invalid":
-        raise InvalidReceived(f"window is inconsistent: {outcome.invalid_witness}")
-    assert outcome.kind == "unique"
-    return outcome.window
 
 
 def oracle_decode(
@@ -778,12 +763,13 @@ def oracle_decode(
 
     Returns the set of window fillings (times i..i+T, as tuples) that
     satisfy the window parity equations exactly.  Capped at q^e candidates.
-    Candidates solve the window's raw rows; each filled window is then
-    checked against every equation, those the rows leave out included.
+    Candidates solve the window's raw rows, padded here over all the
+    columns; each filled window is then checked against every equation,
+    those the rows leave out included.
     """
     cap = enumeration_cap() if cap is None else cap
     sys = build_window_system(code, received, i, T, terminated=terminated)
-    A = [row.orig_coeffs for row in sys.rows]
+    A = [_dense(row.span, row.orig_band, sys.e) for row in sys.rows]
     b = [row.orig_rhs for row in sys.rows]
     out = set()
     for x in enumerate_solutions(A, b, sys.e, code.ctx.q, cap):
@@ -881,6 +867,8 @@ def sequential_decode(
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")
+    if branch_budget < 0:
+        raise ValueError(f"branch_budget must be nonnegative, got {branch_budget}")
     work = [list(sym) for sym in received]
     decisions: list[tuple] = []
     picked = None

@@ -27,7 +27,3 @@ class CapExceeded(ConvringError, RuntimeError):
 
 class GenerationFailed(ConvringError, RuntimeError):
     """Raised when random code search exhausts its retry budget."""
-
-
-class InvalidReceived(ConvringError, ValueError):
-    """Raised when a received word cannot belong to the code."""

@@ -6,10 +6,12 @@ stages.  Right-hand sides and the decoder's payload forms are augmented
 columns: they ride along through the row operations but never hold a
 pivot.  Odd p reduce list rows; over Z_2 the matrix is packed into one
 int per column, bit i of column j holding row i, and each pivot makes one
-XOR pass over the columns to its right.  A digit stage packs its
-coefficient columns once (StageMatrix) and only its payload columns per
-pass, one column at a time, and reads back only what the stage uses: the
-fold row, or the payload and free columns' entries in the pivot rows.
+XOR pass over the columns to its right.  A digit stage's rows come as
+bands, each row's entries on the one run of columns it reads; the stage
+packs its coefficient columns once from the bands (StageMatrix) and only
+its payload columns per pass, one column at a time, and reads back only
+what the stage uses: the fold row, or the payload and free columns'
+entries in the pivot rows.
 The elimination kernels are also the single place where Z_p
 multiply-accumulate operations are counted (the same count on both
 paths), so decoding cost measurements all flow through OPS.  rref_mod_p
@@ -66,24 +68,11 @@ class ConstMatrix:
         self.data = grid
 
     @classmethod
-    def identity(cls, ctx: RingContext, n: int) -> "ConstMatrix":
-        return cls(ctx, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
-
-    @classmethod
     def zeros(cls, ctx: RingContext, m: int, n: int) -> "ConstMatrix":
         return cls(ctx, [[0] * n for _ in range(m)], cols=n)
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.data)
-
-    def mul_vec(self, vec: Sequence[int]) -> tuple[int, ...]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        q = self.ctx.q
-        return tuple(sum(a * x for a, x in zip(row, vec)) % q for row in self.data)
-
-    def proj(self) -> "ConstMatrix":
-        return ConstMatrix(self.ctx.residue_field(), self.data, cols=self.cols)
 
     def __eq__(self, other):
         return (
@@ -124,7 +113,7 @@ def rref_mod_p(
     if ncols is None:
         ncols = n
     if p == 2:
-        cols = _pack_2(rows, n)
+        cols = _pack_2([((0, n), row) for row in rows], n)
         pivots = _eliminate_2(cols, m, ncols, log)
         rows[:] = _unpack_2(cols, m)
         return pivots
@@ -163,19 +152,24 @@ def rref_mod_p(
 
 # Z_2 matrices are lists of column bitmasks: bit i of column j is row i.
 # Rows go in and out through bytes: one parity character per entry, one
-# strided slice per column or row.
+# strided slice per column or row.  Rows go in as bands: (span, band), the
+# row's entries on the columns a..b-1 of span (a, b) and zero elsewhere; a
+# dense row of n entries is the band of span (0, n).
 _PARITY = bytes(48 + (b & 1) for b in range(256))  # byte -> b"0" or b"1"
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _pack_2(rows: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The n column bitmasks of rows mod 2."""
-    if not rows:
+def _pack_2(bands: Sequence[tuple[tuple[int, int], Sequence[int]]], n: int) -> list[int]:
+    """The n column bitmasks of banded rows mod 2."""
+    if not bands:
         return [0] * n
+    zeros = bytes(n)
     try:
-        flat = b"".join(map(bytes, rows))
+        flat = b"".join([x for (a, b), band in bands for x in (zeros[:a], bytes(band), zeros[b:])])
     except ValueError:  # an entry outside [0, 256)
-        flat = b"".join(bytes([x & 1 for x in row]) for row in rows)
+        flat = b"".join(
+            [x for (a, b), band in bands for x in (zeros[:a], bytes([y & 1 for y in band]), zeros[b:])]
+        )
     # reversed, column j reads rows m-1..0, most significant bit first
     flat = flat.translate(_PARITY)[::-1]
     return [int(flat[k::n], 2) for k in range(n - 1, -1, -1)]
@@ -262,16 +256,23 @@ def _eliminate_2(cols: list[int], m: int, ncols: int, log: list | None) -> list[
 class StageMatrix:
     """The coefficient rows of one digit stage, kept for every reduce_stage pass.
 
-    Over Z_2 they are packed into column bitmasks once; over odd p they
-    are kept as tuples, and each pass reduces them with its payload in
-    rref_mod_p's list kernel.  The layout is linsolve's alone.
+    The m rows over e columns come as bands, (span, band) pairs: a row
+    reads only the columns a..b-1 of its span (a, b), and band holds its
+    entries there.  Over Z_2 the bands are packed into column bitmasks
+    once; over odd p each band is padded once into the tuple row that
+    rref_mod_p's list kernel reduces with each pass's payload.  The
+    layout is linsolve's alone.
     """
 
     __slots__ = ("p", "e", "m", "data")
 
-    def __init__(self, rows: Sequence[Sequence[int]], e: int, p: int):
-        self.p, self.e, self.m = p, e, len(rows)
-        self.data = _pack_2(rows, e) if p == 2 else list(map(tuple, rows))
+    def __init__(self, bands: Sequence[tuple[tuple[int, int], Sequence[int]]], e: int, p: int):
+        self.p, self.e, self.m = p, e, len(bands)
+        if p == 2:
+            self.data = _pack_2(bands, e)
+        else:
+            zeros = (0,) * e
+            self.data = [zeros[:a] + tuple(band) + zeros[b:] for (a, b), band in bands]
 
 
 class StageReduction(NamedTuple):
@@ -356,7 +357,7 @@ def rank_mod_p(data: Sequence[Sequence[int]], p: int) -> int:
         return 0
     if p == 2:
         n = len(data[0])
-        return len(_eliminate_2(_pack_2(data, n), len(data), n, None))
+        return len(_eliminate_2(_pack_2([((0, n), row) for row in data], n), len(data), n, None))
     return len(rref_mod_p([list(r) for r in data], p))
 
 
@@ -364,8 +365,7 @@ def rank_mod_p(data: Sequence[Sequence[int]], p: int) -> int:
 class AffineSet:
     """An affine subspace of Z_p^e: particular point plus a basis.
 
-    The basis is kept in reduced echelon form so equal sets compare equal
-    after canonicalization.  An infeasible system yields feasible=False.
+    An infeasible system yields feasible=False.
     """
 
     p: int
@@ -381,29 +381,6 @@ class AffineSet:
     @property
     def size(self) -> int:
         return self.p ** len(self.basis) if self.feasible else 0
-
-    def canonical(self) -> "AffineSet":
-        if not self.feasible:
-            return AffineSet.infeasible(self.p, self.dim)
-        rows = [list(b) for b in self.basis]
-        pivots = rref_mod_p(rows, self.p) if rows else []
-        rows = [r for r in rows if any(x % self.p for x in r)]
-        part = [x % self.p for x in self.particular]
-        for row, col in zip(rows, pivots):
-            f = part[col]
-            if f:
-                part = [(a - f * b) % self.p for a, b in zip(part, row)]
-        return AffineSet(self.p, self.dim, True, tuple(part), tuple(tuple(r) for r in rows))
-
-    def same_set(self, other: "AffineSet") -> bool:
-        return self.canonical() == other.canonical()
-
-    def contains(self, point: Sequence[int]) -> bool:
-        if not self.feasible or len(point) != self.dim:
-            return False
-        diff = [(a - b) % self.p for a, b in zip(point, self.particular)]
-        rows = [list(b) for b in self.basis] + [diff]
-        return rank_mod_p(rows, self.p) == len(self.basis)
 
     def points(self, cap: int = 1 << 20):
         """Enumerate all members; raises CapExceeded past the cap."""
@@ -475,11 +452,3 @@ def enumerate_solutions(
             cand[:, pos] = rem % q
             rem = rem // q
         yield from cand[((cand @ A.T - rhs) % q == 0).all(axis=1)]
-
-
-def mccoy_unique(A: ConstMatrix) -> bool:
-    """True when consistent systems A x = b over Z_{p^r} have unique solutions.
-
-    Holds exactly when the mod-p projection has full column rank.
-    """
-    return rank_mod_p(A.proj().data, A.ctx.p) == A.cols

@@ -8,7 +8,6 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from convring import (
-    InvalidReceived,
     RingContext,
     build_window_system,
     column_distance,
@@ -18,14 +17,13 @@ from convring import (
     project_values,
     sequential_decode,
     sliding_matrix,
-    try_unique_decode,
 )
 from convring import decoder
 from convring.cli import erase_stream, generate_code
 from convring.codes import _window_coeffs, is_codeword_window
 from convring.decoder import ParamSpace, _Branch, _fold
 from convring.errors import CapExceeded
-from convring.linsolve import OPS, rref_mod_p
+from convring.linsolve import OPS, rank_mod_p, rref_mod_p
 from tests.conftest import random_kernel_code
 
 Z4 = RingContext(2, 2)
@@ -49,6 +47,18 @@ def as_set(windows):
     return frozenset(tuple(tuple(sym) for sym in w) for w in windows)
 
 
+def dense(row, e, orig=False):
+    """A window row's band (orig_band with orig) padded with zeros over all e columns."""
+    a, b = row.span
+    return [0] * a + list(row.orig_band if orig else row.band) + [0] * (e - b)
+
+
+def full_column_rank_mod_p(sysw):
+    """The mod-p criterion of unique decoding: the raw rows mod p have full column rank."""
+    p = sysw.code.ctx.p
+    return rank_mod_p([dense(row, sysw.e, orig=True) for row in sysw.rows], p) == sysw.e
+
+
 class TestWindowAssembly:
     def test_no_erasures_empty_system(self, kernel_code_z8):
         rx = [list(W0), list(W1), list(W2)]
@@ -65,7 +75,8 @@ class TestWindowAssembly:
         assert sysw.columns == ((0, 1),)
         h0 = kernel_code_z8.parity_coeff(0)
         # original scaled coefficients are the erased column of the first block
-        got = {row.h_row: row.orig_coeffs[0] for row in sysw.rows}
+        assert all(row.span == (0, 1) for row in sysw.rows)
+        got = {row.h_row: row.orig_band[0] for row in sysw.rows}
         for ri, val in got.items():
             assert val == h0.data[ri][1]
 
@@ -74,7 +85,7 @@ class TestWindowAssembly:
         assert sysw.e == 7
         assert sysw.columns == ((0, 1), (0, 2), (0, 4), (1, 3), (2, 2), (2, 3), (2, 4))
         # renormalized rows and right-hand sides, row by row
-        assert [tuple(r.coeffs) for r in sysw.rows] == [
+        assert [tuple(dense(r, sysw.e)) for r in sysw.rows] == [
             (1, 1, 1, 0, 0, 0, 0),
             (0, 1, 1, 0, 0, 0, 0),
             (1, 0, 1, 0, 0, 0, 0),
@@ -123,7 +134,8 @@ class TestWindowAssembly:
                 assert sysw.columns == tuple((t, c) for t in range(T + 1) for c in range(n))
                 S = sliding_matrix(code, T)
                 # rows with no coefficient at all carry no equation
-                assert sysw.scaled_matrix().data == tuple(row for row in S.data if any(row))
+                raw = [[x % ctx.q for x in dense(row, sysw.e, orig=True)] for row in sysw.rows]
+                assert raw == [list(row) for row in S.data if any(row)]
                 checked += 1
         assert checked >= 12
 
@@ -152,7 +164,8 @@ class TestWorkedDecode:
 
     def test_not_unique(self, kernel_code_z8):
         sysw = build_window_system(kernel_code_z8, RECEIVED, 0, 2)
-        assert try_unique_decode(sysw) is None
+        assert not full_column_rank_mod_p(sysw)
+        assert list_decode(sysw).kind == "list"
 
     def test_oracle_agreement(self, kernel_code_z8):
         sysw = build_window_system(kernel_code_z8, RECEIVED, 0, 2)
@@ -165,6 +178,24 @@ class TestWorkedDecode:
         out = list_decode(sysw)
         windows, truncated = materialize_list(out, limit=10)
         assert truncated and len(windows) == 10
+
+    def test_materialize_limit_zero(self, kernel_code_z8, kernel_code_z9):
+        # limit 0 gives no windows, truncated exactly when the list has
+        # members, unique ones too; a negative limit is an error
+        listed = list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
+        assert materialize_list(listed, limit=0) == ([], True)
+        rx = [[None, 0, None], [0, None, 0], [0, 0, 0]]
+        unique = list_decode(build_window_system(kernel_code_z9, rx, 0, 1))
+        assert unique.kind == "unique"
+        assert materialize_list(unique, limit=0) == ([], True)
+        bad = [list(W0), list(W1), list(W2)]
+        bad[1][0] = (bad[1][0] + 4) % 8
+        invalid = list_decode(build_window_system(kernel_code_z8, bad, 0, 2))
+        assert invalid.kind == "invalid"
+        assert materialize_list(invalid, limit=0) == ([], False)
+        for out in (listed, unique, invalid):
+            with pytest.raises(ValueError):
+                materialize_list(out, limit=-1)
 
     def test_corrupt_live_coefficient_rejected(self, kernel_code_z8):
         # the all-zero assignment, the only member limit=1 yields, does not
@@ -247,6 +278,15 @@ class TestSequential:
         )
         assert res.complete
 
+    def test_branch_budget_zero_tries_no_candidate(self, kernel_code_z8):
+        # with no budget the branch policy tries nothing and reports the list
+        res = sequential_decode(
+            kernel_code_z8, RECEIVED, 2, policy="branch", terminated=False, branch_budget=0
+        )
+        assert res.decisions == [(0, "list", 64)] and res.halted_at == 0
+        with pytest.raises(ValueError):
+            sequential_decode(kernel_code_z8, RECEIVED, 2, policy="branch", branch_budget=-1)
+
     @pytest.mark.parametrize("policy", ["first", "branch"])
     def test_pick_near_terminated_end(self, policy):
         # the picked window reaches past the stream end, where a terminated
@@ -273,13 +313,6 @@ class TestInvalidity:
             if out.kind == "invalid":
                 hits += 1
                 assert not oset
-                # unique decoding either reports the inconsistency or bails
-                # to the (empty) list when the projected matrix is deficient
-                try:
-                    got = try_unique_decode(build_window_system(kernel_code_z8, rx, 0, 2))
-                except InvalidReceived:
-                    got = None
-                assert got is None
             else:
                 windows, _ = materialize_list(out)
                 assert as_set(windows) == oset
@@ -356,12 +389,13 @@ class TestLawsRandomized:
             t = rng.randrange(0, 2)
             rx[t][rng.randrange(4)] = None
             sysw = build_window_system(code, rx, t, 1)
-            unique = try_unique_decode(sysw)
             out = list_decode(sysw)
-            if unique is not None:
+            # the window is a consistent codeword window, so McCoy's
+            # criterion decides uniqueness
+            if full_column_rank_mod_p(sysw):
                 seen_unique += 1
                 assert out.kind == "unique"
-                assert out.window == unique
+                assert out.window == [list(s) for s in stream[t : t + 2]]
             else:
                 assert out.list_size > 1
         assert seen_unique > 0
@@ -607,25 +641,28 @@ def banded_windows(draw, rings=None):
 def test_pattern_rows_vanish_outside_their_span(case):
     # every equation of a pattern equals the sliding parity row at its
     # columns and is zero outside its span, the run of columns of times
-    # s - nu..s; the bands are the rows' coefficients on that run
+    # s - nu..s; its bands are the coefficients on that run, and a valid
+    # window's rows are the equations that are not zero mod q, in order
     code, rx, i, Tw, terminated = case
-    pattern = build_window_system(code, rx, i, Tw, terminated=terminated).pattern
+    sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
+    pattern, e = sysw.pattern, sysw.e
     nu, q = code.nu, code.ctx.q
-    bands = iter(pattern.bands)
-    for s, ri, v, pv, coeffs, orig in pattern.equations:
-        ref = [code.parity_coeff(s - dt).data[ri][c] % q for dt, c in pattern.columns]
-        if coeffs is None:  # zero mod q: no row, no band
-            assert not any(ref) and v == code.ctx.r
-            continue
-        (a, b), band_coeffs, band_orig = next(bands)
+    spans, kept = {}, []
+    for s, ri, v, pv, span, band, orig in pattern.equations:
+        assert spans.setdefault(s, span) is span  # one span object per time
+        a, b = span
         assert [k for k, (dt, _) in enumerate(pattern.columns) if s - nu <= dt <= s] == list(
             range(a, b)
         )
-        assert list(orig) == ref
-        assert not any(orig[:a] + orig[b:]) and not any(coeffs[:a] + coeffs[b:])
-        assert (band_orig, band_coeffs) == (orig[a:b], coeffs[a:b])
-        assert pv == code.ctx.p**v and [x * pv for x in coeffs] == list(orig)
-    assert next(bands, None) is None
+        ref = [code.parity_coeff(s - dt).data[ri][c] % q for dt, c in pattern.columns]
+        if band is None:  # zero mod q: no row
+            assert not any(ref) and v == code.ctx.r
+            continue
+        assert [0] * a + list(orig) + [0] * (e - b) == ref
+        assert pv == code.ctx.p**v and [x * pv for x in band] == list(orig)
+        kept.append((i + s, ri, v, span, band, orig))
+    if sysw.invalid_witness is None:
+        assert [(r.time, r.h_row, r.stratum, r.span, r.band, r.orig_band) for r in sysw.rows] == kept
 
 
 def _widened_coeffs(code, columns, lo, hi):
@@ -651,12 +688,12 @@ def _check_widened(case):
     """Banded and all-column spans decode a window alike; the features seen."""
     code, rx, i, Tw, terminated = case
     sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
-    narrow = any(span != (0, sysw.e) for span, _, _ in sysw.pattern.bands)
+    narrow = any(row.span != (0, sysw.e) for row in sysw.rows)
     banded = _decode_record(sysw)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decoder, "_window_coeffs", _widened_coeffs)
         sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
-        assert all(span == (0, sysw.e) for span, _, _ in sysw.pattern.bands)
+        assert all(eq[4] == (0, sysw.e) for eq in sysw.pattern.equations)
         wide = _decode_record(sysw)
     assert banded == wide
     (kind, _, witness, *_), events, *_ = banded
@@ -733,13 +770,36 @@ def test_corrupt_stage_form_raises(kernel_code_z8, monkeypatch):
 
     def corrupted(branch, rows_t, t, e, ctx):
         if t == 1:
-            col = next(k for row, _ in rows_t for k, x in enumerate(row.coeffs) if x % p)
+            col = next(row.span[0] + k for row in rows_t for k, x in enumerate(row.band) if x % p)
             branch.cols[0][col] += 1
         return run_stage(branch, rows_t, t, e, ctx)
 
     monkeypatch.setattr(decoder, "_run_stage", corrupted)
     with pytest.raises(AssertionError, match="not divisible by p"):
         list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
+
+
+def test_corrupt_orig_band_raises(kernel_code_z8):
+    # one raw coefficient off by one, on a column whose forms are not all
+    # zero, breaks the list check of every materialize_list call, under
+    # python -O too
+    out = list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
+    assert out.kind == "list"
+    for limit in (1, 64, None):
+        materialize_list(out, limit)  # the raw rows as built pass
+    rows, cols = out.system.rows, out.branches[0].cols
+    k, j = next(
+        (k, j)
+        for k, row in enumerate(rows)
+        for j in range(len(row.orig_band))
+        if any(col[row.span[0] + j] for col in cols)
+    )
+    band = list(rows[k].orig_band)
+    band[j] += 1
+    rows[k] = rows[k]._replace(orig_band=tuple(band))
+    for limit in (1, 64, None):
+        with pytest.raises(AssertionError, match="violates the parity equations"):
+            materialize_list(out, limit)
 
 
 def _check_z2_stages(case):
@@ -752,9 +812,9 @@ def _check_z2_stages(case):
     code, rx, i, Tw, terminated = case
     real_matrix, real_reduce, coeff_rows = decoder.StageMatrix, decoder.reduce_stage, {}
 
-    def stage_matrix(rows, e, p):
-        matrix = real_matrix(rows, e, p)
-        coeff_rows[matrix] = [list(row) for row in rows]
+    def stage_matrix(bands, e, p):
+        matrix = real_matrix(bands, e, p)
+        coeff_rows[matrix] = [[0] * a + list(band) + [0] * (e - b) for (a, b), band in bands]
         return matrix
 
     def reduce_stage(matrix, payload, log=None):
@@ -1150,7 +1210,7 @@ class TestPlanReplay:
             if not corrupted_at and branch and not branch.space.events and branch.space.n_params:
                 sysw = out.system
                 # a column some row reads, so the off-by-one shows in that row
-                col = next(k for k in range(sysw.e) if any(row.orig_coeffs[k] % q for row in sysw.rows))
+                col = next(k for k in range(sysw.e) if any(dense(row, sysw.e, orig=True)[k] % q for row in sysw.rows))
                 branch.cols[1][col] += 1  # the plan takes its params from these forms
                 corrupted_at.append(sysw.i)
             return make_plan(out)

@@ -1,6 +1,7 @@
-"""Static checks on the package source: every import is used, and __all__ is sound."""
+"""Static checks on the package source: every import is used, __all__ is sound, and every private definition is named elsewhere."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -74,3 +75,30 @@ def test_all_is_complete_and_unique():
     assert not twice, f"listed more than once in __all__: {twice}"
     missing = [name for name in entries if not hasattr(convring, name)]
     assert not missing, f"__all__ names what the package does not define: {missing}"
+
+
+def _private_definitions(tree):
+    """(name, line) of each module-level function or class, and each method, named _x but not a dunder."""
+    for node in tree.body:
+        scopes = [node]
+        if isinstance(node, ast.ClassDef):
+            scopes += node.body
+        for item in scopes:
+            if (
+                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and item.name.startswith("_")
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ):
+                yield item.name, item.lineno
+
+
+def test_no_unnamed_private_definitions():
+    # a private helper that no other line of the package names is dead code
+    lines = [(path, k, line) for path in MODULES for k, line in enumerate(path.read_text().splitlines(), 1)]
+    unnamed = []
+    for path in MODULES:
+        for name, lineno in _private_definitions(ast.parse(path.read_text(), filename=str(path))):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(line) for p, k, line in lines if (p, k) != (path, lineno)):
+                unnamed.append(f"{path.name}:{lineno} {name}")
+    assert not unnamed, f"private definitions that no other line names: {unnamed}"

@@ -4,14 +4,18 @@ The row-reduction kernel rref_mod_p is shared by the plain solver and
 rank computation, and reduce_stage runs it for the decoder's digit
 stages.  Right-hand sides and the decoder's payload forms are augmented
 columns: they ride along through the row operations but never hold a
-pivot.  Odd p reduce list rows; over Z_2 the matrix is packed into one
-int per column, bit i of column j holding row i, and each pivot makes one
-XOR pass over the columns to its right.  A digit stage's rows come as
-bands, each row's entries on the one run of columns it reads; the stage
-packs its coefficient columns once from the bands (StageMatrix) and only
-its payload columns per pass, one column at a time, and reads back only
-what the stage uses: the fold row, or the payload and free columns'
-entries in the pivot rows.
+pivot.  Odd p reduce list rows.  Over Z_2 a whole matrix of m rows is
+one int, column j the m-bit field at bit j*m and bit j*m + i holding row
+i, and each pivot is a fixed handful of big-int operations (_rref_2):
+row r is read across every column at once as (M >> r) & spread, and one
+product by the pivot column's hit set clears them all.  No mask keeps
+the columns left of the pivot out: the rows at and below the pivot row
+are zero there.  A digit stage's rows come as bands, each row's entries
+on the one run of columns it reads; the stage packs its coefficient
+columns once from the bands (StageMatrix) and only its payload columns
+per pass, as the fields above column e, and reads back only what the
+stage uses: the fold row, or the payload and free columns' entries in
+the pivot rows.
 The elimination kernels are also the single place where Z_p
 multiply-accumulate operations are counted (the same count on both
 paths), so decoding cost measurements all flow through OPS.  rref_mod_p
@@ -98,8 +102,8 @@ def rref_mod_p(
     any further columns are augmented ones that ride along through the same
     row operations.  OPS counts the multiply-accumulates of the first ncols
     columns only.  Entries may be any integers; the rows come back reduced
-    into [0, p).  Over Z_2 the rows are packed into column bitmasks and
-    eliminated by XOR (_eliminate_2), then unpacked.
+    into [0, p).  Over Z_2 the rows are packed into one int, column j in
+    bits [j*m, (j+1)*m), eliminated there by _rref_2, then unpacked.
 
     With a log list, the row operations are appended to it, one entry per
     pivot k: (the row swapped into row k, the scale factor of row k, and
@@ -113,9 +117,8 @@ def rref_mod_p(
     if ncols is None:
         ncols = n
     if p == 2:
-        cols = _pack_2([((0, n), row) for row in rows], n)
-        pivots = _eliminate_2(cols, m, ncols, log)
-        rows[:] = _unpack_2(cols, m)
+        M, pivots = _rref_2(_pack_2([((0, n), row) for row in rows], n), m, n, ncols, log)
+        rows[:] = _unpack_2(M, m, n)
         return pivots
     for i in range(m):
         rows[i] = [x % p for x in rows[i]]
@@ -150,53 +153,51 @@ def rref_mod_p(
     return pivots
 
 
-# Z_2 matrices are lists of column bitmasks: bit i of column j is row i.
-# Rows go in and out through bytes: one parity character per entry, one
-# strided slice per column or row.  Rows go in as bands: (span, band), the
-# row's entries on the columns a..b-1 of span (a, b) and zero elsewhere; a
-# dense row of n entries is the band of span (0, n).
+# A Z_2 matrix of m rows and n columns is one int: column j is the m-bit
+# field in bits [j*m, (j+1)*m), bit j*m + i holding row i.  Rows go in and
+# out through bytes, one parity character per entry, transposed by strided
+# slices.  Rows go in as bands: (span, band), the row's entries on the
+# columns a..b-1 of span (a, b) and zero elsewhere; a dense row of n
+# entries is the band of span (0, n).
 _PARITY = bytes(48 + (b & 1) for b in range(256))  # byte -> b"0" or b"1"
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _pack_2(bands: Sequence[tuple[tuple[int, int], Sequence[int]]], n: int) -> list[int]:
-    """The n column bitmasks of banded rows mod 2."""
-    if not bands:
-        return [0] * n
-    zeros = bytes(n)
-    try:
-        flat = b"".join([x for (a, b), band in bands for x in (zeros[:a], bytes(band), zeros[b:])])
-    except ValueError:  # an entry outside [0, 256)
-        flat = b"".join(
-            [x for (a, b), band in bands for x in (zeros[:a], bytes([y & 1 for y in band]), zeros[b:])]
-        )
-    # reversed, column j reads rows m-1..0, most significant bit first
+def _pack_2(bands: Sequence[tuple[tuple[int, int], Sequence[int]]], n: int) -> int:
+    """The one-int matrix of banded rows mod 2 over n columns."""
+    flat = bytearray(len(bands) * n)
+    for i, ((a, b), band) in enumerate(bands):
+        try:
+            flat[i * n + a : i * n + b] = band
+        except ValueError:  # an entry outside [0, 256)
+            flat[i * n + a : i * n + b] = [y & 1 for y in band]
+    # reversed, the slices read columns n-1..0, each rows m-1..0: most
+    # significant bit first
     flat = flat.translate(_PARITY)[::-1]
-    return [int(flat[k::n], 2) for k in range(n - 1, -1, -1)]
+    return int(b"".join([flat[k::n] for k in range(n)]) or b"0", 2)
 
 
-def _unpack_2(cols: Sequence[int], m: int) -> list[list[int]]:
-    """The m rows of column bitmasks, entries 0 and 1."""
-    if not m:
-        return []
-    # reversed, the columns come in order, each rows 0..m-1
-    flat = "".join([format(c, f"0{m}b") for c in reversed(cols)]).encode()
-    flat = flat.translate(_DIGITS)[::-1]
-    return [list(flat[i::m]) for i in range(m)]
-
-
-def _column_2(col: Sequence[int]) -> int:
-    """The bitmask of one column mod 2, bit i holding entry i."""
+def _fields_2(columns: Sequence[Sequence[int]]) -> int:
+    """The one-int matrix of columns mod 2, of m entries each."""
     try:
-        flat = bytes(col)
+        flat = b"".join(map(bytes, columns))
     except ValueError:  # an entry outside [0, 256)
-        flat = bytes([x & 1 for x in col])
-    # reversed, the entries read m-1..0, most significant bit first
+        flat = bytes([x & 1 for col in columns for x in col])
+    # reversed, the entries read from the last column's row m-1 down
     return int(flat.translate(_PARITY)[::-1] or b"0", 2)
 
 
+def _unpack_2(M: int, m: int, n: int) -> list[list[int]]:
+    """The m rows of a one-int matrix of n columns, entries 0 and 1."""
+    if not n:
+        return [[] for _ in range(m)]
+    # reversed, the columns come in order, each rows 0..m-1
+    flat = format(M, f"0{m * n}b").encode().translate(_DIGITS)[::-1]
+    return [list(flat[i::m]) for i in range(m)]
+
+
 def _head_bits(x: int, k: int) -> bytes:
-    """Rows 0..k-1 of a column bitmask, entries 0 and 1 (none when k is 0)."""
+    """Bits 0..k-1 of x, entries 0 and 1 (none when k is 0)."""
     # bit k set, the format has exactly k + 1 digits, the first of them 1
     return format(x & ((1 << k) - 1) | 1 << k, "b")[:0:-1].encode().translate(_DIGITS)
 
@@ -211,37 +212,46 @@ def _bits(x: int) -> list[int]:
     return out
 
 
-def _eliminate_2(cols: list[int], m: int, ncols: int, log: list | None) -> list[int]:
-    """rref_mod_p over Z_2 on m-row column bitmasks, in place; returns pivot columns.
+def _rref_2(M: int, m: int, n: int, ncols: int, log: list | None) -> tuple[int, list[int]]:
+    """rref_mod_p over Z_2 on a one-int matrix; returns it reduced, and the pivot columns.
 
-    The rows at and below the next pivot row r are zero left of the pivot
-    column, so each pivot touches only the columns to its right, in one
-    pass that swaps rows r and pr and XORs the hit set (the pivot column's
-    other rows) into every column holding a 1 in row r.
+    spread has bit j*m set for each column j, so (X >> i) & spread is row
+    i of a one-int matrix X, its entry in column j at bit j*m.  Multiplied
+    by a column c (< 2^m), it puts c in the field of each column where row
+    i holds a 1; the terms cannot carry, each in its own field.  A pivot
+    in row r clears its column's other rows (the hits) with one such
+    product, after a swap of rows r and pr when the pivot sits lower.  No
+    column needs masking off: the rows at and below r are zero left of
+    the pivot column, so the product leaves those columns alone and turns
+    the pivot column into bit r by itself.  It is formed on U, the columns
+    from the pivot column on, only to keep the operands short.
     """
     pivots: list[int] = []
+    if not m:
+        return M, pivots
+    field = (1 << m) - 1
+    spread = ((1 << m * n) - 1) // field
     r = ops = 0
-    for col in range(ncols if m else 0):
-        c = cols[col]
+    for col in range(ncols):
+        s = col * m
+        U = M >> s
+        c = U & field
         low = c >> r
         if not low:
             continue
-        pr = r + (low & -low).bit_length() - 1
-        pbit = 1 << r
-        if pr == r:
-            hits = c ^ pbit
+        if low & 1:
+            pr = r
+            hits = c ^ 1 << r
             if hits:
-                cols[col + 1 :] = [x ^ hits if x & pbit else x for x in cols[col + 1 :]]
+                M ^= (U >> r & spread) * hits << s
         else:
-            # rows r..pr-1 are zero in the pivot column; a column's XOR mask
-            # is looked up from its bits r and pr (bit pr, after the swap
-            # in row r, selects the hits)
-            hits = c ^ (1 << pr)
-            swap = pbit | 1 << pr
-            masks = (0, swap, swap ^ hits, hits)
-            pr1 = pr - 1
-            cols[col + 1 :] = [x ^ masks[(x >> r & 1) | (x >> pr1 & 2)] for x in cols[col + 1 :]]
-        cols[col] = pbit
+            # rows r..pr-1 are zero in the pivot column: swap rows r and
+            # pr, then clear the hits with the new row r
+            pr = r + (low & -low).bit_length() - 1
+            hits = c ^ 1 << pr
+            bp = U >> pr & spread
+            d = (U >> r & spread) ^ bp
+            M ^= (d << r ^ d << pr ^ bp * hits) << s
         ops += hits.bit_count() * (ncols - col + 1)
         if log is not None:
             log.append((pr, 1, _bits(hits)))
@@ -250,7 +260,7 @@ def _eliminate_2(cols: list[int], m: int, ncols: int, log: list | None) -> list[
         if r == m:
             break
     OPS.add(ops)
-    return pivots
+    return M, pivots
 
 
 class StageMatrix:
@@ -258,10 +268,11 @@ class StageMatrix:
 
     The m rows over e columns come as bands, (span, band) pairs: a row
     reads only the columns a..b-1 of its span (a, b), and band holds its
-    entries there.  Over Z_2 the bands are packed into column bitmasks
-    once; over odd p each band is padded once into the tuple row that
-    rref_mod_p's list kernel reduces with each pass's payload.  The
-    layout is linsolve's alone.
+    entries there.  Over Z_2 the bands are packed once into one int,
+    column j in bits [j*m, (j+1)*m), by one int(..., 2) call on their
+    transposed parity string; over odd p each band is padded once into
+    the tuple row that rref_mod_p's list kernel reduces with each pass's
+    payload.  The layout is linsolve's alone.
     """
 
     __slots__ = ("p", "e", "m", "data")
@@ -299,7 +310,10 @@ def reduce_stage(
     payload holds the payload columns, each one entry per stage row.
     Pivots, the reduced rows, OPS and the log are rref_mod_p's on the
     augmented rows; only what the stage uses comes back (see
-    StageReduction).
+    StageReduction).  Over Z_2 the payload columns are packed as the
+    fields above the stage matrix's e columns, the one int is eliminated
+    by _rref_2, and the readback takes the payload and free columns'
+    fields, of the pivot rows alone (_head_bits).
     """
     p, e, m = matrix.p, matrix.e, matrix.m
     if p != 2:
@@ -313,11 +327,12 @@ def reduce_stage(
         # the pivot rows alone, column by column
         cols = list(zip(*mat[:npiv])) or [()] * (e + len(payload))
         return StageReduction(pivots, free, None, cols[e:], [cols[c] for c in free])
-    cols = matrix.data + list(map(_column_2, payload))
-    pivots = _eliminate_2(cols, m, e, log)
+    n = e + len(payload)
+    M, pivots = _rref_2(matrix.data | _fields_2(payload) << e * m, m, n, e, log)
     npiv = len(pivots)
     free = _free(pivots, e)
-    pay = cols[e:]
+    field = (1 << m) - 1
+    pay = [M >> j * m & field for j in range(e, n)]
     dependent = 0
     for x in pay:
         dependent |= x
@@ -327,7 +342,7 @@ def reduce_stage(
         return StageReduction(pivots, free, (idx, [x >> idx & 1 for x in pay]), [], [])
     # the pivot rows alone, of the payload and free columns
     pays = [_head_bits(x, npiv) for x in pay]
-    return StageReduction(pivots, free, None, pays, [_head_bits(cols[c], npiv) for c in free])
+    return StageReduction(pivots, free, None, pays, [_head_bits(M >> c * m, npiv) for c in free])
 
 
 def _free(pivots: list[int], e: int) -> list[int]:
@@ -357,7 +372,7 @@ def rank_mod_p(data: Sequence[Sequence[int]], p: int) -> int:
         return 0
     if p == 2:
         n = len(data[0])
-        return len(_eliminate_2(_pack_2([((0, n), row) for row in data], n), len(data), n, None))
+        return len(_rref_2(_pack_2([((0, n), row) for row in data], n), len(data), n, n, None)[1])
     return len(rref_mod_p([list(r) for r in data], p))
 
 

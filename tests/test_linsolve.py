@@ -1,16 +1,17 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from convring import solve_mod_p
 from convring.linsolve import (
     OPS,
     StageMatrix,
-    _column_2,
+    _fields_2,
     _head_bits,
     rank_mod_p,
+    reduce_stage,
     replay_rref_log,
     rref_mod_p,
 )
@@ -216,7 +217,7 @@ def _z2_entry(rng, density):
 
 @pytest.mark.parametrize("shape", ["tall", "wide", "square"])
 def test_rref_z2_bitmask_kernel(shape):
-    # shapes up to 80 x 80, so a column mask or a row passes 64 bits, with
+    # shapes up to 80 x 80, so a column's field or a row passes 64 bits, with
     # entries outside [0, 256) (which bytes cannot pack) in about half the
     # systems; pivots, rows, OPS, log and replay match the list reference
     rng = random.Random({"tall": 301, "wide": 302, "square": 303}[shape])
@@ -253,7 +254,7 @@ def test_rref_z2_bitmask_kernel_degenerate(m, n, ncols):
 
 @pytest.mark.parametrize("k", [0, 1, 70])
 def test_head_bits_reads_rows_below_k(k):
-    # rows 0..k-1 of a column bitmask, none at k = 0, whatever the bits at
+    # rows 0..k-1 of a column's field, none at k = 0, whatever the bits at
     # and past row k hold
     rng = random.Random(k)
     for x in (0, (1 << (k + 5)) - 1, rng.getrandbits(k + 5), rng.getrandbits(k) | 1 << (k + 2)):
@@ -262,12 +263,14 @@ def test_head_bits_reads_rows_below_k(k):
 
 @pytest.mark.parametrize("m", [0, 1, 9, 70])
 def test_column_2_packs_entry_parities(m):
-    # bit i holds entry i mod 2, entries outside [0, 256) included
+    # column j is the m-bit field at bit j*m, its bit i holding entry i mod
+    # 2, entries outside [0, 256) included; nothing lies past the last field
     rng = random.Random(400 + m)
-    for density in (0.0, 0.5, 1.0):
-        col = [_z2_entry(rng, density) for _ in range(m)]
-        x = _column_2(col)
-        assert x >> m == 0 and list(_head_bits(x, m)) == [v & 1 for v in col]
+    for k in (0, 1, 3):
+        cols = [[_z2_entry(rng, density) for _ in range(m)] for density in (0.0, 0.5, 1.0)[:k]]
+        x = _fields_2(cols)
+        assert x >> m * k == 0
+        assert [list(_head_bits(x >> j * m, m)) for j in range(k)] == [[v & 1 for v in col] for col in cols]
 
 
 @st.composite
@@ -294,13 +297,103 @@ def stage_bands(draw):
 @example((3, 5, []))
 def test_stage_matrix_packs_bands_as_padded_rows(case):
     # a stage matrix built from bands holds what the padded rows pack to:
-    # over Z_2, bit i of column j is entry j of row i mod 2; over odd p,
+    # over Z_2, bit j*m + i of one int is entry j of row i mod 2; over odd p,
     # the padded rows themselves
     p, e, bands = case
     rows = [(0,) * a + band + (0,) * (e - b) for (a, b), band in bands]
     matrix = StageMatrix(bands, e, p)
     assert (matrix.p, matrix.e, matrix.m) == (p, e, len(rows))
     if p == 2:
-        assert matrix.data == [sum((row[j] & 1) << i for i, row in enumerate(rows)) for j in range(e)]
+        m = len(rows)
+        assert matrix.data == sum((row[j] & 1) << (j * m + i) for i, row in enumerate(rows) for j in range(e))
     else:
         assert matrix.data == rows
+
+
+@st.composite
+def z2_stages(draw):
+    """(e, bands, payload) of a Z_2 digit stage: m rows, up to 90 of them, over e columns.
+
+    Shapes come from Hypothesis, entries from a seeded generator; they may
+    be negative or past one byte.  Payload columns may be absent or all
+    zero, and each band may be dense or sparse, so the stage may have
+    dependent rows, row swaps and folds.
+    """
+    m = draw(st.integers(0, 90))
+    e = draw(st.integers(0, 40))
+    k = draw(st.integers(0, 3))
+    zero_payload = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = rng.choice([0.05, 0.3, 0.5, 0.9])
+    bands = []
+    for _ in range(m):
+        a = rng.choice([0, rng.randint(0, e)])
+        b = rng.choice([e, rng.randint(a, e)])
+        bands.append(((a, b), tuple(_z2_entry(rng, density) for _ in range(b - a))))
+    payload = [[0 if zero_payload else _z2_entry(rng, density) for _ in range(m)] for _ in range(k)]
+    return e, bands, payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(z2_stages())
+@example((0, [], []))
+@example((5, [], [[]]))
+@example((0, [((0, 0), ())] * 3, [[1, 0, 300]]))
+@example((3, [((0, 3), (1, 1, 0)), ((0, 3), (-1, 257, 0))], []))
+@example((3, [((0, 3), (0, 1, 0)), ((0, 3), (1, 0, 1))], [[0, 0]]))
+def test_reduce_stage_z2_matches_list_reference(case):
+    _check_z2_stage(case)
+
+
+@pytest.mark.parametrize("feature", ["wide-swap", "fold", "late-fold", "readback"])
+def test_reduce_stage_z2_cases_cover(feature):
+    # the stages reach row swaps with fields past 64 bits, folds of the
+    # first dependent row or of a later one, and full readbacks; the first
+    # case found with each passes the same check
+    case = find(
+        z2_stages(),
+        lambda case: feature in _check_z2_stage(case),
+        settings=settings(
+            max_examples=2000,
+            deadline=None,
+            database=None,
+            derandomize=True,
+            phases=[Phase.generate],
+        ),
+    )
+    assert feature in _check_z2_stage(case)
+
+
+def _check_z2_stage(case):
+    """reduce_stage over Z_2 against the list reference on the same augmented rows; returns the features seen.
+
+    The one-int elimination of a stage with its payload riding along must
+    give the reference's pivots, free columns, fold or pivot rows' payload
+    and free entries, op count and log.
+    """
+    e, bands, payload = case
+    features = set()
+    rows = [
+        [0] * a + list(band) + [0] * (e - b) + [col[i] for col in payload]
+        for i, ((a, b), band) in enumerate(bands)
+    ]
+    pivots, reduced, ops = reference_rref(rows, 2, e)
+    free = [c for c in range(e) if c not in pivots]
+    log, before = [], OPS.count
+    got = reduce_stage(StageMatrix(bands, e, 2), payload, log)
+    assert (got.pivots, got.free, OPS.count - before) == (pivots, free, ops)
+    assert log == reference_z2_log(rows, e)
+    if len(rows) > 64 and any(pr != k for k, (pr, _, _) in enumerate(log)):
+        features.add("wide-swap")
+    idx = next((k for k in range(len(pivots), len(rows)) if any(reduced[k][e:])), None)
+    if idx is None:
+        top = reduced[: len(pivots)]
+        assert got.fold is None
+        assert list(map(list, got.pays)) == [[row[e + j] for row in top] for j in range(len(payload))]
+        assert list(map(list, got.at_free)) == [[row[c] for row in top] for c in free]
+        if pivots and free and payload:
+            features.add("readback")
+    else:
+        assert got.fold == (idx, reduced[idx][e:]) and got.pays == got.at_free == []
+        features.add("fold" if idx == len(pivots) else "late-fold")
+    return features

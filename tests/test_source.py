@@ -102,3 +102,22 @@ def test_no_unnamed_private_definitions():
             if not any(word.search(line) for p, k, line in lines if (p, k) != (path, lineno)):
                 unnamed.append(f"{path.name}:{lineno} {name}")
     assert not unnamed, f"private definitions that no other line names: {unnamed}"
+
+
+def test_z2_elimination_is_one_kernel():
+    # a Z_2 matrix is one int: rref_mod_p, rank_mod_p and reduce_stage all
+    # eliminate with _rref_2, the packers return one int, and no column-list
+    # kernel or per-column packer is left
+    tree = ast.parse((SRC / "linsolve.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("rref_mod_p", "rank_mod_p", "reduce_stage"):
+        assert "_rref_2" in _used_names(defs[name]), f"{name} does not eliminate with _rref_2"
+    for name in ("_pack_2", "_fields_2"):
+        assert ast.unparse(defs[name].returns) == "int", f"{name} does not return one int"
+    leftovers = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in ("_eliminate_2", "_column_2")
+        if re.search(rf"\b{name}\b", path.read_text())
+    ]
+    assert not leftovers, f"the column-list Z_2 kernel is still named: {leftovers}"

@@ -6,10 +6,11 @@ Z_p[D].  Parity-check matrices follow the same layered shape.  Codes can
 be built from raw generator rows (reduced here into layered form), from
 explicit blocks, or from a parity-check matrix alone (the kernel code).
 
-Construction validates the rank and annihilation contracts eagerly, and
-derives the parity degree nu (a given nu must match it), so a ConvCode in
-hand is always internally consistent.  Instances are immutable and safe
-to share; each computes its scaled parity coefficients H^0..H^nu once.
+Construction validates the layer shapes and the rank and annihilation
+contracts eagerly, and derives the parity degree nu (a given nu must
+match it), so a ConvCode in hand is always internally consistent.
+Instances are immutable and safe to share; each computes its scaled
+parity coefficients H^0..H^nu once.
 
 The sliding-window parity equations are assembled in one place: the
 window-equation kernel restricts them to the erased entries of a symbol
@@ -30,16 +31,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConstructionError, NotLeftPrime
+from .errors import ConstructionError, NotLeftPrime, NotUnimodular
 from .intsolve import solve_mod
 from .linsolve import ConstMatrix
 from .polymat import (
     NEG_INF,
     Poly,
     PolyMatrix,
+    _completion_rows,
     _kernel_basis,
     adjugate,
-    complete_to_unimodular,
     exact_dtype,
     invert_unimodular,
     is_left_prime,
@@ -80,9 +81,16 @@ class ConvCode:
     def __post_init__(self):
         if self.g_blocks is None and self.h_blocks is None:
             raise ValueError("a code needs a generator or a parity check")
+        r, n = self.ctx.r, self.n
+        if len(self.k_blocks) != r or min(self.k_blocks) < 0 or self.k > n:
+            raise ValueError(f"k_blocks must be {r} nonnegative sizes summing to at most n = {n}")
+        for what, blocks, sizes in (
+            ("generator", self.g_blocks, self.k_blocks),
+            ("parity", self.h_blocks, self.l_blocks),
+        ):
+            if blocks is not None and [blk.rows for blk in blocks] != list(sizes):
+                raise ValueError(f"{what} layers must have {list(sizes)} rows")
         if self.g_blocks is not None:
-            if len(self.g_blocks) != self.ctx.r:
-                raise ValueError("expected one generator block per p-power level")
             stack = self.generator_stack().proj()
             if stack.rows and rank(stack) != stack.rows:
                 raise ValueError("projected generator stack is not full row rank")
@@ -385,15 +393,15 @@ def synthesize_parity_check(code: ConvCode) -> ParityCheck:
 def _exact_parity_check(code: ConvCode) -> ParityCheck:
     """The parity check of an observable code, whose kernel equals the code.
 
-    Raises ConstructionError when the generator stack is degenerate and
-    NotLeftPrime when the code is not observable; the completion decides
-    the latter (its stack is unimodular exactly when the projected
-    generator stack is left prime), so no separate is_observable is needed.
+    Raises ConstructionError when the generator is empty and NotLeftPrime
+    when the code is not observable; the completion decides the latter
+    (its stack is unimodular exactly when the projected generator stack is
+    left prime), so no separate is_observable is needed.  The projected
+    stack has full row rank, as construction checked.
     """
     ctx = code.ctx
     gstack = code.generator_stack()
-    gp = gstack.proj()
-    if gp.rows == 0 or rank(gp) != gp.rows:
+    if gstack.rows == 0:
         raise ConstructionError("generator stack is degenerate")
     W = _unimodular_dual(gstack, ctx)
     L, h_blocks = _cut_layers(W, list(code.k_blocks) + [code.n - code.k], ctx.r)
@@ -424,15 +432,17 @@ def _fraction_field_completion(gp: PolyMatrix) -> PolyMatrix:
 def _unimodular_dual(stack: PolyMatrix, ctx: RingContext) -> PolyMatrix:
     """Transposed inverse of stack completed to a unimodular matrix.
 
-    The completion is found over Z_p[D] and lifted digit zero, which keeps
-    it unimodular; invert_unimodular's exact product check proves that, so
-    no determinant is taken.  NotLeftPrime is raised when the projection
-    of stack is not left prime.
+    The completion rows are found over Z_p[D] and lifted digit zero.  A
+    lift is unimodular exactly when its projection is, and the projected
+    stack is unimodular exactly when the projection of stack is left
+    prime, so the one exact inversion of the lifted stack decides that
+    too: NotLeftPrime is raised when it fails.  No determinant is taken.
     """
-    proj = stack.proj()
-    N = complete_to_unimodular(proj)
-    M = stack.vstack(N.lift(ctx))
-    return invert_unimodular(M).transpose()
+    N = _completion_rows(stack.proj())
+    try:
+        return invert_unimodular(stack.vstack(N.lift(ctx))).transpose()
+    except NotUnimodular:
+        raise NotLeftPrime("stack is not left prime; no unimodular completion exists") from None
 
 
 def _cut_layers(W: PolyMatrix, sizes, r: int):
@@ -454,42 +464,20 @@ def _dual_blocks(ctx: RingContext, h_blocks, n: int):
     return g_blocks, tuple(b.rows for b in g_blocks)
 
 
-def _window_equations(code: ConvCode, table, lo: int, hi: int):
-    """The sliding parity equations of times lo..hi, restricted to erasures.
-
-    table maps times to symbols; None marks an erased entry, and only the
-    times lo..hi may hold one.  Times missing from the table read as zero
-    symbols, so a window at time 0 with no history entries sees the
-    zero state.  Returns (columns, equations): the erased (time, coord)
-    pairs in time-major order, and for each time s in lo..hi and each
-    assembled parity row ri, in that order, a tuple (s, ri, coeffs, rhs)
-    where coeffs are the scaled integer coefficients on the columns and
-    rhs is minus the known part, mod q.
-    """
-    columns = tuple(
-        (t, c) for t in range(lo, hi + 1) for c, x in enumerate(table.get(t, ())) if x is None
-    )
-    e = len(columns)
-    rhs = iter(_window_rhs(code, table, lo, hi))  # in the same order: time, then parity row
-    return columns, [
-        (lo + s, ri, [0] * a + list(band) + [0] * (e - b), next(rhs))
-        for s, (a, b, bands) in enumerate(_window_coeffs(code, columns, lo, hi))
-        for ri, band in enumerate(bands)
-    ]
-
-
 def _window_coeffs(
     code: ConvCode, columns, lo: int, hi: int
 ) -> list[tuple[int, int, list[tuple[int, ...]]]]:
-    """The coefficients of those equations, banded: a gather of the erased positions.
+    """The sliding parity equations of times lo..hi on the erased columns, banded.
 
-    Equation s reads the nu + 1 symbols ending at time s, which its block
-    row H^nu[ri] | ... | H^0[ri] multiplies.  As columns are time-major,
-    the columns of those times are one run columns[a:b], found by two
-    pointers over the columns' times; every other column gets 0.  Returns,
-    per time s in lo..hi, (a, b, bands): bands holds each parity row's
-    coefficients on that run.  Depends only on hi - lo and the columns
-    relative to lo.
+    columns are the erased (time, coord) pairs of times lo..hi, in
+    time-major order; an equation's coefficients there are a gather of the
+    erased positions.  Equation s reads the nu + 1 symbols ending at time
+    s, which its block row H^nu[ri] | ... | H^0[ri] multiplies.  As columns
+    are time-major, the columns of those times are one run columns[a:b],
+    found by two pointers over the columns' times; every other column gets
+    0.  Returns, per time s in lo..hi, (a, b, bands): bands holds each
+    parity row's coefficients on that run.  Depends only on hi - lo and
+    the columns relative to lo.
     """
     n, nu, block_rows = code.n, code.nu, code._parity_block_rows
     times = [t - lo for t, _ in columns]
@@ -509,10 +497,13 @@ def _window_coeffs(
 
 
 def _window_rhs(code: ConvCode, table, lo: int, hi: int) -> list[int]:
-    """The right-hand sides of those equations, mod q.
+    """The right-hand sides of those equations, mod q, per time s in lo..hi and parity row.
 
-    Each is minus one dot product of a block row with the symbols of times
-    s - nu..s, erasures read as 0.
+    table maps times to symbols, None marking an erased entry; times
+    missing from it read as zero symbols, so a window at time 0 with no
+    history entries sees the zero state.  Each right-hand side is minus
+    one dot product of a block row with the symbols of times s - nu..s,
+    erasures read as 0.
     """
     n, q = code.n, code.ctx.q
     width = (code.nu + 1) * n
@@ -534,9 +525,14 @@ def sliding_matrix(code: ConvCode, j: int) -> ConstMatrix:
     """
     if code.h_blocks is None:
         raise ValueError("code has no parity side")
-    table = {t: [None] * code.n for t in range(j + 1)}
-    _, equations = _window_equations(code, table, 0, j)
-    return ConstMatrix(code.ctx, [acc for _, _, acc, _ in equations], cols=(j + 1) * code.n)
+    n, e = code.n, (j + 1) * code.n
+    columns = [(t, c) for t in range(j + 1) for c in range(n)]
+    rows = [
+        [0] * a + list(band) + [0] * (e - b)
+        for a, b, bands in _window_coeffs(code, columns, 0, j)
+        for band in bands
+    ]
+    return ConstMatrix(code.ctx, rows, cols=e)
 
 
 def is_codeword_window(code: ConvCode, window: Sequence[Sequence[int]]) -> bool:

@@ -44,20 +44,19 @@ coefficients there, its band, renormalized and original; every
 row-by-column product of the digit stages and of the list check reads
 the band alone.  Only a plan's replay, whose windows are narrow, and the
 brute-force oracle pad rows to the full width, once per plan and per
-call.  The column forms are checked once per list against the raw rows.
+call.  The column forms are checked against the raw rows before a list
+is enumerated or its values are read.
 
 Pivots, folds, row operations and the parameter part of every form
 depend only on the pattern as well.  Each digit stage logs the row
 operations of its elimination (rref_mod_p's log), so a sequential decode
 keeps one store per call, keyed on the delay and the relative pattern:
-each window's pattern part, and the plan that the first valid, fold-free
-list_decode of the pattern leaves, with each stage's pivots and log and
-the final parameter part, checked against the raw rows once when the
-plan is made.  Later windows replay the logs on the constant column
-alone, with no elimination, and check it against their raw rows; the two
-halves make up the row check of the whole list.  Where the plan leaves
-no parameter on time i, a replayed window commits time i straight from
-its constant column; only a list at time i builds the full outcome.
+each window's pattern part, and the plan that the first valid list_decode
+of the pattern leaves when it is fold-free and leaves no parameter on
+time i, with each stage's pivots and log.  Later windows replay the logs
+on the constant column alone, with no elimination, check it against
+their raw rows and commit time i from it.  Every other window runs
+list_decode, whose values are checked where they are read.
 """
 
 from __future__ import annotations
@@ -314,9 +313,9 @@ class _Branch:
     stages run so far, the integer affine form cols[0][c] + sum_v
     cols[1 + v][c] x_v over all P parameters: cols holds P + 1 lists over
     the e columns, the constants and then one per parameter (a folded
-    parameter keeps a zero list).  logs, kept only by a recursion that is
-    to leave a plan (None otherwise), holds per finished stage its pivots
-    and the row-operation log of its last elimination pass.
+    parameter keeps a zero list).  logs, kept only by a recursion that may
+    leave a plan (None otherwise), holds per finished stage its pivots and
+    the row-operation log of its last elimination pass.
     """
 
     __slots__ = ("space", "cols", "stages", "logs")
@@ -539,20 +538,15 @@ def _outcome(sys: WindowSystem, branch: _Branch) -> DecodeOutcome:
 
 @dataclass(frozen=True)
 class _Plan:
-    """The value-free half of a fold-free recursion for one erasure pattern.
+    """How the later windows of one erasure pattern commit time i without elimination.
 
-    Per stage its pivots, the row-operation log of its elimination and its
-    report; then the final parameter part of the column forms, one
-    coefficient tuple over the columns per parameter, proven against the
-    pattern's raw rows; whether no parameter reaches a time-0 column, in
-    which case a window's time-0 values are its constant column; and the
-    replay's rows, the renormalized and the original bands of a valid
-    window's rows padded over all the columns, in row order.
+    Per stage t, in stage order, its pivots and the row-operation log of
+    its elimination; then the replay's rows, the renormalized and the
+    original bands of a valid window's rows padded over all the columns,
+    in row order.
     """
 
-    stages: list[tuple[list[int], list, DigitStage]]
-    params: list[tuple[int, ...]]
-    head_fixed: bool
+    stages: list[tuple[list[int], list]]
     coeffs: list[tuple[int, ...]]
     origs: list[tuple[int, ...]]
 
@@ -564,26 +558,22 @@ def _dense(span: tuple[int, int], band: tuple[int, ...], e: int) -> tuple[int, .
 
 
 def _make_plan(outcome: DecodeOutcome) -> _Plan | None:
-    """The plan left by list_decode's outcome, None when it folded or is invalid.
+    """The plan left by list_decode's outcome, None unless its values at time i are fixed.
 
-    The kept rows of a valid window depend only on the pattern, so the
-    parameter half of the list's row check is made here once:
-    orig_band . params_k == 0 mod q for every row and parameter k.  (A
-    unique outcome has no parameters, and materialize_list has proven its
-    forms already.)  The rows are padded here too, once per plan.
+    A plan is left by a valid outcome whose recursion did not fold and
+    whose parameters are zero on every time-i column, so that time i's
+    values are the constant column's.  The rows are padded here, once per
+    plan.
     """
     if not outcome.branches or outcome.branches[0].space.events:
         return None
     (branch,) = outcome.branches
     sys = outcome.system
-    params = list(map(tuple, branch.cols[1:]))
-    _check_rows(sys, None, params)
     head = sum(t == sys.i for t, _ in sys.columns)
-    stages = [(pivots, log, stage) for (pivots, log), stage in zip(branch.logs, branch.stages)]
+    if any(any(col[:head]) for col in branch.cols[1:]):
+        return None
     return _Plan(
-        stages,
-        params,
-        not any(any(col[:head]) for col in params),
+        branch.logs,
         [_dense(row.span, row.band, sys.e) for row in sys.rows],
         [_dense(row.span, row.orig_band, sys.e) for row in sys.rows],
     )
@@ -595,20 +585,20 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
     Each stage replays its logged row operations on digit t of rhs - A G
     for the constant column alone.  None when the window is invalid
     (list_decode then derives the witness).  The column is checked against
-    every raw row, orig_band . consts == orig_rhs mod q; with the
-    parameter half proven when the plan was made, that is the row check of
-    materialize_list.  The replay's products run over the plan's padded
-    rows, which a valid window's rows match one for one: its windows are
-    narrow, and per-row spans cost more than they save there.
+    every raw row, orig_band . consts == orig_rhs mod q, so the time-i
+    values committed from it solve the window.  The replay's products run
+    over the plan's padded rows, which a valid window's rows match one for
+    one: its windows are narrow, and per-row spans cost more than they
+    save there.
     """
     if sys.invalid_witness is not None:
         return None
     ctx = sys.code.ctx
     p, q, r = ctx.p, ctx.q, ctx.r
     consts = [0] * sys.e
-    for pivots, log, stage in plan.stages:
-        pt = p**stage.t
-        top = r - 1 - stage.t
+    for t, (pivots, log) in enumerate(plan.stages):
+        pt = p**t
+        top = r - 1 - t
         digits = [
             (row.rhs - sum(map(mul, coeffs, consts))) % q // pt
             for row, coeffs in zip(sys.rows, plan.coeffs)
@@ -627,35 +617,15 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
     return consts
 
 
-def _replayed_outcome(plan: _Plan, sys: WindowSystem, consts: list[int]) -> DecodeOutcome:
-    """list_decode(sys) from its replayed constant column and the plan.
-
-    A column's stage-t particular value is digit t of its constant: the
-    stage's pivot digit, or 0 where the column was free.
-    """
-    p, e = sys.code.ctx.p, sys.e
-    branch = _Branch(ParamSpace(p), e)
-    for _, _, stage in plan.stages:
-        pt = p**stage.t
-        particular = tuple(c // pt % p for c in consts)
-        solutions = AffineSet(p, e, True, particular, stage.solutions.basis)
-        branch.stages.append(DigitStage(stage.t, stage.rank, stage.new_params, solutions))
-    branch.space.n_params = len(plan.params)
-    branch.cols = [consts, *map(list, plan.params)]
-    return _outcome(sys, branch)
-
-
 def _planned_decode(
     sys: WindowSystem, counts: PlanCounts
 ) -> tuple[DecodeOutcome | None, list[int] | None]:
-    """list_decode(sys) through its pattern's plan: (outcome, constant column).
+    """list_decode(sys), or the constant column that commits time i: (outcome, column).
 
-    A pattern with no plan runs list_decode, whose outcome leaves the plan
-    unless it folded or is invalid.  Later windows replay the plan: the
-    outcome is None when the plan leaves time i free of parameters, whose
-    values are then the column's, and is built from the column otherwise.
-    A replay that finds the window invalid hands it to list_decode.  The
-    path taken is counted in counts.
+    A pattern with no plan runs list_decode, whose outcome may leave one
+    (_make_plan); otherwise the window replays the plan, and the outcome is
+    None.  A replay that finds the window invalid hands it to list_decode.
+    The path taken is counted in counts.
     """
     pattern = sys.pattern
     plan = pattern.plan
@@ -668,11 +638,8 @@ def _planned_decode(
     if consts is None:
         counts.fallbacks += 1
         return list_decode(sys), None
-    if plan.head_fixed:
-        counts.value_replays += 1
-        return None, consts
-    counts.outcome_replays += 1
-    return _replayed_outcome(plan, sys, consts), consts
+    counts.value_replays += 1
+    return None, consts
 
 
 _VIOLATION = "the list violates the parity equations"
@@ -681,13 +648,11 @@ _VIOLATION = "the list violates the parity equations"
 def _check_rows(sys: WindowSystem, consts, param_cols) -> None:
     """Raise unless column forms solve every raw row of a valid window, coefficient by coefficient.
 
-    The constant list consts (unless None) must give each row's orig_rhs
-    (reduced mod q), and every parameter list in param_cols must give 0.
-    Each row reads its span of a list alone through its orig_band, as the
+    The constant list consts must give each row's orig_rhs (reduced mod
+    q), and every parameter list in param_cols must give 0.  Each row
+    reads its span of a list alone through its orig_band, as the
     coefficients outside it are 0, one slice per span and list.
     """
-    if consts is None and not param_cols:
-        return
     q = sys.code.ctx.q
     runs = _span_runs(sys.rows, orig=True)
 
@@ -696,8 +661,8 @@ def _check_rows(sys: WindowSystem, consts, param_cols) -> None:
             sum(map(mul, orig, sub)) % q for (a, b), origs in runs for sub in (col[a:b],) for orig in origs
         ]
 
-    if any(any(products(col)) for col in param_cols if any(col)) or (
-        consts is not None and products(consts) != [row.orig_rhs for row in sys.rows]
+    if products(consts) != [row.orig_rhs for row in sys.rows] or any(
+        any(products(col)) for col in param_cols if any(col)
     ):
         raise AssertionError(_VIOLATION)
 
@@ -784,7 +749,10 @@ def project_values(outcome: DecodeOutcome, cols: Sequence[int]) -> dict[int, int
 
     Exact and symbolic: a column is constant over the list exactly when its
     recombined form has no live parameter, since moving one parameter from
-    0 to 1 changes the value by that parameter's nonzero coefficient.
+    0 to 1 changes the value by that parameter's nonzero coefficient.  A
+    list's forms are checked against the raw rows first, as
+    materialize_list checks them; a unique window was checked when its
+    outcome was made.
     """
     sys = outcome.system
     if outcome.kind == "invalid":
@@ -796,6 +764,7 @@ def project_values(outcome: DecodeOutcome, cols: Sequence[int]) -> dict[int, int
                 flat[k] = outcome.window[t - sys.i][c]
         return flat
     consts, *params = outcome.branches[0].cols
+    _check_rows(sys, consts, params)
     values: dict[int, int] = {}
     for col in cols:
         if any(param[col] for param in params):
@@ -809,15 +778,14 @@ class PlanCounts:
     """How the windows of a sequential decode were decoded; one count per decision.
 
     first_decodes ran list_decode on a pattern with no plan: once per
-    pattern, and on every window of a pattern whose decode folds.
-    value_replays committed time i from the replayed constant column,
-    outcome_replays built the list outcome from it, and fallbacks are
-    replays that found the window invalid and ran list_decode.
+    pattern that leaves one, and on every window of a pattern whose decode
+    folds or leaves a parameter on time i.  value_replays committed time i
+    from the replayed constant column, and fallbacks are replays that
+    found the window invalid and ran list_decode.
     """
 
     first_decodes: int = 0
     value_replays: int = 0
-    outcome_replays: int = 0
     fallbacks: int = 0
 
 
@@ -856,14 +824,14 @@ def sequential_decode(
     the guess, not the received word, may be at fault.
 
     A store kept for this call, keyed on the delay and the erasure pattern
-    relative to i, holds each pattern's window rows and plan: the first
-    list_decode of a pattern leaves the plan, its elimination logs, and
-    later windows of the pattern assemble only their right-hand sides and
-    replay the logs on the constant column.  Time i is committed from that
-    column when the plan leaves no parameter on it; otherwise the full
-    outcome is built from the same replay.  Folding patterns and invalid
-    windows run list_decode.  Decisions and outcomes equal list_decode's;
-    plan_counts says which path each window took.
+    relative to i, holds each pattern's window rows and plan: a first
+    list_decode of a pattern whose time-i values are fixed and that does
+    not fold leaves the plan, its elimination logs, and later windows of
+    the pattern assemble only their right-hand sides, replay the logs on
+    the constant column and commit time i from it.  Every other window
+    runs list_decode.  Each committed value comes from a column checked
+    against the window's raw rows.  Decisions and outcomes equal
+    list_decode's; plan_counts says which path each window took.
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")

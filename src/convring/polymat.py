@@ -468,11 +468,26 @@ def is_left_prime(A: PolyMatrix) -> bool:
 def complete_to_unimodular(A: PolyMatrix) -> PolyMatrix:
     """Rows N making stack(A, N) unimodular over Z_p[D]; A must be left prime.
 
+    The rows are _completion_rows(A), and invert_unimodular decides
+    whether the stack is unimodular: NotLeftPrime is raised when A is not
+    left prime (or has deficient rank).
+    """
+    N = _completion_rows(A)
+    try:
+        invert_unimodular(A.vstack(N))
+    except NotUnimodular:
+        raise NotLeftPrime("matrix is not left prime; no unimodular completion exists") from None
+    return N
+
+
+def _completion_rows(A: PolyMatrix) -> PolyMatrix:
+    """Rows N such that stack(A, N) is unimodular over Z_p[D] exactly when A is left prime.
+
     With K a minimal right kernel basis of A, N solves N K = I, degree by
     degree on the block-Toeplitz matrix of K^T.  For any right inverse R
     of A, [A; N] [R K] = [[I, 0], [N R, I]], so the square stack is
-    unimodular exactly when A is left prime, and invert_unimodular decides
-    it: NotLeftPrime is raised when A is not (or has deficient rank).
+    unimodular exactly when A is left prime; that is not checked here.
+    NotLeftPrime is raised when A has deficient rank.
     """
     if A.rows > A.cols:
         raise ValueError("left primeness needs k <= n")
@@ -496,10 +511,6 @@ def complete_to_unimodular(A: PolyMatrix) -> PolyMatrix:
         else:
             raise AssertionError("the minimal kernel basis has no polynomial left inverse")
         N = PolyMatrix(ctx, [[s.particular[c::n] for c in range(n)] for s in sols], cols=n)
-    try:
-        invert_unimodular(A.vstack(N))
-    except NotUnimodular:
-        raise NotLeftPrime("matrix is not left prime; no unimodular completion exists") from None
     return N
 
 

@@ -253,6 +253,29 @@ class TestCliCommands:
         assert main(["decode", "--code", str(path), "--received", str(rx_path), "--at", "0"]) == 2
 
     @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.update(k_blocks=[2, 0]),  # G has one row
+            lambda d: d.update(k_blocks=[1, 0, 0]),
+            lambda d: d.update(k_blocks=[-1, 2]),
+            lambda d: d.update(H=d["H"][:1]),
+            lambda d: d.update(G=None, k_blocks=[3, 0]),  # H has three rows, l_0 = 1
+        ],
+        ids=["k_blocks-vs-G", "k_blocks-long", "k_block-negative", "H-one-layer", "H-only-k_blocks"],
+    )
+    def test_layer_shapes_must_agree(self, tmp_path, edit):
+        # each document is the Z_9 stream code with one layer shape off
+        doc = files.code_to_json(generate_code(3, 2, 4, [1, 0], 1, seed=7))
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", "--code", str(path)]) == 0
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError):
+            files.load_code(str(path))
+        assert main(["check", "--code", str(path)]) == 2
+
+    @pytest.mark.parametrize(
         "loader, doc",
         [
             (files.load_pattern, {"erasures": [[0]]}),

@@ -20,9 +20,9 @@ from convring import (
     sliding_matrix,
     synthesize_parity_check,
 )
-from convring import polymat
+from convring import codes, polymat
 from convring.cli import generate_code
-from convring.codes import _solve_left_rational, _window_equations
+from convring.codes import _solve_left_rational, _window_coeffs, _window_rhs
 from tests.conftest import random_kernel_code
 
 Z8 = RingContext(2, 3)
@@ -223,6 +223,32 @@ class TestOneKernelBasisPerCompletion:
         assert len(kernel_calls) == 1
         assert code.g_blocks is None and code.k_blocks == (2, 0)
 
+    def test_one_inversion_per_parity_check_code(self, monkeypatch, kernel_code_z8, z8):
+        # the lifted stack's exact inversion decides left primeness, so a
+        # code built from a left prime parity check inverts one matrix
+        calls = []
+        inner = polymat.invert_unimodular
+
+        def counted(U):
+            calls.append(U)
+            return inner(U)
+
+        monkeypatch.setattr(polymat, "invert_unimodular", counted)
+        monkeypatch.setattr(codes, "invert_unimodular", counted)
+        coeffs = [kernel_code_z8.parity_coeff(m).data for m in range(3)]
+        assert ConvCode.from_parity_coeffs(z8, coeffs) == kernel_code_z8
+        assert len(calls) == 1
+        # random degree-1 checks of two rows over n = 4, left prime or not
+        rng, outcomes = random.Random(5), set()
+        for ctx in (Z4, Z8, Z9):
+            for _ in range(8):
+                h = [[[rng.randrange(ctx.q) for _ in range(4)] for _ in range(2)] for _ in range(2)]
+                calls.clear()
+                code = ConvCode.from_parity_coeffs(ctx, h)
+                assert len(calls) == 1
+                outcomes.add(code.g_blocks is not None)
+        assert outcomes == {True, False}
+
     def test_tall_parity_check_rejected(self, z4):
         with pytest.raises(ValueError, match="left primeness needs k <= n"):
             ConvCode.from_parity_coeffs(z4, [[[1, 0], [0, 1], [1, 1]]])
@@ -295,9 +321,10 @@ class TestSlidingWindow:
 def reference_window_equations(code, table, lo, hi):
     """The window-equation kernel, coordinate by coordinate.
 
-    Same contract as codes._window_equations: erased (time, coord) columns
-    of times lo..hi, time-major, and per time s and parity row ri a tuple
-    (s, ri, coeffs, rhs); times missing from the table read as zero.
+    Returns the erased (time, coord) columns of times lo..hi, time-major,
+    and per time s and parity row ri a tuple (s, ri, coeffs, rhs): the
+    scaled coefficients on all the columns and minus the known part, mod
+    q.  Times missing from the table read as zero.
     """
     q = code.ctx.q
     coeffs = [Hm.data for Hm in code._parity_coeffs]
@@ -367,8 +394,16 @@ class TestWindowKernel:
                 if t >= lo:
                     sym = [None if rng.random() < rate else x for x in sym]
                 table[t] = sym
-            got = _window_equations(code, table, lo, hi)
-            assert got == reference_window_equations(code, table, lo, hi)
+            columns, equations = reference_window_equations(code, table, lo, hi)
+            e = len(columns)
+            padded = [
+                (lo + s, ri, [0] * a + list(band) + [0] * (e - b))
+                for s, (a, b, bands) in enumerate(_window_coeffs(code, columns, lo, hi))
+                for ri, band in enumerate(bands)
+            ]
+            rhs = _window_rhs(code, table, lo, hi)
+            assert len(rhs) == len(padded)
+            assert [(*eq, x) for eq, x in zip(padded, rhs)] == equations
             checked += 1
         assert checked >= 48
 

@@ -755,6 +755,22 @@ def test_window_proven_once(kernel_code_z8, kernel_code_z9, monkeypatch):
     assert len(calls) == 3
 
 
+def test_project_values_raises_on_corrupt_constant(kernel_code_z8):
+    # one constant of a list, on a column that a raw row reads, off by one
+    # makes project_values raise before it reads any value, under python -O
+    # too
+    out = list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
+    assert out.kind == "list"
+    sysw, q = out.system, kernel_code_z8.ctx.q
+    head = [k for k, (t, _) in enumerate(sysw.columns) if t == 0]
+    project_values(out, head)  # the forms as decoded pass
+    consts = out.branches[0].cols[0]
+    k = next(k for k in range(sysw.e) if any(dense(row, sysw.e, orig=True)[k] % q for row in sysw.rows))
+    consts[k] = (consts[k] + 1) % q
+    with pytest.raises(AssertionError, match="violates the parity equations"):
+        project_values(out, head)
+
+
 def test_list_decode_keeps_no_log(kernel_code_z8):
     # only the decode that leaves a plan logs its eliminations
     sysw = build_window_system(kernel_code_z8, RECEIVED, 0, 2)
@@ -1091,34 +1107,21 @@ def _reference_sequential(code, received, T, policy, terminated):
 class TestPlanReplay:
     @pytest.mark.parametrize("name", sorted(PLAN_CODES))
     def test_replays_equal_list_decode(self, name, monkeypatch):
-        # a value-only replay commits exactly list_decode's time-i values,
-        # and the whole outcome built from any replay is list_decode's
+        # every replay commits exactly list_decode's time-i values
         code = generate_code(**PLAN_CODES[name])
-        replay, replayed_outcome = decoder._replay, decoder._replayed_outcome
-        commits, outcomes, built = [], [], []
+        replay = decoder._replay
+        commits = []
 
         def checked_replay(plan, sysw):
             consts = replay(plan, sysw)
             if consts is not None:
-                reference = list_decode(sysw)
-                out = replayed_outcome(plan, sysw, consts)
-                outcomes.append(out.kind)
-                assert _outcome_key(out) == _outcome_key(reference)
-                if plan.head_fixed:
-                    head = [k for k, (t, _) in enumerate(sysw.columns) if t == sysw.i]
-                    committed = dict(zip(head, consts))
-                    assert committed == project_values(reference, head)
-                    commits.append(committed)
+                head = [k for k, (t, _) in enumerate(sysw.columns) if t == sysw.i]
+                committed = dict(zip(head, consts))
+                assert committed == project_values(list_decode(sysw), head)
+                commits.append(committed)
             return consts
 
-        def checked_outcome(plan, sysw, consts):
-            out = replayed_outcome(plan, sysw, consts)
-            built.append(out.kind)
-            assert _outcome_key(out) == _outcome_key(list_decode(sysw))
-            return out
-
         monkeypatch.setattr(decoder, "_replay", checked_replay)
-        monkeypatch.setattr(decoder, "_replayed_outcome", checked_outcome)
         streams = [_plan_stream(code, s, 60 + 20 * s, 0.15, corrupt=s == 3) for s in range(4)]
         for rx in [*streams, _plan_stream(code, 4, 30, None), _burst_stream(code, 5, 40, 2, 8)]:
             for T in (1, 2, 3):
@@ -1132,14 +1135,11 @@ class TestPlanReplay:
                         if last is not None:
                             assert _outcome_key(res.last_outcome) == _outcome_key(last)
         assert len(commits) > 50
-        assert "list" in built  # the picks at the bursts
-        if name == "z4":
-            assert "list" in outcomes
 
     def test_value_only_share(self, monkeypatch):
-        # most windows of a long stream commit from the constant column
-        # alone (519 of 692 here); a silent fallback to the full outcome
-        # fails here
+        # most windows of a long stream commit from a replayed constant
+        # column (519 of 692 here); a silent fallback to list_decode fails
+        # here
         code = generate_code(**PLAN_CODES["z9"])
         rx = _plan_stream(code, 1, 2000, 0.10)
         replay = decoder._replay
@@ -1147,7 +1147,7 @@ class TestPlanReplay:
 
         def counted(plan, sysw):
             consts = replay(plan, sysw)
-            value_only.append(consts is not None and plan.head_fixed)
+            value_only.append(consts is not None)
             return consts
 
         monkeypatch.setattr(decoder, "_replay", counted)
@@ -1182,7 +1182,7 @@ class TestPlanReplay:
 
         def corrupted(outcome):
             plan = make_plan(outcome)
-            logs = [log for _, log, _ in plan.stages if len(log) > 1] if plan else []
+            logs = [log for _, log in plan.stages if len(log) > 1] if plan else []
             if logs:
                 _, _, elims = logs[0][-1]
                 elims.append(0 if p == 2 else (0, 1))
@@ -1194,13 +1194,13 @@ class TestPlanReplay:
 
     @pytest.mark.parametrize("name", sorted(PLAN_CODES))
     def test_corrupted_plan_params_raises(self, name, monkeypatch):
-        # one parameter coefficient of the first plan with parameters is off
-        # by one; the plan's check of the parameter half must stop the
-        # decode in the window that made the plan, before it commits
+        # one parameter coefficient of the first fold-free list is off by
+        # one; project_values checks the list's forms before it reads them,
+        # so the decode stops in that window, before it commits
         code = generate_code(**PLAN_CODES[name])
         q = code.ctx.q
         # every window commits its unique first time from the constant
-        # column, so only the plan's check reads the parameters
+        # column, so only that check reads the parameters
         rx = _burst_stream(code, 1, 40, 1, 2)
         make_plan, build = decoder._make_plan, decoder.build_window_system
         starts, corrupted_at = [], []
@@ -1211,7 +1211,7 @@ class TestPlanReplay:
                 sysw = out.system
                 # a column some row reads, so the off-by-one shows in that row
                 col = next(k for k in range(sysw.e) if any(dense(row, sysw.e, orig=True)[k] % q for row in sysw.rows))
-                branch.cols[1][col] += 1  # the plan takes its params from these forms
+                branch.cols[1][col] += 1  # project_values reads these forms
                 corrupted_at.append(sysw.i)
             return make_plan(out)
 
@@ -1225,6 +1225,40 @@ class TestPlanReplay:
             sequential_decode(code, rx, 2)
         # the window that made the plan was the last one built
         assert corrupted_at == starts[-1:]
+
+    def test_corrupt_list_constant_raises_before_commit(self, monkeypatch):
+        # in the first list that a sequential decode builds, the constant of
+        # one parameter-free time-i column is off by one; project_values
+        # checks the forms before it reads them, so the decode stops in
+        # that window, at time 4, before it commits, under python -O too
+        code = generate_code(**PLAN_CODES["z4"])
+        q = code.ctx.q
+        rx = _plan_stream(code, 1, 300, 0.1)
+        decode, build = decoder._decode, decoder.build_window_system
+        starts, corrupted_at = [], []
+
+        def corrupted(sysw, logged):
+            out = decode(sysw, logged)
+            if logged and out.kind == "list" and not corrupted_at:
+                consts, *params = out.branches[0].cols
+                col = next(
+                    k
+                    for k, (t, _) in enumerate(sysw.columns)
+                    if t == sysw.i and not any(param[k] for param in params)
+                )
+                consts[col] = (consts[col] + 1) % q
+                corrupted_at.append(sysw.i)
+            return out
+
+        def recorded(code, received, i, *args, **kwargs):
+            starts.append(i)
+            return build(code, received, i, *args, **kwargs)
+
+        monkeypatch.setattr(decoder, "_decode", corrupted)
+        monkeypatch.setattr(decoder, "build_window_system", recorded)
+        with pytest.raises(AssertionError, match="violates the parity equations"):
+            sequential_decode(code, rx, 2)
+        assert corrupted_at == starts[-1:] == [4]
 
     def test_plan_counts(self, monkeypatch):
         # each pattern runs list_decode once and leaves its plan there; every
@@ -1267,7 +1301,7 @@ class TestPlanReplay:
         out, consts = decoder._planned_decode(sysw, counts)
         assert len(store) == 1 and consts is not None
         assert (counts.first_decodes, counts.fallbacks) == (2, 0)
-        assert counts.value_replays + counts.outcome_replays == 1
+        assert counts.value_replays == 1
         head = [k for k, (t, _) in enumerate(sysw.columns) if t == 20]
         assert dict(zip(head, consts)) == project_values(list_decode(sysw), head)
 

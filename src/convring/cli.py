@@ -22,7 +22,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import files
 from .codes import ConvCode, _exact_parity_check, is_observable
@@ -260,6 +260,7 @@ def _cmd_decode(args) -> int:
         "halted_at": result.halted_at,
         "wall_time_s": elapsed,
         "zp_ops": OPS.count,
+        "plan_counts": asdict(result.plan_counts),
     }
     print(json.dumps(report, indent=2))
     if args.report:

@@ -16,9 +16,11 @@ The sliding-window parity equations are assembled in one place: the
 window-equation kernel restricts them to the erased entries of a symbol
 table.  Each parity row is read once as its block row H^nu | ... | H^0:
 an equation's coefficients are a gather of the erased positions, which
-depends only on the pattern, and its right-hand side is one dot product
-with the known symbols.  The decoder's window systems and filled-window
-check, the sliding window matrix and window membership all use it.
+depends only on the pattern.  The right-hand sides of times lo..hi are
+minus sum_k H^k x_{s-k} over the known symbols, nu + 1 block products
+over all those times at once.  The decoder's window systems, running
+syndrome and filled-window check, the sliding window matrix and window
+membership all use it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
-from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -154,6 +155,15 @@ class ConvCode:
         dtype = exact_dtype(len(coeffs) * self.k, self.ctx.q)
         return np.array([Gj.data for Gj in coeffs], dtype=dtype).reshape(
             len(coeffs), self.k, self.n
+        )
+
+    @cached_property
+    def _parity_array(self) -> np.ndarray:
+        """H^0..H^nu as one (nu + 1) x m x n array, exact for the window kernel's sums."""
+        coeffs = self._parity_coeffs
+        dtype = exact_dtype(len(coeffs) * self.n, self.ctx.q)
+        return np.array([Hm.data for Hm in coeffs], dtype=dtype).reshape(
+            len(coeffs), coeffs[0].rows, self.n
         )
 
     @cached_property
@@ -501,19 +511,24 @@ def _window_rhs(code: ConvCode, table, lo: int, hi: int) -> list[int]:
 
     table maps times to symbols, None marking an erased entry; times
     missing from it read as zero symbols, so a window at time 0 with no
-    history entries sees the zero state.  Each right-hand side is minus
-    one dot product of a block row with the symbols of times s - nu..s,
-    erasures read as 0.
+    history entries sees the zero state.  The right-hand side of time s is
+    minus sum_k H^k x_{s-k} over k = 0..nu, erasures read as 0: the
+    symbols of times lo - nu..hi, reduced mod q, become one array, and
+    each H^k multiplies all its times in one block product, exact in
+    Python integers where int64 could overflow.
     """
-    n, q = code.n, code.ctx.q
-    width = (code.nu + 1) * n
+    n, q, nu = code.n, code.ctx.q, code.nu
+    H = code._parity_array
+    steps = hi - lo + 1
     zero = (0,) * n
-    vec = [x or 0 for t in range(lo - code.nu, hi + 1) for x in table.get(t, zero)]
-    return [
-        -sum(map(mul, brow, vec[base : base + width])) % q
-        for base in range(0, (hi - lo + 1) * n, n)
-        for brow in code._parity_block_rows
-    ]
+    x = np.array(
+        [0 if v is None else v % q for t in range(lo - nu, hi + 1) for v in table.get(t, zero)],
+        dtype=H.dtype,
+    ).reshape(steps + nu, n)
+    out = x[nu:] @ H[0].T
+    for k in range(1, nu + 1):
+        out += x[nu - k : nu - k + steps] @ H[k].T
+    return (-out % q).ravel().tolist()
 
 
 def sliding_matrix(code: ConvCode, j: int) -> ConstMatrix:

@@ -36,10 +36,16 @@ The window equations come from the one window-equation kernel in codes,
 in two parts.  Columns, coefficients, strata and renormalized rows depend
 only on T and on the erasure pattern relative to the window start, and
 build_window_system makes them once per pattern; the received values
-enter only through one dot product per row, its right-hand side.  The
-sliding parity-check matrix is block Toeplitz: equation s reads only the
-symbols of times s - nu..s, so its coefficients vanish outside one run of
-the time-major columns, its span.  A row is stored as its span and its
+enter only through the right-hand sides, which a window keeps raw, one
+per equation, deriving its rows from them on first read.  The sliding
+parity-check matrix is block Toeplitz: equation s reads only the symbols
+of times s - nu..s, so its coefficients vanish outside one run of the
+time-major columns, its span, and its right-hand side is minus the
+syndrome sum_k H^k x_{s-k} of those symbols, erasures read as 0.  A
+sequential decode computes that syndrome once, for every time from its
+first window on, by nu + 1 block products, subtracts x H^k[:, c] from
+times i..i+nu as it commits x at (i, c), and slices each window's
+right-hand sides out of it.  A row is stored as its span and its
 coefficients there, its band, renormalized and original; every
 row-by-column product of the digit stages and of the list check reads
 the band alone.  Only a plan's replay, whose windows are narrow, and the
@@ -54,17 +60,20 @@ keeps one store per call, keyed on the delay and the relative pattern:
 each window's pattern part, and the plan that the first valid list_decode
 of the pattern leaves when it is fold-free and leaves no parameter on
 time i, with each stage's pivots and log.  Later windows replay the logs
-on the constant column alone, with no elimination, check it against
-their raw rows and commit time i from it.  Every other window runs
-list_decode, whose values are checked where they are read.
+on the constant column alone, with no elimination and no row object:
+they read their raw right-hand sides through the pattern's nonzero
+equations, which are a valid window's rows, check the column against
+them and commit time i from it.  Every other window runs list_decode,
+whose values are checked where they are read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import astuple, dataclass, field
+from functools import cached_property
 from math import gcd
-from operator import add, mul
+from operator import add, mod, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .codes import ConvCode, _window_coeffs, _window_rhs
@@ -148,20 +157,40 @@ class WindowRow(NamedTuple):
 
 @dataclass
 class WindowSystem:
-    """The erased-column linear system for one decoding window."""
+    """The erased-column linear system for one decoding window.
+
+    rhs holds the raw right-hand side of each of the pattern's equations,
+    in kernel order.  The columns, absolute (time, coord) pairs in
+    time-major order, and the rows, a WindowRow per nonzero equation whose
+    right-hand side the row's p-power divides, are derived from rhs and
+    the pattern on first read, so a replayed window builds neither.
+    """
 
     code: ConvCode
     i: int
     T: int
-    columns: tuple[tuple[int, int], ...]  # (time, coord), time-major
-    rows: list[WindowRow]
     table: dict[int, list[int | None]]  # window + needed history symbols
+    pattern: _Pattern = field(repr=False, compare=False)
+    rhs: list[int] = field(repr=False)
     invalid_witness: tuple | None = None
-    pattern: _Pattern | None = field(default=None, repr=False, compare=False)
 
     @property
     def e(self) -> int:
-        return len(self.columns)
+        return len(self.pattern.columns)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, int], ...]:
+        i = self.i
+        return tuple((i + dt, c) for dt, c in self.pattern.columns)
+
+    @cached_property
+    def rows(self) -> list[WindowRow]:
+        i, r = self.i, self.code.ctx.r
+        return [
+            WindowRow(i + s, ri, v, span, band, x // pv, orig, x)
+            for (s, ri, v, pv, span, band, orig), x in zip(self.pattern.equations, self.rhs)
+            if v < r and not x % pv
+        ]
 
     def assemble(self, col_values: Sequence[int]) -> list[list[int]]:
         """The window symbols (times i..i+T) with unknowns filled in."""
@@ -182,33 +211,92 @@ class WindowSystem:
 class _Pattern:
     """The value-free part of the window systems of one delay and pattern.
 
-    columns are the erased (time - i, coord) pairs.  Equation s reads only
-    the columns of times s - nu..s, one run (a, b) of the time-major
-    columns: its span, one object shared by the equations of time s.
-    equations hold, per parity equation in kernel order, (time - i, h_row,
-    stratum, p^stratum, span, renormalized band, orig band), the bands the
-    coefficients on the span alone, None on a row that is zero mod q.  A
-    sequential decode also keeps the pattern's plan here.
+    columns are the erased (time - i, coord) pairs, and head the coords of
+    those at time i, which come first.  Equation s reads only the columns
+    of times s - nu..s, one run (a, b) of the time-major columns: its
+    span, one object shared by the equations of time s.  equations hold,
+    per parity equation in kernel order, (time - i, h_row, stratum,
+    p^stratum, span, renormalized band, orig band), the bands the
+    coefficients on the span alone, None on a row that is zero mod q (its
+    p^stratum is q).  moduli are the p^stratum in that order, and nonzero
+    holds (index, stratum, p^stratum) per nonzero equation: the rows of a
+    valid window, in order.  A sequential decode also keeps the pattern's
+    plan here.
     """
 
-    __slots__ = ("columns", "equations", "plan")
+    __slots__ = ("columns", "head", "equations", "moduli", "nonzero", "plan")
 
     def __init__(self, code: ConvCode, T: int, erased: Sequence[int]):
         ctx, n = code.ctx, code.n
         p, q, r = ctx.p, ctx.q, ctx.r
         stratum = {p**v: v for v in range(r + 1)}  # gcd(q, *band) is p^v, v the least valuation
         self.columns = tuple(divmod(f, n) for f in erased)
-        self.equations = []
+        self.head = tuple(c for dt, c in self.columns if not dt)
+        self.equations, self.moduli, self.nonzero = [], [], []
         for s, (a, b, bands) in enumerate(_window_coeffs(code, self.columns, 0, T)):
             span = (a, b)
             for ri, orig in enumerate(bands):
                 pv = gcd(q, *orig)
+                self.moduli.append(pv)
                 if pv == q:  # a zero row
                     self.equations.append((s, ri, r, q, span, None, None))
                     continue
                 band = tuple(map(pv.__rfloordiv__, orig)) if pv > 1 else orig
-                self.equations.append((s, ri, stratum[pv], pv, span, band, orig))
+                v = stratum[pv]
+                self.nonzero.append((len(self.equations), v, pv))
+                self.equations.append((s, ri, v, pv, span, band, orig))
         self.plan: _Plan | None = None
+
+
+class _Syndrome:
+    """The right-hand sides of one sequential decode's stream, kept as its times are committed.
+
+    rhs holds, per equation time s in lo..hi and parity row, minus
+    sum_k H^k x_{s-k} over the symbols of received, erased entries read as
+    0: a window's right-hand sides are one slice of it.  It is computed by
+    the window kernel in the first window's build, from that window's
+    start to the stream's end (plus T when terminated), and applies only
+    to received, the list it was built from.  Committing a value x at
+    (i, c) subtracts x H^k[:, c] from the times i + k; an overwrite
+    recomputes the times it reaches with the kernel.
+    """
+
+    __slots__ = ("received", "lo", "hi", "m", "hcols", "rhs")
+
+    def __init__(self, received: list[list[int | None]]):
+        self.received = received
+        self.rhs: list[int] | None = None
+
+    def window(self, code: ConvCode, i: int, T: int, terminated: bool) -> list[int]:
+        """The right-hand sides of the window [i, i+T], computing the syndrome on first use."""
+        if self.rhs is None:
+            H = code._parity_array
+            self.lo, self.hi = i, len(self.received) - 1 + (T if terminated else 0)
+            self.m = H.shape[1]
+            # per coord c, H^0[:, c] | ... | H^nu[:, c]: a commit's change
+            self.hcols = H.transpose(2, 0, 1).reshape(code.n, -1).tolist()
+            self.rhs = _window_rhs(code, dict(enumerate(self.received)), i, self.hi)
+        m, lo = self.m, self.lo
+        return self.rhs[(i - lo) * m : (i + T + 1 - lo) * m]
+
+    def commit(self, code: ConvCode, i: int, values) -> None:
+        """Write the (coord, value) pairs into time i of received, and into the syndrome."""
+        q, rhs, sym = code.ctx.q, self.rhs, self.received[i]
+        a = (i - self.lo) * self.m
+        b = a + len(self.hcols[0])
+        for c, x in values:
+            sym[c] = x
+            rhs[a:b] = [(y - h * x) % q for y, h in zip(rhs[a:b], self.hcols[c])]
+
+    def overwrite(self, code: ConvCode, lo: int, hi: int) -> None:
+        """Recompute the times that read the rewritten times lo..hi of received."""
+        received, m = self.received, self.m
+        top = min(hi + code.nu, self.hi)
+        table = {t: received[t] for t in range(max(lo - code.nu, 0), min(top + 1, len(received)))}
+        self.rhs[(lo - self.lo) * m : (top + 1 - self.lo) * m] = _window_rhs(code, table, lo, top)
+
+
+_SYNDROME = "syndrome"  # the store key of a sequential decode's _Syndrome
 
 
 def build_window_system(
@@ -226,12 +314,15 @@ def build_window_system(
     read); times outside the stream are zero when terminated, otherwise
     the window must fit inside the received stream.  Each row is
     renormalized by the p-power content of its restricted coefficients; a
-    right-hand side with a smaller p-power marks the window invalid.
+    right-hand side with a smaller p-power marks the window invalid, and
+    the witness is found here, before any row is built.
 
     Columns, coefficients and strata depend only on T and on the erasure
     pattern relative to i, so they are built once per pattern and kept in
     store when one is given (keyed on T and the relative pattern); the
-    received values enter only through one right-hand side per row.
+    received values enter only through the right-hand sides.  Those come
+    from the window kernel, or, in a sequential decode, from the running
+    syndrome that its store holds for received.
     """
     if code.h_blocks is None:
         raise ValueError("decoding needs a code with a parity side")
@@ -241,7 +332,7 @@ def build_window_system(
     L = len(received)
     if not terminated and i + T > L - 1:
         raise ValueError("window exceeds the unterminated stream")
-    q, r, n = ctx.q, ctx.r, code.n
+    q, n = ctx.q, code.n
     table: dict[int, list[int | None]] = {}
     erased: list[int] = []  # (t - i) * n + c per erased entry, time-major
     for t in range(i - code.nu, i + T + 1):
@@ -261,29 +352,18 @@ def build_window_system(
     pattern = store.get(key)
     if pattern is None:
         pattern = store[key] = _Pattern(code, T, erased)
-    rows: list[WindowRow] = []
+    syndrome = store.get(_SYNDROME)
+    if syndrome is not None and syndrome.received is received:
+        rhs = syndrome.window(code, i, T, terminated)
+    else:
+        rhs = _window_rhs(code, table, i, i + T)
     witness = None
-    for (s, ri, v, pv, span, band, orig), rhs in zip(
-        pattern.equations, _window_rhs(code, table, i, i + T)
-    ):
-        if v >= r:
-            if rhs and witness is None:
-                witness = ("inconsistent-known", i + s, ri)
-        elif rhs % pv:
-            if witness is None:
-                witness = ("divisibility", i + s, ri)
-        else:
-            rows.append(WindowRow(i + s, ri, v, span, band, rhs // pv, orig, rhs))
-    return WindowSystem(
-        code=code,
-        i=i,
-        T=T,
-        columns=tuple((i + dt, c) for dt, c in pattern.columns),
-        rows=rows,
-        table=table,
-        invalid_witness=witness,
-        pattern=pattern,
-    )
+    if any(map(mod, rhs, pattern.moduli)):
+        for (s, ri, v, pv, *_), x in zip(pattern.equations, rhs):
+            if x % pv:
+                witness = ("inconsistent-known" if pv == q else "divisibility", i + s, ri)
+                break
+    return WindowSystem(code, i, T, table, pattern, rhs, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +649,7 @@ def _make_plan(outcome: DecodeOutcome) -> _Plan | None:
         return None
     (branch,) = outcome.branches
     sys = outcome.system
-    head = sum(t == sys.i for t, _ in sys.columns)
+    head = len(sys.pattern.head)
     if any(any(col[:head]) for col in branch.cols[1:]):
         return None
     return _Plan(
@@ -586,23 +666,25 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
     for the constant column alone.  None when the window is invalid
     (list_decode then derives the witness).  The column is checked against
     every raw row, orig_band . consts == orig_rhs mod q, so the time-i
-    values committed from it solve the window.  The replay's products run
-    over the plan's padded rows, which a valid window's rows match one for
-    one: its windows are narrow, and per-row spans cost more than they
-    save there.
+    values committed from it solve the window.  A valid window's rows are
+    its pattern's nonzero equations, which the plan's padded rows match
+    one for one, so the replay reads their raw right-hand sides in sys.rhs
+    and builds no row: its windows are narrow, and per-row spans cost more
+    than they save there.
     """
     if sys.invalid_witness is not None:
         return None
     ctx = sys.code.ctx
     p, q, r = ctx.p, ctx.q, ctx.r
+    rhs, equations = sys.rhs, sys.pattern.nonzero
     consts = [0] * sys.e
     for t, (pivots, log) in enumerate(plan.stages):
         pt = p**t
         top = r - 1 - t
         digits = [
-            (row.rhs - sum(map(mul, coeffs, consts))) % q // pt
-            for row, coeffs in zip(sys.rows, plan.coeffs)
-            if row.stratum <= top
+            (rhs[k] // pv - sum(map(mul, coeffs, consts))) % q // pt
+            for (k, v, pv), coeffs in zip(equations, plan.coeffs)
+            if v <= top
         ]
         reduced = replay_rref_log(log, digits, p)
         if any(reduced[len(pivots) :]):
@@ -611,7 +693,7 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
         for x, col in zip(reduced, pivots):
             consts[col] += pt * x
     if any(
-        (sum(map(mul, orig, consts)) - row.orig_rhs) % q for row, orig in zip(sys.rows, plan.origs)
+        (sum(map(mul, orig, consts)) - rhs[k]) % q for (k, _, _), orig in zip(equations, plan.origs)
     ):
         raise AssertionError(_VIOLATION)
     return consts
@@ -827,11 +909,16 @@ def sequential_decode(
     relative to i, holds each pattern's window rows and plan: a first
     list_decode of a pattern whose time-i values are fixed and that does
     not fold leaves the plan, its elimination logs, and later windows of
-    the pattern assemble only their right-hand sides, replay the logs on
-    the constant column and commit time i from it.  Every other window
-    runs list_decode.  Each committed value comes from a column checked
-    against the window's raw rows.  Decisions and outcomes equal
-    list_decode's; plan_counts says which path each window took.
+    the pattern replay the logs on the constant column and commit time i
+    from it, reading their right-hand sides with no row built.  Every
+    other window runs list_decode.  Each committed value comes from a
+    column checked against the window's raw rows.  The store also holds
+    the call's running syndrome: the first window's build computes the
+    right-hand sides of every later equation in one kernel call, each
+    commit updates the times it reaches and a "first" pick recomputes
+    them, and every window reads its right-hand sides from it.  Decisions
+    and outcomes equal list_decode's; plan_counts says which path each
+    window took.
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -840,7 +927,9 @@ def sequential_decode(
     work = [list(sym) for sym in received]
     decisions: list[tuple] = []
     picked = None
-    patterns: dict[tuple, _Pattern] = {}  # per (Tw, pattern relative to i)
+    syndrome = _Syndrome(work)
+    # per (Tw, pattern relative to i), and the syndrome of work
+    patterns: dict = {_SYNDROME: syndrome}
     counts = PlanCounts()
 
     def next_erased(start: int) -> int | None:
@@ -862,14 +951,14 @@ def sequential_decode(
             decisions.append(verdict)
             return SequentialResult(work, decisions, i, outcome, counts)
         # the columns are time-major, so time i's come first
-        target_cols = [k for k, (t, _) in enumerate(sys.columns) if t == i]
+        head = sys.pattern.head
         if outcome is None:
-            got = dict(zip(target_cols, consts))
+            values = consts
         else:
-            got = project_values(outcome, target_cols)
-        if got is not None:
-            for k, x in got.items():
-                work[i][sys.columns[k][1]] = x
+            got = project_values(outcome, range(len(head)))
+            values = None if got is None else [got[k] for k in range(len(head))]
+        if values is not None:
+            syndrome.commit(code, i, zip(head, values))
             decisions.append((i, "unique"))
             t0 = i + 1
             continue
@@ -882,6 +971,7 @@ def sequential_decode(
             # a terminated window's times past the stream end are not stream symbols
             for t, sym in zip(range(i, len(work)), window):
                 work[t] = list(sym)
+            syndrome.overwrite(code, i, i + Tw)
             decisions.append((i, "picked-first", outcome.list_size))
             picked = i
             t0 = i + 1

@@ -178,6 +178,32 @@ class TestCliCommands:
         _, tx_syms = files.load_stream(str(stream_path))
         assert rx_syms == tx_syms  # zero-loss channel is the identity
 
+    def test_sequential_report_counts_plan_paths(self, tmp_path, capsys):
+        # the sequential report says which path each window took, one count
+        # per decision, as SequentialResult.plan_counts does
+        from convring import sequential_decode
+
+        code = generate_code(3, 2, 4, [1, 0], 1, seed=7)
+        rng = random.Random(4)
+        sent = code.encode([[rng.randrange(9) for _ in range(code.k)] for _ in range(200)])
+        rx, _ = erase_stream(sent, "iid", 4, 0.10)
+        code_path, rx_path, rep_path = tmp_path / "c.json", tmp_path / "rx.json", tmp_path / "rep.json"
+        files.save_code(str(code_path), code)
+        files.save_stream(str(rx_path), code.n, rx)
+        args = ["decode", "--code", str(code_path), "--received", str(rx_path), "-T", "2"]
+        assert main([*args, "--report", str(rep_path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        report = files.load_report(str(rep_path))
+        res = sequential_decode(code, rx, 2)
+        expected = {
+            "first_decodes": res.plan_counts.first_decodes,
+            "value_replays": res.plan_counts.value_replays,
+            "fallbacks": res.plan_counts.fallbacks,
+        }
+        assert printed["plan_counts"] == report["plan_counts"] == expected
+        assert sum(expected.values()) == len(report["decisions"]) == len(res.decisions)
+        assert expected["first_decodes"] and expected["value_replays"]
+
     def test_pattern_conflict_is_usage_error(self, tmp_path, code_file):
         rx_path = tmp_path / "rx.json"
         files.save_stream(str(rx_path), 5, [[None, 0, 0, 0, 0]])

@@ -407,6 +407,67 @@ class TestWindowKernel:
             checked += 1
         assert checked >= 48
 
+    def test_wide_modulus_sums_exactly(self):
+        # q = (2^31 - 1)^2: nu + 1 block products of residues overflow int64,
+        # so the kernel sums Python integers, over a range whose history and
+        # window miss times, with unreduced entries
+        ctx = RingContext(2**31 - 1, 2)
+        q = ctx.q
+        rng = random.Random(31)
+        code = random_kernel_code(rng, ctx, 3, [1, 1], 2)
+        assert code.nu == 2 and code._parity_array.dtype == object
+        for trial in range(8):
+            table = {}
+            for t in range(-2, 6):
+                if t in (-1, 3) and trial % 2:
+                    continue
+                sym = [rng.randrange(-q, 2 * q) for _ in range(3)]
+                if t >= 0:
+                    sym = [None if rng.random() < 0.3 else x for x in sym]
+                table[t] = sym
+            columns, equations = reference_window_equations(code, table, 0, 5)
+            rhs = _window_rhs(code, table, 0, 5)
+            assert rhs == [eq[-1] for eq in equations]
+            assert all(isinstance(x, int) and 0 <= x < q for x in rhs)
+
+    @pytest.mark.parametrize("ctx", [Z4, Z8, Z9, RingContext(5, 2)], ids=lambda c: f"z{c.q}")
+    def test_unreduced_entries_read_mod_q(self, ctx):
+        # negative entries, entries at least q and entries past int64 give
+        # the right-hand sides of their residues
+        rng = random.Random(7 * ctx.q)
+        q = ctx.q
+        code = next(
+            c
+            for c in iter(lambda: random_kernel_code(rng, ctx, 4, [2] + [1] * (ctx.r - 1), 2), 0)
+            if c is not None
+        )
+        for _ in range(16):
+            reduced = {
+                t: [None if t >= 2 and rng.random() < 0.3 else rng.randrange(q) for _ in range(4)]
+                for t in range(0, 7)
+            }
+            raw = {
+                t: [x if x is None else x + q * rng.choice([-3, -1, 1, 5, 2**64]) for x in sym]
+                for t, sym in reduced.items()
+            }
+            _, equations = reference_window_equations(code, reduced, 2, 6)
+            assert _window_rhs(code, raw, 2, 6) == _window_rhs(code, reduced, 2, 6)
+            assert _window_rhs(code, raw, 2, 6) == [eq[-1] for eq in equations]
+
+    def test_multi_time_range_with_missing_history(self, kernel_code_z8):
+        # lo..hi spans many times; history and window times absent from the
+        # table read as zero symbols
+        code = kernel_code_z8
+        rng = random.Random(3)
+        for missing in ({3, 4}, {5}, {9, 10, 20}, set()):
+            table = {
+                t: [None if t >= 5 and rng.random() < 0.2 else rng.randrange(-8, 16) for _ in range(5)]
+                for t in range(3, 25)
+                if t not in missing
+            }
+            _, equations = reference_window_equations(code, table, 5, 24)
+            assert _window_rhs(code, table, 5, 24) == [eq[-1] for eq in equations]
+
 
 class TestWindowMembership:
     def test_zero_window(self, kernel_code_z8):
@@ -421,6 +482,19 @@ class TestWindowMembership:
                 window = [list(WORD0), list(WORD1), list(WORD2)]
                 window[t][c] = (window[t][c] + 1) % 8
                 assert not is_codeword_window(kernel_code_z8, window)
+
+    def test_unreduced_entries(self, kernel_code_z8):
+        # entries shifted by multiples of q, negative or at least q, are read
+        # as their residues
+        shifts = [-16, -8, 8, 24, 8 * 2**64]
+        for k in range(15):
+            window = [
+                [x + shifts[(k + 3 * t + c) % 5] for c, x in enumerate(sym)]
+                for t, sym in enumerate([WORD0, WORD1, WORD2])
+            ]
+            assert is_codeword_window(kernel_code_z8, window)
+            window[k // 5][k % 5] += 1
+            assert not is_codeword_window(kernel_code_z8, window)
 
     def test_malformed_window_rejected(self, kernel_code_z8, nonexact_code_z9):
         with pytest.raises(ValueError):

@@ -1306,6 +1306,51 @@ class TestPlanReplay:
         assert dict(zip(head, consts)) == project_values(list_decode(sysw), head)
 
 
+@pytest.mark.parametrize("policy", ["halt", "first", "branch"])
+def test_one_window_build_per_decision(policy, monkeypatch):
+    # the benchmark times each window as the gap between two
+    # build_window_system calls: every decision that a sequential decode
+    # makes itself, in branch sub-decodes too, builds exactly one window
+    build, sequential = decoder.build_window_system, decoder.sequential_decode
+    stack, calls = [], []
+
+    def counted_build(*args, **kwargs):
+        stack[-1] += 1
+        return build(*args, **kwargs)
+
+    def counted_sequential(*args, **kwargs):
+        stack.append(0)
+        res = sequential(*args, **kwargs)
+        calls.append((stack.pop(), res))
+        return res
+
+    monkeypatch.setattr(decoder, "build_window_system", counted_build)
+    monkeypatch.setattr(decoder, "sequential_decode", counted_sequential)
+    z4, z25 = generate_code(**PLAN_CODES["z4"]), generate_code(**PLAN_CODES["z25"])
+    cases = [
+        (z4, _plan_stream(z4, 4, 30, None)),
+        (z4, _burst_stream(z4, 5, 40, 2, 8)),
+        (z4, _plan_stream(z4, 1, 80, 0.15)),
+        # a replay at time 3 finds its window invalid and falls back
+        (z25, _plan_stream(z25, 8, 120, 0.15, corrupt=True)),
+    ]
+    fallbacks, subs = 0, 0
+    for code, rx in cases:
+        for T in (1, 2):
+            for terminated in (True, False):
+                calls.clear()
+                res = decoder.sequential_decode(code, rx, T, policy=policy, terminated=terminated)
+                for builds, sub in calls:
+                    # a branched call ends its own decisions at "branched"
+                    kinds = [d[1] for d in sub.decisions]
+                    own = kinds.index("branched") + 1 if "branched" in kinds else len(kinds)
+                    assert builds == own
+                fallbacks += res.plan_counts.fallbacks
+                subs += len(calls) - 1
+    assert fallbacks
+    assert subs if policy == "branch" else not subs
+
+
 @st.composite
 def sequential_cases(draw):
     """A received stream for sequential_decode over a code of the pattern store test.
@@ -1347,3 +1392,74 @@ def test_sequential_matches_list_decode_reference(case):
     assert (res.last_outcome is None) == (last is None)
     if last is not None:
         assert _outcome_key(res.last_outcome) == _outcome_key(last)
+
+
+def _check_running_syndrome(case):
+    """Every window of a sequential decode equals its fresh build; the features seen.
+
+    Each window is built again with no store, on a copy of the stream as it
+    stands, so its right-hand sides come from the kernel and not from the
+    running syndrome.
+    """
+    code, rx, T, policy, terminated = case
+    build = decoder.build_window_system
+    starts = []
+
+    def compared(code, received, i, T, terminated=True, store=None):
+        assert store[decoder._SYNDROME].received is received
+        fresh = build(code, [list(sym) for sym in received], i, T, terminated=terminated)
+        shared = build(code, received, i, T, terminated=terminated, store=store)
+        assert shared.columns == fresh.columns
+        assert shared.rows == fresh.rows  # every WindowRow field
+        assert shared.table == fresh.table
+        assert shared.invalid_witness == fresh.invalid_witness
+        starts.append((i, T, fresh.invalid_witness))
+        return shared
+
+    decoder.build_window_system = compared
+    try:
+        res = sequential_decode(code, rx, T, policy=policy, terminated=terminated)
+    finally:
+        decoder.build_window_system = build
+    # one window per decision, in order
+    assert [i for i, _, _ in starts] == [d[0] for d in res.decisions]
+    features, nu = set(), code.nu
+    for k, (i, Tw, witness) in enumerate(starts):
+        if witness is not None:
+            features.add(witness[0])
+        if Tw < T:
+            features.add("tail")
+        for (j, Tj, _), d in zip(starts[:k], res.decisions):
+            # the window's equations read times i - nu..i + Tw, and a commit
+            # at j changed the right-hand sides of times j..j + nu
+            if d[1] == "picked-first" and i - nu <= j + Tj:
+                features.add("reads-overwritten")
+            if d[1] == "unique" and i <= j + nu:
+                features.add("reads-commit")
+    return features
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequential_cases())
+def test_running_syndrome_matches_fresh_builds(case):
+    _check_running_syndrome(case)
+
+
+@pytest.mark.parametrize(
+    "feature", ["reads-overwritten", "reads-commit", "inconsistent-known", "divisibility", "tail"]
+)
+def test_running_syndrome_cases_cover(feature):
+    # the strategy reaches each kind of window, and the first case found
+    # with it passes the same check
+    case = find(
+        sequential_cases(),
+        lambda case: feature in _check_running_syndrome(case),
+        settings=settings(
+            max_examples=2000,
+            deadline=None,
+            database=None,
+            derandomize=True,
+            phases=[Phase.generate],
+        ),
+    )
+    assert feature in _check_running_syndrome(case)

@@ -257,8 +257,8 @@ class _Syndrome:
     the window kernel in the first window's build, from that window's
     start to the stream's end (plus T when terminated), and applies only
     to received, the list it was built from.  Committing a value x at
-    (i, c) subtracts x H^k[:, c] from the times i + k; an overwrite
-    recomputes the times it reaches with the kernel.
+    (i, c) subtracts x H^k[:, c] from the times i + k; the times that
+    read an overwritten symbol are recomputed with the kernel.
     """
 
     __slots__ = ("received", "lo", "hi", "m", "hcols", "rhs")
@@ -275,7 +275,8 @@ class _Syndrome:
             self.m = H.shape[1]
             # per coord c, H^0[:, c] | ... | H^nu[:, c]: a commit's change
             self.hcols = H.transpose(2, 0, 1).reshape(code.n, -1).tolist()
-            self.rhs = _window_rhs(code, dict(enumerate(self.received)), i, self.hi)
+            self.rhs = []
+            self.recompute(code, i, self.hi)
         m, lo = self.m, self.lo
         return self.rhs[(i - lo) * m : (i + T + 1 - lo) * m]
 
@@ -288,12 +289,11 @@ class _Syndrome:
             sym[c] = x
             rhs[a:b] = [(y - h * x) % q for y, h in zip(rhs[a:b], self.hcols[c])]
 
-    def overwrite(self, code: ConvCode, lo: int, hi: int) -> None:
-        """Recompute the times that read the rewritten times lo..hi of received."""
-        received, m = self.received, self.m
-        top = min(hi + code.nu, self.hi)
-        table = {t: received[t] for t in range(max(lo - code.nu, 0), min(top + 1, len(received)))}
-        self.rhs[(lo - self.lo) * m : (top + 1 - self.lo) * m] = _window_rhs(code, table, lo, top)
+    def recompute(self, code: ConvCode, lo: int, hi: int) -> None:
+        """Compute the times lo..hi, cut at the syndrome's end, from received with the kernel."""
+        received, m, hi = self.received, self.m, min(hi, self.hi)
+        table = {t: received[t] for t in range(max(lo - code.nu, 0), min(hi + 1, len(received)))}
+        self.rhs[(lo - self.lo) * m : (hi + 1 - self.lo) * m] = _window_rhs(code, table, lo, hi)
 
 
 _SYNDROME = "syndrome"  # the store key of a sequential decode's _Syndrome
@@ -971,7 +971,8 @@ def sequential_decode(
             # a terminated window's times past the stream end are not stream symbols
             for t, sym in zip(range(i, len(work)), window):
                 work[t] = list(sym)
-            syndrome.overwrite(code, i, i + Tw)
+            # the equations of times i..i+Tw+nu read the rewritten symbols
+            syndrome.recompute(code, i, i + Tw + code.nu)
             decisions.append((i, "picked-first", outcome.list_size))
             picked = i
             t0 = i + 1

@@ -14,16 +14,34 @@ from dataclasses import dataclass, field
 from .errors import NotAUnit
 
 _NATIVE_MAX = 2**63 - 1
+_NATIVE_BITS = 63
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(n: int) -> bool:
+    """Primality by a small-prime screen, then deterministic Miller-Rabin to bases 2..37.
+
+    Exact below 3.1 * 10^23, which covers every p of a native modulus.
+    """
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -44,10 +62,11 @@ class RingContext:
             raise ValueError(f"p = {self.p} is not prime")
         if self.r < 1:
             raise ValueError(f"r = {self.r} must be at least 1")
-        q = self.p**self.r
-        if q > _NATIVE_MAX:
-            raise ValueError(f"modulus p^r = {q} exceeds the native integer width")
-        object.__setattr__(self, "q", q)
+        # p^r >= 2^(r (bits(p) - 1)): too wide a modulus is rejected before
+        # the power is taken
+        if self.r * (self.p.bit_length() - 1) >= _NATIVE_BITS or self.p**self.r > _NATIVE_MAX:
+            raise ValueError(f"modulus p^r = {self.p}^{self.r} exceeds the native integer width")
+        object.__setattr__(self, "q", self.p**self.r)
 
     @property
     def is_field(self) -> bool:

@@ -12,15 +12,15 @@ match it), so a ConvCode in hand is always internally consistent.
 Instances are immutable and safe to share; each computes its scaled
 parity coefficients H^0..H^nu once.
 
-The sliding-window parity equations are assembled in one place: the
-window-equation kernel restricts them to the erased entries of a symbol
-table.  Each parity row is read once as its block row H^nu | ... | H^0:
-an equation's coefficients are a gather of the erased positions, which
-depends only on the pattern.  The right-hand sides of times lo..hi are
-minus sum_k H^k x_{s-k} over the known symbols, nu + 1 block products
-over all those times at once.  The decoder's window systems, running
-syndrome and filled-window check, the sliding window matrix and window
-membership all use it.
+The sliding-window parity equations are assembled in one place.  Their
+coefficients are the block-Toeplitz window array of a delay T, cached on
+the code: the rows [H^nu ... H^0] of equation times 0..T over the symbols
+of times -nu..T, so a window's erased-column system is one column gather
+of it, which depends only on the pattern, and the sliding window matrix is
+one slice.  The right-hand sides of times lo..hi are minus
+sum_k H^k x_{s-k} over the known symbols, nu + 1 block products over all
+those times at once (the window kernel); the decoder's window systems,
+running syndrome and filled-window check and window membership use it.
 """
 
 from __future__ import annotations
@@ -167,10 +167,30 @@ class ConvCode:
         )
 
     @cached_property
-    def _parity_block_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each assembled parity row ri as its sliding block H^nu[ri] | ... | H^0[ri]."""
-        coeffs = self._parity_coeffs[::-1]
-        return tuple(sum((Hm.data[ri] for Hm in coeffs), ()) for ri in range(coeffs[0].rows))
+    def _window_arrays(self) -> dict[int, np.ndarray]:
+        """The window arrays built so far, per delay T (_window_array)."""
+        return {}
+
+    def _window_array(self, T: int) -> np.ndarray:
+        """The sliding parity rows of equation times 0..T over the symbols of times -nu..T.
+
+        Row s * m + ri, for time s and parity row ri, holds the block row
+        H^nu[ri] | ... | H^0[ri] on the columns of times s - nu..s and 0
+        elsewhere; time t's n columns start at column (t + nu) * n.  Built
+        from _parity_array once per T, with its dtype: a row reads at most
+        (nu + 1) n nonzero coefficients, so its products with residue
+        vectors sum exactly.
+        """
+        W = self._window_arrays.get(T)
+        if W is None:
+            H = self._parity_array
+            nu, m, n = self.nu, H.shape[1], self.n
+            block = H[::-1].transpose(1, 0, 2).reshape(m, (nu + 1) * n)
+            W = np.zeros(((T + 1) * m, (T + 1 + nu) * n), dtype=H.dtype)
+            for s in range(T + 1):
+                W[s * m : (s + 1) * m, s * n : (s + 1 + nu) * n] = block
+            self._window_arrays[T] = W
+        return W
 
     def parity_coeff(self, j: int) -> ConstMatrix:
         """Scaled coefficient matrix of D^j in the assembled parity check."""
@@ -474,38 +494,6 @@ def _dual_blocks(ctx: RingContext, h_blocks, n: int):
     return g_blocks, tuple(b.rows for b in g_blocks)
 
 
-def _window_coeffs(
-    code: ConvCode, columns, lo: int, hi: int
-) -> list[tuple[int, int, list[tuple[int, ...]]]]:
-    """The sliding parity equations of times lo..hi on the erased columns, banded.
-
-    columns are the erased (time, coord) pairs of times lo..hi, in
-    time-major order; an equation's coefficients there are a gather of the
-    erased positions.  Equation s reads the nu + 1 symbols ending at time
-    s, which its block row H^nu[ri] | ... | H^0[ri] multiplies.  As columns
-    are time-major, the columns of those times are one run columns[a:b],
-    found by two pointers over the columns' times; every other column gets
-    0.  Returns, per time s in lo..hi, (a, b, bands): bands holds each
-    parity row's coefficients on that run.  Depends only on hi - lo and
-    the columns relative to lo.
-    """
-    n, nu, block_rows = code.n, code.nu, code._parity_block_rows
-    times = [t - lo for t, _ in columns]
-    flat = [(t + nu) * n + c for t, (_, c) in zip(times, columns)]
-    e = len(columns)
-    out = []
-    a = b = 0
-    for s in range(hi - lo + 1):
-        while a < e and times[a] < s - nu:
-            a += 1
-        while b < e and times[b] <= s:
-            b += 1
-        base = s * n
-        pos = [f - base for f in flat[a:b]]
-        out.append((a, b, [tuple(map(brow.__getitem__, pos)) for brow in block_rows]))
-    return out
-
-
 def _window_rhs(code: ConvCode, table, lo: int, hi: int) -> list[int]:
     """The right-hand sides of those equations, mod q, per time s in lo..hi and parity row.
 
@@ -536,18 +524,13 @@ def sliding_matrix(code: ConvCode, j: int) -> ConstMatrix:
 
     Block row s holds [H^s ... H^0] padded with zeros; H^m = 0 for m
     beyond the parity degree.  These are the coefficient rows of an
-    all-erased window at time 0 with zero history.
+    all-erased window at time 0 with zero history: the window array of
+    delay j without its history columns.
     """
     if code.h_blocks is None:
         raise ValueError("code has no parity side")
-    n, e = code.n, (j + 1) * code.n
-    columns = [(t, c) for t in range(j + 1) for c in range(n)]
-    rows = [
-        [0] * a + list(band) + [0] * (e - b)
-        for a, b, bands in _window_coeffs(code, columns, 0, j)
-        for band in bands
-    ]
-    return ConstMatrix(code.ctx, rows, cols=e)
+    e = (j + 1) * code.n
+    return ConstMatrix(code.ctx, code._window_array(j)[:, code.nu * code.n :].tolist(), cols=e)
 
 
 def is_codeword_window(code: ConvCode, window: Sequence[Sequence[int]]) -> bool:

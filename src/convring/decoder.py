@@ -32,26 +32,25 @@ distinct windows, so its size is p to the number of live parameters.  Its
 first n windows, lexicographically, move only the last k live parameters
 (p^k >= n), and are read off their coefficient lists by vector adds.
 
-The window equations come from the one window-equation kernel in codes,
-in two parts.  Columns, coefficients, strata and renormalized rows depend
-only on T and on the erasure pattern relative to the window start, and
-build_window_system makes them once per pattern; the received values
-enter only through the right-hand sides, which a window keeps raw, one
-per equation, deriving its rows from them on first read.  The sliding
-parity-check matrix is block Toeplitz: equation s reads only the symbols
-of times s - nu..s, so its coefficients vanish outside one run of the
-time-major columns, its span, and its right-hand side is minus the
-syndrome sum_k H^k x_{s-k} of those symbols, erasures read as 0.  A
-sequential decode computes that syndrome once, for every time from its
-first window on, by nu + 1 block products, subtracts x H^k[:, c] from
-times i..i+nu as it commits x at (i, c), and slices each window's
-right-hand sides out of it.  A row is stored as its span and its
-coefficients there, its band, renormalized and original; every
-row-by-column product of the digit stages and of the list check reads
-the band alone.  Only a plan's replay, whose windows are narrow, and the
-brute-force oracle pad rows to the full width, once per plan and per
-call.  The column forms are checked against the raw rows before a list
-is enumerated or its values are read.
+A window's equations are the block-Toeplitz sliding parity-check matrix
+restricted to its erased columns: one column gather of the code's window
+array for the delay T (codes), which depends only on T and on the erasure
+pattern relative to the window start.  build_window_system makes the
+pattern once: its columns, each row's stratum (the p-adic valuation of
+the whole row) and its nonzero rows as two dense integer matrices,
+original and renormalized, exact in Python integers past int64.  The
+received values enter only through the right-hand sides, which a window
+keeps raw, one per equation; the right-hand side of equation s is minus
+the syndrome sum_k H^k x_{s-k} of the symbols of times s - nu..s,
+erasures read as 0.  A sequential decode computes that syndrome once, for
+every time from its first window on, by nu + 1 block products, subtracts
+x H^k[:, c] from times i..i+nu as it commits x at (i, c), and slices each
+window's right-hand sides out of it.  Each digit stage selects its rows
+from the renormalized matrix, and its payload is one product of the
+column forms with them; the list check is one product of the column
+forms with the original matrix.  A plan's replay and the brute-force
+oracle read the same matrices as lists.  The column forms are checked
+against the raw rows before a list is enumerated or its values are read.
 
 Pivots, folds, row operations and the parameter part of every form
 depend only on the pattern as well.  Each digit stage logs the row
@@ -72,11 +71,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
-from math import gcd
 from operator import add, mod, mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .codes import ConvCode, _window_coeffs, _window_rhs
+import numpy as np
+
+from .codes import ConvCode, _window_rhs
 from .config import enumeration_cap
 from .errors import CapExceeded
 from .linsolve import AffineSet, StageMatrix, enumerate_solutions, reduce_stage, replay_rref_log
@@ -135,23 +135,21 @@ class ParamSpace:
 
 
 class WindowRow(NamedTuple):
-    """One renormalized parity equation restricted to the erased columns, as a band.
+    """One renormalized parity equation restricted to the erased columns.
 
-    The equation reads only the columns span = (a, b), a..b-1; band and
-    orig_band hold its coefficients there, and every other coefficient is
-    0.  The original scaled equation is band * p^stratum (same for rhs);
-    the renormalized coefficients contain a unit.  The equation constrains
-    the unknowns mod p^(r - stratum), so it takes part in digit stages
+    coeffs holds its coefficients on the e erased columns; the original
+    scaled equation is coeffs * p^stratum (same for rhs), and the
+    renormalized coefficients contain a unit.  The equation constrains the
+    unknowns mod p^(r - stratum), so it takes part in digit stages
     t <= r - 1 - stratum.
     """
 
     time: int
     h_row: int
     stratum: int
-    span: tuple[int, int]
-    band: tuple[int, ...]
+    coeffs: tuple[int, ...]
     rhs: int
-    orig_band: tuple[int, ...]
+    orig: tuple[int, ...]
     orig_rhs: int
 
 
@@ -161,9 +159,11 @@ class WindowSystem:
 
     rhs holds the raw right-hand side of each of the pattern's equations,
     in kernel order.  The columns, absolute (time, coord) pairs in
-    time-major order, and the rows, a WindowRow per nonzero equation whose
-    right-hand side the row's p-power divides, are derived from rhs and
-    the pattern on first read, so a replayed window builds neither.
+    time-major order, and row_rhs, the raw right-hand sides of the
+    pattern's nonzero equations, are derived on first read, so a replayed
+    window builds neither.  rows, a WindowRow per nonzero equation whose
+    right-hand side the row's p-power divides, is a view of the pattern's
+    matrices for reports; decoding reads the matrices.
     """
 
     code: ConvCode
@@ -184,12 +184,19 @@ class WindowSystem:
         return tuple((i + dt, c) for dt, c in self.pattern.columns)
 
     @cached_property
+    def row_rhs(self) -> np.ndarray:
+        rhs, pattern = self.rhs, self.pattern
+        return np.array([rhs[k] for k, _ in pattern.nonzero], dtype=pattern.origs.dtype)
+
+    @cached_property
     def rows(self) -> list[WindowRow]:
-        i, r = self.i, self.code.ctx.r
+        pattern, m, val = self.pattern, self.code._parity_array.shape[1], self.code.ctx.val
         return [
-            WindowRow(i + s, ri, v, span, band, x // pv, orig, x)
-            for (s, ri, v, pv, span, band, orig), x in zip(self.pattern.equations, self.rhs)
-            if v < r and not x % pv
+            WindowRow(self.i + k // m, k % m, val(pv), tuple(coeffs), x // pv, tuple(orig), x)
+            for (k, pv), coeffs, orig, x in zip(
+                pattern.nonzero, pattern.coeffs.tolist(), pattern.origs.tolist(), self.row_rhs.tolist()
+            )
+            if not x % pv
         ]
 
     def assemble(self, col_values: Sequence[int]) -> list[list[int]]:
@@ -212,39 +219,32 @@ class _Pattern:
     """The value-free part of the window systems of one delay and pattern.
 
     columns are the erased (time - i, coord) pairs, and head the coords of
-    those at time i, which come first.  Equation s reads only the columns
-    of times s - nu..s, one run (a, b) of the time-major columns: its
-    span, one object shared by the equations of time s.  equations hold,
-    per parity equation in kernel order, (time - i, h_row, stratum,
-    p^stratum, span, renormalized band, orig band), the bands the
-    coefficients on the span alone, None on a row that is zero mod q (its
-    p^stratum is q).  moduli are the p^stratum in that order, and nonzero
-    holds (index, stratum, p^stratum) per nonzero equation: the rows of a
-    valid window, in order.  A sequential decode also keeps the pattern's
-    plan here.
+    those at time i, which come first.  The equations, in kernel order
+    (time - i, then parity row), are the code's window array gathered on
+    the erased columns.  moduli hold each one's p^stratum, the stratum the
+    p-adic valuation of the whole row: p^stratum = gcd(q, row), q on a row
+    that is zero mod q.  nonzero holds (index, p^stratum) per nonzero
+    equation: the rows of a valid window, in order.  origs and coeffs are
+    those rows, original and renormalized, as integer arrays, and scales
+    their p^stratum.  A row of stratum v takes part in the digit stages t
+    with v + t < r, those where p^stratum < p^(r - t).  A sequential
+    decode also keeps the pattern's plan here.
     """
 
-    __slots__ = ("columns", "head", "equations", "moduli", "nonzero", "plan")
+    __slots__ = ("columns", "head", "moduli", "nonzero", "scales", "origs", "coeffs", "plan")
 
     def __init__(self, code: ConvCode, T: int, erased: Sequence[int]):
-        ctx, n = code.ctx, code.n
-        p, q, r = ctx.p, ctx.q, ctx.r
-        stratum = {p**v: v for v in range(r + 1)}  # gcd(q, *band) is p^v, v the least valuation
+        n, q = code.n, code.ctx.q
         self.columns = tuple(divmod(f, n) for f in erased)
         self.head = tuple(c for dt, c in self.columns if not dt)
-        self.equations, self.moduli, self.nonzero = [], [], []
-        for s, (a, b, bands) in enumerate(_window_coeffs(code, self.columns, 0, T)):
-            span = (a, b)
-            for ri, orig in enumerate(bands):
-                pv = gcd(q, *orig)
-                self.moduli.append(pv)
-                if pv == q:  # a zero row
-                    self.equations.append((s, ri, r, q, span, None, None))
-                    continue
-                band = tuple(map(pv.__rfloordiv__, orig)) if pv > 1 else orig
-                v = stratum[pv]
-                self.nonzero.append((len(self.equations), v, pv))
-                self.equations.append((s, ri, v, pv, span, band, orig))
+        A = code._window_array(T)[:, [f + code.nu * n for f in erased]]
+        moduli = np.gcd(np.gcd.reduce(A, axis=1), q)
+        keep = np.flatnonzero(moduli < q)
+        self.moduli = moduli.tolist()
+        self.scales = moduli[keep]
+        self.nonzero = list(zip(keep.tolist(), self.scales.tolist()))
+        self.origs = A[keep]
+        self.coeffs = self.origs // self.scales[:, None]
         self.plan: _Plan | None = None
 
 
@@ -359,10 +359,9 @@ def build_window_system(
         rhs = _window_rhs(code, table, i, i + T)
     witness = None
     if any(map(mod, rhs, pattern.moduli)):
-        for (s, ri, v, pv, *_), x in zip(pattern.equations, rhs):
-            if x % pv:
-                witness = ("inconsistent-known" if pv == q else "divisibility", i + s, ri)
-                break
+        m = len(rhs) // (T + 1)
+        k, pv = next((k, pv) for k, (x, pv) in enumerate(zip(rhs, pattern.moduli)) if x % pv)
+        witness = ("inconsistent-known" if pv == q else "divisibility", i + k // m, k % m)
     return WindowSystem(code, i, T, table, pattern, rhs, witness)
 
 
@@ -441,66 +440,42 @@ def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
     return True
 
 
-def _span_runs(rows: Sequence[WindowRow], orig: bool) -> list[tuple[tuple[int, int], list]]:
-    """The rows' bands (orig_band with orig), in runs of one span: [(span, [band, ...]), ...].
+def _stage_payload(cols, A: np.ndarray, rhs: np.ndarray, pt: int, q: int) -> np.ndarray:
+    """The payload of stage t >= 1: per form entry, digit t of rhs - A G over the stage rows A.
 
-    Rows of one time share a span object, and rows come in time order.
+    One product of the column forms with the stage rows; row j of the
+    result is form entry j's payload column.
     """
-    runs, last = [], None
-    for row in rows:
-        if row.span is not last:
-            last, run = row.span, []
-            runs.append((last, run))
-        run.append(row.orig_band if orig else row.band)
-    return runs
-
-
-def _stage_payload(cols, runs, rhs, pt: int, q: int) -> list[list[int]]:
-    """The payload of stage t >= 1: per form entry, digit t of rhs - A G over the stage rows.
-
-    runs holds the stage rows' bands in runs of one span (_span_runs), so
-    each row's product reads the entry over its span alone, one slice per
-    run and entry.
-    """
-    pays = [
-        [
-            -sum(map(mul, coeffs, sub)) % q
-            for (a, b), bands in runs
-            for sub in (col[a:b],)
-            for coeffs in bands
-        ]
-        for col in cols
-    ]
-    pays[0] = [(x + y) % q for x, y in zip(pays[0], rhs)]
+    pays = np.array(cols, dtype=A.dtype) @ A.T
+    pays[0] -= rhs
     # the earlier stage identities hold coefficient by coefficient, so p^t
     # divides every entry
-    if any(any(map(pt.__rmod__, pay)) for pay in pays):
+    pays = -pays % q
+    if (pays % pt).any():
         raise AssertionError(f"stage payload is not divisible by p^t = {pt}")
-    return [list(map(pt.__rfloordiv__, pay)) for pay in pays]
+    return pays // pt
 
 
-def _run_stage(branch: _Branch, rows_t: list[WindowRow], t: int, e: int, ctx: RingContext):
-    """Advance the recursion through digit stage t; an invalid witness or None.
+def _run_stage(branch: _Branch, A: np.ndarray, rhs: np.ndarray, t: int, ctx: RingContext):
+    """Advance the recursion through digit stage t on its rows A and rhs; an invalid witness or None.
 
-    The stage rows' bands mod p are prepared for elimination once; each
-    pass reduces them with their payload, digit t of rhs - A G per form
-    entry, each row's product read over its span alone, riding along.  A
-    dependent row with a nonzero payload is folded and the pass repeats.
-    With branch.logs, the last pass's pivots and row-operation log go
-    there, beside the stage report.
+    The stage rows mod p are prepared for elimination once; each pass
+    reduces them with their payload, digit t of rhs - A G per form entry,
+    riding along.  A dependent row with a nonzero payload is folded and
+    the pass repeats.  With branch.logs, the last pass's pivots and
+    row-operation log go there, beside the stage report.
     """
     p, q = ctx.p, ctx.q
     pt = p**t
-    matrix = StageMatrix([(row.span, row.band) for row in rows_t], e, p)
-    rhs = [row.rhs for row in rows_t]
-    runs = _span_runs(rows_t, orig=False)
+    e = A.shape[1]
+    matrix = StageMatrix(A, p)
     while True:
         if not t:
             # every form is 0 before stage 0 (whose folds only find
             # contradictions), so the payload is the rhs alone
-            payload = [rhs]
+            payload = rhs[None]
         else:
-            payload = _stage_payload(branch.cols, runs, rhs, pt, q)
+            payload = _stage_payload(branch.cols, A, rhs, pt, q)
         log = None if branch.logs is None else []
         red = reduce_stage(matrix, payload, log)
         if red.fold is None:
@@ -587,10 +562,13 @@ def _decode(sys: WindowSystem, logged: bool) -> DecodeOutcome:
             kind="unique", system=sys, window=sys.assemble(()), list_size=1
         )
     branch = _Branch(ParamSpace(ctx.p), e, logged)
+    pattern = sys.pattern
+    coeffs, scales = pattern.coeffs, pattern.scales
+    rhs = sys.row_rhs // scales
     for t in range(ctx.r):
-        top = ctx.r - 1 - t
-        rows_t = [row for row in sys.rows if row.stratum <= top]
-        witness = _run_stage(branch, rows_t, t, e, ctx)
+        # the stage rows: those of stratum at most r - 1 - t
+        rows_t = scales < ctx.p ** (ctx.r - t)
+        witness = _run_stage(branch, coeffs[rows_t], rhs[rows_t], t, ctx)
         if witness is not None:
             return DecodeOutcome(kind="invalid", system=sys, invalid_witness=witness)
     return _outcome(sys, branch)
@@ -622,8 +600,7 @@ class _Plan:
 
     Per stage t, in stage order, its pivots and the row-operation log of
     its elimination; then the replay's rows, the renormalized and the
-    original bands of a valid window's rows padded over all the columns,
-    in row order.
+    original rows of a valid window, as lists, in row order.
     """
 
     stages: list[tuple[list[int], list]]
@@ -631,19 +608,13 @@ class _Plan:
     origs: list[tuple[int, ...]]
 
 
-def _dense(span: tuple[int, int], band: tuple[int, ...], e: int) -> tuple[int, ...]:
-    """A band padded with zeros over all e columns."""
-    a, b = span
-    return (0,) * a + band + (0,) * (e - b)
-
-
 def _make_plan(outcome: DecodeOutcome) -> _Plan | None:
     """The plan left by list_decode's outcome, None unless its values at time i are fixed.
 
     A plan is left by a valid outcome whose recursion did not fold and
     whose parameters are zero on every time-i column, so that time i's
-    values are the constant column's.  The rows are padded here, once per
-    plan.
+    values are the constant column's.  The rows become lists here, once
+    per plan.
     """
     if not outcome.branches or outcome.branches[0].space.events:
         return None
@@ -652,11 +623,7 @@ def _make_plan(outcome: DecodeOutcome) -> _Plan | None:
     head = len(sys.pattern.head)
     if any(any(col[:head]) for col in branch.cols[1:]):
         return None
-    return _Plan(
-        branch.logs,
-        [_dense(row.span, row.band, sys.e) for row in sys.rows],
-        [_dense(row.span, row.orig_band, sys.e) for row in sys.rows],
-    )
+    return _Plan(branch.logs, sys.pattern.coeffs.tolist(), sys.pattern.origs.tolist())
 
 
 def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
@@ -665,12 +632,11 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
     Each stage replays its logged row operations on digit t of rhs - A G
     for the constant column alone.  None when the window is invalid
     (list_decode then derives the witness).  The column is checked against
-    every raw row, orig_band . consts == orig_rhs mod q, so the time-i
-    values committed from it solve the window.  A valid window's rows are
-    its pattern's nonzero equations, which the plan's padded rows match
-    one for one, so the replay reads their raw right-hand sides in sys.rhs
-    and builds no row: its windows are narrow, and per-row spans cost more
-    than they save there.
+    every raw row, orig . consts == orig_rhs mod q, so the time-i values
+    committed from it solve the window.  A valid window's rows are its
+    pattern's nonzero equations, which the plan's rows match one for one,
+    so the replay reads their raw right-hand sides in sys.rhs and builds
+    no row.
     """
     if sys.invalid_witness is not None:
         return None
@@ -679,12 +645,11 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
     rhs, equations = sys.rhs, sys.pattern.nonzero
     consts = [0] * sys.e
     for t, (pivots, log) in enumerate(plan.stages):
-        pt = p**t
-        top = r - 1 - t
+        pt, bound = p**t, p ** (r - t)
         digits = [
             (rhs[k] // pv - sum(map(mul, coeffs, consts))) % q // pt
-            for (k, v, pv), coeffs in zip(equations, plan.coeffs)
-            if v <= top
+            for (k, pv), coeffs in zip(equations, plan.coeffs)
+            if pv < bound
         ]
         reduced = replay_rref_log(log, digits, p)
         if any(reduced[len(pivots) :]):
@@ -693,7 +658,7 @@ def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
         for x, col in zip(reduced, pivots):
             consts[col] += pt * x
     if any(
-        (sum(map(mul, orig, consts)) - rhs[k]) % q for (k, _, _), orig in zip(equations, plan.origs)
+        (sum(map(mul, orig, consts)) - rhs[k]) % q for (k, _), orig in zip(equations, plan.origs)
     ):
         raise AssertionError(_VIOLATION)
     return consts
@@ -727,25 +692,17 @@ def _planned_decode(
 _VIOLATION = "the list violates the parity equations"
 
 
-def _check_rows(sys: WindowSystem, consts, param_cols) -> None:
-    """Raise unless column forms solve every raw row of a valid window, coefficient by coefficient.
+def _check_rows(sys: WindowSystem, cols) -> None:
+    """Raise unless the column forms cols solve every raw row of a valid window, coefficient by coefficient.
 
-    The constant list consts must give each row's orig_rhs (reduced mod
-    q), and every parameter list in param_cols must give 0.  Each row
-    reads its span of a list alone through its orig_band, as the
-    coefficients outside it are 0, one slice per span and list.
+    cols holds the constant list and then the parameter lists.  One
+    product with the pattern's original rows: the constants must give each
+    row's raw right-hand side mod q, and every parameter list must give 0.
     """
-    q = sys.code.ctx.q
-    runs = _span_runs(sys.rows, orig=True)
-
-    def products(col):
-        return [
-            sum(map(mul, orig, sub)) % q for (a, b), origs in runs for sub in (col[a:b],) for orig in origs
-        ]
-
-    if products(consts) != [row.orig_rhs for row in sys.rows] or any(
-        any(products(col)) for col in param_cols if any(col)
-    ):
+    origs = sys.pattern.origs
+    prod = np.array(cols, dtype=origs.dtype) @ origs.T
+    prod[0] -= sys.row_rhs
+    if (prod % sys.code.ctx.q).any():
         raise AssertionError(_VIOLATION)
 
 
@@ -785,13 +742,14 @@ def materialize_list(
     cols = branch.cols
     # every member is the column forms at an integer assignment, so raw rows
     # holding coefficient by coefficient prove the whole list
-    _check_rows(sys, cols[0], cols[1:])
+    _check_rows(sys, cols)
     live, k = branch.space.live(), 0
     while k < len(live) and p**k < limit:
         k += 1
     values = [cols[0]]
     for v in live[len(live) - k :]:
-        steps = [[x * c % q for c in cols[1 + v]] for x in range(p)]
+        # no more than limit steps of one parameter are ever read
+        steps = [[x * c % q for c in cols[1 + v]] for x in range(min(p, limit))]
         expand = (list(map(q.__rmod__, map(add, vec, step))) for vec in values for step in steps)
         values = list(itertools.islice(expand, limit))
     windows = [sys.assemble(vec) for vec in values]
@@ -810,16 +768,14 @@ def oracle_decode(
 
     Returns the set of window fillings (times i..i+T, as tuples) that
     satisfy the window parity equations exactly.  Capped at q^e candidates.
-    Candidates solve the window's raw rows, padded here over all the
-    columns; each filled window is then checked against every equation,
-    those the rows leave out included.
+    Candidates solve the raw rows of the window's pattern; each filled
+    window is then checked against every equation, those the rows leave
+    out included.
     """
     cap = enumeration_cap() if cap is None else cap
     sys = build_window_system(code, received, i, T, terminated=terminated)
-    A = [_dense(row.span, row.orig_band, sys.e) for row in sys.rows]
-    b = [row.orig_rhs for row in sys.rows]
     out = set()
-    for x in enumerate_solutions(A, b, sys.e, code.ctx.q, cap):
+    for x in enumerate_solutions(sys.pattern.origs.tolist(), sys.row_rhs.tolist(), sys.e, code.ctx.q, cap):
         window = sys.assemble([int(v) for v in x])
         if sys.window_equations_hold(window):
             out.add(tuple(tuple(sym) for sym in window))
@@ -846,7 +802,7 @@ def project_values(outcome: DecodeOutcome, cols: Sequence[int]) -> dict[int, int
                 flat[k] = outcome.window[t - sys.i][c]
         return flat
     consts, *params = outcome.branches[0].cols
-    _check_rows(sys, consts, params)
+    _check_rows(sys, outcome.branches[0].cols)
     values: dict[int, int] = {}
     for col in cols:
         if any(param[col] for param in params):

@@ -10,15 +10,16 @@ i, and each pivot is a fixed handful of big-int operations (_rref_2):
 row r is read across every column at once as (M >> r) & spread, and one
 product by the pivot column's hit set clears them all.  No mask keeps
 the columns left of the pivot out: the rows at and below the pivot row
-are zero there.  A digit stage's rows come as bands, each row's entries
-on the one run of columns it reads; the stage packs its coefficient
-columns once from the bands (StageMatrix) and only its payload columns
-per pass, as the fields above column e, and reads back only what the
-stage uses: the fold row, or the payload and free columns' entries in
-the pivot rows.
+are zero there.  A digit stage's rows come as a dense integer array, a
+slice of its pattern's matrix; the stage packs its coefficient columns
+once (StageMatrix) and only its payload columns per pass, as the fields
+above column e, both by one np.packbits pass (_pack_2), and reads back
+only what the stage uses: the fold row, or the payload and free columns'
+entries in the pivot rows.
 The elimination kernels are also the single place where Z_p
-multiply-accumulate operations are counted (the same count on both
-paths), so decoding cost measurements all flow through OPS.  rref_mod_p
+multiply-accumulate operations are counted, once per elimination and the
+same count on both paths, so decoding cost measurements all flow through
+OPS.  rref_mod_p
 can log its row operations, and replay_rref_log applies a log to one more
 column without eliminating again.  The brute-force enumerator behind the
 decoding oracle and the distance searches lives here too.
@@ -103,7 +104,8 @@ def rref_mod_p(
     row operations.  OPS counts the multiply-accumulates of the first ncols
     columns only.  Entries may be any integers; the rows come back reduced
     into [0, p).  Over Z_2 the rows are packed into one int, column j in
-    bits [j*m, (j+1)*m), eliminated there by _rref_2, then unpacked.
+    bits [j*m, (j+1)*m), eliminated there by _rref_2, then unpacked.  OPS
+    is added to once per call.
 
     With a log list, the row operations are appended to it, one entry per
     pivot k: (the row swapped into row k, the scale factor of row k, and
@@ -117,13 +119,13 @@ def rref_mod_p(
     if ncols is None:
         ncols = n
     if p == 2:
-        M, pivots = _rref_2(_pack_2([((0, n), row) for row in rows], n), m, n, ncols, log)
+        M, pivots = _rref_2(_pack_2(np.array(rows).reshape(m, n).T), m, n, ncols, log)
         rows[:] = _unpack_2(M, m, n)
         return pivots
     for i in range(m):
         rows[i] = [x % p for x in rows[i]]
     pivots: list[int] = []
-    r = 0
+    r = ops = 0
     for col in range(ncols):
         pr = next((i for i in range(r, m) if rows[i][col]), -1)
         if pr < 0:
@@ -132,7 +134,7 @@ def rref_mod_p(
         inv = pow(rows[r][col], -1, p)
         if inv != 1:
             rows[r] = [(inv * x) % p for x in rows[r]]
-            OPS.add(ncols - col)
+            ops += ncols - col
         rr = rows[r]
         elims = []
         for i in range(m):
@@ -142,7 +144,7 @@ def rref_mod_p(
             # the pivot row is zero left of col
             ri = rows[i]
             ri[col:] = [(a - f * b) % p for a, b in zip(ri[col:], rr[col:])]
-            OPS.add(ncols - col + 1)
+            ops += ncols - col + 1
             elims.append((i, f))
         if log is not None:
             log.append((pr, inv, elims))
@@ -150,41 +152,23 @@ def rref_mod_p(
         r += 1
         if r == m:
             break
+    OPS.add(ops)
     return pivots
 
 
 # A Z_2 matrix of m rows and n columns is one int: column j is the m-bit
-# field in bits [j*m, (j+1)*m), bit j*m + i holding row i.  Rows go in and
-# out through bytes, one parity character per entry, transposed by strided
-# slices.  Rows go in as bands: (span, band), the row's entries on the
-# columns a..b-1 of span (a, b) and zero elsewhere; a dense row of n
-# entries is the band of span (0, n).
-_PARITY = bytes(48 + (b & 1) for b in range(256))  # byte -> b"0" or b"1"
+# field in bits [j*m, (j+1)*m), bit j*m + i holding row i.  Rows go in as
+# an integer array, one np.packbits pass over its transpose, and come out
+# through bytes, one parity character per entry, transposed by strided
+# slices.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _pack_2(bands: Sequence[tuple[tuple[int, int], Sequence[int]]], n: int) -> int:
-    """The one-int matrix of banded rows mod 2 over n columns."""
-    flat = bytearray(len(bands) * n)
-    for i, ((a, b), band) in enumerate(bands):
-        try:
-            flat[i * n + a : i * n + b] = band
-        except ValueError:  # an entry outside [0, 256)
-            flat[i * n + a : i * n + b] = [y & 1 for y in band]
-    # reversed, the slices read columns n-1..0, each rows m-1..0: most
-    # significant bit first
-    flat = flat.translate(_PARITY)[::-1]
-    return int(b"".join([flat[k::n] for k in range(n)]) or b"0", 2)
-
-
-def _fields_2(columns: Sequence[Sequence[int]]) -> int:
-    """The one-int matrix of columns mod 2, of m entries each."""
-    try:
-        flat = b"".join(map(bytes, columns))
-    except ValueError:  # an entry outside [0, 256)
-        flat = bytes([x & 1 for col in columns for x in col])
-    # reversed, the entries read from the last column's row m-1 down
-    return int(flat.translate(_PARITY)[::-1] or b"0", 2)
+def _pack_2(columns: np.ndarray) -> int:
+    """The one-int matrix mod 2 whose column j is row j of a 2-D integer array."""
+    # in C order, entry (j, i) is bit j*m + i, little-endian
+    bits = np.packbits((columns % 2).astype(bool), axis=None, bitorder="little")
+    return int.from_bytes(bits.tobytes(), "little")
 
 
 def _unpack_2(M: int, m: int, n: int) -> list[list[int]]:
@@ -266,24 +250,18 @@ def _rref_2(M: int, m: int, n: int, ncols: int, log: list | None) -> tuple[int, 
 class StageMatrix:
     """The coefficient rows of one digit stage, kept for every reduce_stage pass.
 
-    The m rows over e columns come as bands, (span, band) pairs: a row
-    reads only the columns a..b-1 of its span (a, b), and band holds its
-    entries there.  Over Z_2 the bands are packed once into one int,
-    column j in bits [j*m, (j+1)*m), by one int(..., 2) call on their
-    transposed parity string; over odd p each band is padded once into
-    the tuple row that rref_mod_p's list kernel reduces with each pass's
-    payload.  The layout is linsolve's alone.
+    rows is a 2-D integer array of m rows over e columns.  Over Z_2 it is
+    packed once into one int, column j in bits [j*m, (j+1)*m) (_pack_2);
+    over odd p it is kept as the list rows that rref_mod_p's list kernel
+    reduces with each pass's payload.  The layout is linsolve's alone.
     """
 
     __slots__ = ("p", "e", "m", "data")
 
-    def __init__(self, bands: Sequence[tuple[tuple[int, int], Sequence[int]]], e: int, p: int):
-        self.p, self.e, self.m = p, e, len(bands)
-        if p == 2:
-            self.data = _pack_2(bands, e)
-        else:
-            zeros = (0,) * e
-            self.data = [zeros[:a] + tuple(band) + zeros[b:] for (a, b), band in bands]
+    def __init__(self, rows: np.ndarray, p: int):
+        self.p = p
+        self.m, self.e = rows.shape
+        self.data = _pack_2(rows.T) if p == 2 else rows.tolist()
 
 
 class StageReduction(NamedTuple):
@@ -302,22 +280,20 @@ class StageReduction(NamedTuple):
     at_free: list[Sequence[int]]
 
 
-def reduce_stage(
-    matrix: StageMatrix, payload: Sequence[Sequence[int]], log: list | None = None
-) -> StageReduction:
+def reduce_stage(matrix: StageMatrix, payload: np.ndarray, log: list | None = None) -> StageReduction:
     """rref_mod_p of the stage rows with their payload columns riding along.
 
-    payload holds the payload columns, each one entry per stage row.
-    Pivots, the reduced rows, OPS and the log are rref_mod_p's on the
-    augmented rows; only what the stage uses comes back (see
-    StageReduction).  Over Z_2 the payload columns are packed as the
-    fields above the stage matrix's e columns, the one int is eliminated
-    by _rref_2, and the readback takes the payload and free columns'
-    fields, of the pivot rows alone (_head_bits).
+    payload is a 2-D integer array holding the payload columns as its
+    rows, each one entry per stage row.  Pivots, the reduced rows, OPS and
+    the log are rref_mod_p's on the augmented rows; only what the stage
+    uses comes back (see StageReduction).  Over Z_2 the payload columns
+    are packed as the fields above the stage matrix's e columns, the one
+    int is eliminated by _rref_2, and the readback takes the payload and
+    free columns' fields, of the pivot rows alone (_head_bits).
     """
     p, e, m = matrix.p, matrix.e, matrix.m
     if p != 2:
-        mat = list(map(add, matrix.data, zip(*payload)))
+        mat = list(map(add, matrix.data, payload.T.tolist()))
         pivots = rref_mod_p(mat, p, ncols=e, log=log)
         npiv = len(pivots)
         free = _free(pivots, e)
@@ -328,7 +304,7 @@ def reduce_stage(
         cols = list(zip(*mat[:npiv])) or [()] * (e + len(payload))
         return StageReduction(pivots, free, None, cols[e:], [cols[c] for c in free])
     n = e + len(payload)
-    M, pivots = _rref_2(matrix.data | _fields_2(payload) << e * m, m, n, e, log)
+    M, pivots = _rref_2(matrix.data | _pack_2(payload) << e * m, m, n, e, log)
     npiv = len(pivots)
     free = _free(pivots, e)
     field = (1 << m) - 1
@@ -372,7 +348,7 @@ def rank_mod_p(data: Sequence[Sequence[int]], p: int) -> int:
         return 0
     if p == 2:
         n = len(data[0])
-        return len(_rref_2(_pack_2([((0, n), row) for row in data], n), len(data), n, n, None)[1])
+        return len(_rref_2(_pack_2(np.array(data).reshape(len(data), n).T), len(data), n, n, None)[1])
     return len(rref_mod_p([list(r) for r in data], p))
 
 

@@ -22,7 +22,7 @@ from convring import (
 )
 from convring import codes, polymat
 from convring.cli import generate_code
-from convring.codes import _solve_left_rational, _window_coeffs, _window_rhs
+from convring.codes import _solve_left_rational, _window_rhs
 from tests.conftest import random_kernel_code
 
 Z8 = RingContext(2, 3)
@@ -396,11 +396,11 @@ class TestWindowKernel:
                 table[t] = sym
             columns, equations = reference_window_equations(code, table, lo, hi)
             e = len(columns)
-            padded = [
-                (lo + s, ri, [0] * a + list(band) + [0] * (e - b))
-                for s, (a, b, bands) in enumerate(_window_coeffs(code, columns, lo, hi))
-                for ri, band in enumerate(bands)
-            ]
+            # the window array gathered on the erased columns, relative to lo
+            m = sum(code.l_blocks)
+            gathered = code._window_array(hi - lo)[:, [(t - lo + code.nu) * n + c for t, c in columns]]
+            assert gathered.shape == ((hi - lo + 1) * m, e)
+            padded = [(lo + k // m, k % m, row) for k, row in enumerate(gathered.tolist())]
             rhs = _window_rhs(code, table, lo, hi)
             assert len(rhs) == len(padded)
             assert [(*eq, x) for eq, x in zip(padded, rhs)] == equations

@@ -3,6 +3,7 @@ import itertools
 import random
 from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
@@ -20,9 +21,10 @@ from convring import (
 )
 from convring import decoder
 from convring.cli import erase_stream, generate_code
-from convring.codes import _window_coeffs, is_codeword_window
+from convring.codes import is_codeword_window
 from convring.decoder import ParamSpace, _Branch, _fold
 from convring.errors import CapExceeded
+from convring.intsolve import solve_mod
 from convring.linsolve import OPS, rank_mod_p, rref_mod_p
 from tests.conftest import random_kernel_code
 
@@ -48,9 +50,8 @@ def as_set(windows):
 
 
 def dense(row, e, orig=False):
-    """A window row's band (orig_band with orig) padded with zeros over all e columns."""
-    a, b = row.span
-    return [0] * a + list(row.orig_band if orig else row.band) + [0] * (e - b)
+    """A window row's coefficients (the original ones with orig) over all e columns."""
+    return list(row.orig if orig else row.coeffs)
 
 
 def full_column_rank_mod_p(sysw):
@@ -75,8 +76,8 @@ class TestWindowAssembly:
         assert sysw.columns == ((0, 1),)
         h0 = kernel_code_z8.parity_coeff(0)
         # original scaled coefficients are the erased column of the first block
-        assert all(row.span == (0, 1) for row in sysw.rows)
-        got = {row.h_row: row.orig_band[0] for row in sysw.rows}
+        assert all(len(row.orig) == 1 for row in sysw.rows)
+        got = {row.h_row: row.orig[0] for row in sysw.rows}
         for ri, val in got.items():
             assert val == h0.data[ri][1]
 
@@ -580,7 +581,7 @@ def test_pattern_store_cases_cover(feature):
 
 
 # ---------------------------------------------------------------------------
-# banded window rows
+# window rows on the erased columns
 
 SPAN_RINGS = (RingContext(2, 1), Z4, Z8, Z9, Z25, RingContext(2, 4), RingContext(3, 3))
 Z2_POWER_RINGS = (0, 1, 2, 5)  # Z_2, Z_4, Z_8, Z_16
@@ -600,7 +601,7 @@ def _span_code(ring: int, nu: int):
 
 
 @st.composite
-def banded_windows(draw, rings=None):
+def pattern_windows(draw, rings=None):
     """One window of a span code over a codeword stream, with erasures.
 
     The code's ring is one of the first five SPAN_RINGS, or one of rings.
@@ -637,41 +638,35 @@ def banded_windows(draw, rings=None):
 
 
 @settings(max_examples=200, deadline=None)
-@given(banded_windows())
+@given(pattern_windows())
 def test_pattern_rows_vanish_outside_their_span(case):
     # every equation of a pattern equals the sliding parity row at its
-    # columns and is zero outside its span, the run of columns of times
-    # s - nu..s; its bands are the coefficients on that run, and a valid
+    # columns, and so is zero outside its span, the run of columns of times
+    # s - nu..s; its stratum is the valuation of the whole row, the
+    # renormalized row times p^stratum is the original, and a valid
     # window's rows are the equations that are not zero mod q, in order
     code, rx, i, Tw, terminated = case
     sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
     pattern, e = sysw.pattern, sysw.e
-    nu, q = code.nu, code.ctx.q
-    spans, kept = {}, []
-    for s, ri, v, pv, span, band, orig in pattern.equations:
-        assert spans.setdefault(s, span) is span  # one span object per time
-        a, b = span
-        assert [k for k, (dt, _) in enumerate(pattern.columns) if s - nu <= dt <= s] == list(
-            range(a, b)
-        )
+    nu, q, r, m = code.nu, code.ctx.q, code.ctx.r, sum(code.l_blocks)
+    nonzero, origs, coeffs = iter(pattern.nonzero), pattern.origs.tolist(), pattern.coeffs.tolist()
+    kept = []
+    for k, pv in enumerate(pattern.moduli):
+        s, ri = divmod(k, m)
+        span = [j for j, (dt, _) in enumerate(pattern.columns) if s - nu <= dt <= s]
         ref = [code.parity_coeff(s - dt).data[ri][c] % q for dt, c in pattern.columns]
-        if band is None:  # zero mod q: no row
-            assert not any(ref) and v == code.ctx.r
+        assert all(not x for j, x in enumerate(ref) if j not in span)
+        v = min((code.ctx.val(x) for x in ref), default=r)
+        assert pv == code.ctx.p**v
+        if v == r:  # zero mod q: no row
             continue
-        assert [0] * a + list(orig) + [0] * (e - b) == ref
-        assert pv == code.ctx.p**v and [x * pv for x in band] == list(orig)
-        kept.append((i + s, ri, v, span, band, orig))
+        j = len(kept)
+        assert next(nonzero) == (k, pv) and origs[j] == ref
+        assert [x * pv for x in coeffs[j]] == ref
+        kept.append((i + s, ri, v, tuple(coeffs[j]), tuple(ref)))
+    assert next(nonzero, None) is None and len(origs) == len(kept)
     if sysw.invalid_witness is None:
-        assert [(r.time, r.h_row, r.stratum, r.span, r.band, r.orig_band) for r in sysw.rows] == kept
-
-
-def _widened_coeffs(code, columns, lo, hi):
-    """codes._window_coeffs with every span widened to all columns."""
-    e = len(columns)
-    return [
-        (0, e, [(0,) * a + band + (0,) * (e - b) for band in bands])
-        for a, b, bands in _window_coeffs(code, columns, lo, hi)
-    ]
+        assert [(r.time, r.h_row, r.stratum, r.coeffs, r.orig) for r in sysw.rows] == kept
 
 
 def _decode_record(sysw):
@@ -685,18 +680,23 @@ def _decode_record(sysw):
 
 
 def _check_widened(case):
-    """Banded and all-column spans decode a window alike; the features seen."""
+    """A pattern's matrices widened to Python integers decode a window alike; the features seen.
+
+    The pattern arrays are int64 unless products could overflow; the same
+    decode on object arrays must give the same outcome, fold events,
+    windows and op counts.
+    """
     code, rx, i, Tw, terminated = case
     sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
-    narrow = any(row.span != (0, sysw.e) for row in sysw.rows)
-    banded = _decode_record(sysw)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decoder, "_window_coeffs", _widened_coeffs)
-        sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
-        assert all(eq[4] == (0, sysw.e) for eq in sysw.pattern.equations)
-        wide = _decode_record(sysw)
-    assert banded == wide
-    (kind, _, witness, *_), events, *_ = banded
+    pattern = sysw.pattern
+    narrow = any(0 in row.orig for row in sysw.rows)
+    native = _decode_record(sysw)
+    assert pattern.origs.dtype == pattern.coeffs.dtype == np.int64
+    wide = build_window_system(code, rx, i, Tw, terminated=terminated)
+    wide.pattern.origs = wide.pattern.origs.astype(object)
+    wide.pattern.coeffs = wide.pattern.coeffs.astype(object)
+    assert _decode_record(wide) == native
+    (kind, _, witness, *_), events, *_ = native
     features = {kind}
     if narrow and kind == "list":
         features.add("narrow-list")
@@ -708,7 +708,7 @@ def _check_widened(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(banded_windows())
+@given(pattern_windows())
 def test_widened_spans_decode_alike(case):
     _check_widened(case)
 
@@ -716,10 +716,10 @@ def test_widened_spans_decode_alike(case):
 @pytest.mark.parametrize("feature", ["fold", "invalid", "stage-invalid", "narrow-list"])
 def test_widened_spans_cases_cover(feature):
     # the strategy reaches folding, invalid and stage-invalid windows, and
-    # lists with spans narrower than the window; the first case found with
-    # each passes the same check
+    # lists with rows that leave some columns out (narrower than the
+    # window); the first case found with each passes the same check
     case = find(
-        banded_windows(),
+        pattern_windows(),
         lambda case: feature in _check_widened(case),
         settings=settings(
             max_examples=2000,
@@ -784,11 +784,11 @@ def test_corrupt_stage_form_raises(kernel_code_z8, monkeypatch):
     # a unit breaks p | payload; the check raises, under python -O too
     run_stage, p = decoder._run_stage, kernel_code_z8.ctx.p
 
-    def corrupted(branch, rows_t, t, e, ctx):
+    def corrupted(branch, A, rhs, t, ctx):
         if t == 1:
-            col = next(row.span[0] + k for row in rows_t for k, x in enumerate(row.band) if x % p)
+            col = next(k for row in A.tolist() for k, x in enumerate(row) if x % p)
             branch.cols[0][col] += 1
-        return run_stage(branch, rows_t, t, e, ctx)
+        return run_stage(branch, A, rhs, t, ctx)
 
     monkeypatch.setattr(decoder, "_run_stage", corrupted)
     with pytest.raises(AssertionError, match="not divisible by p"):
@@ -796,23 +796,16 @@ def test_corrupt_stage_form_raises(kernel_code_z8, monkeypatch):
 
 
 def test_corrupt_orig_band_raises(kernel_code_z8):
-    # one raw coefficient off by one, on a column whose forms are not all
-    # zero, breaks the list check of every materialize_list call, under
-    # python -O too
+    # one raw coefficient of the pattern's original matrix off by one, on a
+    # column whose forms are not all zero, breaks the list check of every
+    # materialize_list call, under python -O too
     out = list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
     assert out.kind == "list"
     for limit in (1, 64, None):
         materialize_list(out, limit)  # the raw rows as built pass
-    rows, cols = out.system.rows, out.branches[0].cols
-    k, j = next(
-        (k, j)
-        for k, row in enumerate(rows)
-        for j in range(len(row.orig_band))
-        if any(col[row.span[0] + j] for col in cols)
-    )
-    band = list(rows[k].orig_band)
-    band[j] += 1
-    rows[k] = rows[k]._replace(orig_band=tuple(band))
+    origs, cols = out.system.pattern.origs, out.branches[0].cols
+    j = next(j for j in range(out.system.e) if any(col[j] for col in cols))
+    origs[len(origs) // 2, j] += 1
     for limit in (1, 64, None):
         with pytest.raises(AssertionError, match="violates the parity equations"):
             materialize_list(out, limit)
@@ -828,15 +821,15 @@ def _check_z2_stages(case):
     code, rx, i, Tw, terminated = case
     real_matrix, real_reduce, coeff_rows = decoder.StageMatrix, decoder.reduce_stage, {}
 
-    def stage_matrix(bands, e, p):
-        matrix = real_matrix(bands, e, p)
-        coeff_rows[matrix] = [[0] * a + list(band) + [0] * (e - b) for (a, b), band in bands]
+    def stage_matrix(rows, p):
+        matrix = real_matrix(rows, p)
+        coeff_rows[matrix] = rows.tolist()
         return matrix
 
     def reduce_stage(matrix, payload, log=None):
         got_log = [] if log is None else log
         got = real_reduce(matrix, payload, got_log)
-        rows = [[*row, *pay] for row, pay in zip(coeff_rows[matrix], zip(*payload))]
+        rows = [[*row, *pay] for row, pay in zip(coeff_rows[matrix], payload.T.tolist())]
         e, ref_log = matrix.e, []
         pivots = rref_mod_p(rows, 2, ncols=e, log=ref_log)
         free = [c for c in range(e) if c not in pivots]
@@ -870,7 +863,7 @@ def _check_z2_stages(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(banded_windows(Z2_POWER_RINGS))
+@given(pattern_windows(Z2_POWER_RINGS))
 def test_z2_stage_readback_matches_list_rows(case):
     _check_z2_stages(case)
 
@@ -882,7 +875,7 @@ def test_z2_stage_readback_cases_cover(feature):
     # payload), ("stage", t, idx) witnesses and stages with no rows; the
     # first case found with each passes the same check
     case = find(
-        banded_windows(Z2_POWER_RINGS),
+        pattern_windows(Z2_POWER_RINGS),
         lambda case: feature in _check_z2_stages(case),
         settings=settings(
             max_examples=2000,
@@ -939,7 +932,7 @@ def _check_enumeration(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(banded_windows(ENUM_RINGS))
+@given(pattern_windows(ENUM_RINGS))
 def test_materialize_list_enumerates_assignments_in_order(case):
     _check_enumeration(case)
 
@@ -950,7 +943,7 @@ def test_materialize_list_enumeration_cases_cover(feature):
     # every finite limit, and Z_27; the first case found with each passes
     # the same check
     case = find(
-        banded_windows(ENUM_RINGS),
+        pattern_windows(ENUM_RINGS),
         lambda case: feature in _check_enumeration(case),
         settings=settings(
             max_examples=2000,
@@ -961,6 +954,46 @@ def test_materialize_list_enumeration_cases_cover(feature):
         ),
     )
     assert feature in _check_enumeration(case)
+
+
+def test_wide_modulus_decodes_exactly():
+    # q = (2^31 - 1)^2: a product of two residues overflows int64, so the
+    # pattern matrices hold Python integers, and every stage payload and
+    # list check sums them exactly; unique windows give the sent values,
+    # as intsolve does, lists hold only windows that meet every parity
+    # equation, and a sequential decode restores the sent stream
+    ctx = RingContext(2**31 - 1, 2)
+    q = ctx.q
+    rng = random.Random(31)
+    code = random_kernel_code(rng, ctx, 3, [1, 1], 2)
+    assert code.nu == 2
+    sent = code.encode([[rng.randrange(q) for _ in range(code.k)] for _ in range(8)])
+    kinds = set()
+    for trial in range(12):
+        i, T = rng.randint(0, 5), rng.randint(1, 3)
+        rate = 0.3 if trial % 3 else 0.9
+        rx = [list(sym) for sym in sent]
+        for t in range(i, min(len(rx), i + T + 1)):
+            rx[t] = [None if rng.random() < rate else x for x in rx[t]]
+        sysw = build_window_system(code, rx, i, T)
+        if not sysw.e:
+            continue
+        assert sysw.pattern.origs.dtype == sysw.pattern.coeffs.dtype == object
+        out = list_decode(sysw)
+        kinds.add(out.kind)
+        expected = [sent[t] if t < len(sent) else [0] * code.n for t in range(i, i + T + 1)]
+        windows, _ = materialize_list(out, limit=3)
+        assert all(sysw.window_equations_hold(w) for w in windows)
+        if out.kind == "unique":
+            assert out.window == expected
+            raw = solve_mod(ctx, [row.orig for row in sysw.rows], [row.orig_rhs for row in sysw.rows])
+            assert sysw.assemble(raw) == expected
+        else:
+            assert out.kind == "list" and out.list_size % ctx.p == 0
+    assert kinds == {"unique", "list"}
+    rx = [[None if rng.random() < 0.2 else x for x in sym] for sym in sent]
+    res = sequential_decode(code, rx, 2)
+    assert res.stream == sent and res.decisions and all(d[1] == "unique" for d in res.decisions)
 
 
 def test_all_erased_z4_window_is_symbolic():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from convring import solve_mod_p
 from convring.linsolve import (
     OPS,
     StageMatrix,
-    _fields_2,
+    _pack_2,
     _head_bits,
     rank_mod_p,
     reduce_stage,
@@ -268,7 +269,7 @@ def test_column_2_packs_entry_parities(m):
     rng = random.Random(400 + m)
     for k in (0, 1, 3):
         cols = [[_z2_entry(rng, density) for _ in range(m)] for density in (0.0, 0.5, 1.0)[:k]]
-        x = _fields_2(cols)
+        x = _pack_2(np.array(cols).reshape(k, m))
         assert x >> m * k == 0
         assert [list(_head_bits(x >> j * m, m)) for j in range(k)] == [[v & 1 for v in col] for col in cols]
 
@@ -296,12 +297,12 @@ def stage_bands(draw):
 @example((2, 5, []))
 @example((3, 5, []))
 def test_stage_matrix_packs_bands_as_padded_rows(case):
-    # a stage matrix built from bands holds what the padded rows pack to:
-    # over Z_2, bit j*m + i of one int is entry j of row i mod 2; over odd p,
-    # the padded rows themselves
+    # a stage matrix built from the array of the padded bands holds what
+    # the rows pack to: over Z_2, bit j*m + i of one int is entry j of row
+    # i mod 2; over odd p, the rows themselves as lists
     p, e, bands = case
-    rows = [(0,) * a + band + (0,) * (e - b) for (a, b), band in bands]
-    matrix = StageMatrix(bands, e, p)
+    rows = [[0] * a + list(band) + [0] * (e - b) for (a, b), band in bands]
+    matrix = StageMatrix(np.array(rows, dtype=object).reshape(len(rows), e), p)
     assert (matrix.p, matrix.e, matrix.m) == (p, e, len(rows))
     if p == 2:
         m = len(rows)
@@ -380,7 +381,8 @@ def _check_z2_stage(case):
     pivots, reduced, ops = reference_rref(rows, 2, e)
     free = [c for c in range(e) if c not in pivots]
     log, before = [], OPS.count
-    got = reduce_stage(StageMatrix(bands, e, 2), payload, log)
+    coeffs = np.array([row[:e] for row in rows], dtype=object).reshape(len(rows), e)
+    got = reduce_stage(StageMatrix(coeffs, 2), np.array(payload, dtype=object).reshape(len(payload), len(rows)), log)
     assert (got.pivots, got.free, OPS.count - before) == (pivots, free, ops)
     assert log == reference_z2_log(rows, e)
     if len(rows) > 64 and any(pr != k for k, (pr, _, _) in enumerate(log)):

@@ -112,12 +112,24 @@ def test_z2_elimination_is_one_kernel():
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in ("rref_mod_p", "rank_mod_p", "reduce_stage"):
         assert "_rref_2" in _used_names(defs[name]), f"{name} does not eliminate with _rref_2"
-    for name in ("_pack_2", "_fields_2"):
-        assert ast.unparse(defs[name].returns) == "int", f"{name} does not return one int"
+    assert ast.unparse(defs["_pack_2"].returns) == "int", "_pack_2 does not return one int"
     leftovers = [
         f"{path.name}: {name}"
         for path in MODULES
-        for name in ("_eliminate_2", "_column_2")
+        for name in ("_eliminate_2", "_column_2", "_fields_2")
         if re.search(rf"\b{name}\b", path.read_text())
     ]
-    assert not leftovers, f"the column-list Z_2 kernel is still named: {leftovers}"
+    assert not leftovers, f"the column-list Z_2 kernel or a second packer is still named: {leftovers}"
+
+
+def test_window_rows_have_one_dense_form():
+    # a window's rows are one column gather of the code's window array, as
+    # dense matrices: no band, span run, padding helper or per-row block
+    # gather is left
+    leftovers = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in ("_span_runs", "_dense", "_window_coeffs", "_parity_block_rows", "orig_band")
+        if re.search(rf"\b{name}\b", path.read_text())
+    ]
+    assert not leftovers, f"a banded row form is still named: {leftovers}"

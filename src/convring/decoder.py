@@ -160,8 +160,8 @@ class WindowSystem:
     rhs holds the raw right-hand side of each of the pattern's equations,
     in kernel order.  The columns, absolute (time, coord) pairs in
     time-major order, and row_rhs, the raw right-hand sides of the
-    pattern's nonzero equations, are derived on first read, so a replayed
-    window builds neither.  rows, a WindowRow per nonzero equation whose
+    pattern's nonzero equations as an array of the pattern's dtype, are
+    derived on first read, so a replayed window builds neither.  rows, a WindowRow per nonzero equation whose
     right-hand side the row's p-power divides, is a view of the pattern's
     matrices for reports; decoding reads the matrices.
     """
@@ -448,9 +448,9 @@ def _stage_payload(cols, A: np.ndarray, rhs: np.ndarray, pt: int, q: int) -> np.
     """
     pays = np.array(cols, dtype=A.dtype) @ A.T
     pays[0] -= rhs
+    pays = -pays % q
     # the earlier stage identities hold coefficient by coefficient, so p^t
     # divides every entry
-    pays = -pays % q
     if (pays % pt).any():
         raise AssertionError(f"stage payload is not divisible by p^t = {pt}")
     return pays // pt
@@ -604,8 +604,8 @@ class _Plan:
     """
 
     stages: list[tuple[list[int], list]]
-    coeffs: list[tuple[int, ...]]
-    origs: list[tuple[int, ...]]
+    coeffs: list[list[int]]
+    origs: list[list[int]]
 
 
 def _make_plan(outcome: DecodeOutcome) -> _Plan | None:

@@ -19,10 +19,10 @@ entries in the pivot rows.
 The elimination kernels are also the single place where Z_p
 multiply-accumulate operations are counted, once per elimination and the
 same count on both paths, so decoding cost measurements all flow through
-OPS.  rref_mod_p
-can log its row operations, and replay_rref_log applies a log to one more
-column without eliminating again.  The brute-force enumerator behind the
-decoding oracle and the distance searches lives here too.
+OPS.  rref_mod_p can log its row operations, and replay_rref_log applies
+a log to one more column without eliminating again.  The brute-force
+enumerator behind the decoding oracle and the distance searches lives
+here too.
 """
 
 from __future__ import annotations

@@ -13,10 +13,10 @@ the recursion.  Column c's form is its value sum_t p^t f_t recombined over
 the stages so far, cols[0][c] + sum_v cols[1 + v][c] x_v mod q: the forms
 are kept entry by entry, the constants and each parameter's coefficients
 as one list over the erased columns.  Stage t's payload is digit t of
-rhs - A G for the column forms G, one list over the stage rows per form
-entry; the rows mod p and their payloads are reduced in one augmented
-elimination (linsolve.reduce_stage), payload lists riding along as extra
-columns.  The stage prepares its rows mod p once and reads back only the
+rhs - A G for the column forms G, one array row over the stage rows per
+form entry; the rows mod p and their payloads are reduced in one
+augmented elimination (linsolve.reduce_stage), the payload riding along
+as extra columns.  The stage prepares its rows mod p once and reads back only the
 first dependent row with a nonzero payload, or else, per payload and per
 free column, its entries in the pivot rows.  Every stage identity (row .
 f_t == payload mod p) holds coefficient by coefficient, so it holds for

@@ -274,6 +274,12 @@ def test_column_2_packs_entry_parities(m):
         assert [list(_head_bits(x >> j * m, m)) for j in range(k)] == [[v & 1 for v in col] for col in cols]
 
 
+def _int_array(rows, shape):
+    """rows as a 2-D integer array, int64 unless an entry is too wide for it."""
+    wide = any(abs(x) >= 2**62 for row in rows for x in row)
+    return np.array(rows, dtype=object if wide else np.int64).reshape(shape)
+
+
 @st.composite
 def stage_bands(draw):
     """(p, e, bands): m >= 0 rows over e columns as (span, band) pairs.
@@ -302,7 +308,7 @@ def test_stage_matrix_packs_bands_as_padded_rows(case):
     # i mod 2; over odd p, the rows themselves as lists
     p, e, bands = case
     rows = [[0] * a + list(band) + [0] * (e - b) for (a, b), band in bands]
-    matrix = StageMatrix(np.array(rows, dtype=object).reshape(len(rows), e), p)
+    matrix = StageMatrix(_int_array(rows, (len(rows), e)), p)
     assert (matrix.p, matrix.e, matrix.m) == (p, e, len(rows))
     if p == 2:
         m = len(rows)
@@ -381,8 +387,8 @@ def _check_z2_stage(case):
     pivots, reduced, ops = reference_rref(rows, 2, e)
     free = [c for c in range(e) if c not in pivots]
     log, before = [], OPS.count
-    coeffs = np.array([row[:e] for row in rows], dtype=object).reshape(len(rows), e)
-    got = reduce_stage(StageMatrix(coeffs, 2), np.array(payload, dtype=object).reshape(len(payload), len(rows)), log)
+    coeffs = _int_array([row[:e] for row in rows], (len(rows), e))
+    got = reduce_stage(StageMatrix(coeffs, 2), _int_array(payload, (len(payload), len(rows))), log)
     assert (got.pivots, got.free, OPS.count - before) == (pivots, free, ops)
     assert log == reference_z2_log(rows, e)
     if len(rows) > 64 and any(pr != k for k, (pr, _, _) in enumerate(log)):

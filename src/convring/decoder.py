@@ -801,8 +801,9 @@ def project_values(outcome: DecodeOutcome, cols: Sequence[int]) -> dict[int, int
             if k in cols:
                 flat[k] = outcome.window[t - sys.i][c]
         return flat
-    consts, *params = outcome.branches[0].cols
-    _check_rows(sys, outcome.branches[0].cols)
+    forms = outcome.branches[0].cols
+    _check_rows(sys, forms)
+    consts, *params = forms
     values: dict[int, int] = {}
     for col in cols:
         if any(param[col] for param in params):

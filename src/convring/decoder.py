@@ -53,17 +53,19 @@ oracle read the same matrices as lists.  The column forms are checked
 against the raw rows before a list is enumerated or its values are read.
 
 Pivots, folds, row operations and the parameter part of every form
-depend only on the pattern as well.  Each digit stage logs the row
-operations of its elimination (rref_mod_p's log), so a sequential decode
-keeps one store per call, keyed on the delay and the relative pattern:
-each window's pattern part, and the plan that the first valid list_decode
-of the pattern leaves when it is fold-free and leaves no parameter on
-time i, with each stage's pivots and log.  Later windows replay the logs
-on the constant column alone, with no elimination and no row object:
-they read their raw right-hand sides through the pattern's nonzero
-equations, which are a valid window's rows, check the column against
-them and commit time i from it.  Every other window runs list_decode,
-whose values are checked where they are read.
+depend only on the pattern as well.  So a sequential decode keeps one
+store per call, keyed on the delay and the relative pattern: each
+window's pattern part, and its plan, compiled once, at the pattern's
+first window, by the digit recursion on the parameter forms alone, with
+no constant column and no right-hand side.  The compile logs each stage's
+elimination (rref_mod_p's log) and gives up at its first fold or when a
+parameter reaches time i; its parameter forms are checked against the raw
+rows once.  Every window of a pattern with a plan, the first one
+included, replays the logs on the constant column alone, with no
+elimination and no row object: it reads its raw right-hand sides through
+the rows each stage reads, which are a valid window's, checks the column
+against the raw rows and commits time i from it.  Every other window runs
+list_decode, whose values are checked where they are read.
 """
 
 from __future__ import annotations
@@ -228,7 +230,8 @@ class _Pattern:
     those rows, original and renormalized, as integer arrays, and scales
     their p^stratum.  A row of stratum v takes part in the digit stages t
     with v + t < r, those where p^stratum < p^(r - t).  A sequential
-    decode also keeps the pattern's plan here.
+    decode also keeps the pattern's plan here: None until it is compiled,
+    then the _Plan, or False when the pattern has none.
     """
 
     __slots__ = ("columns", "head", "moduli", "nonzero", "scales", "origs", "coeffs", "plan")
@@ -245,7 +248,7 @@ class _Pattern:
         self.nonzero = list(zip(keep.tolist(), self.scales.tolist()))
         self.origs = A[keep]
         self.coeffs = self.origs // self.scales[:, None]
-        self.plan: _Plan | None = None
+        self.plan: _Plan | bool | None = None
 
 
 class _Syndrome:
@@ -392,18 +395,17 @@ class _Branch:
     stages run so far, the integer affine form cols[0][c] + sum_v
     cols[1 + v][c] x_v over all P parameters: cols holds P + 1 lists over
     the e columns, the constants and then one per parameter (a folded
-    parameter keeps a zero list).  logs, kept only by a recursion that may
-    leave a plan (None otherwise), holds per finished stage its pivots and
-    the row-operation log of its last elimination pass.
+    parameter keeps a zero list).  A value-free recursion (a plan's
+    compile) has no constant list: cols starts empty and holds the P
+    parameter lists alone.
     """
 
-    __slots__ = ("space", "cols", "stages", "logs")
+    __slots__ = ("space", "cols", "stages")
 
-    def __init__(self, space: ParamSpace, e: int, logged: bool = False):
+    def __init__(self, space: ParamSpace, cols: list[list[int]]):
         self.space = space
-        self.cols: list[list[int]] = [[0] * e]
+        self.cols = cols
         self.stages: list[DigitStage] = []
-        self.logs: list[tuple[list[int], list]] | None = [] if logged else None
 
 
 def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
@@ -440,14 +442,19 @@ def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
     return True
 
 
-def _stage_payload(cols, A: np.ndarray, rhs: np.ndarray, pt: int, q: int) -> np.ndarray:
+def _stage_payload(cols, A: np.ndarray, rhs: np.ndarray | None, pt: int, q: int) -> np.ndarray:
     """The payload of stage t >= 1: per form entry, digit t of rhs - A G over the stage rows A.
 
     One product of the column forms with the stage rows; row j of the
-    result is form entry j's payload column.
+    result is form entry j's payload column.  With rhs None the forms are
+    the parameter lists alone, and their payload is digit t of -A G; with
+    no form (a compile before its first parameter) it has no row.
     """
+    if not cols:
+        return np.zeros((0, len(A)), dtype=A.dtype)
     pays = np.array(cols, dtype=A.dtype) @ A.T
-    pays[0] -= rhs
+    if rhs is not None:
+        pays[0] -= rhs
     pays = -pays % q
     # the earlier stage identities hold coefficient by coefficient, so p^t
     # divides every entry
@@ -456,32 +463,38 @@ def _stage_payload(cols, A: np.ndarray, rhs: np.ndarray, pt: int, q: int) -> np.
     return pays // pt
 
 
-def _run_stage(branch: _Branch, A: np.ndarray, rhs: np.ndarray, t: int, ctx: RingContext):
+def _run_stage(
+    branch: _Branch, A: np.ndarray, rhs: np.ndarray | None, t: int, ctx: RingContext, logs: list | None = None
+):
     """Advance the recursion through digit stage t on its rows A and rhs; an invalid witness or None.
 
     The stage rows mod p are prepared for elimination once; each pass
     reduces them with their payload, digit t of rhs - A G per form entry,
     riding along.  A dependent row with a nonzero payload is folded and
-    the pass repeats.  With branch.logs, the last pass's pivots and
-    row-operation log go there, beside the stage report.
+    the pass repeats.  A value-free recursion (rhs None, a compile) does
+    not fold: it returns ("fold", t, row) there, and keeps no stage
+    report.  With logs, the last pass's pivots and row-operation log are
+    appended to it.
     """
     p, q = ctx.p, ctx.q
     pt = p**t
     e = A.shape[1]
     matrix = StageMatrix(A, p)
     while True:
-        if not t:
+        if not t and rhs is not None:
             # every form is 0 before stage 0 (whose folds only find
             # contradictions), so the payload is the rhs alone
             payload = rhs[None]
         else:
             payload = _stage_payload(branch.cols, A, rhs, pt, q)
-        log = None if branch.logs is None else []
+        log = None if logs is None else []
         red = reduce_stage(matrix, payload, log)
         if red.fold is None:
             break
         # a dependent row whose payload is not zero constrains the parameters
         idx, phi = red.fold
+        if rhs is None:
+            return ("fold", t, idx)
         if not _fold(branch, phi, q):
             return ("stage", t, idx)
 
@@ -492,9 +505,6 @@ def _run_stage(branch: _Branch, A: np.ndarray, rhs: np.ndarray, t: int, ctx: Rin
         for c, x in zip(pivots, pay):
             if x:
                 col[c] = (col[c] + pt * x) % q
-    particular = [0] * e
-    for c, x in zip(pivots, red.pays[0]):
-        particular[c] = x
     # each free column gets a new parameter: its coefficient list and the
     # stage's basis vector
     new_params, basis = [], []
@@ -507,16 +517,14 @@ def _run_stage(branch: _Branch, A: np.ndarray, rhs: np.ndarray, t: int, ctx: Rin
         col[c], vec[c] = pt, 1
         branch.cols.append(col)
         basis.append(tuple(vec))
-    branch.stages.append(
-        DigitStage(
-            t=t,
-            rank=len(pivots),
-            new_params=tuple(new_params),
-            solutions=AffineSet(p, e, True, tuple(particular), tuple(basis)),
-        )
-    )
-    if log is not None:
-        branch.logs.append((pivots, log))
+    if logs is not None:
+        logs.append((pivots, log))
+    if rhs is not None:
+        particular = [0] * e
+        for c, x in zip(pivots, red.pays[0]):
+            particular[c] = x
+        solutions = AffineSet(p, e, True, tuple(particular), tuple(basis))
+        branch.stages.append(DigitStage(t, len(pivots), tuple(new_params), solutions))
     return None
 
 
@@ -548,11 +556,6 @@ def list_decode(sys: WindowSystem) -> DecodeOutcome:
     outcome carries the per-stage reports, and materialize_list enumerates
     the actual windows.
     """
-    return _decode(sys, logged=False)
-
-
-def _decode(sys: WindowSystem, logged: bool) -> DecodeOutcome:
-    """list_decode(sys); with logged, each stage keeps its log in the branch for a plan."""
     ctx = sys.code.ctx
     if sys.invalid_witness is not None:
         return DecodeOutcome(kind="invalid", system=sys, invalid_witness=sys.invalid_witness)
@@ -561,7 +564,7 @@ def _decode(sys: WindowSystem, logged: bool) -> DecodeOutcome:
         return DecodeOutcome(
             kind="unique", system=sys, window=sys.assemble(()), list_size=1
         )
-    branch = _Branch(ParamSpace(ctx.p), e, logged)
+    branch = _Branch(ParamSpace(ctx.p), [[0] * e])
     pattern = sys.pattern
     coeffs, scales = pattern.coeffs, pattern.scales
     rhs = sys.row_rhs // scales
@@ -596,70 +599,82 @@ def _outcome(sys: WindowSystem, branch: _Branch) -> DecodeOutcome:
 
 @dataclass(frozen=True)
 class _Plan:
-    """How the later windows of one erasure pattern commit time i without elimination.
+    """How the windows of one erasure pattern commit time i without elimination.
 
-    Per stage t, in stage order, its pivots and the row-operation log of
-    its elimination; then the replay's rows, the renormalized and the
-    original rows of a valid window, as lists, in row order.
+    Per stage t, in stage order: its pivots, the row-operation log of its
+    elimination, and the (equation index, p^stratum, renormalized row)
+    triples of the rows it reads; then (equation index, original row) per
+    nonzero equation of the pattern, the rows the replayed column is
+    checked against.  Rows are lists, in row order.
     """
 
-    stages: list[tuple[list[int], list]]
-    coeffs: list[list[int]]
-    origs: list[list[int]]
+    stages: list[tuple[list[int], list, list[tuple[int, int, list[int]]]]]
+    origs: list[tuple[int, list[int]]]
 
 
-def _make_plan(outcome: DecodeOutcome) -> _Plan | None:
-    """The plan left by list_decode's outcome, None unless its values at time i are fixed.
+def _compile(sys: WindowSystem) -> _Plan | None:
+    """The plan of sys's erasure pattern, from the digit recursion on its parameter forms alone; None when it has none.
 
-    A plan is left by a valid outcome whose recursion did not fold and
-    whose parameters are zero on every time-i column, so that time i's
-    values are the constant column's.  The rows become lists here, once
-    per plan.
+    The recursion has no constant column and no right-hand side, so it
+    reads no value of the window, and its eliminations and logs are
+    list_decode's on any valid window of the pattern.  It gives up at its
+    first fold, which a replay cannot repeat, and as soon as a parameter
+    reaches a time-i column, whose values are then not the constant
+    column's (a nonzero coefficient stays nonzero, as later stages change
+    only its higher digits).  Its parameter forms are checked once against
+    the pattern's raw rows.
     """
-    if not outcome.branches or outcome.branches[0].space.events:
-        return None
-    (branch,) = outcome.branches
-    sys = outcome.system
-    head = len(sys.pattern.head)
-    if any(any(col[:head]) for col in branch.cols[1:]):
-        return None
-    return _Plan(branch.logs, sys.pattern.coeffs.tolist(), sys.pattern.origs.tolist())
+    ctx, pattern = sys.code.ctx, sys.pattern
+    p, r = ctx.p, ctx.r
+    branch, head = _Branch(ParamSpace(p), []), len(pattern.head)
+    rows, stages = list(zip(pattern.nonzero, pattern.coeffs.tolist())), []
+    for t in range(r):
+        # the stage rows: those of stratum at most r - 1 - t
+        rows_t = pattern.scales < p ** (r - t)
+        logs: list = []
+        if _run_stage(branch, pattern.coeffs[rows_t], None, t, ctx, logs) is not None:
+            return None
+        if any(any(col[:head]) for col in branch.cols):
+            return None
+        ((pivots, log),) = logs
+        read = [(k, pv, row) for ((k, pv), row), x in zip(rows, rows_t.tolist()) if x]
+        stages.append((pivots, log, read))
+    if branch.cols:
+        _check_rows(sys, branch.cols, with_consts=False)
+    return _Plan(stages, [(k, orig) for (k, _), orig in zip(pattern.nonzero, pattern.origs.tolist())])
 
 
 def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
     """The constant column of list_decode(sys) from its pattern's plan, with no elimination.
 
     Each stage replays its logged row operations on digit t of rhs - A G
-    for the constant column alone.  None when the window is invalid
-    (list_decode then derives the witness).  The column is checked against
-    every raw row, orig . consts == orig_rhs mod q, so the time-i values
-    committed from it solve the window.  A valid window's rows are its
-    pattern's nonzero equations, which the plan's rows match one for one,
-    so the replay reads their raw right-hand sides in sys.rhs and builds
-    no row.
+    for the constant column alone, over the rows it reads; at stage 0 the
+    column is zero, and the digits are the renormalized right-hand sides.
+    None when the window is invalid (list_decode then derives the witness).
+    The column is checked against every raw row, orig . consts == orig_rhs
+    mod q, so the time-i values committed from it solve the window.  A
+    valid window's rows are its pattern's nonzero equations, so the replay
+    reads their raw right-hand sides in sys.rhs and builds no row.
     """
     if sys.invalid_witness is not None:
         return None
     ctx = sys.code.ctx
-    p, q, r = ctx.p, ctx.q, ctx.r
-    rhs, equations = sys.rhs, sys.pattern.nonzero
+    p, q = ctx.p, ctx.q
+    rhs = sys.rhs
     consts = [0] * sys.e
-    for t, (pivots, log) in enumerate(plan.stages):
-        pt, bound = p**t, p ** (r - t)
-        digits = [
-            (rhs[k] // pv - sum(map(mul, coeffs, consts))) % q // pt
-            for (k, pv), coeffs in zip(equations, plan.coeffs)
-            if pv < bound
-        ]
+    for t, (pivots, log, rows) in enumerate(plan.stages):
+        pt = p**t
+        if t:
+            digits = [(rhs[k] // pv - sum(map(mul, row, consts))) % q // pt for k, pv, row in rows]
+        else:
+            digits = [rhs[k] // pv for k, pv, _ in rows]
         reduced = replay_rref_log(log, digits, p)
         if any(reduced[len(pivots) :]):
             return None
         # stage t writes digit t of its pivot columns only
         for x, col in zip(reduced, pivots):
             consts[col] += pt * x
-    if any(
-        (sum(map(mul, orig, consts)) - rhs[k]) % q for (k, _), orig in zip(equations, plan.origs)
-    ):
+    if any((sum(map(mul, orig, consts)) - rhs[k]) % q for k, orig in plan.origs):
         raise AssertionError(_VIOLATION)
     return consts
 
@@ -669,39 +684,42 @@ def _planned_decode(
 ) -> tuple[DecodeOutcome | None, list[int] | None]:
     """list_decode(sys), or the constant column that commits time i: (outcome, column).
 
-    A pattern with no plan runs list_decode, whose outcome may leave one
-    (_make_plan); otherwise the window replays the plan, and the outcome is
-    None.  A replay that finds the window invalid hands it to list_decode.
-    The path taken is counted in counts.
+    A pattern's first window compiles its plan (_compile).  Every window
+    of a pattern with a plan, that one included, replays it, and the
+    outcome is None; a replay that finds the window invalid hands it to
+    list_decode, which derives the witness.  Every window of a pattern
+    without a plan runs list_decode.  The path taken is counted in counts.
     """
     pattern = sys.pattern
+    first = pattern.plan is None
+    if first:
+        pattern.plan = _compile(sys) or False
     plan = pattern.plan
-    if plan is None:
+    consts = _replay(plan, sys) if plan else None
+    if first or not plan:
         counts.first_decodes += 1
-        outcome = _decode(sys, logged=True)
-        pattern.plan = _make_plan(outcome)
-        return outcome, None
-    consts = _replay(plan, sys)
-    if consts is None:
+    elif consts is None:
         counts.fallbacks += 1
-        return list_decode(sys), None
-    counts.value_replays += 1
-    return None, consts
+    else:
+        counts.value_replays += 1
+    return (list_decode(sys), None) if consts is None else (None, consts)
 
 
 _VIOLATION = "the list violates the parity equations"
 
 
-def _check_rows(sys: WindowSystem, cols) -> None:
+def _check_rows(sys: WindowSystem, cols, with_consts: bool = True) -> None:
     """Raise unless the column forms cols solve every raw row of a valid window, coefficient by coefficient.
 
-    cols holds the constant list and then the parameter lists.  One
-    product with the pattern's original rows: the constants must give each
-    row's raw right-hand side mod q, and every parameter list must give 0.
+    cols holds the constant list and then the parameter lists, or, without
+    with_consts, the parameter lists alone.  One product with the
+    pattern's original rows: the constants must give each row's raw
+    right-hand side mod q, and every parameter list must give 0.
     """
     origs = sys.pattern.origs
     prod = np.array(cols, dtype=origs.dtype) @ origs.T
-    prod[0] -= sys.row_rhs
+    if with_consts:
+        prod[0] -= sys.row_rhs
     if (prod % sys.code.ctx.q).any():
         raise AssertionError(_VIOLATION)
 
@@ -816,11 +834,12 @@ def project_values(outcome: DecodeOutcome, cols: Sequence[int]) -> dict[int, int
 class PlanCounts:
     """How the windows of a sequential decode were decoded; one count per decision.
 
-    first_decodes ran list_decode on a pattern with no plan: once per
-    pattern that leaves one, and on every window of a pattern whose decode
-    folds or leaves a parameter on time i.  value_replays committed time i
-    from the replayed constant column, and fallbacks are replays that
-    found the window invalid and ran list_decode.
+    first_decodes counts the windows that compiled their pattern's plan,
+    whatever they ran then, and the later list_decode runs of patterns
+    with no plan, those whose compile folds or leaves a parameter on time
+    i.  value_replays are the later windows that committed time i from the
+    replayed constant column, and fallbacks the later replays that found
+    the window invalid and ran list_decode.
     """
 
     first_decodes: int = 0
@@ -863,19 +882,20 @@ def sequential_decode(
     the guess, not the received word, may be at fault.
 
     A store kept for this call, keyed on the delay and the erasure pattern
-    relative to i, holds each pattern's window rows and plan: a first
-    list_decode of a pattern whose time-i values are fixed and that does
-    not fold leaves the plan, its elimination logs, and later windows of
-    the pattern replay the logs on the constant column and commit time i
-    from it, reading their right-hand sides with no row built.  Every
-    other window runs list_decode.  Each committed value comes from a
-    column checked against the window's raw rows.  The store also holds
-    the call's running syndrome: the first window's build computes the
-    right-hand sides of every later equation in one kernel call, each
-    commit updates the times it reaches and a "first" pick recomputes
-    them, and every window reads its right-hand sides from it.  Decisions
-    and outcomes equal list_decode's; plan_counts says which path each
-    window took.
+    relative to i, holds each pattern's window rows and plan: a pattern's
+    first window compiles the plan, its stages' elimination logs, by a
+    value-free digit recursion that gives up when the pattern folds or
+    leaves a parameter on time i.  Every window of a pattern with a plan,
+    the first one included, replays the logs on the constant column and
+    commits time i from it, reading its right-hand sides with no row
+    built.  Every other window runs list_decode.  Each committed value
+    comes from a column checked against the window's raw rows.  The store
+    also holds the call's running syndrome: the first window's build
+    computes the right-hand sides of every later equation in one kernel
+    call, each commit updates the times it reaches and a "first" pick
+    recomputes them, and every window reads its right-hand sides from it.
+    Decisions and outcomes equal list_decode's; plan_counts says which
+    path each window took.
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")

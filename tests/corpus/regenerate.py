@@ -1,12 +1,14 @@
 """The pinned decoder corpus: fixed inputs, and a digest of what the decoder makes of each.
 
-Each case is one list window or one sequential decode on seeded inputs.
-Its record is canonical JSON (sorted keys, no spaces) hashed with SHA-256,
-kept in digests.json beside this script with the Z_p op count (linsolve.OPS)
-of the case.  A list window records its kind, list size, witness, stage
+Each case is one list window or one sequential decode on seeded inputs,
+or one code built by cli.generate_code from a fixed spec.  Its record is
+canonical JSON (sorted keys, no spaces) hashed with SHA-256, kept in
+digests.json beside this script with the Z_p op count (linsolve.OPS) of
+the case.  A list window records its kind, list size, witness, stage
 reports, fold events and materialize_list(limit=16); a sequential decode
-its stream, decisions, halt time and plan counts.  tests/test_corpus.py
-recomputes every case and compares.
+its stream, decisions, halt time and plan counts; a code its serialized
+form (files.code_to_json).  tests/test_corpus.py recomputes every case and
+compares.
 
 Regenerate from the root of the source tree:
 
@@ -33,6 +35,8 @@ from convring import (
     materialize_list,
     sequential_decode,
 )
+from convring.cli import generate_code
+from convring.files import code_to_json
 from convring.linsolve import OPS
 
 DIGESTS = Path(__file__).with_name("digests.json")
@@ -146,6 +150,23 @@ def stream_record(c, rx, T, terminated, policy) -> dict:
     }
 
 
+# (name, generate_code spec): the README walkthrough's code, the benchmark
+# stream's (also the Z_9 plan test code), the other plan test codes and the
+# high-degree construction of the CI
+CODE_SPECS = (
+    ("readme", dict(p=2, r=2, n=4, k_blocks=[1, 0], deg=1, seed=7)),
+    ("stream", dict(p=3, r=2, n=4, k_blocks=[1, 0], deg=1, seed=7)),
+    ("plan z4", dict(p=2, r=2, n=4, k_blocks=[1, 1], deg=1, seed=2)),
+    ("plan z8", dict(p=2, r=3, n=5, k_blocks=[1, 1, 0], deg=1, seed=3)),
+    ("plan z25", dict(p=5, r=2, n=4, k_blocks=[1, 0], deg=1, seed=4)),
+    ("high-degree", dict(p=2, r=2, n=8, k_blocks=[2, 2], deg=4, seed=7)),
+)
+
+
+def code_record(spec: dict) -> dict:
+    return {"code": code_to_json(generate_code(**spec))}
+
+
 def cases():
     """(case id, record function) for every case, in order."""
     for p, r in RINGS:
@@ -159,6 +180,8 @@ def cases():
             yield f"stream {name} {policy}", lambda name=name, policy=policy: stream_record(
                 *stream_case(name), policy
             )
+    for name, spec in CODE_SPECS:
+        yield f"code {name}", functools.partial(code_record, spec)
 
 
 def digest(record: dict) -> str:
@@ -182,9 +205,11 @@ def main() -> int:
             seen[key] = seen.get(key, 0) + 1
             if any(record["folds"]):
                 seen["fold"] = seen.get("fold", 0) + 1
-        else:
+        elif "decisions" in record:
             key = record["decisions"][-1][1] if record["decisions"] else "none"
             seen[f"stream ends {key}"] = seen.get(f"stream ends {key}", 0) + 1
+        else:
+            seen["code"] = seen.get("code", 0) + 1
     DIGESTS.write_text(json.dumps(corpus, indent=1) + "\n")
     print(f"{len(corpus)} cases -> {DIGESTS}", file=sys.stderr)
     for key, count in sorted(seen.items()):

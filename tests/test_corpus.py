@@ -1,4 +1,4 @@
-"""The pinned decoder corpus (tests/corpus): every case's digest and Z_p op count are unchanged."""
+"""The pinned decoder and code corpus (tests/corpus): every case's digest and Z_p op count are unchanged."""
 
 import json
 
@@ -14,14 +14,17 @@ def test_corpus_digests_and_op_counts_unchanged():
             features.add(record["kind"] if record["witness"] is None else record["witness"][0])
             if any(record["folds"]):
                 features.add("fold")
-        else:
+        elif "decisions" in record:
             features.update(d[1] for d in record["decisions"])
+        else:
+            features.add("code")
     assert list(got) == list(pinned)
     moved = [f"{case_id}: {got[case_id]} != {want}" for case_id, want in pinned.items() if got[case_id] != want]
     assert not moved, "\n".join(moved)
     # the corpus reaches lists, folds and each kind of invalid window, and
-    # sequential decodes that commit, halt on a list, pick and fail after a pick
+    # sequential decodes that commit, halt on a list, pick and fail after a
+    # pick, and serialized codes
     assert features >= {
         "unique", "list", "fold", "stage", "divisibility", "inconsistent-known",
-        "picked-first", "invalid-after-guess",
+        "picked-first", "invalid-after-guess", "code",
     }

@@ -771,12 +771,26 @@ def test_project_values_raises_on_corrupt_constant(kernel_code_z8):
         project_values(out, head)
 
 
-def test_list_decode_keeps_no_log(kernel_code_z8):
-    # only the decode that leaves a plan logs its eliminations
+def test_list_decode_keeps_no_log(kernel_code_z8, monkeypatch):
+    # list_decode asks reduce_stage for no log, and its branch has no place
+    # for one; a compile of the same pattern logs each elimination it runs,
+    # with list_decode's pivots, until a parameter reaches time 0 (here in
+    # stage 1)
+    real_reduce, calls = decoder.reduce_stage, []
+
+    def reduce_stage(matrix, payload, log=None):
+        got = real_reduce(matrix, payload, log)
+        calls.append((log is not None, len(got.pivots)))
+        return got
+
+    monkeypatch.setattr(decoder, "reduce_stage", reduce_stage)
     sysw = build_window_system(kernel_code_z8, RECEIVED, 0, 2)
-    assert list_decode(sysw).branches[0].logs is None
-    out, _ = decoder._planned_decode(sysw, decoder.PlanCounts())
-    assert [len(pivots) for pivots, _ in out.branches[0].logs] == [7, 5, 3]
+    out = list_decode(sysw)
+    assert not hasattr(out.branches[0], "logs")
+    assert calls == [(False, 7), (False, 5), (False, 3)]
+    calls.clear()
+    assert decoder._compile(sysw) is None
+    assert calls == [(True, 7), (True, 5)]
 
 
 def test_corrupt_stage_form_raises(kernel_code_z8, monkeypatch):
@@ -812,7 +826,7 @@ def test_corrupt_orig_band_raises(kernel_code_z8):
 
 
 def _check_z2_stages(case):
-    """Each reduce_stage call of a Z_{2^r} window's decode reads back what rref_mod_p's list rows hold.
+    """Each reduce_stage call of a Z_{2^r} window's list_decode and of its pattern's compile reads back what rref_mod_p's list rows hold.
 
     Pivots, free columns and log; the first dependent row with a nonzero
     payload, and that payload; or the entries of each payload column and
@@ -854,7 +868,8 @@ def _check_z2_stages(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decoder, "StageMatrix", stage_matrix)
         mp.setattr(decoder, "reduce_stage", reduce_stage)
-        out = decoder._decode(sysw, logged=True)
+        out = list_decode(sysw)
+        decoder._compile(sysw)
     if out.invalid_witness is not None and out.invalid_witness[0] == "stage":
         features.add("stage-invalid")
     if code.ctx.q == 16 and coeff_rows:
@@ -1140,10 +1155,17 @@ def _reference_sequential(code, received, T, policy, terminated):
 class TestPlanReplay:
     @pytest.mark.parametrize("name", sorted(PLAN_CODES))
     def test_replays_equal_list_decode(self, name, monkeypatch):
-        # every replay commits exactly list_decode's time-i values
+        # every replay commits exactly list_decode's time-i values, the
+        # replays at a pattern's first window, right after its compile,
+        # included
         code = generate_code(**PLAN_CODES[name])
-        replay = decoder._replay
-        commits = []
+        replay, compile_ = decoder._replay, decoder._compile
+        # per checked commit, whether its window compiled the pattern
+        first_sight, compiling = [], []
+
+        def checked_compile(sysw):
+            compiling.append(sysw)
+            return compile_(sysw)
 
         def checked_replay(plan, sysw):
             consts = replay(plan, sysw)
@@ -1151,10 +1173,11 @@ class TestPlanReplay:
                 head = [k for k, (t, _) in enumerate(sysw.columns) if t == sysw.i]
                 committed = dict(zip(head, consts))
                 assert committed == project_values(list_decode(sysw), head)
-                commits.append(committed)
+                first_sight.append(compiling[-1] is sysw)
             return consts
 
         monkeypatch.setattr(decoder, "_replay", checked_replay)
+        monkeypatch.setattr(decoder, "_compile", checked_compile)
         streams = [_plan_stream(code, s, 60 + 20 * s, 0.15, corrupt=s == 3) for s in range(4)]
         for rx in [*streams, _plan_stream(code, 4, 30, None), _burst_stream(code, 5, 40, 2, 8)]:
             for T in (1, 2, 3):
@@ -1167,12 +1190,13 @@ class TestPlanReplay:
                         assert (res.last_outcome is None) == (last is None)
                         if last is not None:
                             assert _outcome_key(res.last_outcome) == _outcome_key(last)
-        assert len(commits) > 50
+        assert len(first_sight) > 1000
+        assert sum(first_sight) > 500
 
     def test_value_only_share(self, monkeypatch):
-        # most windows of a long stream commit from a replayed constant
-        # column (519 of 692 here); a silent fallback to list_decode fails
-        # here
+        # every window of this long stream commits from a replayed constant
+        # column (692, 173 of them at a pattern's first window); a silent
+        # fallback to list_decode fails here
         code = generate_code(**PLAN_CODES["z9"])
         rx = _plan_stream(code, 1, 2000, 0.10)
         replay = decoder._replay
@@ -1186,7 +1210,7 @@ class TestPlanReplay:
         monkeypatch.setattr(decoder, "_replay", counted)
         res = sequential_decode(code, rx, 2)
         assert res.complete
-        assert sum(value_only) >= 0.6 * len(res.decisions)
+        assert sum(value_only) == len(res.decisions)
 
     def test_store_is_per_call_and_saves_ops(self):
         code = generate_code(**PLAN_CODES["z9"])
@@ -1204,75 +1228,88 @@ class TestPlanReplay:
 
     @pytest.mark.parametrize("name, eps", [("z9", 0.10), ("z4", None)])
     def test_corrupted_plan_raises(self, name, eps, monkeypatch):
-        # in every plan, the last pivot of the first stage with two pivots
-        # gets one more logged elimination, of pivot row 0 with factor 1 (an
-        # added XOR hit on Z_2); the row check of the replayed forms must
-        # stop the decode before it commits
+        # in every compiled plan, the last pivot of the first stage with two
+        # pivots gets one more logged elimination, of pivot row 0 with factor
+        # 1 (an added XOR hit on Z_2); the row check of the replayed column
+        # must stop the decode before it commits
         code = generate_code(**PLAN_CODES[name])
         p = code.ctx.p
         rx = _plan_stream(code, 1, 400, eps)
-        make_plan = decoder._make_plan
+        compile_ = decoder._compile
 
-        def corrupted(outcome):
-            plan = make_plan(outcome)
-            logs = [log for _, log in plan.stages if len(log) > 1] if plan else []
+        def corrupted(sysw):
+            plan = compile_(sysw)
+            logs = [log for _, log, _ in plan.stages if len(log) > 1] if plan else []
             if logs:
                 _, _, elims = logs[0][-1]
                 elims.append(0 if p == 2 else (0, 1))
             return plan
 
-        monkeypatch.setattr(decoder, "_make_plan", corrupted)
+        monkeypatch.setattr(decoder, "_compile", corrupted)
         with pytest.raises(AssertionError, match="violates the parity equations"):
             sequential_decode(code, rx, 2)
 
     @pytest.mark.parametrize("name", sorted(PLAN_CODES))
     def test_corrupted_plan_params_raises(self, name, monkeypatch):
-        # one parameter coefficient of the first fold-free list is off by
-        # one; project_values checks the list's forms before it reads them,
-        # so the decode stops in that window, before it commits
+        # after the last stage of the first compile with a parameter, one
+        # parameter coefficient is off by one on a column that is not at
+        # time i; the compile checks its parameter forms against the raw
+        # rows, so the decode stops in the compiling window, before it
+        # commits
         code = generate_code(**PLAN_CODES[name])
-        q = code.ctx.q
+        q, r = code.ctx.q, code.ctx.r
         # every window commits its unique first time from the constant
         # column, so only that check reads the parameters
         rx = _burst_stream(code, 1, 40, 1, 2)
-        make_plan, build = decoder._make_plan, decoder.build_window_system
-        starts, corrupted_at = [], []
+        run_stage, compile_, build = decoder._run_stage, decoder._compile, decoder.build_window_system
+        starts, corrupted_at, compiling = [], [], []
 
-        def corrupted(out):
-            branch = out.branches[0] if out.branches else None
-            if not corrupted_at and branch and not branch.space.events and branch.space.n_params:
-                sysw = out.system
-                # a column some row reads, so the off-by-one shows in that row
-                col = next(k for k in range(sysw.e) if any(dense(row, sysw.e, orig=True)[k] % q for row in sysw.rows))
-                branch.cols[1][col] += 1  # project_values reads these forms
-                corrupted_at.append(sysw.i)
-            return make_plan(out)
+        def compiled(sysw):
+            compiling.append(sysw)
+            return compile_(sysw)
+
+        def corrupted(branch, A, rhs, t, ctx, logs=None):
+            witness = run_stage(branch, A, rhs, t, ctx, logs)
+            if rhs is None and t == r - 1 and branch.cols and not corrupted_at:
+                sysw = compiling[-1]
+                # a later column that some raw row reads, so the off-by-one
+                # shows in that row and not in the time-i test
+                col = next(
+                    k
+                    for k, (at, _) in enumerate(sysw.columns)
+                    if at > sysw.i and (sysw.pattern.origs[:, k] % q).any()
+                )
+                branch.cols[0][col] += 1
+                corrupted_at.append(len(starts))
+            return witness
 
         def recorded(code, received, i, *args, **kwargs):
             starts.append(i)
             return build(code, received, i, *args, **kwargs)
 
-        monkeypatch.setattr(decoder, "_make_plan", corrupted)
+        monkeypatch.setattr(decoder, "_run_stage", corrupted)
         monkeypatch.setattr(decoder, "build_window_system", recorded)
+        monkeypatch.setattr(decoder, "_compile", compiled)
         with pytest.raises(AssertionError, match="violates the parity equations"):
             sequential_decode(code, rx, 2)
-        # the window that made the plan was the last one built
-        assert corrupted_at == starts[-1:]
+        # the compiling window was the last one built
+        assert corrupted_at == [len(starts)]
 
     def test_corrupt_list_constant_raises_before_commit(self, monkeypatch):
-        # in the first list that a sequential decode builds, the constant of
-        # one parameter-free time-i column is off by one; project_values
-        # checks the forms before it reads them, so the decode stops in
-        # that window, at time 4, before it commits, under python -O too
+        # in the first list that a sequential decode gets from list_decode
+        # (its pattern has no plan), the constant of one parameter-free
+        # time-i column is off by one; project_values checks the forms
+        # before it reads them, so the decode stops in that window, at time
+        # 4, before it commits, under python -O too
         code = generate_code(**PLAN_CODES["z4"])
         q = code.ctx.q
         rx = _plan_stream(code, 1, 300, 0.1)
-        decode, build = decoder._decode, decoder.build_window_system
+        decode, build = decoder.list_decode, decoder.build_window_system
         starts, corrupted_at = [], []
 
-        def corrupted(sysw, logged):
-            out = decode(sysw, logged)
-            if logged and out.kind == "list" and not corrupted_at:
+        def corrupted(sysw):
+            out = decode(sysw)
+            if out.kind == "list" and not corrupted_at:
                 consts, *params = out.branches[0].cols
                 col = next(
                     k
@@ -1287,15 +1324,16 @@ class TestPlanReplay:
             starts.append(i)
             return build(code, received, i, *args, **kwargs)
 
-        monkeypatch.setattr(decoder, "_decode", corrupted)
+        monkeypatch.setattr(decoder, "list_decode", corrupted)
         monkeypatch.setattr(decoder, "build_window_system", recorded)
         with pytest.raises(AssertionError, match="violates the parity equations"):
             sequential_decode(code, rx, 2)
         assert corrupted_at == starts[-1:] == [4]
 
     def test_plan_counts(self, monkeypatch):
-        # each pattern runs list_decode once and leaves its plan there; every
-        # later window of it replays, and each decision has one count
+        # each pattern compiles its plan once, at its first window, which
+        # counts as a first decode; every later window of it replays, and
+        # each decision has one count
         code = generate_code(**PLAN_CODES["z9"])
         rx = _plan_stream(code, 1, 400, 0.10)
         build, patterns = decoder.build_window_system, set()
@@ -1314,29 +1352,63 @@ class TestPlanReplay:
         assert sum(astuple(counts)) == len(res.decisions)
 
     def test_plan_from_first_valid_window(self):
-        # a pattern whose first window is invalid leaves no plan there; its
-        # next, valid window runs list_decode and leaves it, and the window
-        # after that replays it
+        # a plan is value-free: compiled at a stage-invalid first window,
+        # where the replay hands the window to list_decode for the witness,
+        # it replays the next windows of the pattern, and they commit
         code = generate_code(**PLAN_CODES["z9"])
         sent = _plan_stream(code, 1, 30, 0.0)
         rx = [list(sym) for sym in sent]
-        for t in (10, 12, 20, 22):
-            rx[t][1] = None
+        for t in (10, 20):
+            rx[t][1] = rx[t][2] = None
         bad = [list(sym) for sym in rx]
-        bad[11][0] = (bad[11][0] + 1) % code.ctx.q
+        bad[9][0] = (bad[9][0] + 1) % code.ctx.q
         store, counts = {}, decoder.PlanCounts()
         out, _ = decoder._planned_decode(build_window_system(code, bad, 10, 2, store=store), counts)
         (pattern,) = store.values()
-        assert out.kind == "invalid" and pattern.plan is None
-        out, _ = decoder._planned_decode(build_window_system(code, rx, 10, 2, store=store), counts)
-        assert out.kind != "invalid" and pattern.plan is not None
-        sysw = build_window_system(code, rx, 20, 2, store=store)
-        out, consts = decoder._planned_decode(sysw, counts)
-        assert len(store) == 1 and consts is not None
-        assert (counts.first_decodes, counts.fallbacks) == (2, 0)
-        assert counts.value_replays == 1
-        head = [k for k, (t, _) in enumerate(sysw.columns) if t == 20]
-        assert dict(zip(head, consts)) == project_values(list_decode(sysw), head)
+        assert out.invalid_witness == ("stage", 0, 2) and pattern.plan
+        for i in (10, 20):
+            sysw = build_window_system(code, rx, i, 2, store=store)
+            out, consts = decoder._planned_decode(sysw, counts)
+            assert len(store) == 1 and consts is not None
+            head = [k for k, (t, _) in enumerate(sysw.columns) if t == i]
+            assert dict(zip(head, consts)) == project_values(list_decode(sysw), head)
+        assert astuple(counts) == (1, 2, 0)
+
+    def test_unplannable_pattern_compiles_once(self, monkeypatch):
+        # a pattern whose compile leaves no plan (a list at time i on the
+        # Z_4 burst stream, a fold on the Z_8 stream) compiles once per call
+        # and runs list_decode on each of its windows: the call's OPS are
+        # the reference loop's plus one compile per such pattern
+        compile_, compiled = decoder._compile, []
+
+        def counted(sysw):
+            compiled.append(sysw)
+            return compile_(sysw)
+
+        monkeypatch.setattr(decoder, "_compile", counted)
+        z4, z8 = generate_code(**PLAN_CODES["z4"]), generate_code(**PLAN_CODES["z8"])
+        for code, rx, windows in [
+            (z4, _burst_stream(z4, 5, 40, 2, 8), 5),
+            (z8, _plan_stream(z8, 1, 60, None), 59),
+        ]:
+            compiled.clear()
+            before = OPS.count
+            res = sequential_decode(code, rx, 2, policy="first")
+            ops = OPS.count - before
+            before = OPS.count
+            work, decisions, _, _ = _reference_sequential(code, rx, 2, "first", True)
+            reference = OPS.count - before
+            assert (res.stream, res.decisions) == (work, decisions)
+            patterns = [sysw.pattern for sysw in compiled]
+            assert len(set(map(id, patterns))) == len(patterns)
+            (sysw,) = [sysw for sysw in compiled if sysw.pattern.plan is False]
+            # every other pattern has one window here, committed at its compile
+            counts = res.plan_counts
+            assert counts.first_decodes == len(res.decisions) and not counts.value_replays
+            assert len(res.decisions) - (len(patterns) - 1) == windows
+            before = OPS.count
+            assert compile_(sysw) is None
+            assert ops == reference + OPS.count - before > reference
 
 
 @pytest.mark.parametrize("policy", ["halt", "first", "branch"])

@@ -9,8 +9,8 @@ explicit blocks, or from a parity-check matrix alone (the kernel code).
 Construction validates the layer shapes and the rank and annihilation
 contracts eagerly, and derives the parity degree nu (a given nu must
 match it), so a ConvCode in hand is always internally consistent.
-Instances are immutable and safe to share; each computes its scaled
-parity coefficients H^0..H^nu once.
+Instances are immutable and safe to share; each keeps its scaled
+coefficients H^0..H^nu and G^0..G^deg once, as arrays.
 
 The sliding-window parity equations are assembled in one place.  Their
 coefficients are the block-Toeplitz window array of a delay T, cached on
@@ -19,15 +19,17 @@ of times -nu..T, so a window's erased-column system is one column gather
 of it, which depends only on the pattern, and the sliding window matrix is
 one slice.  The right-hand sides of times lo..hi are minus
 sum_k H^k x_{s-k} over the known symbols, nu + 1 block products over all
-those times at once (the window kernel); the decoder's window systems,
-running syndrome and filled-window check and window membership use it.
+those times at once (the window kernel), which reads a sequence of
+symbols in place: the decoder's window systems, running syndrome and
+filled-window check and window membership use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -99,7 +101,7 @@ class ConvCode:
             if self.nu is not None:
                 raise ValueError("nu given for a code without a parity check")
         else:
-            nu = len(self._parity_coeffs) - 1
+            nu = len(self._parity_array) - 1
             if self.nu is None:
                 object.__setattr__(self, "nu", nu)
             elif self.nu != nu:
@@ -139,32 +141,14 @@ class ConvCode:
         return _stack(self.ctx, self.n, self.h_blocks, scaled=True)
 
     @cached_property
-    def _parity_coeffs(self) -> tuple[ConstMatrix, ...]:
-        """Scaled coefficient matrices H^0..H^deg of the assembled parity check."""
-        return _coeff_matrices(self.parity_matrix())
-
-    @cached_property
-    def _generator_coeffs(self) -> tuple[ConstMatrix, ...]:
-        """Scaled coefficient matrices G^0..G^deg of the assembled generator."""
-        return _coeff_matrices(self.generator_matrix())
-
-    @cached_property
     def _generator_array(self) -> np.ndarray:
         """G^0..G^deg as one (deg + 1) x k x n array, exact for encode's sums."""
-        coeffs = self._generator_coeffs
-        dtype = exact_dtype(len(coeffs) * self.k, self.ctx.q)
-        return np.array([Gj.data for Gj in coeffs], dtype=dtype).reshape(
-            len(coeffs), self.k, self.n
-        )
+        return _coeff_array(self.generator_matrix(), self.k)
 
     @cached_property
     def _parity_array(self) -> np.ndarray:
         """H^0..H^nu as one (nu + 1) x m x n array, exact for the window kernel's sums."""
-        coeffs = self._parity_coeffs
-        dtype = exact_dtype(len(coeffs) * self.n, self.ctx.q)
-        return np.array([Hm.data for Hm in coeffs], dtype=dtype).reshape(
-            len(coeffs), coeffs[0].rows, self.n
-        )
+        return _coeff_array(self.parity_matrix(), self.n)
 
     @cached_property
     def _window_arrays(self) -> dict[int, np.ndarray]:
@@ -194,10 +178,10 @@ class ConvCode:
 
     def parity_coeff(self, j: int) -> ConstMatrix:
         """Scaled coefficient matrix of D^j in the assembled parity check."""
-        coeffs = self._parity_coeffs
-        if 0 <= j < len(coeffs):
-            return coeffs[j]
-        return ConstMatrix.zeros(self.ctx, coeffs[0].rows, self.n)
+        H = self._parity_array
+        if 0 <= j < len(H):
+            return ConstMatrix(self.ctx, H[j].tolist(), cols=self.n)
+        return ConstMatrix.zeros(self.ctx, H.shape[1], self.n)
 
     # -- constructors ----------------------------------------------------
 
@@ -364,10 +348,15 @@ def _solve_left_rational(B: PolyMatrix, w) -> tuple[list[Poly], Poly] | None:
     return v[:-1], -v[-1]
 
 
-def _coeff_matrices(M: PolyMatrix) -> tuple[ConstMatrix, ...]:
-    """The coefficient matrices M^0..M^deg of a polynomial matrix (M^0 alone when zero)."""
+def _coeff_array(M: PolyMatrix, width: int) -> np.ndarray:
+    """The coefficient matrices M^0..M^deg of a polynomial matrix as one array (M^0 alone when zero).
+
+    Its dtype sums (deg + 1) * width products of residues exactly.
+    """
     deg = 0 if M.degree == NEG_INF else int(M.degree)
-    return tuple(ConstMatrix(M.ctx, M.coeff_matrix(j), cols=M.cols) for j in range(deg + 1))
+    coeffs = [M.coeff_matrix(j) for j in range(deg + 1)]
+    dtype = exact_dtype(len(coeffs) * width, M.ctx.q)
+    return np.array(coeffs, dtype=dtype).reshape(len(coeffs), M.rows, M.cols)
 
 
 def _stack(ctx: RingContext, n: int, blocks, scaled: bool = False) -> PolyMatrix:
@@ -494,25 +483,29 @@ def _dual_blocks(ctx: RingContext, h_blocks, n: int):
     return g_blocks, tuple(b.rows for b in g_blocks)
 
 
-def _window_rhs(code: ConvCode, table, lo: int, hi: int) -> list[int]:
+def _window_rhs(code: ConvCode, symbols: Sequence, lo: int, hi: int) -> list[int]:
     """The right-hand sides of those equations, mod q, per time s in lo..hi and parity row.
 
-    table maps times to symbols, None marking an erased entry; times
-    missing from it read as zero symbols, so a window at time 0 with no
-    history entries sees the zero state.  The right-hand side of time s is
-    minus sum_k H^k x_{s-k} over k = 0..nu, erasures read as 0: the
-    symbols of times lo - nu..hi, reduced mod q, become one array, and
-    each H^k multiplies all its times in one block product, exact in
-    Python integers where int64 could overflow.
+    symbols is indexed by time, None marking an erased entry, and read in
+    place; times outside it read as zero symbols, so a window at time 0
+    sees the zero state.  The right-hand side of time s is minus
+    sum_k H^k x_{s-k} over k = 0..nu, erasures read as 0: the symbols of
+    times lo - nu..hi, reduced mod q, become one array, and each H^k
+    multiplies all its times in one block product, exact in Python
+    integers where int64 could overflow.  An entry that is not an integer
+    (a bool, a float or a string) raises ValueError naming its time.
     """
     n, q, nu = code.n, code.ctx.q, code.nu
     H = code._parity_array
-    steps = hi - lo + 1
-    zero = (0,) * n
-    x = np.array(
-        [0 if v is None else v % q for t in range(lo - nu, hi + 1) for v in table.get(t, zero)],
-        dtype=H.dtype,
-    ).reshape(steps + nu, n)
+    steps, L, zero = hi - lo + 1, len(symbols), (0,) * n
+    rows = [symbols[t] if 0 <= t < L else zero for t in range(lo - nu, hi + 1)]
+    if not {int, type(None)}.issuperset(map(type, chain.from_iterable(rows))):
+        for t, sym in zip(range(lo - nu, hi + 1), rows):
+            for x in sym:
+                if x is not None and (isinstance(x, bool) or not isinstance(x, Integral)):
+                    raise ValueError(f"symbol at time {t} has a non-integer entry {x!r}")
+    x = np.array([0 if v is None else v % q for sym in rows for v in sym], dtype=H.dtype)
+    x = x.reshape(steps + nu, n)
     out = x[nu:] @ H[0].T
     for k in range(1, nu + 1):
         out += x[nu - k : nu - k + steps] @ H[k].T
@@ -539,7 +532,7 @@ def is_codeword_window(code: ConvCode, window: Sequence[Sequence[int]]) -> bool:
         raise ValueError("code has no parity side")
     if any(len(sym) != code.n for sym in window):
         raise ValueError(f"window symbols must have length {code.n}")
-    return not any(_window_rhs(code, dict(enumerate(window)), 0, len(window) - 1))
+    return not any(_window_rhs(code, window, 0, len(window) - 1))
 
 
 def preimage(code: ConvCode, word: Sequence[Poly]) -> list[Poly] | None:
@@ -560,17 +553,16 @@ def preimage(code: ConvCode, word: Sequence[Poly]) -> list[Poly] | None:
     ctx = code.ctx
     r = ctx.r
     wcol = PolyMatrix(ctx, [[e] for e in word])
-    parts: list[Poly] = []
+    u: list[Poly] = []
     Lw = syn.L @ wcol
-    parts.extend(e for (e,) in Lw.entries)
+    u.extend(e for (e,) in Lw.entries)
     for m in range(1, r):
         blk = syn.h_blocks[r - m]
         prod = blk @ wcol
         for (e,) in prod.entries:
             if e.content_val() < m:
                 return None
-            parts.append(e.divide_p_power(m))
-    u = parts
+            u.append(e.divide_p_power(m))
     G = code.generator_matrix()
     check = G.transpose() @ PolyMatrix(ctx, [[e] for e in u])
     got = [e for (e,) in check.entries]

@@ -39,18 +39,19 @@ pattern relative to the window start.  build_window_system makes the
 pattern once: its columns, each row's stratum (the p-adic valuation of
 the whole row) and its nonzero rows as two dense integer matrices,
 original and renormalized, exact in Python integers past int64.  The
-received values enter only through the right-hand sides, which a window
-keeps raw, one per equation; the right-hand side of equation s is minus
-the syndrome sum_k H^k x_{s-k} of the symbols of times s - nu..s,
-erasures read as 0.  A sequential decode computes that syndrome once, for
-every time from its first window on, by nu + 1 block products, subtracts
-x H^k[:, c] from times i..i+nu as it commits x at (i, c), and slices each
-window's right-hand sides out of it.  Each digit stage selects its rows
-from the renormalized matrix, and its payload is one product of the
-column forms with them; the list check is one product of the column
-forms with the original matrix.  A plan's replay and the brute-force
-oracle read the same matrices as lists.  The column forms are checked
-against the raw rows before a list is enumerated or its values are read.
+received values enter only through the right-hand sides, which the window
+kernel reads from the stream in place and a window keeps raw, one per
+equation; the right-hand side of equation s is minus the syndrome
+sum_k H^k x_{s-k} of the symbols of times s - nu..s, erasures read as 0.
+A sequential decode computes that syndrome once, for every time from its
+first window on, by nu + 1 block products, subtracts x H^k[:, c] from
+times i..i+nu as it commits x at (i, c), and slices each window's
+right-hand sides out of it.  Each digit stage selects its rows from the
+renormalized matrix, and its payload is one product of the column forms
+with them; the list check is one product of the column forms with the
+original matrix.  A plan's replay and the brute-force oracle read the
+same matrices as lists.  The column forms are checked against the raw
+rows before a list is enumerated or its values are read.
 
 Pivots, folds, row operations and the parameter part of every form
 depend only on the pattern as well.  So a sequential decode keeps one
@@ -159,19 +160,21 @@ class WindowRow(NamedTuple):
 class WindowSystem:
     """The erased-column linear system for one decoding window.
 
+    received is the stream the window was built from, kept, not copied.
     rhs holds the raw right-hand side of each of the pattern's equations,
     in kernel order.  The columns, absolute (time, coord) pairs in
-    time-major order, and row_rhs, the raw right-hand sides of the
-    pattern's nonzero equations as an array of the pattern's dtype, are
-    derived on first read, so a replayed window builds neither.  rows, a WindowRow per nonzero equation whose
-    right-hand side the row's p-power divides, is a view of the pattern's
-    matrices for reports; decoding reads the matrices.
+    time-major order, row_rhs, the raw right-hand sides of the pattern's
+    nonzero equations as an array of the pattern's dtype, and symbols, the
+    window's own read from received, are derived on first read, so a
+    replayed window builds none of them.  rows, a WindowRow per nonzero
+    equation whose right-hand side the row's p-power divides, is a view of
+    the pattern's matrices for reports; decoding reads the matrices.
     """
 
     code: ConvCode
     i: int
     T: int
-    table: dict[int, list[int | None]]  # window + needed history symbols
+    received: Sequence[Symbol] = field(repr=False, compare=False)
     pattern: _Pattern = field(repr=False, compare=False)
     rhs: list[int] = field(repr=False)
     invalid_witness: tuple | None = None
@@ -201,20 +204,28 @@ class WindowSystem:
             if not x % pv
         ]
 
+    @cached_property
+    def symbols(self) -> list[list[int | None]]:
+        """The symbols of times i..i+T in received mod q, erasures None, zero past its end."""
+        received, q, zero = self.received, self.code.ctx.q, [0] * self.code.n
+        return [
+            [x if x is None else x % q for x in (received[t] if t < len(received) else zero)]
+            for t in range(self.i, self.i + self.T + 1)
+        ]
+
     def assemble(self, col_values: Sequence[int]) -> list[list[int]]:
         """The window symbols (times i..i+T) with unknowns filled in."""
         i = self.i
-        out = [list(self.table[t]) for t in range(i, i + self.T + 1)]
+        out = [list(sym) for sym in self.symbols]
         for (t, c), x in zip(self.columns, col_values):
             out[t - i][c] = x
         return out
 
     def window_equations_hold(self, window: Sequence[Sequence[int]]) -> bool:
         """Exact parity check of the filled window against the history."""
-        i, hi = self.i, self.i + self.T
-        table = {t: self.table[t] for t in range(i - self.code.nu, i)}
-        table.update(zip(range(i, hi + 1), window))
-        return not any(_window_rhs(self.code, table, i, hi))
+        received, nu, zero = self.received, self.code.nu, [0] * self.code.n
+        history = [received[t] if 0 <= t < len(received) else zero for t in range(self.i - nu, self.i)]
+        return not any(_window_rhs(self.code, [*history, *window], nu, nu + self.T))
 
 
 class _Pattern:
@@ -294,12 +305,12 @@ class _Syndrome:
 
     def recompute(self, code: ConvCode, lo: int, hi: int) -> None:
         """Compute the times lo..hi, cut at the syndrome's end, from received with the kernel."""
-        received, m, hi = self.received, self.m, min(hi, self.hi)
-        table = {t: received[t] for t in range(max(lo - code.nu, 0), min(hi + 1, len(received)))}
-        self.rhs[(lo - self.lo) * m : (hi + 1 - self.lo) * m] = _window_rhs(code, table, lo, hi)
+        m, hi = self.m, min(hi, self.hi)
+        self.rhs[(lo - self.lo) * m : (hi + 1 - self.lo) * m] = _window_rhs(code, self.received, lo, hi)
 
 
 _SYNDROME = "syndrome"  # the store key of a sequential decode's _Syndrome
+_BRANCH_BUDGET = 64  # the list members the "branch" policy tries at one time
 
 
 def build_window_system(
@@ -315,7 +326,8 @@ def build_window_system(
     The nu history symbols before time i that the window reads must be
     fully known (an erasure there is a usage error; older symbols are not
     read); times outside the stream are zero when terminated, otherwise
-    the window must fit inside the received stream.  Each row is
+    the window must fit inside the received stream.  A known symbol entry
+    that is not an integer raises ValueError naming its time.  Each row is
     renormalized by the p-power content of its restricted coefficients; a
     right-hand side with a smaller p-power marks the window invalid, and
     the witness is found here, before any row is built.
@@ -324,24 +336,20 @@ def build_window_system(
     pattern relative to i, so they are built once per pattern and kept in
     store when one is given (keyed on T and the relative pattern); the
     received values enter only through the right-hand sides.  Those come
-    from the window kernel, or, in a sequential decode, from the running
-    syndrome that its store holds for received.
+    from the window kernel, reading received in place, or, in a sequential
+    decode, from the running syndrome that its store holds for received;
+    the system keeps received, not a copy.
     """
     if code.h_blocks is None:
         raise ValueError("decoding needs a code with a parity side")
-    ctx = code.ctx
     if i < 0 or T < 0:
         raise ValueError("window start and delay must be nonnegative")
     L = len(received)
     if not terminated and i + T > L - 1:
         raise ValueError("window exceeds the unterminated stream")
-    q, n = ctx.q, code.n
-    table: dict[int, list[int | None]] = {}
+    q, n = code.ctx.q, code.n
     erased: list[int] = []  # (t - i) * n + c per erased entry, time-major
-    for t in range(i - code.nu, i + T + 1):
-        if not 0 <= t < L:
-            table[t] = [0] * n
-            continue
+    for t in range(max(i - code.nu, 0), min(i + T + 1, L)):
         sym = received[t]
         if len(sym) != n:
             raise ValueError(f"symbol at time {t} has length {len(sym)}")
@@ -349,7 +357,6 @@ def build_window_system(
             if t < i:
                 raise ValueError(f"erasure before window start at time {t}")
             erased.extend((t - i) * n + c for c, x in enumerate(sym) if x is None)
-        table[t] = [x if x is None else x % q for x in sym]
     key = (T, tuple(erased))
     store = {} if store is None else store
     pattern = store.get(key)
@@ -359,13 +366,13 @@ def build_window_system(
     if syndrome is not None and syndrome.received is received:
         rhs = syndrome.window(code, i, T, terminated)
     else:
-        rhs = _window_rhs(code, table, i, i + T)
+        rhs = _window_rhs(code, received, i, i + T)
     witness = None
     if any(map(mod, rhs, pattern.moduli)):
         m = len(rhs) // (T + 1)
         k, pv = next((k, pv) for k, (x, pv) in enumerate(zip(rhs, pattern.moduli)) if x % pv)
         witness = ("inconsistent-known" if pv == q else "divisibility", i + k // m, k % m)
-    return WindowSystem(code, i, T, table, pattern, rhs, witness)
+    return WindowSystem(code, i, T, received, pattern, rhs, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -868,7 +875,6 @@ def sequential_decode(
     T: int,
     policy: str = "halt",
     terminated: bool = True,
-    branch_budget: int = 64,
 ) -> SequentialResult:
     """Slide a decoding window over the stream, committing one time at a go.
 
@@ -876,10 +882,12 @@ def sequential_decode(
     the coordinates of time i need to be list-unique; on success they are
     substituted and the scan advances.  Policies on a non-unique time:
     "halt" stops and reports the list, "first" substitutes the first list
-    element, "branch" tries list elements against the rest of the stream
-    within a bounded budget.  An invalid window after a "first" pick is
+    element, "branch" tries up to _BRANCH_BUDGET list elements against the
+    rest of the stream.  An invalid window after a "first" pick is
     recorded as (i, "invalid-after-guess", j), j the latest picked time:
-    the guess, not the received word, may be at fault.
+    the guess, not the received word, may be at fault.  A known entry that
+    is not an integer raises ValueError naming its time when a window
+    reads it.
 
     A store kept for this call, keyed on the delay and the erasure pattern
     relative to i, holds each pattern's window rows and plan: a pattern's
@@ -899,8 +907,6 @@ def sequential_decode(
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")
-    if branch_budget < 0:
-        raise ValueError(f"branch_budget must be nonnegative, got {branch_budget}")
     work = [list(sym) for sym in received]
     decisions: list[tuple] = []
     picked = None
@@ -942,7 +948,7 @@ def sequential_decode(
         if policy == "halt":
             decisions.append((i, "list", outcome.list_size))
             return SequentialResult(work, decisions, i, outcome, counts)
-        windows, _ = materialize_list(outcome, limit=branch_budget if policy == "branch" else 1)
+        windows, _ = materialize_list(outcome, limit=_BRANCH_BUDGET if policy == "branch" else 1)
         if policy == "first":
             window = windows[0]
             # a terminated window's times past the stream end are not stream symbols

@@ -1,10 +1,18 @@
+import copy
+import functools
 import json
 import math
+import operator
 import random
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from convring import GenerationFailed, RingContext, files, is_observable
+from convring import ConvringError, GenerationFailed, RingContext, files, is_observable, sequential_decode
 from convring.cli import erase_stream, fit_loglog, generate_code, main
 
 Z9 = RingContext(3, 2)
@@ -419,3 +427,75 @@ class TestPipeline:
         assert rc == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("i,T,e,")
+
+
+@functools.cache
+def _stream_documents():
+    """The code, stream and pattern documents of a short stream of the benchmark's Z_9 code."""
+    code = generate_code(p=3, r=2, n=4, k_blocks=[1, 0], deg=1, seed=7)
+    rng = random.Random(5)
+    sent = code.encode([[rng.randrange(9)] for _ in range(8)])
+    received, erasures = erase_stream(sent, "iid", 5, 0.2)
+    return (
+        files.code_to_json(code),
+        {"n": code.n, "symbols": received},
+        {"erasures": [list(pair) for pair in erasures]},
+    )
+
+
+def _leaves(doc, path=()):
+    """The path of each leaf of a JSON document, a value that is not a list or an object."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaves(value, (*path, key))
+    else:
+        yield path
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 9), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """The stream's documents with one leaf of one of them replaced, deleted or set huge."""
+    docs = copy.deepcopy(_stream_documents())
+    doc = docs[draw(st.integers(0, 2))]
+    *head, last = draw(st.sampled_from(list(_leaves(doc))))
+    parent = functools.reduce(operator.getitem, head, doc)
+    action = draw(st.sampled_from(["replace", "delete", "huge"]))
+    if action == "delete":
+        del parent[last]
+    elif action == "huge":
+        parent[last] = draw(st.sampled_from([1, -1])) * draw(st.integers(2**63, 2**300))
+    else:
+        parent[last] = draw(JSON_VALUES)
+    return docs
+
+
+@seed(2023)
+@settings(max_examples=200, deadline=None, database=None)
+@given(mutated_documents())
+def test_loader_fuzz_returns_or_raises_typed_error(docs):
+    # every mutated document loads and decodes, or raises ValueError or a
+    # ConvringError, and neither takes long
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, name) for name in ("code.json", "rx.json", "pattern.json")]
+        for path, doc in zip(paths, docs):
+            path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        try:
+            code = files.load_code(str(paths[0]))
+            _, received = files.load_stream(str(paths[1]))
+            files.check_pattern_consistency(received, files.load_pattern(str(paths[2])))
+            sequential_decode(code, received, 2)
+        except (ValueError, ConvringError):
+            pass
+        assert time.perf_counter() - start < 5

@@ -318,6 +318,16 @@ class TestSlidingWindow:
             assert S2.data[i][: S1.cols] == S1.data[i]
 
 
+def coeff_matrices(M):
+    """The coefficient matrices M^0..M^deg of a polynomial matrix, read from its entries."""
+    return [M.coeff_matrix(j) for j in range(int(max(M.degree, 0)) + 1)]
+
+
+def as_sequence(table, n):
+    """The symbols of a table as a sequence indexed by time from 0, a missing time a zero symbol."""
+    return [table.get(t, [0] * n) for t in range(max(table, default=-1) + 1)]
+
+
 def reference_window_equations(code, table, lo, hi):
     """The window-equation kernel, coordinate by coordinate.
 
@@ -327,7 +337,7 @@ def reference_window_equations(code, table, lo, hi):
     q.  Times missing from the table read as zero.
     """
     q = code.ctx.q
-    coeffs = [Hm.data for Hm in code._parity_coeffs]
+    coeffs = coeff_matrices(code.parity_matrix())
     columns = []
     col_of = {}  # erased times: column index per coord
     for t in range(lo, hi + 1):
@@ -369,7 +379,8 @@ def reference_window_equations(code, table, lo, hi):
 class TestWindowKernel:
     @pytest.mark.parametrize("ctx", [Z4, Z8, Z9, RingContext(5, 2)], ids=lambda c: f"z{c.q}")
     def test_matches_reference(self, ctx):
-        # random tables: with or without the history before lo, with or
+        # random tables: with or without the history before lo (times before
+        # 0 are outside the sequence and read as zero symbols), with or
         # without missing times in lo..hi, entries unreduced (negative or at
         # least q), erasures absent, sparse, dense or covering the window
         rng = random.Random(ctx.q)
@@ -387,7 +398,7 @@ class TestWindowKernel:
             history = trial // 4 % 2 == 0
             missing = {rng.randint(lo, hi)} if trial // 8 % 2 else set()
             table = {}
-            for t in range(lo if not history else lo - code.nu, hi + 1):
+            for t in range(lo if not history else max(lo - code.nu, 0), hi + 1):
                 if t in missing:
                     continue
                 sym = [rng.randrange(-q, 2 * q) for _ in range(n)]
@@ -401,7 +412,7 @@ class TestWindowKernel:
             gathered = code._window_array(hi - lo)[:, [(t - lo + code.nu) * n + c for t, c in columns]]
             assert gathered.shape == ((hi - lo + 1) * m, e)
             padded = [(lo + k // m, k % m, row) for k, row in enumerate(gathered.tolist())]
-            rhs = _window_rhs(code, table, lo, hi)
+            rhs = _window_rhs(code, as_sequence(table, n), lo, hi)
             assert len(rhs) == len(padded)
             assert [(*eq, x) for eq, x in zip(padded, rhs)] == equations
             checked += 1
@@ -418,15 +429,15 @@ class TestWindowKernel:
         assert code.nu == 2 and code._parity_array.dtype == object
         for trial in range(8):
             table = {}
-            for t in range(-2, 6):
-                if t in (-1, 3) and trial % 2:
+            for t in range(0, 8):
+                if t in (1, 5) and trial % 2:
                     continue
                 sym = [rng.randrange(-q, 2 * q) for _ in range(3)]
-                if t >= 0:
+                if t >= 2:
                     sym = [None if rng.random() < 0.3 else x for x in sym]
                 table[t] = sym
-            columns, equations = reference_window_equations(code, table, 0, 5)
-            rhs = _window_rhs(code, table, 0, 5)
+            columns, equations = reference_window_equations(code, table, 2, 7)
+            rhs = _window_rhs(code, as_sequence(table, 3), 2, 7)
             assert rhs == [eq[-1] for eq in equations]
             assert all(isinstance(x, int) and 0 <= x < q for x in rhs)
 
@@ -451,22 +462,24 @@ class TestWindowKernel:
                 for t, sym in reduced.items()
             }
             _, equations = reference_window_equations(code, reduced, 2, 6)
+            raw, reduced = as_sequence(raw, 4), as_sequence(reduced, 4)
             assert _window_rhs(code, raw, 2, 6) == _window_rhs(code, reduced, 2, 6)
             assert _window_rhs(code, raw, 2, 6) == [eq[-1] for eq in equations]
 
     def test_multi_time_range_with_missing_history(self, kernel_code_z8):
         # lo..hi spans many times; history and window times absent from the
-        # table read as zero symbols
+        # table read as zero symbols, and so do the times past the end of the
+        # sequence when the table misses the last ones
         code = kernel_code_z8
         rng = random.Random(3)
-        for missing in ({3, 4}, {5}, {9, 10, 20}, set()):
+        for missing in ({3, 4}, {5}, {9, 10, 20}, {21, 22, 23, 24}, set()):
             table = {
                 t: [None if t >= 5 and rng.random() < 0.2 else rng.randrange(-8, 16) for _ in range(5)]
                 for t in range(3, 25)
                 if t not in missing
             }
             _, equations = reference_window_equations(code, table, 5, 24)
-            assert _window_rhs(code, table, 5, 24) == [eq[-1] for eq in equations]
+            assert _window_rhs(code, as_sequence(table, 5), 5, 24) == [eq[-1] for eq in equations]
 
 
 class TestWindowMembership:
@@ -530,13 +543,13 @@ class TestPreimage:
 
 def reference_encode(code, inputs):
     """Entry-by-entry convolution sum_j (G^j)^T u^{s-j} mod q."""
-    coeffs = code._generator_coeffs
+    coeffs = coeff_matrices(code.generator_matrix())
     q = code.ctx.q
     out = [[0] * code.n for _ in range(len(inputs) + len(coeffs) - 1)]
     for s, u in enumerate(inputs):
         for j, Gj in enumerate(coeffs):
             tgt = out[s + j]
-            for row_idx, grow in enumerate(Gj.data):
+            for row_idx, grow in enumerate(Gj):
                 uv = u[row_idx]
                 if uv % q == 0:
                     continue

@@ -45,6 +45,15 @@ RECEIVED = [
 ]
 
 
+def _assembled(rx, sysw, values):
+    """The window of sysw filled with values, read from rx entry by entry, zero past its end."""
+    q, filled = sysw.code.ctx.q, dict(zip(sysw.columns, values))
+    return [
+        [filled[t, c] if (t, c) in filled else rx[t][c] % q if t < len(rx) else 0 for c in range(sysw.code.n)]
+        for t in range(sysw.i, sysw.i + sysw.T + 1)
+    ]
+
+
 def as_set(windows):
     return frozenset(tuple(tuple(sym) for sym in w) for w in windows)
 
@@ -100,6 +109,19 @@ class TestWindowAssembly:
         assert [r.rhs for r in sysw.rows] == [5, 0, 1, 5, 0, 1, 4, 0, 1]
         # the erasure pattern dictated one row's renormalization level
         assert [r.stratum for r in sysw.rows] == [0, 1, 2, 0, 2, 2, 0, 1, 2]
+
+    def test_system_reads_the_stream_in_place(self, kernel_code_z8):
+        # the system keeps the stream it was built from, copies none of it,
+        # and derives the window's known symbols mod q on first read
+        rx = [[x if x is None else x + 8 * (t - 2) for x in sym] for t, sym in enumerate(RECEIVED)]
+        sysw = build_window_system(kernel_code_z8, rx, 0, 2)
+        assert sysw.received is rx and "symbols" not in vars(sysw)
+        values = list(range(sysw.e))
+        assert sysw.assemble(values) == _assembled(rx, sysw, values)
+        assert sysw.symbols == [[x if x is None else x % 8 for x in sym] for sym in rx[:3]]
+        # a terminated window past the stream's end reads zero symbols
+        tail = build_window_system(kernel_code_z8, [W0, W1, W2, RECEIVED[3]], 3, 2)
+        assert tail.symbols == [RECEIVED[3]] + [[0] * 5] * 2
 
     def test_erasure_before_window_rejected(self, kernel_code_z8):
         rx = [list(W0), list(W1), list(W2)]
@@ -279,14 +301,14 @@ class TestSequential:
         )
         assert res.complete
 
-    def test_branch_budget_zero_tries_no_candidate(self, kernel_code_z8):
+    def test_branch_budget_zero_tries_no_candidate(self, kernel_code_z8, monkeypatch):
         # with no budget the branch policy tries nothing and reports the list
-        res = sequential_decode(
-            kernel_code_z8, RECEIVED, 2, policy="branch", terminated=False, branch_budget=0
-        )
+        monkeypatch.setattr(decoder, "_BRANCH_BUDGET", 0)
+        res = sequential_decode(kernel_code_z8, RECEIVED, 2, policy="branch", terminated=False)
         assert res.decisions == [(0, "list", 64)] and res.halted_at == 0
-        with pytest.raises(ValueError):
-            sequential_decode(kernel_code_z8, RECEIVED, 2, policy="branch", branch_budget=-1)
+        # the budget is a module constant, not a keyword
+        with pytest.raises(TypeError):
+            sequential_decode(kernel_code_z8, RECEIVED, 2, policy="branch", branch_budget=0)
 
     @pytest.mark.parametrize("policy", ["first", "branch"])
     def test_pick_near_terminated_end(self, policy):
@@ -297,6 +319,43 @@ class TestSequential:
         res = sequential_decode(code, rx, T=2, policy=policy)
         assert res.complete and len(res.stream) == 4
         assert is_codeword_window(code, res.stream)
+
+
+class TestReceivedEntryTypes:
+    # a known entry that is not an integer raises ValueError naming its time;
+    # each one reads as 1 or raised TypeError when it was taken mod q
+    BAD = {"float": 1 + 2**-40, "bool": True, "str": "1"}
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    def test_build_window_system_rejects(self, kernel_code_z8, bad):
+        rx = [list(sym) for sym in RECEIVED]
+        rx[2][1] = bad  # a known 1 at time 2
+        with pytest.raises(ValueError, match="symbol at time 2 has a non-integer entry"):
+            build_window_system(kernel_code_z8, rx, 0, 2)
+        rx[2][1] = 1
+        assert list_decode(build_window_system(kernel_code_z8, rx, 0, 2)).kind == "list"
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    @pytest.mark.parametrize("policy", ["halt", "first"])
+    def test_sequential_decode_rejects(self, bad, policy):
+        # the float once decoded as unique and came back in the stream
+        code = generate_code(**PLAN_CODES["z9"])
+        rx = _plan_stream(code, 2, 40, 0.10)
+        t, c = max((t, c) for t, sym in enumerate(rx) for c, x in enumerate(sym) if x == 1)
+        assert sequential_decode(code, rx, 2, policy=policy).complete
+        rx[t][c] = bad
+        with pytest.raises(ValueError, match=f"symbol at time {t} has a non-integer entry"):
+            sequential_decode(code, rx, 2, policy=policy)
+
+    def test_integer_types_accepted(self):
+        # numpy integers and int subclasses are integers
+        code = generate_code(**PLAN_CODES["z9"])
+        rx = _plan_stream(code, 2, 40, 0.10)
+        want = sequential_decode(code, rx, 2)
+        for kind in (np.int64, type("Residue", (int,), {})):
+            typed = [[x if x is None else kind(x) for x in sym] for sym in rx]
+            got = sequential_decode(code, typed, 2)
+            assert (got.stream, got.decisions) == (want.stream, want.decisions)
 
 
 class TestInvalidity:
@@ -543,7 +602,9 @@ def _check_pattern_store(case):
         fresh = build_window_system(code, rx, i, Tw, terminated=terminated)
         assert shared.columns == fresh.columns
         assert shared.rows == fresh.rows  # every WindowRow field
-        assert shared.table == fresh.table
+        assert shared.rhs == fresh.rhs
+        values = list(range(fresh.e))
+        assert shared.assemble(values) == fresh.assemble(values) == _assembled(rx, fresh, values)
         assert shared.invalid_witness == fresh.invalid_witness
         if fresh.invalid_witness is not None:
             features.add(fresh.invalid_witness[0])
@@ -1212,6 +1273,28 @@ class TestPlanReplay:
         assert res.complete
         assert sum(value_only) == len(res.decisions)
 
+    def test_replayed_windows_derive_nothing(self, monkeypatch):
+        # a window that commits from a replay reads its raw right-hand sides
+        # alone: its known symbols, columns and rows are never derived
+        code = generate_code(**PLAN_CODES["z9"])
+        rx = _plan_stream(code, 1, 400, 0.10)
+        build, built = decoder.build_window_system, []
+
+        def kept(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def unreached(sysw):
+            raise AssertionError("a window ran list_decode")
+
+        monkeypatch.setattr(decoder, "build_window_system", kept)
+        monkeypatch.setattr(decoder, "list_decode", unreached)
+        res = sequential_decode(code, rx, 2)
+        assert res.complete and len(built) == len(res.decisions) > 50
+        assert all(sysw.received is res.stream for sysw in built)
+        derived = {"symbols", "columns", "row_rhs", "rows"}
+        assert not any(derived & vars(sysw).keys() for sysw in built)
+
     def test_store_is_per_call_and_saves_ops(self):
         code = generate_code(**PLAN_CODES["z9"])
         rx = _plan_stream(code, 1, 400, 0.10)
@@ -1516,7 +1599,10 @@ def _check_running_syndrome(case):
         shared = build(code, received, i, T, terminated=terminated, store=store)
         assert shared.columns == fresh.columns
         assert shared.rows == fresh.rows  # every WindowRow field
-        assert shared.table == fresh.table
+        assert shared.rhs == fresh.rhs
+        values = list(range(fresh.e))
+        assert shared.assemble(values) == fresh.assemble(values)
+        assert shared.received is received
         assert shared.invalid_witness == fresh.invalid_witness
         starts.append((i, T, fresh.invalid_witness))
         return shared

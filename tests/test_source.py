@@ -133,3 +133,16 @@ def test_window_rows_have_one_dense_form():
         if re.search(rf"\b{name}\b", path.read_text())
     ]
     assert not leftovers, f"a banded row form is still named: {leftovers}"
+
+
+def test_symbols_and_coefficients_have_one_stored_form():
+    # a window system reads the stream it was built from, and a code keeps
+    # its coefficients as arrays only: no copied symbol table or cached
+    # coefficient matrices are left
+    leftovers = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in ("table", "_parity_coeffs", "_generator_coeffs", "_coeff_matrices")
+        if re.search(rf"\b{name}\b", path.read_text())
+    ]
+    assert not leftovers, f"a second stored form is still named: {leftovers}"

@@ -19,16 +19,15 @@ of times -nu..T, so a window's erased-column system is one column gather
 of it, which depends only on the pattern, and the sliding window matrix is
 one slice.  The right-hand sides of times lo..hi are minus
 sum_k H^k x_{s-k} over the known symbols, nu + 1 block products over all
-those times at once (the window kernel), which reads a sequence of
-symbols in place: the decoder's window systems, running syndrome and
-filled-window check and window membership use it.
+those times at once (the window kernel); the decoder's window systems,
+running syndrome and filled-window check and window membership use it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from numbers import Integral
 from typing import Sequence
 
@@ -349,10 +348,7 @@ def _solve_left_rational(B: PolyMatrix, w) -> tuple[list[Poly], Poly] | None:
 
 
 def _coeff_array(M: PolyMatrix, width: int) -> np.ndarray:
-    """The coefficient matrices M^0..M^deg of a polynomial matrix as one array (M^0 alone when zero).
-
-    Its dtype sums (deg + 1) * width products of residues exactly.
-    """
+    """M^0..M^deg (M^0 alone when M is zero) as one array whose dtype sums (deg + 1) * width products exactly."""
     deg = 0 if M.degree == NEG_INF else int(M.degree)
     coeffs = [M.coeff_matrix(j) for j in range(deg + 1)]
     dtype = exact_dtype(len(coeffs) * width, M.ctx.q)
@@ -486,30 +482,36 @@ def _dual_blocks(ctx: RingContext, h_blocks, n: int):
 def _window_rhs(code: ConvCode, symbols: Sequence, lo: int, hi: int) -> list[int]:
     """The right-hand sides of those equations, mod q, per time s in lo..hi and parity row.
 
-    symbols is indexed by time, None marking an erased entry, and read in
-    place; times outside it read as zero symbols, so a window at time 0
+    symbols is indexed by time and read in place, None marking an erased
+    entry; times outside it read as zero symbols, so a window at time 0
     sees the zero state.  The right-hand side of time s is minus
     sum_k H^k x_{s-k} over k = 0..nu, erasures read as 0: the symbols of
     times lo - nu..hi, reduced mod q, become one array, and each H^k
     multiplies all its times in one block product, exact in Python
-    integers where int64 could overflow.  An entry that is not an integer
-    (a bool, a float or a string) raises ValueError naming its time.
+    integers where int64 could overflow.  A known entry that is not an
+    integer (a bool, a float or a string) raises ValueError naming its time.
     """
     n, q, nu = code.n, code.ctx.q, code.nu
     H = code._parity_array
-    steps, L, zero = hi - lo + 1, len(symbols), (0,) * n
-    rows = [symbols[t] if 0 <= t < L else zero for t in range(lo - nu, hi + 1)]
-    if not {int, type(None)}.issuperset(map(type, chain.from_iterable(rows))):
-        for t, sym in zip(range(lo - nu, hi + 1), rows):
-            for x in sym:
-                if x is not None and (isinstance(x, bool) or not isinstance(x, Integral)):
-                    raise ValueError(f"symbol at time {t} has a non-integer entry {x!r}")
-    x = np.array([0 if v is None else v % q for sym in rows for v in sym], dtype=H.dtype)
-    x = x.reshape(steps + nu, n)
+    steps = hi - lo + 1
+    zero = (0,) * n
+    values = [
+        v % q if type(v) is int else 0 if v is None else _integer(v, t) % q
+        for t in range(lo - nu, hi + 1)
+        for v in (symbols[t] if 0 <= t < len(symbols) else zero)
+    ]
+    x = np.array(values, dtype=H.dtype).reshape(steps + nu, n)
     out = x[nu:] @ H[0].T
     for k in range(1, nu + 1):
         out += x[nu - k : nu - k + steps] @ H[k].T
     return (-out % q).ravel().tolist()
+
+
+def _integer(x, t: int):
+    """x, a known entry of the symbol at time t, unless it is not an integer: then ValueError."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise ValueError(f"symbol at time {t} has a non-integer entry {x!r}")
+    return x
 
 
 def sliding_matrix(code: ConvCode, j: int) -> ConstMatrix:
@@ -553,16 +555,17 @@ def preimage(code: ConvCode, word: Sequence[Poly]) -> list[Poly] | None:
     ctx = code.ctx
     r = ctx.r
     wcol = PolyMatrix(ctx, [[e] for e in word])
-    u: list[Poly] = []
+    parts: list[Poly] = []
     Lw = syn.L @ wcol
-    u.extend(e for (e,) in Lw.entries)
+    parts.extend(e for (e,) in Lw.entries)
     for m in range(1, r):
         blk = syn.h_blocks[r - m]
         prod = blk @ wcol
         for (e,) in prod.entries:
             if e.content_val() < m:
                 return None
-            u.append(e.divide_p_power(m))
+            parts.append(e.divide_p_power(m))
+    u = parts
     G = code.generator_matrix()
     check = G.transpose() @ PolyMatrix(ctx, [[e] for e in u])
     got = [e for (e,) in check.entries]

@@ -162,13 +162,13 @@ class WindowSystem:
 
     received is the stream the window was built from, kept, not copied.
     rhs holds the raw right-hand side of each of the pattern's equations,
-    in kernel order.  The columns, absolute (time, coord) pairs in
-    time-major order, row_rhs, the raw right-hand sides of the pattern's
-    nonzero equations as an array of the pattern's dtype, and symbols, the
-    window's own read from received, are derived on first read, so a
-    replayed window builds none of them.  rows, a WindowRow per nonzero
-    equation whose right-hand side the row's p-power divides, is a view of
-    the pattern's matrices for reports; decoding reads the matrices.
+    in kernel order.  The columns, absolute (time, coord) pairs in time-major
+    order, row_rhs, the raw right-hand sides of the pattern's nonzero
+    equations as an array of the pattern's dtype, and symbols, the window's
+    own read from received, are derived on first read, so a replayed window
+    builds none of them.  rows, a WindowRow per nonzero equation whose
+    right-hand side the row's p-power divides, is a view of the pattern's
+    matrices for reports; decoding reads the matrices.
     """
 
     code: ConvCode
@@ -207,11 +207,9 @@ class WindowSystem:
     @cached_property
     def symbols(self) -> list[list[int | None]]:
         """The symbols of times i..i+T in received mod q, erasures None, zero past its end."""
-        received, q, zero = self.received, self.code.ctx.q, [0] * self.code.n
-        return [
-            [x if x is None else x % q for x in (received[t] if t < len(received) else zero)]
-            for t in range(self.i, self.i + self.T + 1)
-        ]
+        q, window = self.code.ctx.q, self.received[self.i : self.i + self.T + 1]
+        past_end = [[0] * self.code.n for _ in range(self.T + 1 - len(window))]
+        return [[x if x is None else x % q for x in sym] for sym in window] + past_end
 
     def assemble(self, col_values: Sequence[int]) -> list[list[int]]:
         """The window symbols (times i..i+T) with unknowns filled in."""
@@ -337,8 +335,8 @@ def build_window_system(
     store when one is given (keyed on T and the relative pattern); the
     received values enter only through the right-hand sides.  Those come
     from the window kernel, reading received in place, or, in a sequential
-    decode, from the running syndrome that its store holds for received;
-    the system keeps received, not a copy.
+    decode, from the running syndrome that its store holds for received; the
+    system keeps received, not a copy.
     """
     if code.h_blocks is None:
         raise ValueError("decoding needs a code with a parity side")
@@ -883,11 +881,10 @@ def sequential_decode(
     substituted and the scan advances.  Policies on a non-unique time:
     "halt" stops and reports the list, "first" substitutes the first list
     element, "branch" tries up to _BRANCH_BUDGET list elements against the
-    rest of the stream.  An invalid window after a "first" pick is
-    recorded as (i, "invalid-after-guess", j), j the latest picked time:
-    the guess, not the received word, may be at fault.  A known entry that
-    is not an integer raises ValueError naming its time when a window
-    reads it.
+    rest of the stream.  An invalid window after a "first" pick is recorded
+    as (i, "invalid-after-guess", j), j the latest picked time: the guess,
+    not the received word, may be at fault.  A known entry that is not an
+    integer raises ValueError naming its time when a window reads it.
 
     A store kept for this call, keyed on the delay and the erasure pattern
     relative to i, holds each pattern's window rows and plan: a pattern's

@@ -323,7 +323,8 @@ class TestSequential:
 
 class TestReceivedEntryTypes:
     # a known entry that is not an integer raises ValueError naming its time;
-    # each one reads as 1 or raised TypeError when it was taken mod q
+    # taken mod q unchecked, the float and the bool would read as 1 and the
+    # string would raise TypeError
     BAD = {"float": 1 + 2**-40, "bool": True, "str": "1"}
 
     @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
@@ -338,7 +339,8 @@ class TestReceivedEntryTypes:
     @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
     @pytest.mark.parametrize("policy", ["halt", "first"])
     def test_sequential_decode_rejects(self, bad, policy):
-        # the float once decoded as unique and came back in the stream
+        # unchecked, the float would decode as unique and come back in the
+        # stream
         code = generate_code(**PLAN_CODES["z9"])
         rx = _plan_stream(code, 2, 40, 0.10)
         t, c = max((t, c) for t, sym in enumerate(rx) for c, x in enumerate(sym) if x == 1)

@@ -160,7 +160,8 @@ class WindowRow(NamedTuple):
 class WindowSystem:
     """The erased-column linear system for one decoding window.
 
-    received is the stream the window was built from, kept, not copied.
+    received is the stream the window was built from, kept, not copied, so
+    an edit to it before symbols is first read shows in the filled windows.
     rhs holds the raw right-hand side of each of the pattern's equations,
     in kernel order.  The columns, absolute (time, coord) pairs in time-major
     order, row_rhs, the raw right-hand sides of the pattern's nonzero

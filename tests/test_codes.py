@@ -429,7 +429,7 @@ class TestWindowKernel:
         assert code.nu == 2 and code._parity_array.dtype == object
         for trial in range(8):
             table = {}
-            for t in range(0, 8):
+            for t in range(8):
                 if t in (1, 5) and trial % 2:
                     continue
                 sym = [rng.randrange(-q, 2 * q) for _ in range(3)]

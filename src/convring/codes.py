@@ -18,9 +18,11 @@ the code: the rows [H^nu ... H^0] of equation times 0..T over the symbols
 of times -nu..T, so a window's erased-column system is one column gather
 of it, which depends only on the pattern, and the sliding window matrix is
 one slice.  The right-hand sides of times lo..hi are minus
-sum_k H^k x_{s-k} over the known symbols, nu + 1 block products over all
+sum_k H^k x_{s-k} over the known symbols, one block convolution over all
 those times at once (the window kernel); the decoder's window systems,
 running syndrome and filled-window check and window membership use it.
+polymat's _convolve and _toeplitz build both; this module keeps no loop
+of its own for either.
 """
 
 from __future__ import annotations
@@ -37,11 +39,12 @@ from .errors import ConstructionError, NotLeftPrime, NotUnimodular
 from .intsolve import solve_mod
 from .linsolve import ConstMatrix
 from .polymat import (
-    NEG_INF,
     Poly,
     PolyMatrix,
     _completion_rows,
+    _convolve,
     _kernel_basis,
+    _toeplitz,
     adjugate,
     exact_dtype,
     invert_unimodular,
@@ -160,18 +163,15 @@ class ConvCode:
         Row s * m + ri, for time s and parity row ri, holds the block row
         H^nu[ri] | ... | H^0[ri] on the columns of times s - nu..s and 0
         elsewhere; time t's n columns start at column (t + nu) * n.  Built
-        from _parity_array once per T, with its dtype: a row reads at most
-        (nu + 1) n nonzero coefficients, so its products with residue
-        vectors sum exactly.
+        once per T as the equation times 0..T of _parity_array's
+        block-Toeplitz matrix of depth T + nu, with its dtype: a row reads
+        at most (nu + 1) n nonzero coefficients, so its products with
+        residue vectors sum exactly.
         """
         W = self._window_arrays.get(T)
         if W is None:
-            H = self._parity_array
-            nu, m, n = self.nu, H.shape[1], self.n
-            block = H[::-1].transpose(1, 0, 2).reshape(m, (nu + 1) * n)
-            W = np.zeros(((T + 1) * m, (T + 1 + nu) * n), dtype=H.dtype)
-            for s in range(T + 1):
-                W[s * m : (s + 1) * m, s * n : (s + 1 + nu) * n] = block
+            nu, m = self.nu, self._parity_array.shape[1]
+            W = _toeplitz(self._parity_array, T + nu)[nu * m : (T + nu + 1) * m]
             self._window_arrays[T] = W
         return W
 
@@ -280,23 +280,22 @@ class ConvCode:
         """Convolve per-time input k-vectors into stream symbols.
 
         Output length is len(inputs) + deg(G); entry s is
-        sum_j (G^j)^T u^{s-j} over Z_{p^r}.  Computed as deg(G) + 1 block
-        products of the input array (reduced mod q) with the generator
-        coefficient matrices, summed and reduced once.
+        sum_j (G^j)^T u^{s-j} over Z_{p^r}: one block convolution of the
+        input array (reduced mod q, deg(G) zero inputs on each side) with
+        the generator coefficients, reduced once.
         """
         if self.g_blocks is None:
             raise ValueError("code has no generator side")
+        k = self.k
         for s, u in enumerate(inputs):
-            if len(u) != self.k:
-                raise ValueError(f"input at time {s} has length {len(u)}, expected {self.k}")
+            if len(u) != k:
+                raise ValueError(f"input at time {s} has length {len(u)}, expected {k}")
         G = self._generator_array
-        q, steps = self.ctx.q, len(inputs)
+        q = self.ctx.q
         u = np.array([[x % q for x in row] for row in inputs], dtype=G.dtype)
-        u = u.reshape(steps, self.k)
-        out = np.zeros((steps + len(G) - 1, self.n), dtype=G.dtype)
-        for j, Gj in enumerate(G):
-            out[j : j + steps] += u @ Gj
-        return (out % q).tolist()
+        u = u.reshape(len(inputs), k)
+        pad = np.zeros((len(G) - 1, k), dtype=G.dtype)
+        return (_convolve(np.concatenate([pad, u, pad]), G) % q).tolist()
 
 
 def _reduce_row_against(accepted, w, ctx: RingContext):
@@ -348,11 +347,8 @@ def _solve_left_rational(B: PolyMatrix, w) -> tuple[list[Poly], Poly] | None:
 
 
 def _coeff_array(M: PolyMatrix, width: int) -> np.ndarray:
-    """M^0..M^deg (M^0 alone when M is zero) as one array whose dtype sums (deg + 1) * width products exactly."""
-    deg = 0 if M.degree == NEG_INF else int(M.degree)
-    coeffs = [M.coeff_matrix(j) for j in range(deg + 1)]
-    dtype = exact_dtype(len(coeffs) * width, M.ctx.q)
-    return np.array(coeffs, dtype=dtype).reshape(len(coeffs), M.rows, M.cols)
+    """M's coefficient array, in a dtype that sums (deg + 1) * width products exactly."""
+    return M.coeff_array(exact_dtype((max(M.degree, 0) + 1) * width, M.ctx.q))
 
 
 def _stack(ctx: RingContext, n: int, blocks, scaled: bool = False) -> PolyMatrix:
@@ -486,25 +482,23 @@ def _window_rhs(code: ConvCode, symbols: Sequence, lo: int, hi: int) -> list[int
     entry; times outside it read as zero symbols, so a window at time 0
     sees the zero state.  The right-hand side of time s is minus
     sum_k H^k x_{s-k} over k = 0..nu, erasures read as 0: the symbols of
-    times lo - nu..hi, reduced mod q, become one array, and each H^k
-    multiplies all its times in one block product, exact in Python
-    integers where int64 could overflow.  A known entry that is not an
+    times lo - nu..hi, reduced mod q, become one array, and its valid
+    block convolution with the H^k (transposed) gives all the times at
+    once, exact in Python integers where int64 could overflow.  A known
+    entry that is not an
     integer (a bool, a float or a string) raises ValueError naming its time.
     """
     n, q, nu = code.n, code.ctx.q, code.nu
     H = code._parity_array
-    steps = hi - lo + 1
     zero = (0,) * n
     values = [
         v % q if type(v) is int else 0 if v is None else _integer(v, t) % q
         for t in range(lo - nu, hi + 1)
         for v in (symbols[t] if 0 <= t < len(symbols) else zero)
     ]
-    x = np.array(values, dtype=H.dtype).reshape(steps + nu, n)
-    out = x[nu:] @ H[0].T
-    for k in range(1, nu + 1):
-        out += x[nu - k : nu - k + steps] @ H[k].T
-    return (-out % q).ravel().tolist()
+    x = np.array(values, dtype=H.dtype).reshape(hi - lo + 1 + nu, n)
+    # x holds the nu history symbols, so the valid part is exactly times lo..hi
+    return (-_convolve(x, H.transpose(0, 2, 1)) % q).ravel().tolist()
 
 
 def _integer(x, t: int):
@@ -592,27 +586,14 @@ def module_member(
     """
     if not gen_rows:
         return all(e.is_zero for e in word)
-    n = len(word)
-    kk = len(gen_rows)
-    gdeg = max(
-        (int(e.degree) for row in gen_rows for e in row if not e.is_zero), default=0
-    )
+    # the Toeplitz rows are (time, coord) of sum u_i row_i, in time-major order
+    GT = PolyMatrix(ctx, gen_rows).transpose().coeff_array()
     for s in range(shift_cap + 1):
         target = [e.shift(s) for e in word]
         tdeg = max((int(e.degree) for e in target if not e.is_zero), default=0)
         maxdeg = deg_cap + tdeg
-        tlen = maxdeg + gdeg + 1
-        rows = []
-        rhs = []
-        for coord in range(n):
-            for dpow in range(tlen):
-                row = []
-                for ki in range(kk):
-                    gpoly = gen_rows[ki][coord]
-                    for ud in range(maxdeg + 1):
-                        row.append(gpoly.coeff(dpow - ud) if dpow >= ud else 0)
-                rows.append(row)
-                rhs.append(target[coord].coeff(dpow))
+        rows = _toeplitz(GT, maxdeg).tolist()
+        rhs = [e.coeff(t) for t in range(len(GT) + maxdeg) for e in target]
         if solve_mod(ctx, rows, rhs) is not None:
             return True
     return False

@@ -79,7 +79,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .codes import ConvCode, _window_rhs
+from .codes import ConvCode, _integer, _window_rhs
 from .config import enumeration_cap
 from .errors import CapExceeded
 from .linsolve import AffineSet, StageMatrix, enumerate_solutions, reduce_stage, replay_rref_log
@@ -161,7 +161,8 @@ class WindowSystem:
     """The erased-column linear system for one decoding window.
 
     received is the stream the window was built from, kept, not copied, so
-    an edit to it before symbols is first read shows in the filled windows.
+    an edit to it before symbols and history are first read shows in the
+    filled windows and their check.
     rhs holds the raw right-hand side of each of the pattern's equations,
     in kernel order.  The columns, absolute (time, coord) pairs in time-major
     order, row_rhs, the raw right-hand sides of the pattern's nonzero
@@ -220,11 +221,17 @@ class WindowSystem:
             out[t - i][c] = x
         return out
 
+    @cached_property
+    def history(self) -> list[list[int]]:
+        """Copies of the nu symbols before time i in received, zero outside it."""
+        received, zero = self.received, [0] * self.code.n
+        times = range(self.i - self.code.nu, self.i)
+        return [list(received[t]) if 0 <= t < len(received) else zero for t in times]
+
     def window_equations_hold(self, window: Sequence[Sequence[int]]) -> bool:
         """Exact parity check of the filled window against the history."""
-        received, nu, zero = self.received, self.code.nu, [0] * self.code.n
-        history = [received[t] if 0 <= t < len(received) else zero for t in range(self.i - nu, self.i)]
-        return not any(_window_rhs(self.code, [*history, *window], nu, nu + self.T))
+        nu = self.code.nu
+        return not any(_window_rhs(self.code, [*self.history, *window], nu, nu + self.T))
 
 
 class _Pattern:
@@ -785,21 +792,21 @@ def oracle_decode(
     received: Sequence[Symbol],
     i: int,
     T: int,
-    cap: int | None = None,
     terminated: bool = True,
 ) -> frozenset:
     """Brute-force reference: enumerate every filling of the erased columns.
 
     Returns the set of window fillings (times i..i+T, as tuples) that
-    satisfy the window parity equations exactly.  Capped at q^e candidates.
+    satisfy the window parity equations exactly.  q^e candidates past the
+    enumeration cap raise CapExceeded.
     Candidates solve the raw rows of the window's pattern; each filled
     window is then checked against every equation, those the rows leave
     out included.
     """
-    cap = enumeration_cap() if cap is None else cap
     sys = build_window_system(code, received, i, T, terminated=terminated)
     out = set()
-    for x in enumerate_solutions(sys.pattern.origs.tolist(), sys.row_rhs.tolist(), sys.e, code.ctx.q, cap):
+    origs, rhs = sys.pattern.origs.tolist(), sys.row_rhs.tolist()
+    for x in enumerate_solutions(origs, rhs, sys.e, code.ctx.q, enumeration_cap()):
         window = sys.assemble([int(v) for v in x])
         if sys.window_equations_hold(window):
             out.add(tuple(tuple(sym) for sym in window))
@@ -885,7 +892,9 @@ def sequential_decode(
     rest of the stream.  An invalid window after a "first" pick is recorded
     as (i, "invalid-after-guess", j), j the latest picked time: the guess,
     not the received word, may be at fault.  A known entry that is not an
-    integer raises ValueError naming its time when a window reads it.
+    integer, anywhere in the stream, raises ValueError naming its time.  A
+    halted outcome has derived the symbols and history it reads, so an
+    edit to the returned stream does not reach it.
 
     A store kept for this call, keyed on the delay and the erasure pattern
     relative to i, holds each pattern's window rows and plan: a pattern's
@@ -919,18 +928,26 @@ def sequential_decode(
                 return t
         return None
 
-    t0 = 0
-    while True:
-        i = next_erased(t0)
-        if i is None:
-            return SequentialResult(stream=work, decisions=decisions, plan_counts=counts)
+    def halted(i: int, outcome: DecodeOutcome) -> SequentialResult:
+        # derive what the outcome reads of work now, before the caller can edit it
+        sys = outcome.system
+        sys.history, sys.symbols
+        return SequentialResult(work, decisions, i, outcome, counts)
+
+    i = next_erased(0)
+    # the window kernel checks the symbols from the first window's history on
+    for t in range(len(work) if i is None else max(i - (code.nu or 0), 0)):
+        for x in work[t]:
+            if type(x) is not int:
+                _integer(x, t)
+    while i is not None:
         Tw = T if terminated else min(T, len(work) - 1 - i)
         sys = build_window_system(code, work, i, Tw, terminated=terminated, store=patterns)
         outcome, consts = _planned_decode(sys, counts)
         if outcome is not None and outcome.kind == "invalid":
             verdict = (i, "invalid") if picked is None else (i, "invalid-after-guess", picked)
             decisions.append(verdict)
-            return SequentialResult(work, decisions, i, outcome, counts)
+            return halted(i, outcome)
         # the columns are time-major, so time i's come first
         head = sys.pattern.head
         if outcome is None:
@@ -941,11 +958,11 @@ def sequential_decode(
         if values is not None:
             syndrome.commit(code, i, zip(head, values))
             decisions.append((i, "unique"))
-            t0 = i + 1
+            i = next_erased(i + 1)
             continue
         if policy == "halt":
             decisions.append((i, "list", outcome.list_size))
-            return SequentialResult(work, decisions, i, outcome, counts)
+            return halted(i, outcome)
         windows, _ = materialize_list(outcome, limit=_BRANCH_BUDGET if policy == "branch" else 1)
         if policy == "first":
             window = windows[0]
@@ -956,7 +973,7 @@ def sequential_decode(
             syndrome.recompute(code, i, i + Tw + code.nu)
             decisions.append((i, "picked-first", outcome.list_size))
             picked = i
-            t0 = i + 1
+            i = next_erased(i + 1)
             continue
         # policy == "branch": try candidates against the remaining stream
         for window in windows:
@@ -972,4 +989,5 @@ def sequential_decode(
                 total = PlanCounts(*map(add, astuple(counts), astuple(sub.plan_counts)))
                 return SequentialResult(stream=sub.stream, decisions=decisions, plan_counts=total)
         decisions.append((i, "list", outcome.list_size))
-        return SequentialResult(work, decisions, i, outcome, counts)
+        return halted(i, outcome)
+    return SequentialResult(stream=work, decisions=decisions, plan_counts=counts)

@@ -33,6 +33,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .config import enumeration_cap
 from .errors import CapExceeded
 from .ring import RingContext
 
@@ -373,10 +374,11 @@ class AffineSet:
     def size(self) -> int:
         return self.p ** len(self.basis) if self.feasible else 0
 
-    def points(self, cap: int = 1 << 20):
-        """Enumerate all members; raises CapExceeded past the cap."""
+    def points(self):
+        """Enumerate all members; raises CapExceeded past the enumeration cap."""
         if not self.feasible:
             return
+        cap = enumeration_cap()
         if self.size > cap:
             raise CapExceeded(f"affine set of size {self.size} exceeds cap {cap}")
         stack = [tuple(self.particular)]

@@ -37,7 +37,7 @@ def hamming_weight(word: Iterable) -> int:
     return total
 
 
-def column_distance(code: ConvCode, j: int, cap: int | None = None) -> int:
+def column_distance(code: ConvCode, j: int) -> int:
     """Minimum window weight over kernel members with nonzero first symbol.
 
     Computed from the parity-check window, so for codes without an exact
@@ -45,11 +45,10 @@ def column_distance(code: ConvCode, j: int, cap: int | None = None) -> int:
     """
     if code.h_blocks is None:
         raise ValueError("code has no parity side")
-    cap = enumeration_cap() if cap is None else cap
     n = code.n
     H = sliding_matrix(code, j)
     best = None
-    for row in enumerate_solutions(H.data, [0] * H.rows, H.cols, code.ctx.q, cap):
+    for row in enumerate_solutions(H.data, [0] * H.rows, H.cols, code.ctx.q, enumeration_cap()):
         if not row[:n].any():
             continue
         wt = int(np.count_nonzero(row))
@@ -63,9 +62,7 @@ def column_distance(code: ConvCode, j: int, cap: int | None = None) -> int:
     return best
 
 
-def free_distance_bounded(
-    code: ConvCode, max_degree: int, cap: int | None = None
-) -> tuple[float, bool]:
+def free_distance_bounded(code: ConvCode, max_degree: int) -> tuple[float, bool]:
     """(bound, exact) minimum weight over codewords of input degree <= max_degree.
 
     The bound is the exact minimum over the searched inputs; exact is True
@@ -74,7 +71,7 @@ def free_distance_bounded(
     """
     if code.g_blocks is None:
         raise ValueError("code has no generator side")
-    cap = enumeration_cap() if cap is None else cap
+    cap = enumeration_cap()
     ctx = code.ctx
     q = ctx.q
     k = code.k
@@ -107,7 +104,7 @@ def free_distance_bounded(
     exact = False
     if code.h_blocks is not None:
         try:
-            lower = column_distance(code, max_degree, cap=cap)
+            lower = column_distance(code, max_degree)
             exact = best <= lower
         except (CapExceeded, ValueError):
             exact = False
@@ -138,9 +135,7 @@ def _columns_dependent(cols: Sequence[Sequence[int]], p: int) -> bool:
     return rank_mod_p(mat, p) < len(cols)
 
 
-def erasure_capability(
-    code: ConvCode, j: int, d: int, cap: int | None = None
-) -> CapabilityReport:
+def erasure_capability(code: ConvCode, j: int, d: int) -> CapabilityReport:
     """Check the window-matrix column conditions behind d-1 erasure recovery.
 
     independent_ok: every (d-1)-column subset touching the first n columns
@@ -151,7 +146,7 @@ def erasure_capability(
     """
     if code.h_blocks is None:
         raise ValueError("code has no parity side")
-    cap = enumeration_cap() if cap is None else cap
+    cap = enumeration_cap()
     H = sliding_matrix(code, j)
     p = code.ctx.p
     ncols = H.cols

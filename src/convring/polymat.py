@@ -8,6 +8,10 @@ primeness), the digit-zero lift from Z_p[D] to Z_{p^r}[D], inversion of
 unimodular matrices as a D-adic power series on integer coefficient
 matrices, and exact determinants/adjugates over rings with zero divisors.
 
+PolyMatrix.coeff_array gives M_0..M_deg as one integer array.  On such
+arrays _convolve is the one block convolution, behind every polynomial
+product, and _toeplitz the one block-Toeplitz builder.
+
 Coefficients are plain canonical integers; the owning RingContext decides
 the modulus.  The zero polynomial has degree NEG_INF so degree arithmetic
 needs no special cases.  Everything here is pure and immutable.
@@ -225,43 +229,18 @@ class PolyMatrix:
         if self.ctx != other.ctx:
             raise ValueError("mismatched ring contexts")
 
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix addition")
-        return PolyMatrix(
-            self.ctx,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(self.ctx, [[-e for e in row] for row in self.entries])
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
+        """The product on coefficient arrays: one block convolution, exact, then reduced mod q."""
         self._check(other)
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        zero = Poly.zero(self.ctx)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.ctx, out)
+        terms = self.cols * (min(max(self.degree, 0), max(other.degree, 0)) + 1)
+        dtype = exact_dtype(terms, self.ctx.q)
+        A, B = self.coeff_array(dtype), other.coeff_array(dtype)
+        # deg B zero coefficients on each side: the convolution's valid part is the whole product
+        pad = np.zeros((len(B) - 1, self.rows, self.cols), dtype=dtype)
+        prod = _convolve(np.concatenate([pad, A, pad]), B) % self.ctx.q
+        return PolyMatrix(self.ctx, prod.transpose(1, 2, 0).tolist(), cols=other.cols)
 
     def scale(self, c: int) -> "PolyMatrix":
         return PolyMatrix(self.ctx, [[e.scale(c) for e in row] for row in self.entries])
@@ -293,9 +272,12 @@ class PolyMatrix:
         sub = list(self.entries[start:stop])
         return PolyMatrix(self.ctx, sub, cols=self.cols)
 
-    def coeff_matrix(self, k: int) -> list[list[int]]:
-        """The k-th coefficient of every entry, as plain int rows."""
-        return [[e.coeff(k) for e in row] for row in self.entries]
+    def coeff_array(self, dtype=np.int64) -> np.ndarray:
+        """M^0..M^deg (M^0 alone when M is zero) as one (deg + 1) x rows x cols array of dtype."""
+        size = max([len(e.coeffs) for row in self.entries for e in row] + [1])
+        grid = [[e.coeffs + (0,) * (size - len(e.coeffs)) for e in row] for row in self.entries]
+        out = np.array(grid, dtype=dtype).reshape(self.rows, self.cols, size)
+        return np.ascontiguousarray(out.transpose(2, 0, 1))
 
     def __eq__(self, other):
         return (
@@ -403,19 +385,36 @@ def rank(M: PolyMatrix) -> int:
     return r
 
 
-def _toeplitz(coeffs: list[list[list[int]]], depth: int) -> list[list[int]]:
+def _convolve(x: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The valid part of the block convolution of x with C_0..C_d, unreduced.
+
+    out[t] = sum_j x[t + d - j] @ C[j] for t = 0..len(x) - d - 1; x[t] is a
+    row vector or a matrix, and the sums are in x's dtype.  With d zero
+    times on each side of x it is the whole product.
+    """
+    d = len(C) - 1
+    steps = len(x) - d
+    out = x[d:] @ C[0]
+    for j in range(1, d + 1):
+        out += x[d - j : d - j + steps] @ C[j]
+    return out
+
+
+def _toeplitz(M: np.ndarray, depth: int) -> np.ndarray:
     """Block-Toeplitz matrix of M = sum_i M_i D^i on vectors of degree <= depth.
 
-    coeffs are M_0..M_d (m x n each).  Column j n + c holds coefficient j of
-    coordinate c, and row t m + i coefficient t of entry i of the product.
+    M is the (d + 1) x m x n coefficient array M_0..M_d.  Column j n + c
+    holds coefficient j of coordinate c, and row t m + i coefficient t of
+    entry i of the product: block (t, j) is M_{t-j}.  The result has M's
+    dtype.
     """
-    d, m, n = len(coeffs) - 1, len(coeffs[0]), len(coeffs[0][0])
-    zero = [0] * n
-    return [
-        [x for j in range(depth + 1) for x in (coeffs[t - j][i] if 0 <= t - j <= d else zero)]
-        for t in range(d + depth + 1)
-        for i in range(m)
-    ]
+    d = len(M) - 1
+    m, n = M.shape[1:]
+    out = np.zeros((d + depth + 1, m, depth + 1, n), dtype=M.dtype)
+    j = np.arange(depth + 1)
+    for k, Mk in enumerate(M):
+        out[j + k, :, j] = Mk
+    return out.reshape((d + depth + 1) * m, (depth + 1) * n)
 
 
 def _kernel_basis(A: PolyMatrix) -> PolyMatrix:
@@ -434,13 +433,13 @@ def _kernel_basis(A: PolyMatrix) -> PolyMatrix:
     if A.degree == NEG_INF:
         return PolyMatrix.identity(ctx, n)
     dA, rho = int(A.degree), rank(A)
-    coeffs = [A.coeff_matrix(j) for j in range(dA + 1)]
+    coeffs = A.coeff_array()
     found: list[tuple[int, list[int]]] = []  # (degree, coefficients b_0 | ... | b_deg)
     delta = 0
     while len(found) < n - rho:
         if delta > rho * dA:
             raise AssertionError("the kernel basis passed its degree bound")
-        T = _toeplitz(coeffs, delta)
+        T = _toeplitz(coeffs, delta).tolist()
         null = [list(v) for v in solve_mod_p(T, [0] * len(T), p).basis]
         shifts = [
             [0] * (s * n) + b + [0] * ((delta - d - s) * n)
@@ -501,10 +500,10 @@ def _completion_rows(A: PolyMatrix) -> PolyMatrix:
     N = PolyMatrix.zeros(ctx, 0, n)
     if ell:
         dK = int(K.degree)
-        coeffs = [K.transpose().coeff_matrix(j) for j in range(dK + 1)]
+        coeffs = K.transpose().coeff_array()
         # a right prime K has a left inverse of degree below (2 ell - 1) dK
         for dN in range((2 * ell - 1) * dK + 1):
-            T = _toeplitz(coeffs, dN)
+            T = _toeplitz(coeffs, dN).tolist()
             sols = [solve_mod_p(T, [int(t == i) for t in range(len(T))], p) for i in range(ell)]
             if all(s.feasible for s in sols):
                 break
@@ -574,10 +573,10 @@ def invert_unimodular(U: PolyMatrix) -> PolyMatrix:
     ctx, n, q = U.ctx, U.rows, U.ctx.q
     d = 0 if U.degree == NEG_INF else int(U.degree)
     dtype = exact_dtype(n * max(d, 1), q)
-    V0 = np.array(_inverse_mod(U.coeff_matrix(0), ctx), dtype=dtype).reshape(n, n)
+    coeffs = U.coeff_array(dtype)
+    V0 = np.array(_inverse_mod(coeffs[0].tolist(), ctx), dtype=dtype).reshape(n, n)
     # [U_1 | U_2 | ... | U_d], so U_j meets V_{k-j} in one product
-    wide = np.array([U.coeff_matrix(j) for j in range(1, d + 1)], dtype=dtype)
-    wide = wide.reshape(d, n, n).transpose(1, 0, 2).reshape(n, d * n)
+    wide = coeffs[1:].transpose(1, 0, 2).reshape(n, d * n)
     bound = (n - 1) * d + (ctx.r - 1) * n * d
     terms = [V0]
     run = 0

@@ -58,6 +58,19 @@ class TestLayering:
         for row in raw:
             assert module_member(z8, gens, list(row), deg_cap=4, shift_cap=2)
 
+    def test_module_member_target_above_generator_degree(self, z8):
+        # generators of degree 1, words of degree 4: the search box grows
+        # with the target's degree, so deg_cap = 0 still finds u of degree 3
+        gens = [[Poly(z8, [1]), Poly(z8, [0, 1]), Poly.zero(z8)], [Poly.zero(z8), Poly(z8, [2]), Poly(z8, [1, 1])]]
+        u = [Poly(z8, [2, 0, 0, 1]), Poly(z8, [1, 0, 3])]
+        word = [u[0] * gens[0][c] + u[1] * gens[1][c] for c in range(3)]
+        assert max(e.degree for e in word) == 4
+        assert module_member(z8, gens, word, deg_cap=0)
+        # with 4 added to the first coordinate, u_1 is pinned by the third
+        # (1 + D is monic) and the second then differs by 4D
+        off = [word[0] + Poly.const(z8, 4), *word[1:]]
+        assert not module_member(z8, gens, off, deg_cap=3, shift_cap=1)
+
     def test_worked_z9_layering(self, nonexact_code_z9, z9):
         code = nonexact_code_z9
         assert code.k_blocks == (1, 1)
@@ -320,7 +333,7 @@ class TestSlidingWindow:
 
 def coeff_matrices(M):
     """The coefficient matrices M^0..M^deg of a polynomial matrix, read from its entries."""
-    return [M.coeff_matrix(j) for j in range(int(max(M.degree, 0)) + 1)]
+    return [[[e.coeff(j) for e in row] for row in M.entries] for j in range(int(max(M.degree, 0)) + 1)]
 
 
 def as_sequence(table, n):

@@ -310,6 +310,38 @@ class TestSequential:
         with pytest.raises(TypeError):
             sequential_decode(kernel_code_z8, RECEIVED, 2, policy="branch", branch_budget=0)
 
+    @pytest.mark.parametrize("policy", ["halt", "branch"])
+    def test_halted_outcome_reads_the_stream_as_returned(self, kernel_code_z8, policy, monkeypatch):
+        # a halted outcome derives its window symbols and history before it
+        # is returned, so an edit to res.stream reaches neither its listed
+        # windows nor their check (unmended, the windows carried the edit
+        # and failed window_equations_hold); the second stream halts at
+        # time 2, so its history is edited too
+        monkeypatch.setattr(decoder, "_BRANCH_BUDGET", 0)
+        code, rng = kernel_code_z8, random.Random(0)
+        later = code.encode([[rng.randrange(8) for _ in range(code.k)] for _ in range(6)])
+        for t in (2, 3, 4):
+            for c in range(5):
+                if rng.random() < 0.6:
+                    later[t][c] = None
+        cases = [
+            (RECEIVED, [(0, "list", 64)], [(1, 0)]),
+            (later, [(2, "list", 32)], [(1, 0), (3, 2)]),
+        ]
+        for received, decisions, edits in cases:
+            res = sequential_decode(code, received, 2, policy=policy, terminated=False)
+            assert res.decisions == decisions
+            i, returned = res.halted_at, [list(sym) for sym in res.stream]
+            for t, c in edits:
+                assert res.stream[t][c] is not None
+                res.stream[t][c] = (res.stream[t][c] + 1) % 8
+            windows, _ = materialize_list(res.last_outcome, limit=4)
+            assert len(windows) == 4
+            for window in windows:
+                assert res.last_outcome.system.window_equations_hold(window)
+                for sym, got in zip(returned[i:], window):
+                    assert all(x is None or x == y for x, y in zip(sym, got))
+
     @pytest.mark.parametrize("policy", ["first", "branch"])
     def test_pick_near_terminated_end(self, policy):
         # the picked window reaches past the stream end, where a terminated
@@ -348,6 +380,23 @@ class TestReceivedEntryTypes:
         rx[t][c] = bad
         with pytest.raises(ValueError, match=f"symbol at time {t} has a non-integer entry"):
             sequential_decode(code, rx, 2, policy=policy)
+
+    @pytest.mark.parametrize("bad", BAD.values(), ids=BAD.keys())
+    @pytest.mark.parametrize("erased", [(8, 1), None], ids=["erasure-at-8", "no-erasure"])
+    def test_sequential_decode_rejects_unread_symbols(self, bad, erased):
+        # no window reads time 0, before the first window's history or in a
+        # stream with no erasure; unchecked, the entry came back in the
+        # stream (the float as 5 + 2^-40 beside [(8, "unique")])
+        code = generate_code(**PLAN_CODES["z9"])
+        rng = random.Random(4)
+        rx = code.encode([[rng.randrange(9) for _ in range(code.k)] for _ in range(10)])
+        if erased is not None:
+            assert erased[0] - code.nu > 0
+            rx[erased[0]][erased[1]] = None
+        assert sequential_decode(code, rx, 2).complete
+        rx[0][0] = bad
+        with pytest.raises(ValueError, match="symbol at time 0 has a non-integer entry"):
+            sequential_decode(code, rx, 2)
 
     def test_integer_types_accepted(self):
         # numpy integers and int subclasses are integers

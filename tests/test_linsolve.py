@@ -6,6 +6,7 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 
 from convring import solve_mod_p
+from convring.errors import CapExceeded
 from convring.linsolve import (
     OPS,
     StageMatrix,
@@ -59,6 +60,16 @@ def test_stage1_two_parameter_family():
         (0, 0, 0, 1, 1, 1, 1),
     }
     assert set(s.points()) == expected
+
+
+def test_points_obey_the_enumeration_cap(monkeypatch):
+    # CONVRING_CAP bounds AffineSet.points like every other enumeration
+    s = solve_mod_p(STAGE1_ROWS, STAGE1_RHS, 2)
+    monkeypatch.setenv("CONVRING_CAP", "3")
+    with pytest.raises(CapExceeded):
+        list(s.points())
+    monkeypatch.setenv("CONVRING_CAP", "4")
+    assert len(list(s.points())) == 4
 
 
 def test_zero_system_full_space():

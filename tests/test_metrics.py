@@ -52,8 +52,12 @@ class TestColumnDistance:
         for j in range(2):
             assert column_distance(kernel_code_z9, j) >= 1
 
-    def test_cap(self, kernel_code_z9):
+    def test_cap(self, kernel_code_z9, monkeypatch):
+        # CONVRING_CAP is the one enumeration bound; there is no cap keyword
+        monkeypatch.setenv("CONVRING_CAP", "10")
         with pytest.raises(CapExceeded):
+            column_distance(kernel_code_z9, 1)
+        with pytest.raises(TypeError):
             column_distance(kernel_code_z9, 1, cap=10)
 
     def test_monotone_in_j(self):

@@ -28,6 +28,7 @@ Z3 = RingContext(3, 1)
 Z4 = RingContext(2, 2)
 Z5 = RingContext(5, 1)
 Z25 = RingContext(5, 2)
+ZW = RingContext(2**31 - 1, 2)  # (2^31 - 1)^2: products overflow int64
 
 
 def rand_poly(rng, ctx, deg):
@@ -38,18 +39,35 @@ def rand_matrix(rng, ctx, m, n, deg):
     return PolyMatrix(ctx, [[rand_poly(rng, ctx, deg) for _ in range(n)] for _ in range(m)])
 
 
+def sparse_matrix(rng, ctx, m, n, deg):
+    """An m x n matrix whose entries have random degrees up to deg, a third of them zero; deg -1 gives zeros."""
+    if deg < 0:
+        return PolyMatrix.zeros(ctx, m, n)
+    entries = [
+        [Poly.zero(ctx) if rng.random() < 1 / 3 else rand_poly(rng, ctx, rng.randrange(deg + 1)) for _ in range(n)]
+        for _ in range(m)
+    ]
+    return PolyMatrix(ctx, entries, cols=n)
+
+
 def naive_matmul(A, B):
+    """The product entry by entry on Poly arithmetic: the reference for the coefficient-array product."""
     ctx = A.ctx
+    zero = Poly.zero(ctx)
     out = []
     for i in range(A.rows):
         row = []
         for j in range(B.cols):
-            acc = Poly.zero(ctx)
+            acc = zero
             for k in range(A.cols):
-                acc = acc + A[i, k] * B[k, j]
+                a = A[i, k]
+                b = B[k, j]
+                if a.is_zero or b.is_zero:
+                    continue
+                acc = acc + a * b
             row.append(acc)
         out.append(row)
-    return PolyMatrix(ctx, out)
+    return PolyMatrix(ctx, out, cols=B.cols)
 
 
 class TestPoly:
@@ -106,6 +124,33 @@ class TestMatrixOps:
             A = rand_matrix(rng, Z9, 2, 3, 2)
             B = rand_matrix(rng, Z9, 3, 2, 2)
             assert A @ B == naive_matmul(A, B)
+
+    @pytest.mark.parametrize("ctx", [Z4, Z8, Z9, Z25, ZW], ids=["z4", "z8", "z9", "z25", "wide"])
+    @pytest.mark.parametrize(
+        "shape",
+        # rows x inner x cols, degrees of A and B; degree -1 is the zero matrix
+        [
+            (2, 3, 2, 2, 2),
+            (3, 2, 4, 0, 3),
+            (1, 4, 1, 4, 0),
+            (2, 2, 3, 1, 5),
+            (2, 3, 2, -1, 2),
+            (2, 3, 2, 3, -1),
+            (0, 3, 2, 1, 1),
+            (2, 3, 0, 1, 1),
+            (2, 0, 3, -1, -1),
+            (0, 0, 0, -1, -1),
+        ],
+        ids=str,
+    )
+    def test_matmul_matches_reference(self, ctx, shape):
+        m, k, n, da, db = shape
+        rng = random.Random(ctx.q + 7 * sum(shape))
+        for _ in range(3):
+            A, B = sparse_matrix(rng, ctx, m, k, da), sparse_matrix(rng, ctx, k, n, db)
+            got = A @ B
+            assert (got.rows, got.cols) == (m, n)
+            assert got == naive_matmul(A, B)
 
     def test_dimension_mismatch(self):
         A = rand_matrix(random.Random(4), Z8, 2, 3, 1)
@@ -453,7 +498,7 @@ class TestInverse:
     def test_constant_and_empty(self):
         rng = random.Random(9)
         M, Minv = unimodular_with_inverse(rng, Z8, 3, 4)
-        M0 = PolyMatrix(Z8, M.coeff_matrix(0))
+        M0 = PolyMatrix(Z8, M.coeff_array()[0].tolist())
         V0 = invert_unimodular(M0)
         assert V0.degree == 0 and M0 @ V0 == PolyMatrix.identity(Z8, 3)
         assert invert_unimodular(PolyMatrix.zeros(Z8, 0, 0)) == PolyMatrix.zeros(Z8, 0, 0)
@@ -478,7 +523,7 @@ class TestInverse:
     )
     def test_singular_start_rejected(self, ctx, entries):
         U = PolyMatrix(ctx, entries)
-        assert not det(PolyMatrix(ctx, U.coeff_matrix(0))).is_unit_const
+        assert not det(PolyMatrix(ctx, U.coeff_array()[0].tolist())).is_unit_const
         with pytest.raises(NotUnimodular, match="singular"):
             invert_unimodular(U)
 
@@ -493,7 +538,7 @@ class TestInverse:
     )
     def test_unit_start_non_unit_det_rejected(self, ctx, entries):
         U = PolyMatrix(ctx, entries)
-        assert det(PolyMatrix(ctx, U.coeff_matrix(0))).is_unit_const
+        assert det(PolyMatrix(ctx, U.coeff_array()[0].tolist())).is_unit_const
         with pytest.raises(NotUnimodular, match="does not end"):
             invert_unimodular(U)
 

@@ -146,3 +146,20 @@ def test_symbols_and_coefficients_have_one_stored_form():
         if re.search(rf"\b{name}\b", path.read_text())
     ]
     assert not leftovers, f"a second stored form is still named: {leftovers}"
+
+
+def test_one_block_convolution_and_one_toeplitz_builder():
+    # every polynomial-matrix product is polymat._convolve and every
+    # block-Toeplitz matrix polymat._toeplitz: no other module defines
+    # either, and PolyMatrix keeps no entry-wise sum, difference or negation
+    homes = {
+        name: [
+            path.stem
+            for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        for name in ("_convolve", "_toeplitz")
+    }
+    assert homes == {"_convolve": ["polymat"], "_toeplitz": ["polymat"]}
+    assert not [name for name in ("__add__", "__sub__", "__neg__") if hasattr(convring.PolyMatrix, name)]

@@ -30,7 +30,9 @@ The final list is the set of values of the column forms over all
 assignments of the live parameters in [0, p); distinct assignments give
 distinct windows, so its size is p to the number of live parameters.  Its
 first n windows, lexicographically, move only the last k live parameters
-(p^k >= n), and are read off their coefficient lists by vector adds.
+(p^k >= n), and are built as one block: the base-p digit vectors of
+0..n-1 times those k coefficient lists, plus the constants, in one product
+mod q, scattered over the erased columns of n copies of the known symbols.
 
 A window's equations are the block-Toeplitz sliding parity-check matrix
 restricted to its erased columns: one column gather of the code's window
@@ -71,9 +73,9 @@ list_decode, whose values are checked where they are read.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
+from numbers import Integral
 from operator import add, mod, mul
 from typing import Iterator, NamedTuple, Sequence
 
@@ -83,6 +85,7 @@ from .codes import ConvCode, _integer, _window_rhs
 from .config import enumeration_cap
 from .errors import CapExceeded
 from .linsolve import AffineSet, StageMatrix, enumerate_solutions, reduce_stage, replay_rref_log
+from .polymat import exact_dtype
 from .ring import RingContext
 
 Symbol = Sequence[int | None]
@@ -124,12 +127,15 @@ class ParamSpace:
         """All assignments of the live parameters, lexicographically.
 
         Each is the value vector over all parameters; folded ones read 0.
+        Assignment m holds the base-p digits of m, the last live parameter
+        the lowest, so no range of p values is held at once.
         """
-        live = self.live()
+        live = self.live()[::-1]
         values = [0] * self.n_params
-        for combo in itertools.product(range(self.p), repeat=len(live)):
-            for v, x in zip(live, combo):
-                values[v] = x
+        for m in range(self.size):
+            rest = m
+            for v in live:
+                rest, values[v] = divmod(rest, self.p)
             yield tuple(values)
 
 
@@ -237,10 +243,11 @@ class WindowSystem:
 class _Pattern:
     """The value-free part of the window systems of one delay and pattern.
 
-    columns are the erased (time - i, coord) pairs, and head the coords of
-    those at time i, which come first.  The equations, in kernel order
-    (time - i, then parity row), are the code's window array gathered on
-    the erased columns.  moduli hold each one's p^stratum, the stratum the
+    erased holds the erased entries' flat indices (time - i) * n + coord,
+    time-major, columns them as (time - i, coord) pairs, and head the
+    coords of those at time i, which come first.  The equations, in kernel
+    order (time - i, then parity row), are the code's window array gathered
+    on the erased columns.  moduli hold each one's p^stratum, the stratum the
     p-adic valuation of the whole row: p^stratum = gcd(q, row), q on a row
     that is zero mod q.  nonzero holds (index, p^stratum) per nonzero
     equation: the rows of a valid window, in order.  origs and coeffs are
@@ -251,10 +258,11 @@ class _Pattern:
     then the _Plan, or False when the pattern has none.
     """
 
-    __slots__ = ("columns", "head", "moduli", "nonzero", "scales", "origs", "coeffs", "plan")
+    __slots__ = ("erased", "columns", "head", "moduli", "nonzero", "scales", "origs", "coeffs", "plan")
 
     def __init__(self, code: ConvCode, T: int, erased: Sequence[int]):
         n, q = code.n, code.ctx.q
+        self.erased = erased
         self.columns = tuple(divmod(f, n) for f in erased)
         self.head = tuple(c for dt, c in self.columns if not dt)
         A = code._window_array(T)[:, [f + code.nu * n for f in erased]]
@@ -721,20 +729,23 @@ def _planned_decode(
 _VIOLATION = "the list violates the parity equations"
 
 
-def _check_rows(sys: WindowSystem, cols, with_consts: bool = True) -> None:
+def _check_rows(sys: WindowSystem, cols, with_consts: bool = True) -> np.ndarray:
     """Raise unless the column forms cols solve every raw row of a valid window, coefficient by coefficient.
 
     cols holds the constant list and then the parameter lists, or, without
     with_consts, the parameter lists alone.  One product with the
     pattern's original rows: the constants must give each row's raw
-    right-hand side mod q, and every parameter list must give 0.
+    right-hand side mod q, and every parameter list must give 0.  Returns
+    the forms as the array checked, one row per list, in the pattern's dtype.
     """
     origs = sys.pattern.origs
-    prod = np.array(cols, dtype=origs.dtype) @ origs.T
+    forms = np.array(cols, dtype=origs.dtype)
+    prod = forms @ origs.T
     if with_consts:
         prod[0] -= sys.row_rhs
     if (prod % sys.code.ctx.q).any():
         raise AssertionError(_VIOLATION)
+    return forms
 
 
 def materialize_list(
@@ -748,15 +759,24 @@ def materialize_list(
     list larger than the enumeration cap raises CapExceeded.  truncated is
     true exactly when the list has members that were not returned.  A
     unique outcome's window was proven when the outcome was made, so it is
-    returned as it is.
+    returned as it is.  A limit that is not an integer (a float, str or
+    bool; numpy integers are integers) raises ValueError too.
 
-    The first n <= p^k assignments move only the last k live parameters
-    and leave the others 0, so the windows are the constant column plus
-    the p^k combinations of those k parameter columns, expanded one
-    parameter at a time by vector adds.
+    The first count = min(p^k, limit) assignments move only the last k
+    live parameters and leave the others 0: member m's values are the
+    constants plus X[m] times those k parameter lists, X[m] the base-p
+    digits of m, the first of the k parameters slowest.  So the values of
+    all count members are one product X F + F_0 mod q of the forms as the
+    list check holds them, scattered over the erased columns of count
+    copies of the window's known symbols.  With k = 0 (one member) the
+    constants fill the window alone.
     """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
+    if limit is not None:
+        if type(limit) is not int and (isinstance(limit, bool) or not isinstance(limit, Integral)):
+            raise ValueError(f"limit must be an integer or None, got {limit!r}")
+        if limit < 0:
+            raise ValueError(f"limit must be nonnegative, got {limit}")
+        limit = int(limit)
     sys = outcome.system
     if outcome.kind == "invalid":
         return [], False
@@ -770,21 +790,28 @@ def materialize_list(
             raise CapExceeded(f"list of size {outcome.list_size} exceeds cap {limit}")
     p, q = sys.code.ctx.p, sys.code.ctx.q
     (branch,) = outcome.branches
-    cols = branch.cols
     # every member is the column forms at an integer assignment, so raw rows
     # holding coefficient by coefficient prove the whole list
-    _check_rows(sys, cols)
+    forms = _check_rows(sys, branch.cols)
     live, k = branch.space.live(), 0
     while k < len(live) and p**k < limit:
         k += 1
-    values = [cols[0]]
-    for v in live[len(live) - k :]:
-        # no more than limit steps of one parameter are ever read
-        steps = [[x * c % q for c in cols[1 + v]] for x in range(min(p, limit))]
-        expand = (list(map(q.__rmod__, map(add, vec, step))) for vec in values for step in steps)
-        values = list(itertools.islice(expand, limit))
-    windows = [sys.assemble(vec) for vec in values]
-    return windows, outcome.list_size > len(windows)
+    if not k:
+        return [sys.assemble(branch.cols[0])], outcome.list_size > 1
+    count = min(p**k, limit)
+    # row m holds the base-p digits of m, the first of the k parameters
+    # slowest: m itself for one parameter (count <= p); p^j <= p^(k-1) <
+    # count, so no power of p leaves int64
+    digits = np.arange(count)[:, None]
+    if k > 1:
+        digits = digits // np.array([p**j for j in range(k - 1, -1, -1)]) % p
+    # k products of a digit and a residue and one constant, each below q^2
+    forms = forms[[0, *(1 + v for v in live[len(live) - k :])]].astype(exact_dtype(k + 1, q), copy=False)
+    known = [0 if x is None else x for sym in sys.symbols for x in sym]
+    block = np.empty((count, len(known)), dtype=forms.dtype)
+    block[:] = known
+    block[:, sys.pattern.erased] = (forms[0] + digits @ forms[1:]) % q
+    return block.reshape(count, sys.T + 1, sys.code.n).tolist(), outcome.list_size > count
 
 
 def oracle_decode(

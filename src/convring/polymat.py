@@ -249,6 +249,7 @@ class PolyMatrix:
         return PolyMatrix(
             self.ctx,
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
+            cols=self.rows,
         )
 
     def proj(self) -> "PolyMatrix":

@@ -220,15 +220,55 @@ class TestWorkedDecode:
             with pytest.raises(ValueError):
                 materialize_list(out, limit=-1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        limit=st.one_of(
+            st.integers(-3, 70),
+            # p^k - 1, p^k and p^k + 1 for p = 2 (the listed window) and 3
+            st.sampled_from(sorted({p**k + d for p in (2, 3) for k in range(7) for d in (-1, 0, 1)})),
+            st.integers(-3, 70).map(np.int64),
+            st.integers(-3, 70).map(np.int8),
+            st.integers(0, 70).map(np.uint16),
+            st.booleans(),
+            st.booleans().map(np.bool_),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-3, 70).map(float),
+            st.text(max_size=3),
+            st.integers(-3, 70).map(str),
+        )
+    )
+    def test_materialize_limit_fuzz(self, kernel_code_z8, kernel_code_z9, limit):
+        # every limit returns or raises ValueError: an integer (numpy ones
+        # too, bools not) that is not negative returns the first limit
+        # members, anything else raises
+        listed = list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
+        unique = list_decode(build_window_system(kernel_code_z9, [[None, 0, None], [0, None, 0], [0, 0, 0]], 0, 1))
+        bad = [list(W0), list(W1), list(W2)]
+        bad[1][0] = (bad[1][0] + 4) % 8
+        invalid = list_decode(build_window_system(kernel_code_z8, bad, 0, 2))
+        assert (listed.kind, listed.list_size, unique.kind, invalid.kind) == ("list", 64, "unique", "invalid")
+        if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)) or limit < 0:
+            for out in (listed, unique, invalid):
+                with pytest.raises(ValueError):
+                    materialize_list(out, limit)
+            return
+        n = int(limit)
+        full, _ = materialize_list(listed)
+        assert materialize_list(listed, limit) == (full[:n], n < 64)
+        assert materialize_list(unique, limit) == (([unique.window], False) if n else ([], True))
+        assert materialize_list(invalid, limit) == ([], False)
+
     def test_corrupt_live_coefficient_rejected(self, kernel_code_z8):
         # the all-zero assignment, the only member limit=1 yields, does not
-        # see a live coefficient; the check over the column forms does
+        # see a live coefficient; the check over the column forms does, for
+        # the one constant window and for a block of members alike
         out = list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
         (branch,) = out.branches
         v = branch.space.live()[0]
         branch.cols[1 + v][0] = (branch.cols[1 + v][0] + 1) % 8
-        with pytest.raises(AssertionError):
-            materialize_list(out, limit=1)
+        for limit in (1, 2, 16, None):
+            with pytest.raises(AssertionError, match="violates the parity equations"):
+                materialize_list(out, limit=limit)
 
 
 class TestSequential:
@@ -585,6 +625,18 @@ class TestParamMachinery:
         v0, v1 = space.new_param(), space.new_param()
         combos = [(vals[v0], vals[v1]) for vals in space.assignments()]
         assert combos == [(x, y) for x in range(3) for y in range(3)]
+        # a folded parameter reads 0 and takes no digit
+        v2 = space.new_param()
+        space.events.append((v1, [0, 0, 0, 0]))
+        combos = [(vals[v0], vals[v1], vals[v2]) for vals in space.assignments()]
+        assert combos == [(x, 0, y) for x in range(3) for y in range(3)]
+
+    def test_assignments_are_lazy_for_a_wide_prime(self):
+        # p = 2^31 - 1: the first assignments come without a pool of p values
+        space = ParamSpace(2**31 - 1)
+        space.new_param(), space.new_param()
+        first = list(itertools.islice(space.assignments(), 3))
+        assert first == [(0, 0), (0, 1), (0, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -1019,14 +1071,14 @@ ENUM_RINGS = (1, 2, 3, 5, 4, 6)  # Z_4, Z_8, Z_9, Z_16, Z_25, Z_27
 ENUM_CAP = 1024
 
 
-def _check_enumeration(case):
+def _check_enumeration(case, limits=(1, 5, 16, 17, 64, None)):
     """materialize_list against the forms at the first assignments of ParamSpace.assignments.
 
-    Window for window and in order, at limits 1, 5, 16, 17, 64 and None:
+    Window for window and in order, at each of limits, in Python integers:
     the reference value of column c is sum_k cols[k][c] x_k mod q, x_0 = 1
-    and x_{1+v} the assignment's value of parameter v.  With the
-    enumeration cap at ENUM_CAP, a larger list raises CapExceeded at limit
-    None.  Returns the features seen.
+    and x_{1+v} the assignment's value of parameter v.  With the enumeration cap at
+    ENUM_CAP, a larger list raises CapExceeded at limit None.  Returns the
+    features seen.
     """
     code, rx, i, Tw, terminated = case
     sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
@@ -1038,7 +1090,7 @@ def _check_enumeration(case):
     features = {f"z{q}"}
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("CONVRING_CAP", str(ENUM_CAP))
-        for limit in (1, 5, 16, 17, 64, None):
+        for limit in limits:
             if limit is None and out.list_size > ENUM_CAP:
                 with pytest.raises(CapExceeded):
                     materialize_list(out)
@@ -1050,6 +1102,7 @@ def _check_enumeration(case):
             ]
             windows, truncated = materialize_list(out, limit)
             assert windows == reference
+            assert all(type(x) is int for window in windows for sym in window for x in sym)
             assert truncated == (out.list_size > len(reference))
     if branch.space.events and out.kind == "list":
         features.add("fold")
@@ -1085,17 +1138,19 @@ def test_materialize_list_enumeration_cases_cover(feature):
 
 def test_wide_modulus_decodes_exactly():
     # q = (2^31 - 1)^2: a product of two residues overflows int64, so the
-    # pattern matrices hold Python integers, and every stage payload and
-    # list check sums them exactly; unique windows give the sent values,
-    # as intsolve does, lists hold only windows that meet every parity
-    # equation, and a sequential decode restores the sent stream
+    # pattern matrices hold Python integers, and every stage payload, list
+    # check and list block sums them exactly; unique windows give the sent
+    # values, as intsolve does, lists hold only windows that meet every
+    # parity equation and, at limits 2, 3 and 16, equal the column forms at
+    # the first assignments window for window, and a sequential decode
+    # restores the sent stream
     ctx = RingContext(2**31 - 1, 2)
     q = ctx.q
     rng = random.Random(31)
     code = random_kernel_code(rng, ctx, 3, [1, 1], 2)
     assert code.nu == 2
     sent = code.encode([[rng.randrange(q) for _ in range(code.k)] for _ in range(8)])
-    kinds = set()
+    kinds, listed = set(), 0
     for trial in range(12):
         i, T = rng.randint(0, 5), rng.randint(1, 3)
         rate = 0.3 if trial % 3 else 0.9
@@ -1117,7 +1172,10 @@ def test_wide_modulus_decodes_exactly():
             assert sysw.assemble(raw) == expected
         else:
             assert out.kind == "list" and out.list_size % ctx.p == 0
-    assert kinds == {"unique", "list"}
+            features = _check_enumeration((code, rx, i, T, True), limits=(2, 3, 16, None))
+            assert {f"z{q}", "over-limit"} <= features
+            listed += 1
+    assert kinds == {"unique", "list"} and listed >= 2
     rx = [[None if rng.random() < 0.2 else x for x in sym] for sym in sent]
     res = sequential_decode(code, rx, 2)
     assert res.stream == sent and res.decisions and all(d[1] == "unique" for d in res.decisions)

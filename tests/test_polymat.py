@@ -152,6 +152,17 @@ class TestMatrixOps:
             assert (got.rows, got.cols) == (m, n)
             assert got == naive_matmul(A, B)
 
+    @pytest.mark.parametrize("m, n", [(3, 0), (0, 3), (0, 0), (2, 3), (1, 1)])
+    def test_transpose_keeps_shape(self, m, n):
+        # a matrix with no columns transposes to one with no rows and m
+        # columns; entries move to their mirrored places
+        A = sparse_matrix(random.Random(m * 10 + n), Z8, m, n, 2)
+        At = A.transpose()
+        assert (At.rows, At.cols) == (n, m)
+        assert all(At[j, i] == A[i, j] for i in range(m) for j in range(n))
+        assert At.transpose() == A
+        assert (At @ PolyMatrix.zeros(Z8, m, 2)).cols == 2
+
     def test_dimension_mismatch(self):
         A = rand_matrix(random.Random(4), Z8, 2, 3, 1)
         with pytest.raises(ValueError):

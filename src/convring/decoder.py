@@ -51,23 +51,22 @@ times i..i+nu as it commits x at (i, c), and slices each window's
 right-hand sides out of it.  Each digit stage selects its rows from the
 renormalized matrix, and its payload is one product of the column forms
 with them; the list check is one product of the column forms with the
-original matrix.  A plan's replay and the brute-force oracle read the
-same matrices as lists.  The column forms are checked against the raw
-rows before a list is enumerated or its values are read.
+original matrix.  A plan and the brute-force oracle read the original
+matrix as lists.  The column forms are checked against the raw rows
+before a list is enumerated or its values are read.
 
-Pivots, folds, row operations and the parameter part of every form
-depend only on the pattern as well.  So a sequential decode keeps one
-store per call, keyed on the delay and the relative pattern: each
-window's pattern part, and its plan, compiled once, at the pattern's
-first window, by the digit recursion on the parameter forms alone, with
-no constant column and no right-hand side.  The compile logs each stage's
-elimination (rref_mod_p's log) and gives up at its first fold or when a
-parameter reaches time i; its parameter forms are checked against the raw
-rows once.  Every window of a pattern with a plan, the first one
-included, replays the logs on the constant column alone, with no
-elimination and no row object: it reads its raw right-hand sides through
-the rows each stage reads, which are a valid window's, checks the column
-against the raw rows and commits time i from it.  Every other window runs
+Whether time i takes one value on every valid window's list depends only
+on the pattern as well.  So a sequential decode keeps one store per
+call, keyed on the delay and the relative pattern: each window's pattern
+part, and its plan, made once, at the pattern's first window, from one
+valuation-pivot decomposition U A V = D of the pattern's raw rows
+(intsolve.decompose).  It reads no value of the window and is checked
+once.  A pattern has a plan when V's time-i rows vanish on the free
+directions of the solutions, folding patterns included.  Every window of
+a pattern with a plan, the first one included, reads its raw right-hand
+sides s with no row object built: it is invalid unless D divides U s,
+and otherwise x = V (U s / D) is checked against the raw rows and time i
+is committed from it, with no elimination.  Every other window runs
 list_decode, whose values are checked where they are read.
 """
 
@@ -84,7 +83,8 @@ import numpy as np
 from .codes import ConvCode, _integer, _window_rhs
 from .config import enumeration_cap
 from .errors import CapExceeded
-from .linsolve import AffineSet, StageMatrix, enumerate_solutions, reduce_stage, replay_rref_log
+from .intsolve import Decomposition, decompose
+from .linsolve import AffineSet, StageMatrix, enumerate_solutions, reduce_stage
 from .polymat import exact_dtype
 from .ring import RingContext
 
@@ -173,10 +173,10 @@ class WindowSystem:
     in kernel order.  The columns, absolute (time, coord) pairs in time-major
     order, row_rhs, the raw right-hand sides of the pattern's nonzero
     equations as an array of the pattern's dtype, and symbols, the window's
-    own read from received, are derived on first read, so a replayed window
-    builds none of them.  rows, a WindowRow per nonzero equation whose
-    right-hand side the row's p-power divides, is a view of the pattern's
-    matrices for reports; decoding reads the matrices.
+    own read from received, are derived on first read, so a window solved
+    by its plan builds none of them.  rows, a WindowRow per nonzero
+    equation whose right-hand side the row's p-power divides, is a view of
+    the pattern's matrices for reports; decoding reads the matrices.
     """
 
     code: ConvCode
@@ -254,8 +254,8 @@ class _Pattern:
     those rows, original and renormalized, as integer arrays, and scales
     their p^stratum.  A row of stratum v takes part in the digit stages t
     with v + t < r, those where p^stratum < p^(r - t).  A sequential
-    decode also keeps the pattern's plan here: None until it is compiled,
-    then the _Plan, or False when the pattern has none.
+    decode also keeps the pattern's plan here: None until it is made, then
+    the _Plan, or False when the pattern has none.
     """
 
     __slots__ = ("erased", "columns", "head", "moduli", "nonzero", "scales", "origs", "coeffs", "plan")
@@ -416,9 +416,7 @@ class _Branch:
     stages run so far, the integer affine form cols[0][c] + sum_v
     cols[1 + v][c] x_v over all P parameters: cols holds P + 1 lists over
     the e columns, the constants and then one per parameter (a folded
-    parameter keeps a zero list).  A value-free recursion (a plan's
-    compile) has no constant list: cols starts empty and holds the P
-    parameter lists alone.
+    parameter keeps a zero list).
     """
 
     __slots__ = ("space", "cols", "stages")
@@ -463,19 +461,14 @@ def _fold(branch: _Branch, phi: list[int], q: int) -> bool:
     return True
 
 
-def _stage_payload(cols, A: np.ndarray, rhs: np.ndarray | None, pt: int, q: int) -> np.ndarray:
+def _stage_payload(cols, A: np.ndarray, rhs: np.ndarray, pt: int, q: int) -> np.ndarray:
     """The payload of stage t >= 1: per form entry, digit t of rhs - A G over the stage rows A.
 
     One product of the column forms with the stage rows; row j of the
-    result is form entry j's payload column.  With rhs None the forms are
-    the parameter lists alone, and their payload is digit t of -A G; with
-    no form (a compile before its first parameter) it has no row.
+    result is form entry j's payload column.
     """
-    if not cols:
-        return np.zeros((0, len(A)), dtype=A.dtype)
     pays = np.array(cols, dtype=A.dtype) @ A.T
-    if rhs is not None:
-        pays[0] -= rhs
+    pays[0] -= rhs
     pays = -pays % q
     # the earlier stage identities hold coefficient by coefficient, so p^t
     # divides every entry
@@ -484,38 +477,30 @@ def _stage_payload(cols, A: np.ndarray, rhs: np.ndarray | None, pt: int, q: int)
     return pays // pt
 
 
-def _run_stage(
-    branch: _Branch, A: np.ndarray, rhs: np.ndarray | None, t: int, ctx: RingContext, logs: list | None = None
-):
+def _run_stage(branch: _Branch, A: np.ndarray, rhs: np.ndarray, t: int, ctx: RingContext):
     """Advance the recursion through digit stage t on its rows A and rhs; an invalid witness or None.
 
     The stage rows mod p are prepared for elimination once; each pass
     reduces them with their payload, digit t of rhs - A G per form entry,
     riding along.  A dependent row with a nonzero payload is folded and
-    the pass repeats.  A value-free recursion (rhs None, a compile) does
-    not fold: it returns ("fold", t, row) there, and keeps no stage
-    report.  With logs, the last pass's pivots and row-operation log are
-    appended to it.
+    the pass repeats.
     """
     p, q = ctx.p, ctx.q
     pt = p**t
     e = A.shape[1]
     matrix = StageMatrix(A, p)
     while True:
-        if not t and rhs is not None:
+        if not t:
             # every form is 0 before stage 0 (whose folds only find
             # contradictions), so the payload is the rhs alone
             payload = rhs[None]
         else:
             payload = _stage_payload(branch.cols, A, rhs, pt, q)
-        log = None if logs is None else []
-        red = reduce_stage(matrix, payload, log)
+        red = reduce_stage(matrix, payload)
         if red.fold is None:
             break
         # a dependent row whose payload is not zero constrains the parameters
         idx, phi = red.fold
-        if rhs is None:
-            return ("fold", t, idx)
         if not _fold(branch, phi, q):
             return ("stage", t, idx)
 
@@ -538,14 +523,11 @@ def _run_stage(
         col[c], vec[c] = pt, 1
         branch.cols.append(col)
         basis.append(tuple(vec))
-    if logs is not None:
-        logs.append((pivots, log))
-    if rhs is not None:
-        particular = [0] * e
-        for c, x in zip(pivots, red.pays[0]):
-            particular[c] = x
-        solutions = AffineSet(p, e, True, tuple(particular), tuple(basis))
-        branch.stages.append(DigitStage(t, len(pivots), tuple(new_params), solutions))
+    particular = [0] * e
+    for c, x in zip(pivots, red.pays[0]):
+        particular[c] = x
+    solutions = AffineSet(p, e, True, tuple(particular), tuple(basis))
+    branch.stages.append(DigitStage(t, len(pivots), tuple(new_params), solutions))
     return None
 
 
@@ -620,129 +602,109 @@ def _outcome(sys: WindowSystem, branch: _Branch) -> DecodeOutcome:
 
 @dataclass(frozen=True)
 class _Plan:
-    """How the windows of one erasure pattern commit time i without elimination.
+    """How the windows of one erasure pattern commit time i: one decomposition of its raw rows.
 
-    Per stage t, in stage order: its pivots, the row-operation log of its
-    elimination, and the (equation index, p^stratum, renormalized row)
-    triples of the rows it reads; then (equation index, original row) per
-    nonzero equation of the pattern, the rows the replayed column is
-    checked against.  Rows are lists, in row order.
+    dec is intsolve.decompose of the pattern's original rows, U A V = D,
+    checked once; rows holds the index of each nonzero equation in the
+    window's right-hand sides, and origs its original row as a list, in
+    row order: the rows every solution is checked against.
     """
 
-    stages: list[tuple[list[int], list, list[tuple[int, int, list[int]]]]]
-    origs: list[tuple[int, list[int]]]
+    dec: Decomposition
+    rows: list[int]
+    origs: list[list[int]]
 
 
-def _compile(sys: WindowSystem) -> _Plan | None:
-    """The plan of sys's erasure pattern, from the digit recursion on its parameter forms alone; None when it has none.
+def _make_plan(sys: WindowSystem) -> _Plan | None:
+    """The plan of sys's erasure pattern, from one decomposition of its raw rows; None when it has none.
 
-    The recursion has no constant column and no right-hand side, so it
-    reads no value of the window, and its eliminations and logs are
-    list_decode's on any valid window of the pattern.  It gives up at its
-    first fold, which a replay cannot repeat, and as soon as a parameter
-    reaches a time-i column, whose values are then not the constant
-    column's (a nonzero coefficient stays nonzero, as later stages change
-    only its higher digits).  Its parameter forms are checked once against
-    the pattern's raw rows.
+    The solutions of a valid window are x = V z, z_k fixed mod
+    p^(r - v_k) for k < rank and free for k >= rank.  So a time-i column
+    takes one value on every valid window's whole list exactly when its
+    row of V vanishes on those free directions: V[h, k] p^(r - v_k) = 0
+    for k < rank, V[h, k] = 0 beyond.  Those patterns have a plan.  The
+    decomposition reads no value of the window, and U A V = D is checked
+    once, by one product in exact integers.
     """
     ctx, pattern = sys.code.ctx, sys.pattern
-    p, r = ctx.p, ctx.r
-    branch, head = _Branch(ParamSpace(p), []), len(pattern.head)
-    rows, stages = list(zip(pattern.nonzero, pattern.coeffs.tolist())), []
-    for t in range(r):
-        # the stage rows: those of stratum at most r - 1 - t
-        rows_t = pattern.scales < p ** (r - t)
-        logs: list = []
-        if _run_stage(branch, pattern.coeffs[rows_t], None, t, ctx, logs) is not None:
+    q, origs = ctx.q, pattern.origs
+    m, e = origs.shape
+    dec = decompose(ctx, origs.tolist(), e)
+    # an entry of U A sums m products of residues, one of (U A mod q) V sums e
+    rank, dtype = len(dec.pivots), exact_dtype(max(m, e), q)
+    D = np.zeros((m, e), dtype=dtype)
+    np.fill_diagonal(D[:rank], dec.pivots)
+    U, V = np.array(dec.U, dtype=dtype).reshape(m, m), np.array(dec.V, dtype=dtype).reshape(e, e)
+    if not (U @ origs % q @ V % q == D).all():
+        raise AssertionError("the pattern's decomposition is not U A V = D")
+    for row in dec.V[: len(pattern.head)]:
+        if any(row[rank:]) or any(x * (q // pv) % q for x, pv in zip(row, dec.pivots)):
             return None
-        if any(any(col[:head]) for col in branch.cols):
-            return None
-        ((pivots, log),) = logs
-        read = [(k, pv, row) for ((k, pv), row), x in zip(rows, rows_t.tolist()) if x]
-        stages.append((pivots, log, read))
-    if branch.cols:
-        _check_rows(sys, branch.cols, with_consts=False)
-    return _Plan(stages, [(k, orig) for (k, _), orig in zip(pattern.nonzero, pattern.origs.tolist())])
+    return _Plan(dec, [k for k, _ in pattern.nonzero], origs.tolist())
 
 
-def _replay(plan: _Plan, sys: WindowSystem) -> list[int] | None:
-    """The constant column of list_decode(sys) from its pattern's plan, with no elimination.
+def _plan_values(plan: _Plan, sys: WindowSystem) -> list[int] | None:
+    """The erased columns' values on one solution of sys's raw rows, from its pattern's plan; None when sys is invalid.
 
-    Each stage replays its logged row operations on digit t of rhs - A G
-    for the constant column alone, over the rows it reads; at stage 0 the
-    column is zero, and the digits are the renormalized right-hand sides.
-    None when the window is invalid (list_decode then derives the witness).
-    The column is checked against every raw row, orig . consts == orig_rhs
-    mod q, so the time-i values committed from it solve the window.  A
-    valid window's rows are its pattern's nonzero equations, so the replay
-    reads their raw right-hand sides in sys.rhs and builds no row.
+    s holds the raw right-hand sides of the pattern's nonzero equations,
+    read in sys.rhs with no row built, and the solution is x = V (U s /
+    p^v).  The window is invalid (list_decode then derives the witness)
+    unless p^v_k divides (U s)_k for k < rank and (U s)_k = 0 beyond.  x
+    is checked against every raw row, orig . x == s mod q, so the time-i
+    values committed from it solve the window.
     """
     if sys.invalid_witness is not None:
         return None
-    ctx = sys.code.ctx
-    p, q = ctx.p, ctx.q
-    rhs = sys.rhs
-    consts = [0] * sys.e
-    for t, (pivots, log, rows) in enumerate(plan.stages):
-        pt = p**t
-        if t:
-            digits = [(rhs[k] // pv - sum(map(mul, row, consts))) % q // pt for k, pv, row in rows]
-        else:
-            digits = [rhs[k] // pv for k, pv, _ in rows]
-        reduced = replay_rref_log(log, digits, p)
-        if any(reduced[len(pivots) :]):
-            return None
-        # stage t writes digit t of its pivot columns only
-        for x, col in zip(reduced, pivots):
-            consts[col] += pt * x
-    if any((sum(map(mul, orig, consts)) - rhs[k]) % q for k, orig in plan.origs):
+    rhs, q = sys.rhs, sys.code.ctx.q
+    s = [rhs[k] for k in plan.rows]
+    x = plan.dec.solve(s)
+    if x is not None and any((sum(map(mul, orig, x)) - b) % q for orig, b in zip(plan.origs, s)):
         raise AssertionError(_VIOLATION)
-    return consts
+    return x
 
 
 def _planned_decode(
     sys: WindowSystem, counts: PlanCounts
 ) -> tuple[DecodeOutcome | None, list[int] | None]:
-    """list_decode(sys), or the constant column that commits time i: (outcome, column).
+    """list_decode(sys), or the column values that commit time i: (outcome, values).
 
-    A pattern's first window compiles its plan (_compile).  Every window
-    of a pattern with a plan, that one included, replays it, and the
-    outcome is None; a replay that finds the window invalid hands it to
-    list_decode, which derives the witness.  Every window of a pattern
-    without a plan runs list_decode.  The path taken is counted in counts.
+    A pattern's first window makes its plan (_make_plan).  Every window of
+    a pattern with a plan, that one included, solves through it, and the
+    outcome is None; a window the plan finds invalid goes to list_decode,
+    which derives the witness.  Every window of a pattern without a plan
+    runs list_decode.  The path taken is counted in counts.
     """
     pattern = sys.pattern
     first = pattern.plan is None
     if first:
-        pattern.plan = _compile(sys) or False
+        pattern.plan = _make_plan(sys) or False
     plan = pattern.plan
-    consts = _replay(plan, sys) if plan else None
+    values = _plan_values(plan, sys) if plan else None
     if first or not plan:
         counts.first_decodes += 1
-    elif consts is None:
+    elif values is None:
         counts.fallbacks += 1
     else:
         counts.value_replays += 1
-    return (list_decode(sys), None) if consts is None else (None, consts)
+    return (list_decode(sys), None) if values is None else (None, values)
 
 
 _VIOLATION = "the list violates the parity equations"
 
 
-def _check_rows(sys: WindowSystem, cols, with_consts: bool = True) -> np.ndarray:
+def _check_rows(sys: WindowSystem, cols) -> np.ndarray:
     """Raise unless the column forms cols solve every raw row of a valid window, coefficient by coefficient.
 
-    cols holds the constant list and then the parameter lists, or, without
-    with_consts, the parameter lists alone.  One product with the
-    pattern's original rows: the constants must give each row's raw
-    right-hand side mod q, and every parameter list must give 0.  Returns
-    the forms as the array checked, one row per list, in the pattern's dtype.
+    cols holds the constant list and then the parameter lists.  One
+    product with the pattern's original rows: the constants must give each
+    row's raw right-hand side mod q, and every parameter list must give 0.
+    Returns the forms as the array checked, one row per list, in the
+    pattern's dtype.
     """
     origs = sys.pattern.origs
     forms = np.array(cols, dtype=origs.dtype)
     prod = forms @ origs.T
-    if with_consts:
-        prod[0] -= sys.row_rhs
+    prod[0] -= sys.row_rhs
     if (prod % sys.code.ctx.q).any():
         raise AssertionError(_VIOLATION)
     return forms
@@ -874,12 +836,12 @@ def project_values(outcome: DecodeOutcome, cols: Sequence[int]) -> dict[int, int
 class PlanCounts:
     """How the windows of a sequential decode were decoded; one count per decision.
 
-    first_decodes counts the windows that compiled their pattern's plan,
+    first_decodes counts the windows that made their pattern's plan,
     whatever they ran then, and the later list_decode runs of patterns
-    with no plan, those whose compile folds or leaves a parameter on time
-    i.  value_replays are the later windows that committed time i from the
-    replayed constant column, and fallbacks the later replays that found
-    the window invalid and ran list_decode.
+    with no plan, those whose time i is not the same on every solution.
+    value_replays are the later windows that committed time i from their
+    pattern's plan, and fallbacks the later windows that the plan found
+    invalid and that ran list_decode.
     """
 
     first_decodes: int = 0
@@ -925,13 +887,13 @@ def sequential_decode(
 
     A store kept for this call, keyed on the delay and the erasure pattern
     relative to i, holds each pattern's window rows and plan: a pattern's
-    first window compiles the plan, its stages' elimination logs, by a
-    value-free digit recursion that gives up when the pattern folds or
-    leaves a parameter on time i.  Every window of a pattern with a plan,
-    the first one included, replays the logs on the constant column and
-    commits time i from it, reading its right-hand sides with no row
-    built.  Every other window runs list_decode.  Each committed value
-    comes from a column checked against the window's raw rows.  The store
+    first window makes the plan, one decomposition U A V = D of the
+    pattern's raw rows, which has a plan exactly when time i is the same
+    on every solution of every valid window.  Every window of a pattern
+    with a plan, the first one included, solves x = V (U s / D) from its
+    right-hand sides s, with no row built, and commits time i from it.
+    Every other window runs list_decode.  Each committed value comes from
+    a column checked against the window's raw rows.  The store
     also holds the call's running syndrome: the first window's build
     computes the right-hand sides of every later equation in one kernel
     call, each commit updates the times it reaches and a "first" pick
@@ -970,16 +932,14 @@ def sequential_decode(
     while i is not None:
         Tw = T if terminated else min(T, len(work) - 1 - i)
         sys = build_window_system(code, work, i, Tw, terminated=terminated, store=patterns)
-        outcome, consts = _planned_decode(sys, counts)
+        outcome, values = _planned_decode(sys, counts)
         if outcome is not None and outcome.kind == "invalid":
             verdict = (i, "invalid") if picked is None else (i, "invalid-after-guess", picked)
             decisions.append(verdict)
             return halted(i, outcome)
         # the columns are time-major, so time i's come first
         head = sys.pattern.head
-        if outcome is None:
-            values = consts
-        else:
+        if outcome is not None:
             got = project_values(outcome, range(len(head)))
             values = None if got is None else [got[k] for k in range(len(head))]
         if values is not None:

@@ -147,12 +147,6 @@ def check_pattern_consistency(symbols: Sequence[Sequence[int | None]], erasures)
         )
 
 
-def save_message(path: str, k: int, symbols: Sequence[Sequence[int]]):
-    doc = {"k": k, "symbols": [list(sym) for sym in symbols]}
-    with open(path, "w") as fh:
-        fh.write(_canon(doc))
-
-
 def load_message(path: str) -> tuple[int, list[list[int]]]:
     with open(path) as fh:
         return _symbols(json.load(fh), "k", erasable=False)

@@ -19,10 +19,8 @@ entries in the pivot rows.
 The elimination kernels are also the single place where Z_p
 multiply-accumulate operations are counted, once per elimination and the
 same count on both paths, so decoding cost measurements all flow through
-OPS.  rref_mod_p can log its row operations, and replay_rref_log applies
-a log to one more column without eliminating again.  The brute-force
-enumerator behind the decoding oracle and the distance searches lives
-here too.
+OPS.  The brute-force enumerator behind the decoding oracle and the
+distance searches lives here too.
 """
 
 from __future__ import annotations
@@ -95,9 +93,7 @@ class ConstMatrix:
         return f"ConstMatrix({self.rows}x{self.cols} mod {self.ctx.q}: {self.data})"
 
 
-def rref_mod_p(
-    rows: list[list[int]], p: int, ncols: int | None = None, log: list | None = None
-) -> list[int]:
+def rref_mod_p(rows: list[list[int]], p: int, ncols: int | None = None) -> list[int]:
     """In-place reduced row echelon form over Z_p; returns pivot columns.
 
     Pivots are sought only among the first ncols columns (all by default);
@@ -107,20 +103,13 @@ def rref_mod_p(
     into [0, p).  Over Z_2 the rows are packed into one int, column j in
     bits [j*m, (j+1)*m), eliminated there by _rref_2, then unpacked.  OPS
     is added to once per call.
-
-    With a log list, the row operations are appended to it, one entry per
-    pivot k: (the row swapped into row k, the scale factor of row k, and
-    the (row, factor) eliminations row -= factor * row k).  Over Z_2 the
-    scale is 1 and the eliminations are the rows of the XOR hits alone, in
-    increasing order.  replay_rref_log applies them to one more column;
-    keeping the log adds no Z_p ops to OPS.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     if ncols is None:
         ncols = n
     if p == 2:
-        M, pivots = _rref_2(_pack_2(np.array(rows).reshape(m, n).T), m, n, ncols, log)
+        M, pivots = _rref_2(_pack_2(np.array(rows).reshape(m, n).T), m, n, ncols)
         rows[:] = _unpack_2(M, m, n)
         return pivots
     for i in range(m):
@@ -137,7 +126,6 @@ def rref_mod_p(
             rows[r] = [(inv * x) % p for x in rows[r]]
             ops += ncols - col
         rr = rows[r]
-        elims = []
         for i in range(m):
             f = rows[i][col]
             if f == 0 or i == r:
@@ -146,9 +134,6 @@ def rref_mod_p(
             ri = rows[i]
             ri[col:] = [(a - f * b) % p for a, b in zip(ri[col:], rr[col:])]
             ops += ncols - col + 1
-            elims.append((i, f))
-        if log is not None:
-            log.append((pr, inv, elims))
         pivots.append(col)
         r += 1
         if r == m:
@@ -187,17 +172,7 @@ def _head_bits(x: int, k: int) -> bytes:
     return format(x & ((1 << k) - 1) | 1 << k, "b")[:0:-1].encode().translate(_DIGITS)
 
 
-def _bits(x: int) -> list[int]:
-    """The set bits of x, in increasing order."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
-def _rref_2(M: int, m: int, n: int, ncols: int, log: list | None) -> tuple[int, list[int]]:
+def _rref_2(M: int, m: int, n: int, ncols: int) -> tuple[int, list[int]]:
     """rref_mod_p over Z_2 on a one-int matrix; returns it reduced, and the pivot columns.
 
     spread has bit j*m set for each column j, so (X >> i) & spread is row
@@ -225,7 +200,6 @@ def _rref_2(M: int, m: int, n: int, ncols: int, log: list | None) -> tuple[int, 
         if not low:
             continue
         if low & 1:
-            pr = r
             hits = c ^ 1 << r
             if hits:
                 M ^= (U >> r & spread) * hits << s
@@ -238,8 +212,6 @@ def _rref_2(M: int, m: int, n: int, ncols: int, log: list | None) -> tuple[int, 
             d = (U >> r & spread) ^ bp
             M ^= (d << r ^ d << pr ^ bp * hits) << s
         ops += hits.bit_count() * (ncols - col + 1)
-        if log is not None:
-            log.append((pr, 1, _bits(hits)))
         pivots.append(col)
         r += 1
         if r == m:
@@ -281,12 +253,12 @@ class StageReduction(NamedTuple):
     at_free: list[Sequence[int]]
 
 
-def reduce_stage(matrix: StageMatrix, payload: np.ndarray, log: list | None = None) -> StageReduction:
+def reduce_stage(matrix: StageMatrix, payload: np.ndarray) -> StageReduction:
     """rref_mod_p of the stage rows with their payload columns riding along.
 
     payload is a 2-D integer array holding the payload columns as its
-    rows, each one entry per stage row.  Pivots, the reduced rows, OPS and
-    the log are rref_mod_p's on the augmented rows; only what the stage
+    rows, each one entry per stage row.  Pivots, the reduced rows and OPS
+    are rref_mod_p's on the augmented rows; only what the stage
     uses comes back (see StageReduction).  Over Z_2 the payload columns
     are packed as the fields above the stage matrix's e columns, the one
     int is eliminated by _rref_2, and the readback takes the payload and
@@ -295,7 +267,7 @@ def reduce_stage(matrix: StageMatrix, payload: np.ndarray, log: list | None = No
     p, e, m = matrix.p, matrix.e, matrix.m
     if p != 2:
         mat = list(map(add, matrix.data, payload.T.tolist()))
-        pivots = rref_mod_p(mat, p, ncols=e, log=log)
+        pivots = rref_mod_p(mat, p, ncols=e)
         npiv = len(pivots)
         free = _free(pivots, e)
         for k in range(npiv, m):
@@ -305,7 +277,7 @@ def reduce_stage(matrix: StageMatrix, payload: np.ndarray, log: list | None = No
         cols = list(zip(*mat[:npiv])) or [()] * (e + len(payload))
         return StageReduction(pivots, free, None, cols[e:], [cols[c] for c in free])
     n = e + len(payload)
-    M, pivots = _rref_2(matrix.data | _pack_2(payload) << e * m, m, n, e, log)
+    M, pivots = _rref_2(matrix.data | _pack_2(payload) << e * m, m, n, e)
     npiv = len(pivots)
     free = _free(pivots, e)
     field = (1 << m) - 1
@@ -327,29 +299,12 @@ def _free(pivots: list[int], e: int) -> list[int]:
     return [c for c in range(e) if c not in pivot_set]
 
 
-def replay_rref_log(log: list, column: Sequence[int], p: int) -> list[int]:
-    """One more augmented column put through a logged rref_mod_p, reduced into [0, p)."""
-    col = [x % p for x in column]
-    for k, (pr, inv, elims) in enumerate(log):
-        col[k], col[pr] = col[pr], col[k]
-        x = col[k] = col[k] * inv % p
-        if not x:
-            continue
-        if p == 2:
-            for i in elims:
-                col[i] ^= 1
-        else:
-            for i, f in elims:
-                col[i] = (col[i] - f * x) % p
-    return col
-
-
 def rank_mod_p(data: Sequence[Sequence[int]], p: int) -> int:
     if not data:
         return 0
     if p == 2:
         n = len(data[0])
-        return len(_rref_2(_pack_2(np.array(data).reshape(len(data), n).T), len(data), n, n, None)[1])
+        return len(_rref_2(_pack_2(np.array(data).reshape(len(data), n).T), len(data), n, n)[1])
     return len(rref_mod_p([list(r) for r in data], p))
 
 

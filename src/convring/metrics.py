@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import inf
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,20 +21,6 @@ from .codes import ConvCode, sliding_matrix
 from .config import enumeration_cap
 from .errors import CapExceeded
 from .linsolve import enumerate_solutions, rank_mod_p
-from .polymat import Poly
-
-
-def hamming_weight(word: Iterable) -> int:
-    """Number of nonzero symbol entries in a window or polynomial vector."""
-    total = 0
-    for item in word:
-        if isinstance(item, Poly):
-            total += sum(1 for c in item.coeffs if c)
-        elif isinstance(item, (list, tuple)):
-            total += sum(1 for c in item if c)
-        else:
-            total += 1 if item else 0
-    return total
 
 
 def column_distance(code: ConvCode, j: int) -> int:

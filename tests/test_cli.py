@@ -58,7 +58,7 @@ class TestFiles:
 
     def test_message_roundtrip(self, tmp_path):
         path = tmp_path / "m.json"
-        files.save_message(str(path), 2, [[1, 2], [3, 0]])
+        path.write_text(json.dumps({"k": 2, "symbols": [[1, 2], [3, 0]]}))
         assert files.load_message(str(path)) == (2, [[1, 2], [3, 0]])
 
 
@@ -171,7 +171,7 @@ class TestCliCommands:
         files.save_code(str(code_path), code)
         msg = [[random.Random(9).randrange(4) for _ in range(2)] for _ in range(4)]
         msg_path = tmp_path / "m.json"
-        files.save_message(str(msg_path), 2, msg)
+        msg_path.write_text(json.dumps({"k": 2, "symbols": msg}))
         stream_path = tmp_path / "s.json"
         assert main(["encode", "--code", str(code_path), "--message", str(msg_path), "--out", str(stream_path)]) == 0
         rx_path = tmp_path / "rx.json"

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 from dataclasses import astuple
 
 import numpy as np
@@ -23,7 +24,7 @@ from convring import decoder
 from convring.cli import erase_stream, generate_code
 from convring.codes import is_codeword_window
 from convring.decoder import ParamSpace, _Branch, _fold
-from convring.errors import CapExceeded
+from convring.errors import CapExceeded, ConvringError
 from convring.intsolve import solve_mod
 from convring.linsolve import OPS, rank_mod_p, rref_mod_p
 from tests.conftest import random_kernel_code
@@ -448,6 +449,83 @@ class TestReceivedEntryTypes:
             got = sequential_decode(code, typed, 2)
             assert (got.stream, got.decisions) == (want.stream, want.decisions)
 
+
+@functools.cache
+def _fuzz_code(name):
+    return generate_code(**PLAN_CODES[name])
+
+
+# known entries a caller may pass: residues, negative and huge integers,
+# numpy integers of several widths, and entries that are not integers
+_HOSTILE_ENTRIES = st.one_of(
+    st.integers(-40, 40),
+    st.sampled_from([10**30, -(10**30), 2**63, -(2**63) - 1, 2**64 + 1]),
+    st.builds(lambda x, kind: kind(x), st.integers(0, 100), st.sampled_from([np.int8, np.int32, np.int64, np.uint8])),
+    st.sampled_from([1.5, 2.0, "3", True, np.float64(1.0), np.bool_(True)]),
+)
+
+
+@st.composite
+def entry_point_cases(draw):
+    """(code, received, i, T, terminated, policy) for the decoding entry points, hostile inputs included.
+
+    The stream is a codeword of 0..10 symbols with iid erasures, then up to
+    three edits: an entry replaced by a hostile one, or a symbol cut short,
+    lengthened or emptied.  i and T run past both ends of the stream, as
+    Python or numpy integers, and an unterminated window may end far past
+    the stream's end.
+    """
+    code = _fuzz_code(draw(st.sampled_from(["z4", "z9"])))
+    q = code.ctx.q
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    length = draw(st.integers(0, 10))
+    sent = code.encode([[rng.randrange(q) for _ in range(code.k)] for _ in range(length)]) if length else []
+    eps = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    rx = [[None if rng.random() < eps else x for x in sym] for sym in sent]
+    for _ in range(draw(st.integers(0, 3)) if rx else 0):
+        t = draw(st.integers(0, len(rx) - 1))
+        kind = draw(st.sampled_from(["entry", "short", "long", "empty"]))
+        if kind == "entry" and rx[t]:
+            rx[t][draw(st.integers(0, len(rx[t]) - 1))] = draw(_HOSTILE_ENTRIES)
+        elif kind != "entry":
+            rx[t] = {"short": rx[t][:-1], "long": rx[t] + [0], "empty": []}[kind]
+    terminated = draw(st.booleans())
+    i = draw(st.one_of(st.integers(-3, len(rx) + 3), st.sampled_from([10**18, np.int64(1)])))
+    # a terminated window's equations span T + 1 times, so T stays near the
+    # stream's length there
+    T = draw(st.one_of(st.integers(-2, len(rx) + 3), st.just(np.int64(2))))
+    if not terminated and draw(st.booleans()):
+        T = 10**18
+    return code, rx, i, T, terminated, draw(st.sampled_from(["halt", "first", "branch"]))
+
+
+_FUZZ_SECONDS = 20.0  # per entry-point call, generous
+
+
+def _returns_or_raises_typed(call):
+    """Run call; it must return or raise ValueError or ConvringError, within _FUZZ_SECONDS."""
+    start = time.perf_counter()
+    try:
+        call()
+    except (ValueError, ConvringError):
+        pass
+    assert time.perf_counter() - start < _FUZZ_SECONDS
+
+
+@settings(max_examples=200, deadline=None)
+@given(entry_point_cases())
+def test_entry_points_return_or_raise_typed_error(case):
+    # build_window_system, list_decode, sequential_decode and oracle_decode
+    # on hostile streams, starts and delays either return or raise a typed
+    # error, in bounded time, under python -O too; the oracle's cap is small
+    # so that it returns or raises CapExceeded at once
+    code, rx, i, T, terminated, policy = case
+    _returns_or_raises_typed(lambda: build_window_system(code, rx, i, T, terminated=terminated))
+    _returns_or_raises_typed(lambda: list_decode(build_window_system(code, rx, i, T, terminated=terminated)))
+    _returns_or_raises_typed(lambda: sequential_decode(code, rx, T, policy=policy, terminated=terminated))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CONVRING_CAP", "4096")
+        _returns_or_raises_typed(lambda: oracle_decode(code, rx, i, T, terminated=terminated))
 
 class TestInvalidity:
     def test_perturbed_known_symbol(self, kernel_code_z8):
@@ -935,28 +1013,6 @@ def test_project_values_raises_on_corrupt_constant(kernel_code_z8):
         project_values(out, head)
 
 
-def test_list_decode_keeps_no_log(kernel_code_z8, monkeypatch):
-    # list_decode asks reduce_stage for no log, and its branch has no place
-    # for one; a compile of the same pattern logs each elimination it runs,
-    # with list_decode's pivots, until a parameter reaches time 0 (here in
-    # stage 1)
-    real_reduce, calls = decoder.reduce_stage, []
-
-    def reduce_stage(matrix, payload, log=None):
-        got = real_reduce(matrix, payload, log)
-        calls.append((log is not None, len(got.pivots)))
-        return got
-
-    monkeypatch.setattr(decoder, "reduce_stage", reduce_stage)
-    sysw = build_window_system(kernel_code_z8, RECEIVED, 0, 2)
-    out = list_decode(sysw)
-    assert not hasattr(out.branches[0], "logs")
-    assert calls == [(False, 7), (False, 5), (False, 3)]
-    calls.clear()
-    assert decoder._compile(sysw) is None
-    assert calls == [(True, 7), (True, 5)]
-
-
 def test_corrupt_stage_form_raises(kernel_code_z8, monkeypatch):
     # a stage-0 form off by one on a column that a stage-1 row reads with
     # a unit breaks p | payload; the check raises, under python -O too
@@ -990,9 +1046,9 @@ def test_corrupt_orig_band_raises(kernel_code_z8):
 
 
 def _check_z2_stages(case):
-    """Each reduce_stage call of a Z_{2^r} window's list_decode and of its pattern's compile reads back what rref_mod_p's list rows hold.
+    """Each reduce_stage call of a Z_{2^r} window's list_decode reads back what rref_mod_p's list rows hold.
 
-    Pivots, free columns and log; the first dependent row with a nonzero
+    Pivots and free columns; the first dependent row with a nonzero
     payload, and that payload; or the entries of each payload column and
     each free column in the pivot rows.  Returns the features seen.
     """
@@ -1004,14 +1060,13 @@ def _check_z2_stages(case):
         coeff_rows[matrix] = rows.tolist()
         return matrix
 
-    def reduce_stage(matrix, payload, log=None):
-        got_log = [] if log is None else log
-        got = real_reduce(matrix, payload, got_log)
+    def reduce_stage(matrix, payload):
+        got = real_reduce(matrix, payload)
         rows = [[*row, *pay] for row, pay in zip(coeff_rows[matrix], payload.T.tolist())]
-        e, ref_log = matrix.e, []
-        pivots = rref_mod_p(rows, 2, ncols=e, log=ref_log)
+        e = matrix.e
+        pivots = rref_mod_p(rows, 2, ncols=e)
         free = [c for c in range(e) if c not in pivots]
-        assert (got.pivots, got.free, got_log) == (pivots, free, ref_log)
+        assert (got.pivots, got.free) == (pivots, free)
         idx = next((k for k in range(len(pivots), len(rows)) if any(rows[k][e:])), None)
         if idx is None:
             assert got.fold is None
@@ -1033,7 +1088,6 @@ def _check_z2_stages(case):
         mp.setattr(decoder, "StageMatrix", stage_matrix)
         mp.setattr(decoder, "reduce_stage", reduce_stage)
         out = list_decode(sysw)
-        decoder._compile(sysw)
     if out.invalid_witness is not None and out.invalid_witness[0] == "stage":
         features.add("stage-invalid")
     if code.ctx.q == 16 and coeff_rows:
@@ -1325,29 +1379,29 @@ def _reference_sequential(code, received, T, policy, terminated):
 class TestPlanReplay:
     @pytest.mark.parametrize("name", sorted(PLAN_CODES))
     def test_replays_equal_list_decode(self, name, monkeypatch):
-        # every replay commits exactly list_decode's time-i values, the
-        # replays at a pattern's first window, right after its compile,
-        # included
+        # every window that solves through its pattern's plan commits exactly
+        # list_decode's time-i values, those at a pattern's first window,
+        # right after its plan is made, included
         code = generate_code(**PLAN_CODES[name])
-        replay, compile_ = decoder._replay, decoder._compile
-        # per checked commit, whether its window compiled the pattern
+        values_of, make_plan = decoder._plan_values, decoder._make_plan
+        # per checked commit, whether its window made the pattern's plan
         first_sight, compiling = [], []
 
-        def checked_compile(sysw):
+        def checked_make(sysw):
             compiling.append(sysw)
-            return compile_(sysw)
+            return make_plan(sysw)
 
-        def checked_replay(plan, sysw):
-            consts = replay(plan, sysw)
-            if consts is not None:
+        def checked_values(plan, sysw):
+            values = values_of(plan, sysw)
+            if values is not None:
                 head = [k for k, (t, _) in enumerate(sysw.columns) if t == sysw.i]
-                committed = dict(zip(head, consts))
+                committed = dict(zip(head, values))
                 assert committed == project_values(list_decode(sysw), head)
                 first_sight.append(compiling[-1] is sysw)
-            return consts
+            return values
 
-        monkeypatch.setattr(decoder, "_replay", checked_replay)
-        monkeypatch.setattr(decoder, "_compile", checked_compile)
+        monkeypatch.setattr(decoder, "_plan_values", checked_values)
+        monkeypatch.setattr(decoder, "_make_plan", checked_make)
         streams = [_plan_stream(code, s, 60 + 20 * s, 0.15, corrupt=s == 3) for s in range(4)]
         for rx in [*streams, _plan_stream(code, 4, 30, None), _burst_stream(code, 5, 40, 2, 8)]:
             for T in (1, 2, 3):
@@ -1364,27 +1418,28 @@ class TestPlanReplay:
         assert sum(first_sight) > 500
 
     def test_value_only_share(self, monkeypatch):
-        # every window of this long stream commits from a replayed constant
-        # column (692, 173 of them at a pattern's first window); a silent
-        # fallback to list_decode fails here
+        # every window of this long stream commits from its pattern's plan
+        # (692, 173 of them at a pattern's first window); a silent fallback
+        # to list_decode fails here
         code = generate_code(**PLAN_CODES["z9"])
         rx = _plan_stream(code, 1, 2000, 0.10)
-        replay = decoder._replay
+        values_of = decoder._plan_values
         value_only = []
 
         def counted(plan, sysw):
-            consts = replay(plan, sysw)
-            value_only.append(consts is not None)
-            return consts
+            values = values_of(plan, sysw)
+            value_only.append(values is not None)
+            return values
 
-        monkeypatch.setattr(decoder, "_replay", counted)
+        monkeypatch.setattr(decoder, "_plan_values", counted)
         res = sequential_decode(code, rx, 2)
         assert res.complete
         assert sum(value_only) == len(res.decisions)
 
     def test_replayed_windows_derive_nothing(self, monkeypatch):
-        # a window that commits from a replay reads its raw right-hand sides
-        # alone: its known symbols, columns and rows are never derived
+        # a window that commits from its pattern's plan reads its raw
+        # right-hand sides alone: its known symbols, columns and rows are
+        # never derived
         code = generate_code(**PLAN_CODES["z9"])
         rx = _plan_stream(code, 1, 400, 0.10)
         build, built = decoder.build_window_system, []
@@ -1420,79 +1475,71 @@ class TestPlanReplay:
 
     @pytest.mark.parametrize("name, eps", [("z9", 0.10), ("z4", None)])
     def test_corrupted_plan_raises(self, name, eps, monkeypatch):
-        # in every compiled plan, the last pivot of the first stage with two
-        # pivots gets one more logged elimination, of pivot row 0 with factor
-        # 1 (an added XOR hit on Z_2); the row check of the replayed column
-        # must stop the decode before it commits
+        # every plan, once its compile check has passed, gets V[0][0] off by
+        # one, so a window with z_0 != 0 solves to a wrong first column; the
+        # raw-row check of that solution stops the decode in that window,
+        # before it commits, under python -O too
         code = generate_code(**PLAN_CODES[name])
-        p = code.ctx.p
         rx = _plan_stream(code, 1, 400, eps)
-        compile_ = decoder._compile
+        make_plan, build, commit = decoder._make_plan, decoder.build_window_system, decoder._Syndrome.commit
+        starts, committed = [], []
 
         def corrupted(sysw):
-            plan = compile_(sysw)
-            logs = [log for _, log, _ in plan.stages if len(log) > 1] if plan else []
-            if logs:
-                _, _, elims = logs[0][-1]
-                elims.append(0 if p == 2 else (0, 1))
+            plan = make_plan(sysw)
+            if plan:
+                plan.dec.V[0][0] += 1
             return plan
-
-        monkeypatch.setattr(decoder, "_compile", corrupted)
-        with pytest.raises(AssertionError, match="violates the parity equations"):
-            sequential_decode(code, rx, 2)
-
-    @pytest.mark.parametrize("name", sorted(PLAN_CODES))
-    def test_corrupted_plan_params_raises(self, name, monkeypatch):
-        # after the last stage of the first compile with a parameter, one
-        # parameter coefficient is off by one on a column that is not at
-        # time i; the compile checks its parameter forms against the raw
-        # rows, so the decode stops in the compiling window, before it
-        # commits
-        code = generate_code(**PLAN_CODES[name])
-        q, r = code.ctx.q, code.ctx.r
-        # every window commits its unique first time from the constant
-        # column, so only that check reads the parameters
-        rx = _burst_stream(code, 1, 40, 1, 2)
-        run_stage, compile_, build = decoder._run_stage, decoder._compile, decoder.build_window_system
-        starts, corrupted_at, compiling = [], [], []
-
-        def compiled(sysw):
-            compiling.append(sysw)
-            return compile_(sysw)
-
-        def corrupted(branch, A, rhs, t, ctx, logs=None):
-            witness = run_stage(branch, A, rhs, t, ctx, logs)
-            if rhs is None and t == r - 1 and branch.cols and not corrupted_at:
-                sysw = compiling[-1]
-                # a later column that some raw row reads, so the off-by-one
-                # shows in that row and not in the time-i test
-                col = next(
-                    k
-                    for k, (at, _) in enumerate(sysw.columns)
-                    if at > sysw.i and (sysw.pattern.origs[:, k] % q).any()
-                )
-                branch.cols[0][col] += 1
-                corrupted_at.append(len(starts))
-            return witness
 
         def recorded(code, received, i, *args, **kwargs):
             starts.append(i)
             return build(code, received, i, *args, **kwargs)
 
-        monkeypatch.setattr(decoder, "_run_stage", corrupted)
+        def recorded_commit(self, code, i, values):
+            committed.append(i)
+            return commit(self, code, i, values)
+
+        monkeypatch.setattr(decoder, "_make_plan", corrupted)
         monkeypatch.setattr(decoder, "build_window_system", recorded)
-        monkeypatch.setattr(decoder, "_compile", compiled)
+        monkeypatch.setattr(decoder._Syndrome, "commit", recorded_commit)
         with pytest.raises(AssertionError, match="violates the parity equations"):
             sequential_decode(code, rx, 2)
-        # the compiling window was the last one built
-        assert corrupted_at == [len(starts)]
+        assert starts[-1] not in committed and committed == starts[:-1]
+
+    @pytest.mark.parametrize("name", sorted(PLAN_CODES))
+    def test_corrupted_plan_params_raises(self, name, monkeypatch):
+        # a decomposition with one entry of U, or of V, off by one fails the
+        # compile check U A V = D in the first window that makes a plan from
+        # it, before that window commits, under python -O too
+        code = generate_code(**PLAN_CODES[name])
+        rx = _burst_stream(code, 1, 40, 1, 2)
+        decompose, build = decoder.decompose, decoder.build_window_system
+        for side in ("U", "V"):
+            starts, corrupted_at = [], []
+
+            def corrupted(ctx, data, n):
+                dec = decompose(ctx, data, n)
+                getattr(dec, side)[0][0] += 1
+                corrupted_at.append(starts[-1])
+                return dec
+
+            def recorded(code, received, i, *args, **kwargs):
+                starts.append(i)
+                return build(code, received, i, *args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(decoder, "decompose", corrupted)
+                mp.setattr(decoder, "build_window_system", recorded)
+                with pytest.raises(AssertionError, match="decomposition is not U A V = D"):
+                    sequential_decode(code, rx, 2)
+            # the first window made the first plan and raised
+            assert corrupted_at == starts == [0]
 
     def test_corrupt_list_constant_raises_before_commit(self, monkeypatch):
         # in the first list that a sequential decode gets from list_decode
         # (its pattern has no plan), the constant of one parameter-free
         # time-i column is off by one; project_values checks the forms
         # before it reads them, so the decode stops in that window, at time
-        # 4, before it commits, under python -O too
+        # 265, before it commits, under python -O too
         code = generate_code(**PLAN_CODES["z4"])
         q = code.ctx.q
         rx = _plan_stream(code, 1, 300, 0.1)
@@ -1520,7 +1567,7 @@ class TestPlanReplay:
         monkeypatch.setattr(decoder, "build_window_system", recorded)
         with pytest.raises(AssertionError, match="violates the parity equations"):
             sequential_decode(code, rx, 2)
-        assert corrupted_at == starts[-1:] == [4]
+        assert corrupted_at == starts[-1:] == [265]
 
     def test_plan_counts(self, monkeypatch):
         # each pattern compiles its plan once, at its first window, which
@@ -1567,40 +1614,66 @@ class TestPlanReplay:
         assert astuple(counts) == (1, 2, 0)
 
     def test_unplannable_pattern_compiles_once(self, monkeypatch):
-        # a pattern whose compile leaves no plan (a list at time i on the
-        # Z_4 burst stream, a fold on the Z_8 stream) compiles once per call
-        # and runs list_decode on each of its windows: the call's OPS are
-        # the reference loop's plus one compile per such pattern
-        compile_, compiled = decoder._compile, []
+        # on this Z_4 burst stream every window is a list at time i, so no
+        # pattern has a plan: each is decomposed once per call, and each of
+        # its windows runs list_decode alone; the decomposition counts no
+        # Z_p op, so the call's OPS are the reference loop's exactly
+        make_plan, made = decoder._make_plan, []
 
         def counted(sysw):
-            compiled.append(sysw)
-            return compile_(sysw)
+            made.append(sysw)
+            return make_plan(sysw)
 
-        monkeypatch.setattr(decoder, "_compile", counted)
-        z4, z8 = generate_code(**PLAN_CODES["z4"]), generate_code(**PLAN_CODES["z8"])
-        for code, rx, windows in [
-            (z4, _burst_stream(z4, 5, 40, 2, 8), 5),
-            (z8, _plan_stream(z8, 1, 60, None), 59),
-        ]:
-            compiled.clear()
-            before = OPS.count
-            res = sequential_decode(code, rx, 2, policy="first")
-            ops = OPS.count - before
-            before = OPS.count
-            work, decisions, _, _ = _reference_sequential(code, rx, 2, "first", True)
-            reference = OPS.count - before
-            assert (res.stream, res.decisions) == (work, decisions)
-            patterns = [sysw.pattern for sysw in compiled]
-            assert len(set(map(id, patterns))) == len(patterns)
-            (sysw,) = [sysw for sysw in compiled if sysw.pattern.plan is False]
-            # every other pattern has one window here, committed at its compile
-            counts = res.plan_counts
-            assert counts.first_decodes == len(res.decisions) and not counts.value_replays
-            assert len(res.decisions) - (len(patterns) - 1) == windows
-            before = OPS.count
-            assert compile_(sysw) is None
-            assert ops == reference + OPS.count - before > reference
+        monkeypatch.setattr(decoder, "_make_plan", counted)
+        code = generate_code(**PLAN_CODES["z4"])
+        rx = _burst_stream(code, 5, 40, 2, 6)
+        before = OPS.count
+        res = sequential_decode(code, rx, 2, policy="first")
+        ops = OPS.count - before
+        before = OPS.count
+        work, decisions, _, _ = _reference_sequential(code, rx, 2, "first", True)
+        assert ops == OPS.count - before > 0
+        assert (res.stream, res.decisions) == (work, decisions)
+        assert all(d[1] == "picked-first" for d in res.decisions) and len(res.decisions) == 7
+        patterns = [sysw.pattern for sysw in made]
+        assert len(set(map(id, patterns))) == len(patterns) < len(res.decisions)
+        assert all(pattern.plan is False for pattern in patterns)
+        assert astuple(res.plan_counts) == (len(res.decisions), 0, 0)
+
+    def test_folding_patterns_replay(self, monkeypatch):
+        # on this Z_8 stream time i is unique in every window, and the
+        # list_decode of all but the stream's last windows folds: the
+        # pattern's plan commits list_decode's values, and each window
+        # after the pattern's first counts as a value replay
+        code = generate_code(**PLAN_CODES["z8"])
+        rx = _plan_stream(code, 1, 60, None)
+        values_of, build, checked = decoder._plan_values, decoder.build_window_system, []
+        patterns = set()
+
+        def compared(plan, sysw):
+            values = values_of(plan, sysw)
+            out = list_decode(sysw)
+            head = range(len(sysw.pattern.head))
+            assert dict(zip(head, values)) == project_values(out, head)
+            checked.append((sysw.i, bool(out.branches[0].space.events)))
+            return values
+
+        def recorded(*args, **kwargs):
+            sysw = build(*args, **kwargs)
+            patterns.add(sysw.pattern)
+            return sysw
+
+        monkeypatch.setattr(decoder, "_plan_values", compared)
+        monkeypatch.setattr(decoder, "build_window_system", recorded)
+        for policy in ("halt", "first"):
+            checked.clear()
+            patterns.clear()
+            res = sequential_decode(code, rx, 2, policy=policy)
+            work, decisions, _, _ = _reference_sequential(code, rx, 2, policy, True)
+            assert (res.stream, res.decisions) == (work, decisions) and res.complete
+            assert [i for i, _ in checked] == [d[0] for d in res.decisions]
+            assert sum(folds for _, folds in checked) > 50
+            assert astuple(res.plan_counts) == (len(patterns), len(checked) - len(patterns), 0)
 
 
 @pytest.mark.parametrize("policy", ["halt", "first", "branch"])

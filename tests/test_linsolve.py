@@ -14,7 +14,6 @@ from convring.linsolve import (
     _head_bits,
     rank_mod_p,
     reduce_stage,
-    replay_rref_log,
     rref_mod_p,
 )
 
@@ -179,32 +178,10 @@ def test_rref_z2_worked_example():
     assert OPS.count - before == 5 + 8
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_rref_log_replays_each_column(p):
-    # the logged row operations, replayed on one column, give what the
-    # elimination did to it, augmented columns included; the log adds no ops
-    rng = random.Random(200 + p)
-    for _ in range(150):
-        m, ncols, extra = rng.randrange(1, 8), rng.randrange(0, 8), rng.randrange(1, 5)
-        rows = [
-            [rng.randint(-3 * p, 3 * p) if rng.random() < 0.5 else 0 for _ in range(ncols + extra)]
-            for _ in range(m)
-        ]
-        plain, logged, log = [list(row) for row in rows], [list(row) for row in rows], []
-        before = OPS.count
-        pivots = rref_mod_p(plain, p, ncols=ncols)
-        plain_ops, before = OPS.count - before, OPS.count
-        assert rref_mod_p(logged, p, ncols=ncols, log=log) == pivots
-        assert OPS.count - before == plain_ops
-        assert logged == plain and len(log) == len(pivots)
-        for j in range(ncols + extra):
-            assert replay_rref_log(log, [row[j] for row in rows], p) == [row[j] for row in plain]
-
-
-def reference_z2_log(rows, ncols):
-    """The row operations of reference_rref over Z_2: (swapped row, 1, hit rows) per pivot."""
+def reference_z2_swaps(rows, ncols):
+    """The row that reference_rref over Z_2 swaps into row k, per pivot k."""
     rows = [[x % 2 for x in row] for row in rows]
-    log, r = [], 0
+    swaps, r = [], 0
     for col in range(ncols):
         if r == len(rows):
             break
@@ -215,9 +192,9 @@ def reference_z2_log(rows, ncols):
         hits = [i for i, row in enumerate(rows) if i != r and row[col]]
         for i in hits:
             rows[i] = [a ^ b for a, b in zip(rows[i], rows[r])]
-        log.append((pr, 1, hits))
+        swaps.append(pr)
         r += 1
-    return log
+    return swaps
 
 
 def _z2_entry(rng, density):
@@ -231,7 +208,7 @@ def _z2_entry(rng, density):
 def test_rref_z2_bitmask_kernel(shape):
     # shapes up to 80 x 80, so a column's field or a row passes 64 bits, with
     # entries outside [0, 256) (which bytes cannot pack) in about half the
-    # systems; pivots, rows, OPS, log and replay match the list reference
+    # systems; pivots, rows and OPS match the list reference
     rng = random.Random({"tall": 301, "wide": 302, "square": 303}[shape])
     biggest = 0
     for case in range(24):
@@ -244,13 +221,8 @@ def test_rref_z2_bitmask_kernel(shape):
             rows = [[_z2_entry(rng, density) for _ in range(n)] for _ in range(m)]
         else:
             rows = [[rng.randrange(0, 8) * (rng.random() < density) for _ in range(n)] for _ in range(m)]
-        pivots = _check_rref(rows, 2, ncols)
+        _check_rref(rows, 2, ncols)
         assert rank_mod_p(rows, 2) == len(_check_rref(rows, 2))
-        log, work = [], [list(row) for row in rows]
-        assert rref_mod_p(work, 2, ncols=ncols, log=log) == pivots
-        assert log == reference_z2_log(rows, ncols)
-        for j in range(n):
-            assert replay_rref_log(log, [row[j] for row in rows], 2) == [row[j] for row in work]
     assert biggest > 64
 
 
@@ -258,9 +230,7 @@ def test_rref_z2_bitmask_kernel(shape):
 def test_rref_z2_bitmask_kernel_degenerate(m, n, ncols):
     # m = 0, n = 0 and ncols = 0, alone and together, with unpackable entries
     rows = [[-1 if (i + j) % 3 else 300 for j in range(n)] for i in range(m)]
-    pivots, log = _check_rref(rows, 2, ncols), []
-    assert rref_mod_p([list(row) for row in rows], 2, ncols=ncols, log=log) == pivots
-    assert log == reference_z2_log(rows, ncols)
+    _check_rref(rows, 2, ncols)
     assert rank_mod_p(rows, 2) == len(reference_rref(rows, 2, n)[0])
 
 
@@ -387,7 +357,7 @@ def _check_z2_stage(case):
 
     The one-int elimination of a stage with its payload riding along must
     give the reference's pivots, free columns, fold or pivot rows' payload
-    and free entries, op count and log.
+    and free entries, and op count.
     """
     e, bands, payload = case
     features = set()
@@ -397,12 +367,11 @@ def _check_z2_stage(case):
     ]
     pivots, reduced, ops = reference_rref(rows, 2, e)
     free = [c for c in range(e) if c not in pivots]
-    log, before = [], OPS.count
+    before = OPS.count
     coeffs = _int_array([row[:e] for row in rows], (len(rows), e))
-    got = reduce_stage(StageMatrix(coeffs, 2), _int_array(payload, (len(payload), len(rows))), log)
+    got = reduce_stage(StageMatrix(coeffs, 2), _int_array(payload, (len(payload), len(rows))))
     assert (got.pivots, got.free, OPS.count - before) == (pivots, free, ops)
-    assert log == reference_z2_log(rows, e)
-    if len(rows) > 64 and any(pr != k for k, (pr, _, _) in enumerate(log)):
+    if len(rows) > 64 and any(pr != k for k, pr in enumerate(reference_z2_swaps(rows, e))):
         features.add("wide-swap")
     idx = next((k for k in range(len(pivots), len(rows)) if any(reduced[k][e:])), None)
     if idx is None:

@@ -6,33 +6,15 @@ import pytest
 from convring import (
     CapExceeded,
     ConvCode,
-    Poly,
     RingContext,
     column_distance,
     erasure_capability,
     free_distance_bounded,
-    hamming_weight,
 )
 from tests.conftest import random_kernel_code
 
 Z4 = RingContext(2, 2)
 Z2 = RingContext(2, 1)
-
-
-def test_hamming_weight_shapes(z8):
-    assert hamming_weight([]) == 0
-    assert hamming_weight([[0, 0], [0, 0]]) == 0
-    assert hamming_weight([5, 5, 0, 6, 0]) == 3
-    assert hamming_weight([[5, 5, 0, 6, 0], [1, 0, 0, 0, 0]]) == 4
-    assert hamming_weight([Poly(z8, [1, 0, 2]), Poly.zero(z8)]) == 2
-
-
-def test_hamming_weight_random_matches_count():
-    rng = random.Random(3)
-    for _ in range(20):
-        window = [[rng.randrange(9) for _ in range(4)] for _ in range(3)]
-        naive = sum(1 for sym in window for x in sym if x)
-        assert hamming_weight(window) == naive
 
 
 class TestColumnDistance:

@@ -218,7 +218,7 @@ def _window_report(code, received, i, T, limit) -> dict:
         "strata_ranks": [st.rank for st in outcome.stages],
         "outcome": outcome.kind,
         "list_size": outcome.list_size,
-        "rows": len(sysw.rows),
+        "rows": sum(not sysw.rhs[k] % pv for k, pv in sysw.pattern.nonzero),
         "wall_time_s": elapsed,
         "zp_ops": OPS.count,
     }

@@ -13,11 +13,11 @@ Instances are immutable and safe to share; each keeps its scaled
 coefficients H^0..H^nu and G^0..G^deg once, as arrays.
 
 The sliding-window parity equations are assembled in one place.  Their
-coefficients are the block-Toeplitz window array of a delay T, cached on
-the code: the rows [H^nu ... H^0] of equation times 0..T over the symbols
-of times -nu..T, so a window's erased-column system is one column gather
-of it, which depends only on the pattern, and the sliding window matrix is
-one slice.  The right-hand sides of times lo..hi are minus
+coefficients are the window array of a delay T, cached on the code: the
+block-Toeplitz sliding parity-check matrix of equation times 0..T over the
+symbols of times 0..T, which is the sliding window matrix, and whose column
+gather on a window's erased entries is its erased-column system, which
+depends only on the pattern.  The right-hand sides of times lo..hi are minus
 sum_k H^k x_{s-k} over the known symbols, one block convolution over all
 those times at once (the window kernel); the decoder's window systems,
 running syndrome and filled-window check and window membership use it.
@@ -158,21 +158,19 @@ class ConvCode:
         return {}
 
     def _window_array(self, T: int) -> np.ndarray:
-        """The sliding parity rows of equation times 0..T over the symbols of times -nu..T.
+        """The (T + 1) m x (T + 1) n sliding parity-check matrix of equation and symbol times 0..T.
 
-        Row s * m + ri, for time s and parity row ri, holds the block row
-        H^nu[ri] | ... | H^0[ri] on the columns of times s - nu..s and 0
-        elsewhere; time t's n columns start at column (t + nu) * n.  Built
-        once per T as the equation times 0..T of _parity_array's
-        block-Toeplitz matrix of depth T + nu, with its dtype: a row reads
-        at most (nu + 1) n nonzero coefficients, so its products with
-        residue vectors sum exactly.
+        Row s * m + ri, for time s and parity row ri, holds H^(s - t)[ri] on
+        the n columns of time t, from column t * n, for 0 <= s - t <= nu and
+        0 elsewhere.  Built once per T as the equation times 0..T of
+        _parity_array's block-Toeplitz matrix of depth T, with its dtype: a
+        row reads at most (nu + 1) n nonzero coefficients, so its products
+        with residue vectors sum exactly.
         """
         W = self._window_arrays.get(T)
         if W is None:
-            nu, m = self.nu, self._parity_array.shape[1]
-            W = _toeplitz(self._parity_array, T + nu)[nu * m : (T + nu + 1) * m]
-            self._window_arrays[T] = W
+            H = self._parity_array
+            W = self._window_arrays[T] = _toeplitz(H, T)[: (T + 1) * H.shape[1]]
         return W
 
     def parity_coeff(self, j: int) -> ConstMatrix:
@@ -514,12 +512,11 @@ def sliding_matrix(code: ConvCode, j: int) -> ConstMatrix:
     Block row s holds [H^s ... H^0] padded with zeros; H^m = 0 for m
     beyond the parity degree.  These are the coefficient rows of an
     all-erased window at time 0 with zero history: the window array of
-    delay j without its history columns.
+    delay j.
     """
     if code.h_blocks is None:
         raise ValueError("code has no parity side")
-    e = (j + 1) * code.n
-    return ConstMatrix(code.ctx, code._window_array(j)[:, code.nu * code.n :].tolist(), cols=e)
+    return ConstMatrix(code.ctx, code._window_array(j).tolist(), cols=(j + 1) * code.n)
 
 
 def is_codeword_window(code: ConvCode, window: Sequence[Sequence[int]]) -> bool:

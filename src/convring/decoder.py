@@ -36,24 +36,25 @@ mod q, scattered over the erased columns of n copies of the known symbols.
 
 A window's equations are the block-Toeplitz sliding parity-check matrix
 restricted to its erased columns: one column gather of the code's window
-array for the delay T (codes), which depends only on T and on the erasure
-pattern relative to the window start.  build_window_system makes the
-pattern once: its columns, each row's stratum (the p-adic valuation of
-the whole row) and its nonzero rows as two dense integer matrices,
-original and renormalized, exact in Python integers past int64.  The
-received values enter only through the right-hand sides, which the window
-kernel reads from the stream in place and a window keeps raw, one per
-equation; the right-hand side of equation s is minus the syndrome
-sum_k H^k x_{s-k} of the symbols of times s - nu..s, erasures read as 0.
-A sequential decode computes that syndrome once, for every time from its
-first window on, by nu + 1 block products, subtracts x H^k[:, c] from
-times i..i+nu as it commits x at (i, c), and slices each window's
-right-hand sides out of it.  Each digit stage selects its rows from the
-renormalized matrix, and its payload is one product of the column forms
-with them; the list check is one product of the column forms with the
-original matrix.  A plan and the brute-force oracle read the original
-matrix as lists.  The column forms are checked against the raw rows
-before a list is enumerated or its values are read.
+array (codes), which depends only on T and on the erasure pattern relative
+to the window start; the equations past the last erased time + nu read no
+erased entry, so the gather stops there and they are zero rows.
+build_window_system makes the pattern once: its erased entries, each row's
+stratum (the p-adic valuation of the whole row) and its nonzero rows as
+two dense integer matrices, original and renormalized, exact in Python
+integers past int64.  The received values enter only through the
+right-hand sides, which the window kernel reads from the stream in place
+and a window keeps raw, one per equation; the right-hand side of equation
+s is minus the syndrome sum_k H^k x_{s-k} of the symbols of times
+s - nu..s, erasures read as 0.  A sequential decode computes that syndrome
+once, for every time from its first window on, by nu + 1 block products,
+subtracts x H^k[:, c] from times i..i+nu as it commits x at (i, c), and
+slices each window's right-hand sides out of it.  Each digit stage selects
+its rows from the renormalized matrix, and its payload is one product of
+the column forms with them; the list check is one product of the column
+forms with the original matrix.  A plan and the brute-force oracle read
+the original matrix as lists.  The column forms are checked against the
+raw rows before a list is enumerated or its values are read.
 
 Whether time i takes one value on every valid window's list depends only
 on the pattern as well.  So a sequential decode keeps one store per
@@ -76,7 +77,7 @@ from dataclasses import astuple, dataclass, field
 from functools import cached_property
 from numbers import Integral
 from operator import add, mod, mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,43 +124,9 @@ class ParamSpace:
     def size(self) -> int:
         return self.p ** (self.n_params - len(self.events))
 
-    def assignments(self) -> Iterator[tuple[int, ...]]:
-        """All assignments of the live parameters, lexicographically.
-
-        Each is the value vector over all parameters; folded ones read 0.
-        Assignment m holds the base-p digits of m, the last live parameter
-        the lowest, so no range of p values is held at once.
-        """
-        live = self.live()[::-1]
-        values = [0] * self.n_params
-        for m in range(self.size):
-            rest = m
-            for v in live:
-                rest, values[v] = divmod(rest, self.p)
-            yield tuple(values)
-
 
 # ---------------------------------------------------------------------------
 # window systems
-
-
-class WindowRow(NamedTuple):
-    """One renormalized parity equation restricted to the erased columns.
-
-    coeffs holds its coefficients on the e erased columns; the original
-    scaled equation is coeffs * p^stratum (same for rhs), and the
-    renormalized coefficients contain a unit.  The equation constrains the
-    unknowns mod p^(r - stratum), so it takes part in digit stages
-    t <= r - 1 - stratum.
-    """
-
-    time: int
-    h_row: int
-    stratum: int
-    coeffs: tuple[int, ...]
-    rhs: int
-    orig: tuple[int, ...]
-    orig_rhs: int
 
 
 @dataclass
@@ -170,13 +137,12 @@ class WindowSystem:
     an edit to it before symbols and history are first read shows in the
     filled windows and their check.
     rhs holds the raw right-hand side of each of the pattern's equations,
-    in kernel order.  The columns, absolute (time, coord) pairs in time-major
-    order, row_rhs, the raw right-hand sides of the pattern's nonzero
-    equations as an array of the pattern's dtype, and symbols, the window's
-    own read from received, are derived on first read, so a window solved
-    by its plan builds none of them.  rows, a WindowRow per nonzero
-    equation whose right-hand side the row's p-power divides, is a view of
-    the pattern's matrices for reports; decoding reads the matrices.
+    in kernel order; the equations themselves are the pattern's.  The
+    columns, absolute (time, coord) pairs of the erased entries in
+    time-major order, row_rhs, the raw right-hand sides of the pattern's
+    nonzero equations as an array of the pattern's dtype, and symbols, the
+    window's own read from received, are derived on first read, so a
+    window solved by its plan builds none of them.
     """
 
     code: ConvCode
@@ -189,28 +155,17 @@ class WindowSystem:
 
     @property
     def e(self) -> int:
-        return len(self.pattern.columns)
+        return len(self.pattern.erased)
 
     @cached_property
     def columns(self) -> tuple[tuple[int, int], ...]:
-        i = self.i
-        return tuple((i + dt, c) for dt, c in self.pattern.columns)
+        n = self.code.n
+        return tuple(divmod(self.i * n + f, n) for f in self.pattern.erased)
 
     @cached_property
     def row_rhs(self) -> np.ndarray:
         rhs, pattern = self.rhs, self.pattern
         return np.array([rhs[k] for k, _ in pattern.nonzero], dtype=pattern.origs.dtype)
-
-    @cached_property
-    def rows(self) -> list[WindowRow]:
-        pattern, m, val = self.pattern, self.code._parity_array.shape[1], self.code.ctx.val
-        return [
-            WindowRow(self.i + k // m, k % m, val(pv), tuple(coeffs), x // pv, tuple(orig), x)
-            for (k, pv), coeffs, orig, x in zip(
-                pattern.nonzero, pattern.coeffs.tolist(), pattern.origs.tolist(), self.row_rhs.tolist()
-            )
-            if not x % pv
-        ]
 
     @cached_property
     def symbols(self) -> list[list[int | None]]:
@@ -244,12 +199,14 @@ class _Pattern:
     """The value-free part of the window systems of one delay and pattern.
 
     erased holds the erased entries' flat indices (time - i) * n + coord,
-    time-major, columns them as (time - i, coord) pairs, and head the
-    coords of those at time i, which come first.  The equations, in kernel
-    order (time - i, then parity row), are the code's window array gathered
-    on the erased columns.  moduli hold each one's p^stratum, the stratum the
-    p-adic valuation of the whole row: p^stratum = gcd(q, row), q on a row
-    that is zero mod q.  nonzero holds (index, p^stratum) per nonzero
+    time-major, which are the window array's columns, and head the coords
+    of those at time i, which come first.  The equations, in kernel order
+    (time - i, then parity row), are the code's window array gathered on
+    the erased columns: only up to the erasure reach, the last erased
+    time - i plus nu, as the later ones read no erased entry.  moduli hold
+    each one's p^stratum, the stratum the p-adic valuation of the whole
+    row: p^stratum = gcd(q, row), q on a row that is zero mod q, those past
+    the reach included.  nonzero holds (index, p^stratum) per nonzero
     equation: the rows of a valid window, in order.  origs and coeffs are
     those rows, original and renormalized, as integer arrays, and scales
     their p^stratum.  A row of stratum v takes part in the digit stages t
@@ -258,17 +215,17 @@ class _Pattern:
     the _Plan, or False when the pattern has none.
     """
 
-    __slots__ = ("erased", "columns", "head", "moduli", "nonzero", "scales", "origs", "coeffs", "plan")
+    __slots__ = ("erased", "head", "moduli", "nonzero", "scales", "origs", "coeffs", "plan")
 
     def __init__(self, code: ConvCode, T: int, erased: Sequence[int]):
         n, q = code.n, code.ctx.q
         self.erased = erased
-        self.columns = tuple(divmod(f, n) for f in erased)
-        self.head = tuple(c for dt, c in self.columns if not dt)
-        A = code._window_array(T)[:, [f + code.nu * n for f in erased]]
+        self.head = tuple(f for f in erased if f < n)
+        reach = min(T, erased[-1] // n + code.nu if erased else 0)
+        A = code._window_array(reach)[:, erased]
         moduli = np.gcd(np.gcd.reduce(A, axis=1), q)
         keep = np.flatnonzero(moduli < q)
-        self.moduli = moduli.tolist()
+        self.moduli = moduli.tolist() + [q] * (T - reach) * code._parity_array.shape[1]
         self.scales = moduli[keep]
         self.nonzero = list(zip(keep.tolist(), self.scales.tolist()))
         self.origs = A[keep]
@@ -327,6 +284,16 @@ _SYNDROME = "syndrome"  # the store key of a sequential decode's _Syndrome
 _BRANCH_BUDGET = 64  # the list members the "branch" policy tries at one time
 
 
+def _whole(x, name: str) -> int:
+    """x as an int, or ValueError naming it when x is not an integer.
+
+    Numpy integers are integers; bools, floats and strings are not.
+    """
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, Integral)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def build_window_system(
     code: ConvCode,
     received: Sequence[Symbol],
@@ -340,8 +307,9 @@ def build_window_system(
     The nu history symbols before time i that the window reads must be
     fully known (an erasure there is a usage error; older symbols are not
     read); times outside the stream are zero when terminated, otherwise
-    the window must fit inside the received stream.  A known symbol entry
-    that is not an integer raises ValueError naming its time.  Each row is
+    the window must fit inside the received stream.  An i or T that is not
+    an integer, and a known symbol entry that is not one, raise ValueError
+    naming the argument or the entry's time.  Each row is
     renormalized by the p-power content of its restricted coefficients; a
     right-hand side with a smaller p-power marks the window invalid, and
     the witness is found here, before any row is built.
@@ -356,8 +324,10 @@ def build_window_system(
     """
     if code.h_blocks is None:
         raise ValueError("decoding needs a code with a parity side")
-    if i < 0 or T < 0:
-        raise ValueError("window start and delay must be nonnegative")
+    if type(i) is not int or type(T) is not int or i < 0 or T < 0:
+        i, T = _whole(i, "window start i"), _whole(T, "delay T")
+        if i < 0 or T < 0:
+            raise ValueError("window start and delay must be nonnegative")
     L = len(received)
     if not terminated and i + T > L - 1:
         raise ValueError("window exceeds the unterminated stream")
@@ -734,11 +704,9 @@ def materialize_list(
     constants fill the window alone.
     """
     if limit is not None:
-        if type(limit) is not int and (isinstance(limit, bool) or not isinstance(limit, Integral)):
-            raise ValueError(f"limit must be an integer or None, got {limit!r}")
+        limit = _whole(limit, "limit")
         if limit < 0:
             raise ValueError(f"limit must be nonnegative, got {limit}")
-        limit = int(limit)
     sys = outcome.system
     if outcome.kind == "invalid":
         return [], False
@@ -880,8 +848,9 @@ def sequential_decode(
     element, "branch" tries up to _BRANCH_BUDGET list elements against the
     rest of the stream.  An invalid window after a "first" pick is recorded
     as (i, "invalid-after-guess", j), j the latest picked time: the guess,
-    not the received word, may be at fault.  A known entry that is not an
-    integer, anywhere in the stream, raises ValueError naming its time.  A
+    not the received word, may be at fault.  A T that is not an integer
+    raises ValueError before the first window, and so does a known entry
+    that is not one, anywhere in the stream, naming its time.  A
     halted outcome has derived the symbols and history it reads, so an
     edit to the returned stream does not reach it.
 
@@ -903,6 +872,7 @@ def sequential_decode(
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")
+    T = _whole(T, "delay T")
     work = [list(sym) for sym in received]
     decisions: list[tuple] = []
     picked = None

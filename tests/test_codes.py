@@ -24,6 +24,8 @@ from convring import codes, polymat
 from convring.cli import generate_code
 from convring.codes import _solve_left_rational, _window_rhs
 from tests.conftest import random_kernel_code
+from tests.corpus.regenerate import RINGS
+from tests.corpus.regenerate import code as corpus_code
 
 Z8 = RingContext(2, 3)
 Z9 = RingContext(3, 2)
@@ -330,6 +332,25 @@ class TestSlidingWindow:
         for i in range(S1.rows):
             assert S2.data[i][: S1.cols] == S1.data[i]
 
+    @pytest.mark.parametrize("p, r", RINGS, ids=[f"z{p**r}" for p, r in RINGS])
+    def test_window_array_layout(self, p, r):
+        # on the corpus codes the window array of delay T is the sliding
+        # matrix, with no history columns: block (s, t) is H^(s - t) for
+        # 0 <= s - t <= nu and zero elsewhere; the codes are built afresh, so
+        # that the corpus still counts their construction's Z_p ops
+        for nu in (1, 2):
+            code = corpus_code.__wrapped__(p, r, nu)
+            H, n = code._parity_array, code.n
+            m = H.shape[1]
+            for T in range(5):
+                W = code._window_array(T)
+                assert W.shape == ((T + 1) * m, (T + 1) * n)
+                for s in range(T + 1):
+                    for t in range(T + 1):
+                        block = W[s * m : (s + 1) * m, t * n : (t + 1) * n]
+                        assert (block == (H[s - t] if 0 <= s - t <= nu else 0)).all()
+                assert sliding_matrix(code, T).data == tuple(map(tuple, W.tolist()))
+
 
 def coeff_matrices(M):
     """The coefficient matrices M^0..M^deg of a polynomial matrix, read from its entries."""
@@ -422,7 +443,7 @@ class TestWindowKernel:
             e = len(columns)
             # the window array gathered on the erased columns, relative to lo
             m = sum(code.l_blocks)
-            gathered = code._window_array(hi - lo)[:, [(t - lo + code.nu) * n + c for t, c in columns]]
+            gathered = code._window_array(hi - lo)[:, [(t - lo) * n + c for t, c in columns]]
             assert gathered.shape == ((hi - lo + 1) * m, e)
             padded = [(lo + k // m, k % m, row) for k, row in enumerate(gathered.tolist())]
             rhs = _window_rhs(code, as_sequence(table, n), lo, hi)

@@ -10,6 +10,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from convring import (
+    ConvCode,
     RingContext,
     build_window_system,
     column_distance,
@@ -59,15 +60,15 @@ def as_set(windows):
     return frozenset(tuple(tuple(sym) for sym in w) for w in windows)
 
 
-def dense(row, e, orig=False):
-    """A window row's coefficients (the original ones with orig) over all e columns."""
-    return list(row.orig if orig else row.coeffs)
-
-
 def full_column_rank_mod_p(sysw):
     """The mod-p criterion of unique decoding: the raw rows mod p have full column rank."""
-    p = sysw.code.ctx.p
-    return rank_mod_p([dense(row, sysw.e, orig=True) for row in sysw.rows], p) == sysw.e
+    return rank_mod_p(sysw.pattern.origs.tolist(), sysw.code.ctx.p) == sysw.e
+
+
+def equations(sysw):
+    """What sysw's equations are: the pattern's moduli, nonzero rows, both matrices and the raw right-hand sides."""
+    pattern = sysw.pattern
+    return pattern.moduli, pattern.nonzero, pattern.coeffs.tolist(), pattern.origs.tolist(), sysw.row_rhs.tolist()
 
 
 class TestWindowAssembly:
@@ -86,8 +87,9 @@ class TestWindowAssembly:
         assert sysw.columns == ((0, 1),)
         h0 = kernel_code_z8.parity_coeff(0)
         # original scaled coefficients are the erased column of the first block
-        assert all(len(row.orig) == 1 for row in sysw.rows)
-        got = {row.h_row: row.orig[0] for row in sysw.rows}
+        assert sysw.pattern.origs.shape[1] == 1
+        # T = 0: equation k is parity row k
+        got = {ri: orig for (ri, _), (orig,) in zip(sysw.pattern.nonzero, sysw.pattern.origs.tolist())}
         for ri, val in got.items():
             assert val == h0.data[ri][1]
 
@@ -96,7 +98,8 @@ class TestWindowAssembly:
         assert sysw.e == 7
         assert sysw.columns == ((0, 1), (0, 2), (0, 4), (1, 3), (2, 2), (2, 3), (2, 4))
         # renormalized rows and right-hand sides, row by row
-        assert [tuple(dense(r, sysw.e)) for r in sysw.rows] == [
+        pattern = sysw.pattern
+        assert [tuple(row) for row in pattern.coeffs.tolist()] == [
             (1, 1, 1, 0, 0, 0, 0),
             (0, 1, 1, 0, 0, 0, 0),
             (1, 0, 1, 0, 0, 0, 0),
@@ -107,9 +110,9 @@ class TestWindowAssembly:
             (0, 0, 1, 1, 1, 0, 1),
             (0, 0, 0, 1, 0, 1, 1),
         ]
-        assert [r.rhs for r in sysw.rows] == [5, 0, 1, 5, 0, 1, 4, 0, 1]
+        assert (sysw.row_rhs // pattern.scales).tolist() == [5, 0, 1, 5, 0, 1, 4, 0, 1]
         # the erasure pattern dictated one row's renormalization level
-        assert [r.stratum for r in sysw.rows] == [0, 1, 2, 0, 2, 2, 0, 1, 2]
+        assert [kernel_code_z8.ctx.val(pv) for _, pv in pattern.nonzero] == [0, 1, 2, 0, 2, 2, 0, 1, 2]
 
     def test_system_reads_the_stream_in_place(self, kernel_code_z8):
         # the system keeps the stream it was built from, copies none of it,
@@ -141,7 +144,7 @@ class TestWindowAssembly:
         a = list_decode(build_window_system(code, known, 3, 1))
         b = list_decode(build_window_system(code, old, 3, 1))
         assert (a.kind, a.list_size, a.window) == (b.kind, b.list_size, b.window)
-        assert a.system.rows == b.system.rows
+        assert equations(a.system) == equations(b.system)
         assert materialize_list(a) == materialize_list(b)
 
     def test_all_erased_window_is_the_sliding_matrix(self):
@@ -158,7 +161,7 @@ class TestWindowAssembly:
                 assert sysw.columns == tuple((t, c) for t in range(T + 1) for c in range(n))
                 S = sliding_matrix(code, T)
                 # rows with no coefficient at all carry no equation
-                raw = [[x % ctx.q for x in dense(row, sysw.e, orig=True)] for row in sysw.rows]
+                raw = (sysw.pattern.origs % ctx.q).tolist()
                 assert raw == [list(row) for row in S.data if any(row)]
                 checked += 1
         assert checked >= 12
@@ -463,6 +466,12 @@ _HOSTILE_ENTRIES = st.one_of(
     st.builds(lambda x, kind: kind(x), st.integers(0, 100), st.sampled_from([np.int8, np.int32, np.int64, np.uint8])),
     st.sampled_from([1.5, 2.0, "3", True, np.float64(1.0), np.bool_(True)]),
 )
+# starts and delays that are not integers
+_NOT_INTEGERS = st.sampled_from([1.0, 2.5, float("inf"), "1", True, False, np.float64(2.0), np.bool_(False), None])
+
+
+def _is_integer(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @st.composite
@@ -472,8 +481,9 @@ def entry_point_cases(draw):
     The stream is a codeword of 0..10 symbols with iid erasures, then up to
     three edits: an entry replaced by a hostile one, or a symbol cut short,
     lengthened or emptied.  i and T run past both ends of the stream, as
-    Python or numpy integers, and an unterminated window may end far past
-    the stream's end.
+    Python or numpy integers, or are not integers at all; a terminated
+    window may end up to 10^4 times past the stream's end, and an
+    unterminated one far past it.
     """
     code = _fuzz_code(draw(st.sampled_from(["z4", "z9"])))
     q = code.ctx.q
@@ -490,10 +500,10 @@ def entry_point_cases(draw):
         elif kind != "entry":
             rx[t] = {"short": rx[t][:-1], "long": rx[t] + [0], "empty": []}[kind]
     terminated = draw(st.booleans())
-    i = draw(st.one_of(st.integers(-3, len(rx) + 3), st.sampled_from([10**18, np.int64(1)])))
-    # a terminated window's equations span T + 1 times, so T stays near the
-    # stream's length there
-    T = draw(st.one_of(st.integers(-2, len(rx) + 3), st.just(np.int64(2))))
+    i = draw(st.one_of(st.integers(-3, len(rx) + 3), st.sampled_from([10**18, np.int64(1)]), _NOT_INTEGERS))
+    # a terminated window's right-hand sides span T + 1 times, but its
+    # rows stop at the erasure reach, so T may run far past the stream
+    T = draw(st.one_of(st.integers(-2, len(rx) + 3), st.integers(0, 10**4), st.just(np.int64(2)), _NOT_INTEGERS))
     if not terminated and draw(st.booleans()):
         T = 10**18
     return code, rx, i, T, terminated, draw(st.sampled_from(["halt", "first", "branch"]))
@@ -518,14 +528,59 @@ def test_entry_points_return_or_raise_typed_error(case):
     # build_window_system, list_decode, sequential_decode and oracle_decode
     # on hostile streams, starts and delays either return or raise a typed
     # error, in bounded time, under python -O too; the oracle's cap is small
-    # so that it returns or raises CapExceeded at once
+    # so that it returns or raises CapExceeded at once.  A start or delay
+    # that is not an integer raises ValueError naming it, whatever the
+    # stream, and sequential_decode checks T before its first window
     code, rx, i, T, terminated, policy = case
+    if not (_is_integer(i) and _is_integer(T)):
+        name = "window start i" if not _is_integer(i) else "delay T"
+        for call in (build_window_system, oracle_decode):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                call(code, rx, i, T, terminated=terminated)
+    if not _is_integer(T):
+        with pytest.raises(ValueError, match="delay T must be an integer"):
+            sequential_decode(code, rx, T, policy=policy, terminated=terminated)
     _returns_or_raises_typed(lambda: build_window_system(code, rx, i, T, terminated=terminated))
     _returns_or_raises_typed(lambda: list_decode(build_window_system(code, rx, i, T, terminated=terminated)))
     _returns_or_raises_typed(lambda: sequential_decode(code, rx, T, policy=policy, terminated=terminated))
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("CONVRING_CAP", "4096")
         _returns_or_raises_typed(lambda: oracle_decode(code, rx, i, T, terminated=terminated))
+
+
+def test_far_past_delay_stops_at_the_erasure_reach(monkeypatch):
+    # a terminated delay of 10^4 on a 5-symbol stream: a window's equations
+    # past its last erased time + nu read no erased entry, so its pattern
+    # gathers rows only up to there, and the decode equals the one with
+    # T = len(stream) + nu, which reads every equation that a symbol reaches;
+    # no window array past the stream's erasure reach is built
+    code = generate_code(**PLAN_CODES["z9"])
+    window_array, delays = ConvCode._window_array, []
+
+    def recorded(self, T):
+        delays.append(T)
+        return window_array(self, T)
+
+    monkeypatch.setattr(ConvCode, "_window_array", recorded)
+    for seed in range(3):
+        rng = random.Random(seed)
+        sent = code.encode([[rng.randrange(9) for _ in range(code.k)] for _ in range(4)])
+        rx, _ = erase_stream(sent, "iid", seed, 0.3)
+        bad = [list(sym) for sym in rx]
+        t, c = max((t, c) for t, sym in enumerate(bad) for c, x in enumerate(sym) if x is not None)
+        bad[t][c] = (bad[t][c] + 1) % 9
+        assert len(rx) == 5
+        for stream in (rx, bad):
+            for policy in ("halt", "first"):
+                far = sequential_decode(code, stream, 10**4, policy=policy)
+                near = sequential_decode(code, stream, len(stream) + code.nu, policy=policy)
+                assert (far.stream, far.decisions, far.halted_at) == (near.stream, near.decisions, near.halted_at)
+                assert far.decisions and astuple(far.plan_counts) == astuple(near.plan_counts)
+                if far.last_outcome is not None:
+                    assert _outcome_key(far.last_outcome) == _outcome_key(near.last_outcome)
+        assert sequential_decode(code, rx, 10**4).stream == sent
+    assert delays and max(delays) <= len(rx) - 1 + code.nu
+
 
 class TestInvalidity:
     def test_perturbed_known_symbol(self, kernel_code_z8):
@@ -698,24 +753,6 @@ class TestParamMachinery:
         assert br.space.live() == [0]
         assert br.cols == [[0, 4], [1, 4], [0, 0]]
 
-    def test_assignments_enumeration_order(self):
-        space = ParamSpace(3)
-        v0, v1 = space.new_param(), space.new_param()
-        combos = [(vals[v0], vals[v1]) for vals in space.assignments()]
-        assert combos == [(x, y) for x in range(3) for y in range(3)]
-        # a folded parameter reads 0 and takes no digit
-        v2 = space.new_param()
-        space.events.append((v1, [0, 0, 0, 0]))
-        combos = [(vals[v0], vals[v1], vals[v2]) for vals in space.assignments()]
-        assert combos == [(x, 0, y) for x in range(3) for y in range(3)]
-
-    def test_assignments_are_lazy_for_a_wide_prime(self):
-        # p = 2^31 - 1: the first assignments come without a pool of p values
-        space = ParamSpace(2**31 - 1)
-        space.new_param(), space.new_param()
-        first = list(itertools.islice(space.assignments(), 3))
-        assert first == [(0, 0), (0, 1), (0, 2)]
-
 
 # ---------------------------------------------------------------------------
 # per-pattern window assembly
@@ -782,7 +819,7 @@ def _check_pattern_store(case):
         shared = build_window_system(code, rx, i, Tw, terminated=terminated, store=store)
         fresh = build_window_system(code, rx, i, Tw, terminated=terminated)
         assert shared.columns == fresh.columns
-        assert shared.rows == fresh.rows  # every WindowRow field
+        assert equations(shared) == equations(fresh)
         assert shared.rhs == fresh.rhs
         values = list(range(fresh.e))
         assert shared.assemble(values) == fresh.assemble(values) == _assembled(rx, fresh, values)
@@ -892,23 +929,24 @@ def test_pattern_rows_vanish_outside_their_span(case):
     pattern, e = sysw.pattern, sysw.e
     nu, q, r, m = code.nu, code.ctx.q, code.ctx.r, sum(code.l_blocks)
     nonzero, origs, coeffs = iter(pattern.nonzero), pattern.origs.tolist(), pattern.coeffs.tolist()
-    kept = []
+    columns = [divmod(f, code.n) for f in pattern.erased]
+    kept = 0
+    assert len(pattern.moduli) == (Tw + 1) * m
     for k, pv in enumerate(pattern.moduli):
         s, ri = divmod(k, m)
-        span = [j for j, (dt, _) in enumerate(pattern.columns) if s - nu <= dt <= s]
-        ref = [code.parity_coeff(s - dt).data[ri][c] % q for dt, c in pattern.columns]
+        span = [j for j, (dt, _) in enumerate(columns) if s - nu <= dt <= s]
+        ref = [code.parity_coeff(s - dt).data[ri][c] % q for dt, c in columns]
         assert all(not x for j, x in enumerate(ref) if j not in span)
         v = min((code.ctx.val(x) for x in ref), default=r)
         assert pv == code.ctx.p**v
         if v == r:  # zero mod q: no row
             continue
-        j = len(kept)
-        assert next(nonzero) == (k, pv) and origs[j] == ref
-        assert [x * pv for x in coeffs[j]] == ref
-        kept.append((i + s, ri, v, tuple(coeffs[j]), tuple(ref)))
-    assert next(nonzero, None) is None and len(origs) == len(kept)
-    if sysw.invalid_witness is None:
-        assert [(r.time, r.h_row, r.stratum, r.coeffs, r.orig) for r in sysw.rows] == kept
+        assert next(nonzero) == (k, pv) and origs[kept] == ref
+        assert [x * pv for x in coeffs[kept]] == ref
+        kept += 1
+    assert next(nonzero, None) is None and len(origs) == kept
+    # a window is valid exactly when each equation's p-power divides its right-hand side
+    assert (sysw.invalid_witness is None) == (not any(x % pv for x, pv in zip(sysw.rhs, pattern.moduli)))
 
 
 def _decode_record(sysw):
@@ -931,7 +969,7 @@ def _check_widened(case):
     code, rx, i, Tw, terminated = case
     sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
     pattern = sysw.pattern
-    narrow = any(0 in row.orig for row in sysw.rows)
+    narrow = (pattern.origs == 0).any()
     native = _decode_record(sysw)
     assert pattern.origs.dtype == pattern.coeffs.dtype == np.int64
     wide = build_window_system(code, rx, i, Tw, terminated=terminated)
@@ -1007,7 +1045,7 @@ def test_project_values_raises_on_corrupt_constant(kernel_code_z8):
     head = [k for k, (t, _) in enumerate(sysw.columns) if t == 0]
     project_values(out, head)  # the forms as decoded pass
     consts = out.branches[0].cols[0]
-    k = next(k for k in range(sysw.e) if any(dense(row, sysw.e, orig=True)[k] % q for row in sysw.rows))
+    k = next(k for k in range(sysw.e) if (sysw.pattern.origs[:, k] % q).any())
     consts[k] = (consts[k] + 1) % q
     with pytest.raises(AssertionError, match="violates the parity equations"):
         project_values(out, head)
@@ -1125,8 +1163,23 @@ ENUM_RINGS = (1, 2, 3, 5, 4, 6)  # Z_4, Z_8, Z_9, Z_16, Z_25, Z_27
 ENUM_CAP = 1024
 
 
+def _assignments(space):
+    """All assignments of space's live parameters, lexicographically, each over all parameters, folded ones 0.
+
+    Assignment m holds the base-p digits of m, the last live parameter the
+    lowest, so no range of p values is held at once.
+    """
+    live = space.live()[::-1]
+    values = [0] * space.n_params
+    for m in range(space.size):
+        rest = m
+        for v in live:
+            rest, values[v] = divmod(rest, space.p)
+        yield tuple(values)
+
+
 def _check_enumeration(case, limits=(1, 5, 16, 17, 64, None)):
-    """materialize_list against the forms at the first assignments of ParamSpace.assignments.
+    """materialize_list against the forms at the first assignments, _assignments(space).
 
     Window for window and in order, at each of limits, in Python integers:
     the reference value of column c is sum_k cols[k][c] x_k mod q, x_0 = 1
@@ -1149,7 +1202,7 @@ def _check_enumeration(case, limits=(1, 5, 16, 17, 64, None)):
                 with pytest.raises(CapExceeded):
                     materialize_list(out)
                 continue
-            assignments = itertools.islice(branch.space.assignments(), limit or ENUM_CAP)
+            assignments = itertools.islice(_assignments(branch.space), limit or ENUM_CAP)
             reference = [
                 sysw.assemble([sum(col[c] * x for col, x in zip(cols, (1, *values))) % q for c in range(sysw.e)])
                 for values in assignments
@@ -1222,7 +1275,7 @@ def test_wide_modulus_decodes_exactly():
         assert all(sysw.window_equations_hold(w) for w in windows)
         if out.kind == "unique":
             assert out.window == expected
-            raw = solve_mod(ctx, [row.orig for row in sysw.rows], [row.orig_rhs for row in sysw.rows])
+            raw = solve_mod(ctx, sysw.pattern.origs.tolist(), sysw.row_rhs.tolist())
             assert sysw.assemble(raw) == expected
         else:
             assert out.kind == "list" and out.list_size % ctx.p == 0
@@ -1780,7 +1833,7 @@ def _check_running_syndrome(case):
         fresh = build(code, [list(sym) for sym in received], i, T, terminated=terminated)
         shared = build(code, received, i, T, terminated=terminated, store=store)
         assert shared.columns == fresh.columns
-        assert shared.rows == fresh.rows  # every WindowRow field
+        assert equations(shared) == equations(fresh)
         assert shared.rhs == fresh.rhs
         values = list(range(fresh.e))
         assert shared.assemble(values) == fresh.assemble(values)

@@ -163,3 +163,41 @@ def test_one_block_convolution_and_one_toeplitz_builder():
     }
     assert homes == {"_convolve": ["polymat"], "_toeplitz": ["polymat"]}
     assert not [name for name in ("__add__", "__sub__", "__neg__") if hasattr(convring.PolyMatrix, name)]
+
+
+def _identifiers(tree) -> set[str]:
+    """Every name a module binds or reads: names, attributes, definitions and arguments."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names
+
+
+def test_window_equations_have_one_layout_and_form():
+    # the window array of a delay T covers the window's own times only, so
+    # no module but codes knows a history offset; a pattern keeps its erased
+    # entries as flat indices alone, and its matrices have no row view: no
+    # WindowRow, parameter assignment iterator, pair-form column copy or
+    # nu * n offset is left
+    leftovers = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in ("WindowRow", "assignments")
+        if name in _identifiers(ast.parse(path.read_text()))
+    ]
+    assert not leftovers, f"a second form of the window equations is still named: {leftovers}"
+    assert "columns" not in convring.decoder._Pattern.__slots__
+    assert not re.search(r"\bnu\s*\*\s*(?:code\.)?n\b", (SRC / "decoder.py").read_text())
+    code = convring.ConvCode.from_parity_coeffs(
+        convring.RingContext(3, 2), [[[1, 0, 3], [0, 1, 3]], [[0, 1, 1], [1, 0, 1]]]
+    )
+    m, n = code._parity_array.shape[1:]
+    for T in range(4):
+        assert code._window_array(T).shape == ((T + 1) * m, (T + 1) * n)

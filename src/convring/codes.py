@@ -9,8 +9,11 @@ explicit blocks, or from a parity-check matrix alone (the kernel code).
 Construction validates the layer shapes and the rank and annihilation
 contracts eagerly, and derives the parity degree nu (a given nu must
 match it), so a ConvCode in hand is always internally consistent.
-Instances are immutable and safe to share; each keeps its scaled
-coefficients H^0..H^nu and G^0..G^deg once, as arrays.
+Instances are immutable in what they define and safe to share.  Each
+keeps caches that change no result: its scaled coefficients H^0..H^nu
+and G^0..G^deg, once, as arrays, its window arrays per delay, and the
+decoder's erasure patterns with their plans, a bounded store that every
+sequential decode of the code reads and that holds no stream (decoder).
 
 The sliding-window parity equations are assembled in one place.  Their
 coefficients are the window array of a delay T, cached on the code: the
@@ -27,6 +30,7 @@ of its own for either.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
@@ -156,6 +160,15 @@ class ConvCode:
     def _window_arrays(self) -> dict[int, np.ndarray]:
         """The window arrays built so far, per delay T (_window_array)."""
         return {}
+
+    @cached_property
+    def _patterns(self) -> OrderedDict:
+        """The decoder's erasure patterns of this code, per (T, relative pattern), least recently taken first.
+
+        decoder.build_window_system fills and bounds it; each entry is
+        value-free and holds the pattern's plan once a decode has made it.
+        """
+        return OrderedDict()
 
     def _window_array(self, T: int) -> np.ndarray:
         """The (T + 1) m x (T + 1) n sliding parity-check matrix of equation and symbol times 0..T.

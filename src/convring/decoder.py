@@ -46,35 +46,43 @@ integers past int64.  The received values enter only through the
 right-hand sides, which the window kernel reads from the stream in place
 and a window keeps raw, one per equation; the right-hand side of equation
 s is minus the syndrome sum_k H^k x_{s-k} of the symbols of times
-s - nu..s, erasures read as 0.  A sequential decode computes that syndrome
-once, for every time from its first window on, by nu + 1 block products,
-subtracts x H^k[:, c] from times i..i+nu as it commits x at (i, c), and
-slices each window's right-hand sides out of it.  Each digit stage selects
-its rows from the renormalized matrix, and its payload is one product of
-the column forms with them; the list check is one product of the column
-forms with the original matrix.  A plan and the brute-force oracle read
-the original matrix as lists.  The column forms are checked against the
-raw rows before a list is enumerated or its values are read.
+s - nu..s, erasures read as 0, so past the stream's end + nu it is 0 and
+is not computed.  A sequential decode computes that syndrome once, for
+every time from its first window on, by nu + 1 block products, subtracts
+x H^k[:, c] from times i..i+nu as it commits x at (i, c), and slices each
+window's right-hand sides out of it.  Each digit stage selects its rows
+from the renormalized matrix, and its payload is one product of the
+column forms with them; the list check is one product of the column forms
+with the original matrix.  A plan and the brute-force oracle read the
+original matrix as lists.  The column forms are checked against the raw
+rows before a list is enumerated or its values are read.
 
 Whether time i takes one value on every valid window's list depends only
-on the pattern as well.  So a sequential decode keeps one store per
-call, keyed on the delay and the relative pattern: each window's pattern
-part, and its plan, made once, at the pattern's first window, from one
-valuation-pivot decomposition U A V = D of the pattern's raw rows
-(intsolve.decompose).  It reads no value of the window and is checked
-once.  A pattern has a plan when V's time-i rows vanish on the free
-directions of the solutions, folding patterns included.  Every window of
+on the pattern as well.  So the patterns belong to the code: it keeps up
+to _PATTERNS_KEPT of them (ConvCode._patterns), keyed on the delay and the
+relative pattern, the least recently taken evicted first, and every
+sequential decode of the code reads them, each with its plan, made once
+per code, at the pattern's first window, from one valuation-pivot
+decomposition U A V = D of the pattern's raw rows (intsolve.decompose).
+It reads no value of the window and is checked once.  A pattern has a
+plan when V's time-i rows vanish on the free directions of the solutions,
+folding patterns included.  Every window of
 a pattern with a plan, the first one included, reads its raw right-hand
 sides s with no row object built: it is invalid unless D divides U s,
 and otherwise x = V (U s / D) is checked against the raw rows and time i
 is committed from it, with no elimination.  Every other window runs
-list_decode, whose values are checked where they are read.
+list_decode, whose values are checked where they are read.  A kept
+pattern is what a fresh build makes and its plan is a function of it, so
+no result depends on the code's history: the decode's running syndrome
+and the counts of its paths stay with the call.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import astuple, dataclass, field
 from functools import cached_property
+from itertools import zip_longest
 from numbers import Integral
 from operator import add, mod, mul
 from typing import Sequence
@@ -136,10 +144,11 @@ class WindowSystem:
     received is the stream the window was built from, kept, not copied, so
     an edit to it before symbols and history are first read shows in the
     filled windows and their check.
-    rhs holds the raw right-hand side of each of the pattern's equations,
-    in kernel order; the equations themselves are the pattern's.  The
-    columns, absolute (time, coord) pairs of the erased entries in
-    time-major order, row_rhs, the raw right-hand sides of the pattern's
+    rhs holds the raw right-hand side of each of the window's equations up
+    to the stream's end + nu, in kernel order (the later ones read zero
+    symbols only, so theirs are 0); the equations themselves are the
+    pattern's.  The columns, absolute (time, coord) pairs of the erased
+    entries in time-major order, row_rhs, the raw right-hand sides of the pattern's
     nonzero equations as an array of the pattern's dtype, and symbols, the
     window's own read from received, are derived on first read, so a
     window solved by its plan builds none of them.
@@ -169,9 +178,13 @@ class WindowSystem:
 
     @cached_property
     def symbols(self) -> list[list[int | None]]:
-        """The symbols of times i..i+T in received mod q, erasures None, zero past its end."""
+        """The symbols of times i..i+T in received mod q, erasures None, zero past its end.
+
+        The times past the end share one zero row, so a far-past delay costs
+        one reference per time; nothing writes to these rows.
+        """
         q, window = self.code.ctx.q, self.received[self.i : self.i + self.T + 1]
-        past_end = [[0] * self.code.n for _ in range(self.T + 1 - len(window))]
+        past_end = [[0] * self.code.n] * (self.T + 1 - len(window))
         return [[x if x is None else x % q for x in sym] for sym in window] + past_end
 
     def assemble(self, col_values: Sequence[int]) -> list[list[int]]:
@@ -203,21 +216,24 @@ class _Pattern:
     of those at time i, which come first.  The equations, in kernel order
     (time - i, then parity row), are the code's window array gathered on
     the erased columns: only up to the erasure reach, the last erased
-    time - i plus nu, as the later ones read no erased entry.  moduli hold
-    each one's p^stratum, the stratum the p-adic valuation of the whole
-    row: p^stratum = gcd(q, row), q on a row that is zero mod q, those past
-    the reach included.  nonzero holds (index, p^stratum) per nonzero
+    time - i plus nu, as the later ones read no erased entry and are zero
+    rows.  moduli hold each gathered one's p^stratum, the stratum the p-adic
+    valuation of the whole row: p^stratum = gcd(q, row), q on a row that is
+    zero mod q; a zero row past the reach has modulus q too, and its
+    right-hand side must be 0.  So a pattern's size does not grow with T
+    past the reach.  nonzero holds (index, p^stratum) per nonzero
     equation: the rows of a valid window, in order.  origs and coeffs are
     those rows, original and renormalized, as integer arrays, and scales
     their p^stratum.  A row of stratum v takes part in the digit stages t
-    with v + t < r, those where p^stratum < p^(r - t).  A sequential
-    decode also keeps the pattern's plan here: None until it is made, then
-    the _Plan, or False when the pattern has none.
+    with v + t < r, those where p^stratum < p^(r - t).  The pattern's plan
+    is kept here too: None until a sequential decode makes it, then the
+    _Plan, or False when the pattern has none.  A pattern is value-free and
+    reads nothing of a stream, so a code keeps it for all its decodes.
     """
 
     __slots__ = ("erased", "head", "moduli", "nonzero", "scales", "origs", "coeffs", "plan")
 
-    def __init__(self, code: ConvCode, T: int, erased: Sequence[int]):
+    def __init__(self, code: ConvCode, T: int, erased: tuple[int, ...]):
         n, q = code.n, code.ctx.q
         self.erased = erased
         self.head = tuple(f for f in erased if f < n)
@@ -225,7 +241,7 @@ class _Pattern:
         A = code._window_array(reach)[:, erased]
         moduli = np.gcd(np.gcd.reduce(A, axis=1), q)
         keep = np.flatnonzero(moduli < q)
-        self.moduli = moduli.tolist() + [q] * (T - reach) * code._parity_array.shape[1]
+        self.moduli = moduli.tolist()
         self.scales = moduli[keep]
         self.nonzero = list(zip(keep.tolist(), self.scales.tolist()))
         self.origs = A[keep]
@@ -240,10 +256,11 @@ class _Syndrome:
     sum_k H^k x_{s-k} over the symbols of received, erased entries read as
     0: a window's right-hand sides are one slice of it.  It is computed by
     the window kernel in the first window's build, from that window's
-    start to the stream's end (plus T when terminated), and applies only
-    to received, the list it was built from.  Committing a value x at
-    (i, c) subtracts x H^k[:, c] from the times i + k; the times that
-    read an overwritten symbol are recomputed with the kernel.
+    start to the stream's end, plus min(T, nu) times when terminated (the
+    later equations read zero symbols only), and applies only to received,
+    the list it was built from.  Committing a value x at (i, c) subtracts
+    x H^k[:, c] from the times i + k; the times that read an overwritten
+    symbol are recomputed with the kernel.
     """
 
     __slots__ = ("received", "lo", "hi", "m", "hcols", "rhs")
@@ -256,7 +273,7 @@ class _Syndrome:
         """The right-hand sides of the window [i, i+T], computing the syndrome on first use."""
         if self.rhs is None:
             H = code._parity_array
-            self.lo, self.hi = i, len(self.received) - 1 + (T if terminated else 0)
+            self.lo, self.hi = i, len(self.received) - 1 + (min(T, code.nu) if terminated else 0)
             self.m = H.shape[1]
             # per coord c, H^0[:, c] | ... | H^nu[:, c]: a commit's change
             self.hcols = H.transpose(2, 0, 1).reshape(code.n, -1).tolist()
@@ -282,6 +299,8 @@ class _Syndrome:
 
 _SYNDROME = "syndrome"  # the store key of a sequential decode's _Syndrome
 _BRANCH_BUDGET = 64  # the list members the "branch" policy tries at one time
+_PATTERNS_KEPT = 1024  # the erasure patterns a code keeps (_kept_pattern)
+_PATTERNS_LOCK = threading.Lock()  # guards every code's kept patterns
 
 
 def _whole(x, name: str) -> int:
@@ -315,12 +334,15 @@ def build_window_system(
     the witness is found here, before any row is built.
 
     Columns, coefficients and strata depend only on T and on the erasure
-    pattern relative to i, so they are built once per pattern and kept in
-    store when one is given (keyed on T and the relative pattern); the
-    received values enter only through the right-hand sides.  Those come
-    from the window kernel, reading received in place, or, in a sequential
-    decode, from the running syndrome that its store holds for received; the
-    system keeps received, not a copy.
+    pattern relative to i.  With no store the pattern is built fresh.  A
+    store, keyed on T and the relative pattern, keeps the patterns of its
+    windows, and takes each one at its first window there from the code's
+    kept patterns (_kept_pattern), so a pattern is built once per code.
+    The received values enter only through the right-hand sides, those of
+    the equations up to the stream's end + nu (the later ones are 0).  They
+    come from the window kernel, reading received in place, or, in a
+    sequential decode, from the running syndrome that its store holds for
+    received; the system keeps received, not a copy.
     """
     if code.h_blocks is None:
         raise ValueError("decoding needs a code with a parity side")
@@ -342,21 +364,52 @@ def build_window_system(
                 raise ValueError(f"erasure before window start at time {t}")
             erased.extend((t - i) * n + c for c, x in enumerate(sym) if x is None)
     key = (T, tuple(erased))
-    store = {} if store is None else store
-    pattern = store.get(key)
-    if pattern is None:
-        pattern = store[key] = _Pattern(code, T, erased)
-    syndrome = store.get(_SYNDROME)
+    if store is None:
+        pattern, syndrome = _Pattern(code, *key), None
+    else:
+        pattern, syndrome = store.get(key), store.get(_SYNDROME)
+        if pattern is None:
+            pattern = store[key] = _kept_pattern(code, key)
     if syndrome is not None and syndrome.received is received:
         rhs = syndrome.window(code, i, T, terminated)
     else:
-        rhs = _window_rhs(code, received, i, i + T)
-    witness = None
-    if any(map(mod, rhs, pattern.moduli)):
-        m = len(rhs) // (T + 1)
-        k, pv = next((k, pv) for k, (x, pv) in enumerate(zip(rhs, pattern.moduli)) if x % pv)
+        hi = min(i + T, L - 1 + code.nu)
+        rhs = _window_rhs(code, received, i, hi) if hi >= i else []
+    # past its moduli, an equation is a zero row: its right-hand side must be 0
+    moduli, witness = pattern.moduli, None
+    if any(map(mod, rhs, moduli)) or any(rhs[len(moduli) :]):
+        m = code._parity_array.shape[1]
+        pairs = enumerate(zip_longest(rhs, moduli, fillvalue=q))
+        k, pv = next((k, pv) for k, (x, pv) in pairs if x % pv)
         witness = ("inconsistent-known" if pv == q else "divisibility", i + k // m, k % m)
     return WindowSystem(code, i, T, received, pattern, rhs, witness)
+
+
+def _kept_pattern(code: ConvCode, key: tuple[int, tuple[int, ...]]) -> _Pattern:
+    """The code's pattern of key = (T, relative erasures), built at its first use and kept.
+
+    The code keeps the _PATTERNS_KEPT patterns taken last
+    (ConvCode._patterns) and evicts the least recently taken one; a store
+    takes a pattern from the code once, at its first window there.  A kept
+    pattern equals a fresh build, so no result depends on what was kept.
+
+    Memory: an entry holds its gathered rows twice and, with a plan, U, V
+    and the rows as lists, at most (T + 1)^2 (m^2 + 3 m n + n^2) integers
+    for m parity rows: 8 bytes each, plus a 32-byte int object per list
+    entry past 256.  Measured, the entries of the benchmark's Z_9 stream
+    code (T = 2, n = 4, m = 3) take 4.7 KB on average and at most 7.0 KB,
+    and those of dense Z_8 windows (T = 7, n = 8, m = 6) 56 KB and at most
+    90 KB: at the bound, about 7 MB and 92 MB per code.
+    """
+    kept = code._patterns
+    with _PATTERNS_LOCK:
+        pattern = kept.pop(key, None)
+        if pattern is None:
+            pattern = _Pattern(code, *key)
+        kept[key] = pattern
+        if len(kept) > _PATTERNS_KEPT:
+            kept.popitem(last=False)
+    return pattern
 
 
 # ---------------------------------------------------------------------------
@@ -634,19 +687,20 @@ def _plan_values(plan: _Plan, sys: WindowSystem) -> list[int] | None:
 
 
 def _planned_decode(
-    sys: WindowSystem, counts: PlanCounts
+    sys: WindowSystem, counts: PlanCounts, first: bool
 ) -> tuple[DecodeOutcome | None, list[int] | None]:
     """list_decode(sys), or the column values that commit time i: (outcome, values).
 
-    A pattern's first window makes its plan (_make_plan).  Every window of
-    a pattern with a plan, that one included, solves through it, and the
-    outcome is None; a window the plan finds invalid goes to list_decode,
-    which derives the witness.  Every window of a pattern without a plan
-    runs list_decode.  The path taken is counted in counts.
+    A pattern's first window on its code makes its plan (_make_plan), which
+    the pattern keeps.  Every window of a pattern with a plan, that one
+    included, solves through it, and the outcome is None; a window the plan
+    finds invalid goes to list_decode, which derives the witness.  Every
+    window of a pattern without a plan runs list_decode.  The path taken is
+    counted in counts, first telling whether sys is its pattern's first
+    window in this decode, whether or not a plan was made for it.
     """
     pattern = sys.pattern
-    first = pattern.plan is None
-    if first:
+    if pattern.plan is None:
         pattern.plan = _make_plan(sys) or False
     plan = pattern.plan
     values = _plan_values(plan, sys) if plan else None
@@ -804,12 +858,14 @@ def project_values(outcome: DecodeOutcome, cols: Sequence[int]) -> dict[int, int
 class PlanCounts:
     """How the windows of a sequential decode were decoded; one count per decision.
 
-    first_decodes counts the windows that made their pattern's plan,
-    whatever they ran then, and the later list_decode runs of patterns
-    with no plan, those whose time i is not the same on every solution.
-    value_replays are the later windows that committed time i from their
-    pattern's plan, and fallbacks the later windows that the plan found
-    invalid and that ran list_decode.
+    The counts are the call's own: first_decodes counts each pattern's
+    first window in the call, whatever it ran and whether or not an
+    earlier decode of the code had made the plan, and the later
+    list_decode runs of patterns with no plan, those whose time i is not
+    the same on every solution.  value_replays are the later windows that
+    committed time i from their pattern's plan, and fallbacks the later
+    windows that the plan found invalid and that ran list_decode.  So they
+    are a function of the call's inputs alone.
     """
 
     first_decodes: int = 0
@@ -854,21 +910,25 @@ def sequential_decode(
     halted outcome has derived the symbols and history it reads, so an
     edit to the returned stream does not reach it.
 
-    A store kept for this call, keyed on the delay and the erasure pattern
-    relative to i, holds each pattern's window rows and plan: a pattern's
-    first window makes the plan, one decomposition U A V = D of the
-    pattern's raw rows, which has a plan exactly when time i is the same
-    on every solution of every valid window.  Every window of a pattern
-    with a plan, the first one included, solves x = V (U s / D) from its
+    Each erasure pattern's window rows and plan, keyed on the delay and
+    the pattern relative to i, are the code's (_kept_pattern), so every
+    decode of the code, "branch" sub-decodes and genie restarts included,
+    reuses those that earlier decodes made.  A pattern's first window on
+    the code makes the plan, one decomposition U A V = D of the pattern's
+    raw rows, which has a plan exactly when time i is the same on every
+    solution of every valid window.  Every window of a pattern with a
+    plan, the first one included, solves x = V (U s / D) from its
     right-hand sides s, with no row built, and commits time i from it.
     Every other window runs list_decode.  Each committed value comes from
-    a column checked against the window's raw rows.  The store
-    also holds the call's running syndrome: the first window's build
-    computes the right-hand sides of every later equation in one kernel
-    call, each commit updates the times it reaches and a "first" pick
-    recomputes them, and every window reads its right-hand sides from it.
-    Decisions and outcomes equal list_decode's; plan_counts says which
-    path each window took.
+    a column checked against the window's raw rows.  A store kept for this
+    call holds the patterns it has seen and its running syndrome: the
+    first window's build computes the right-hand sides of every later
+    equation up to the stream's end + nu in one kernel call, each commit
+    updates the times it reaches and a "first" pick recomputes them, and
+    every window reads its right-hand sides from it.  The code keeps
+    neither the syndrome nor the stream.  Decisions and outcomes equal
+    list_decode's, whatever the code has kept; plan_counts says which path
+    each window took in this call.
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -877,8 +937,8 @@ def sequential_decode(
     decisions: list[tuple] = []
     picked = None
     syndrome = _Syndrome(work)
-    # per (Tw, pattern relative to i), and the syndrome of work
-    patterns: dict = {_SYNDROME: syndrome}
+    # the call's patterns per (Tw, pattern relative to i), and the syndrome of work
+    store: dict = {_SYNDROME: syndrome}
     counts = PlanCounts()
 
     def next_erased(start: int) -> int | None:
@@ -901,8 +961,10 @@ def sequential_decode(
                 _integer(x, t)
     while i is not None:
         Tw = T if terminated else min(T, len(work) - 1 - i)
-        sys = build_window_system(code, work, i, Tw, terminated=terminated, store=patterns)
-        outcome, values = _planned_decode(sys, counts)
+        seen = len(store)
+        sys = build_window_system(code, work, i, Tw, terminated=terminated, store=store)
+        # the store gains each pattern at its first window in this call
+        outcome, values = _planned_decode(sys, counts, len(store) > seen)
         if outcome is not None and outcome.kind == "invalid":
             verdict = (i, "invalid") if picked is None else (i, "invalid-after-guess", picked)
             decisions.append(verdict)

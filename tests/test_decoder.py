@@ -2,7 +2,8 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import astuple
+from collections import OrderedDict
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -23,12 +24,13 @@ from convring import (
 )
 from convring import decoder
 from convring.cli import erase_stream, generate_code
-from convring.codes import is_codeword_window
+from convring.codes import _window_rhs, is_codeword_window
 from convring.decoder import ParamSpace, _Branch, _fold
 from convring.errors import CapExceeded, ConvringError
 from convring.intsolve import solve_mod
 from convring.linsolve import OPS, rank_mod_p, rref_mod_p
 from tests.conftest import random_kernel_code
+from tests.corpus.regenerate import STREAMS, stream_case
 
 Z4 = RingContext(2, 2)
 Z8 = RingContext(2, 3)
@@ -549,13 +551,17 @@ def test_entry_points_return_or_raise_typed_error(case):
 
 
 def test_far_past_delay_stops_at_the_erasure_reach(monkeypatch):
-    # a terminated delay of 10^4 on a 5-symbol stream: a window's equations
-    # past its last erased time + nu read no erased entry, so its pattern
-    # gathers rows only up to there, and the decode equals the one with
-    # T = len(stream) + nu, which reads every equation that a symbol reaches;
-    # no window array past the stream's erasure reach is built
+    # terminated delays of 10^4 and 10^6 on a 5-symbol stream: a window's
+    # equations past its last erased time + nu read no erased entry, so its
+    # pattern gathers rows and moduli only up to there, and those past the
+    # stream's end + nu read zero symbols only, so no right-hand side is
+    # computed there; the decode equals the one with T = len(stream) + nu,
+    # which reads every equation that a symbol reaches; no window array
+    # past the stream's erasure reach is built, and the patterns that the
+    # code keeps do not grow with T
     code = generate_code(**PLAN_CODES["z9"])
     window_array, delays = ConvCode._window_array, []
+    far_delays = (10**4, 10**6)
 
     def recorded(self, T):
         delays.append(T)
@@ -572,14 +578,21 @@ def test_far_past_delay_stops_at_the_erasure_reach(monkeypatch):
         assert len(rx) == 5
         for stream in (rx, bad):
             for policy in ("halt", "first"):
-                far = sequential_decode(code, stream, 10**4, policy=policy)
                 near = sequential_decode(code, stream, len(stream) + code.nu, policy=policy)
-                assert (far.stream, far.decisions, far.halted_at) == (near.stream, near.decisions, near.halted_at)
-                assert far.decisions and astuple(far.plan_counts) == astuple(near.plan_counts)
-                if far.last_outcome is not None:
-                    assert _outcome_key(far.last_outcome) == _outcome_key(near.last_outcome)
-        assert sequential_decode(code, rx, 10**4).stream == sent
+                for T in far_delays:
+                    far = sequential_decode(code, stream, T, policy=policy)
+                    assert (far.stream, far.decisions, far.halted_at) == (near.stream, near.decisions, near.halted_at)
+                    assert far.decisions and astuple(far.plan_counts) == astuple(near.plan_counts)
+                    if far.last_outcome is not None:
+                        assert _outcome_key(far.last_outcome) == _outcome_key(near.last_outcome)
+        assert sequential_decode(code, rx, 10**6).stream == sent
     assert delays and max(delays) <= len(rx) - 1 + code.nu
+    m = code._parity_array.shape[1]
+    kept = {key: pattern.moduli for key, pattern in code._patterns.items()}
+    assert {T for T, _ in kept} >= set(far_delays)
+    for (T, erased), moduli in kept.items():
+        assert len(moduli) <= (len(rx) + code.nu) * m
+        assert all(kept.get((Tf, erased), moduli) == moduli for Tf in far_delays)
 
 
 class TestInvalidity:
@@ -923,7 +936,11 @@ def test_pattern_rows_vanish_outside_their_span(case):
     # columns, and so is zero outside its span, the run of columns of times
     # s - nu..s; its stratum is the valuation of the whole row, the
     # renormalized row times p^stratum is the original, and a valid
-    # window's rows are the equations that are not zero mod q, in order
+    # window's rows are the equations that are not zero mod q, in order;
+    # the pattern stops at the erasure reach, the last erased time + nu,
+    # and the window's right-hand sides at the stream's end + nu: the
+    # equations past those are zero rows, of modulus q, and read zero
+    # symbols only
     code, rx, i, Tw, terminated = case
     sysw = build_window_system(code, rx, i, Tw, terminated=terminated)
     pattern, e = sysw.pattern, sysw.e
@@ -931,8 +948,13 @@ def test_pattern_rows_vanish_outside_their_span(case):
     nonzero, origs, coeffs = iter(pattern.nonzero), pattern.origs.tolist(), pattern.coeffs.tolist()
     columns = [divmod(f, code.n) for f in pattern.erased]
     kept = 0
-    assert len(pattern.moduli) == (Tw + 1) * m
-    for k, pv in enumerate(pattern.moduli):
+    reach = min(Tw, columns[-1][0] + nu if columns else 0)
+    assert len(pattern.moduli) == (reach + 1) * m
+    assert len(sysw.rhs) == (min(Tw, len(rx) - 1 + nu - i) + 1) * m
+    moduli = pattern.moduli + [q] * (Tw - reach) * m
+    rhs = sysw.rhs + [0] * ((Tw + 1) * m - len(sysw.rhs))
+    assert rhs == _window_rhs(code, rx, i, i + Tw)
+    for k, pv in enumerate(moduli):
         s, ri = divmod(k, m)
         span = [j for j, (dt, _) in enumerate(columns) if s - nu <= dt <= s]
         ref = [code.parity_coeff(s - dt).data[ri][c] % q for dt, c in columns]
@@ -946,7 +968,7 @@ def test_pattern_rows_vanish_outside_their_span(case):
         kept += 1
     assert next(nonzero, None) is None and len(origs) == kept
     # a window is valid exactly when each equation's p-power divides its right-hand side
-    assert (sysw.invalid_witness is None) == (not any(x % pv for x, pv in zip(sysw.rhs, pattern.moduli)))
+    assert (sysw.invalid_witness is None) == (not any(x % pv for x, pv in zip(rhs, moduli)))
 
 
 def _decode_record(sysw):
@@ -1434,7 +1456,8 @@ class TestPlanReplay:
     def test_replays_equal_list_decode(self, name, monkeypatch):
         # every window that solves through its pattern's plan commits exactly
         # list_decode's time-i values, those at a pattern's first window,
-        # right after its plan is made, included
+        # right after its plan is made, included; each decode gets a fresh
+        # code of the spec, whose first sights all make their plans
         code = generate_code(**PLAN_CODES[name])
         values_of, make_plan = decoder._plan_values, decoder._make_plan
         # per checked commit, whether its window made the pattern's plan
@@ -1460,7 +1483,8 @@ class TestPlanReplay:
             for T in (1, 2, 3):
                 for policy in ("halt", "first"):
                     for terminated in (True, False):
-                        res = sequential_decode(code, rx, T, policy=policy, terminated=terminated)
+                        fresh = generate_code(**PLAN_CODES[name])
+                        res = sequential_decode(fresh, rx, T, policy=policy, terminated=terminated)
                         ref = _reference_sequential(code, rx, T, policy, terminated)
                         assert (res.stream, res.decisions, res.halted_at) == ref[:3]
                         last = ref[3]
@@ -1512,7 +1536,10 @@ class TestPlanReplay:
         derived = {"symbols", "columns", "row_rhs", "rows"}
         assert not any(derived & vars(sysw).keys() for sysw in built)
 
-    def test_store_is_per_call_and_saves_ops(self):
+    def test_repeat_decode_counts_the_same_ops(self):
+        # the second decode finds every plan made on the code and solves
+        # the same windows the same way: as many Z_p ops, fewer than
+        # list_decode on every window
         code = generate_code(**PLAN_CODES["z9"])
         rx = _plan_stream(code, 1, 400, 0.10)
         deltas = []
@@ -1655,12 +1682,12 @@ class TestPlanReplay:
         bad = [list(sym) for sym in rx]
         bad[9][0] = (bad[9][0] + 1) % code.ctx.q
         store, counts = {}, decoder.PlanCounts()
-        out, _ = decoder._planned_decode(build_window_system(code, bad, 10, 2, store=store), counts)
+        out, _ = decoder._planned_decode(build_window_system(code, bad, 10, 2, store=store), counts, True)
         (pattern,) = store.values()
         assert out.invalid_witness == ("stage", 0, 2) and pattern.plan
         for i in (10, 20):
             sysw = build_window_system(code, rx, i, 2, store=store)
-            out, consts = decoder._planned_decode(sysw, counts)
+            out, consts = decoder._planned_decode(sysw, counts, False)
             assert len(store) == 1 and consts is not None
             head = [k for k, (t, _) in enumerate(sysw.columns) if t == i]
             assert dict(zip(head, consts)) == project_values(list_decode(sysw), head)
@@ -1668,9 +1695,10 @@ class TestPlanReplay:
 
     def test_unplannable_pattern_compiles_once(self, monkeypatch):
         # on this Z_4 burst stream every window is a list at time i, so no
-        # pattern has a plan: each is decomposed once per call, and each of
+        # pattern has a plan: each is decomposed once per code, and each of
         # its windows runs list_decode alone; the decomposition counts no
-        # Z_p op, so the call's OPS are the reference loop's exactly
+        # Z_p op, so the call's OPS are the reference loop's exactly, and a
+        # second call on the code decomposes nothing and counts alike
         make_plan, made = decoder._make_plan, []
 
         def counted(sysw):
@@ -1692,6 +1720,10 @@ class TestPlanReplay:
         assert len(set(map(id, patterns))) == len(patterns) < len(res.decisions)
         assert all(pattern.plan is False for pattern in patterns)
         assert astuple(res.plan_counts) == (len(res.decisions), 0, 0)
+        before = OPS.count
+        again = sequential_decode(code, rx, 2, policy="first")
+        assert OPS.count - before == ops and len(made) == len(patterns)
+        assert (again.stream, again.decisions, again.plan_counts) == (res.stream, res.decisions, res.plan_counts)
 
     def test_folding_patterns_replay(self, monkeypatch):
         # on this Z_8 stream time i is unique in every window, and the
@@ -1772,6 +1804,100 @@ def test_one_window_build_per_decision(policy, monkeypatch):
                 subs += len(calls) - 1
     assert fallbacks
     assert subs if policy == "branch" else not subs
+
+
+def _decode_key(res):
+    """What a sequential decode returns: stream, decisions, halt time, plan counts and last outcome."""
+    last = None if res.last_outcome is None else _outcome_key(res.last_outcome)
+    return res.stream, res.decisions, res.halted_at, astuple(res.plan_counts), last
+
+
+@pytest.mark.parametrize("policy", ["halt", "first", "branch"])
+def test_kept_patterns_leave_results_unchanged(policy, monkeypatch):
+    # on each corpus stream code, stream B decoded after stream A on one
+    # code returns what B returns on a fresh code of the same spec; each
+    # (code, T, pattern) is decomposed once, across the calls and their
+    # "branch" sub-decodes, and B on the shared code makes fewer plans
+    make_plan, made = decoder._make_plan, []
+
+    def counted(sysw):
+        made.append((id(sysw.code), sysw.T, sysw.pattern.erased))
+        return make_plan(sysw)
+
+    monkeypatch.setattr(decoder, "_make_plan", counted)
+    codes, fresh_plans, shared_plans = [], 0, 0
+    for name, *_ in STREAMS:
+        spec, B, T, _ = stream_case(name)
+        A = _plan_stream(spec, 7, 40, 0.3)
+        for terminated in (True, False):
+            shared, fresh = replace(spec), replace(spec)
+            codes += [shared, fresh]
+            sequential_decode(shared, A, T, policy=policy, terminated=terminated)
+            before = len(made)
+            got = sequential_decode(shared, B, T, policy=policy, terminated=terminated)
+            shared_plans += len(made) - before
+            before = len(made)
+            want = sequential_decode(fresh, B, T, policy=policy, terminated=terminated)
+            fresh_plans += len(made) - before
+            assert _decode_key(got) == _decode_key(want)
+    assert len(made) == len(set(made))
+    assert shared_plans < fresh_plans
+
+
+def _reachable(root) -> list:
+    """Every object reachable from root through containers, arrays, patterns and plans."""
+    seen, todo = {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, dict):
+            todo += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        elif isinstance(obj, np.ndarray) and obj.dtype == object:
+            todo += obj.ravel().tolist()
+        elif isinstance(obj, decoder._Pattern):
+            todo += [getattr(obj, slot) for slot in obj.__slots__]
+        elif isinstance(obj, decoder._Plan):
+            todo += vars(obj).values()
+    return list(seen.values())
+
+
+def test_kept_patterns_are_bounded_and_value_free(monkeypatch):
+    # with a bound of 8, decodes that see more patterns keep the 8 used
+    # last and return what a fresh code with the default bound returns; the
+    # code keeps patterns alone, none holding a syndrome, a window or any
+    # list of the caller's streams; with a bound of 2, a pattern taken
+    # again is kept over one taken since, which is evicted
+    code = generate_code(**PLAN_CODES["z9"])
+    streams = [_plan_stream(code, 1, 300, 0.10), _plan_stream(code, 2, 300, 0.15, corrupt=True)]
+    want = [_decode_key(sequential_decode(replace(code), rx, 2, policy="first")) for rx in streams]
+    assert all(key[3][0] > 8 for key in want)
+    monkeypatch.setattr(decoder, "_PATTERNS_KEPT", 8)
+    kept = code._patterns
+    results = []
+    for _ in range(2):
+        for rx, key in zip(streams, want):
+            results.append(sequential_decode(code, rx, 2, policy="first"))
+            assert _decode_key(results[-1]) == key
+            assert len(kept) == 8
+    assert all(type(T) is int and all(type(f) is int for f in erased) for T, erased in kept)
+    assert all(type(pattern) is decoder._Pattern for pattern in kept.values())
+    reached = _reachable(kept)
+    allowed = (OrderedDict, list, tuple, int, np.ndarray, decoder._Pattern, decoder._Plan)
+    assert all(obj is None or isinstance(obj, allowed) for obj in reached)
+    callers = [*streams, *(res.stream for res in results)]
+    lists = {id(obj) for rx in callers for obj in (rx, *rx)}
+    assert not lists & {id(obj) for obj in reached}
+    monkeypatch.setattr(decoder, "_PATTERNS_KEPT", 2)
+    fresh, sent = replace(code), code.encode([[1]] * 6)
+    for c in (0, 1, 0, 2):
+        rx = [list(sym) for sym in sent]
+        rx[3][c] = None
+        build_window_system(fresh, rx, 3, 2, store={})
+    assert list(fresh._patterns) == [(2, (0,)), (2, (2,))]
 
 
 @st.composite

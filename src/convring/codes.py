@@ -13,7 +13,7 @@ Instances are immutable in what they define and safe to share.  Each
 keeps caches that change no result: its scaled coefficients H^0..H^nu
 and G^0..G^deg, once, as arrays, its window arrays per delay, and the
 decoder's erasure patterns with their plans, a bounded store that every
-sequential decode of the code reads and that holds no stream (decoder).
+window system of the code reads and that holds no stream (decoder).
 
 The sliding-window parity equations are assembled in one place.  Their
 coefficients are the window array of a delay T, cached on the code: the
@@ -165,8 +165,8 @@ class ConvCode:
     def _patterns(self) -> OrderedDict:
         """The decoder's erasure patterns of this code, per (T, relative pattern), least recently taken first.
 
-        decoder.build_window_system fills and bounds it; each entry is
-        value-free and holds the pattern's plan once a decode has made it.
+        decoder._kept_pattern fills and bounds it; each entry is value-free,
+        read-only, and holds the pattern's plan once a decode has made it.
         """
         return OrderedDict()
 
@@ -496,8 +496,9 @@ def _window_rhs(code: ConvCode, symbols: Sequence, lo: int, hi: int) -> list[int
     times lo - nu..hi, reduced mod q, become one array, and its valid
     block convolution with the H^k (transposed) gives all the times at
     once, exact in Python integers where int64 could overflow.  A known
-    entry that is not an
-    integer (a bool, a float or a string) raises ValueError naming its time.
+    entry that is not an integer (a bool, a float or a string) raises
+    ValueError naming its time, and so do symbols whose lengths do not add
+    up to n each, naming the first one that is not of length n.
     """
     n, q, nu = code.n, code.ctx.q, code.nu
     H = code._parity_array
@@ -507,6 +508,9 @@ def _window_rhs(code: ConvCode, symbols: Sequence, lo: int, hi: int) -> list[int
         for t in range(lo - nu, hi + 1)
         for v in (symbols[t] if 0 <= t < len(symbols) else zero)
     ]
+    if len(values) != (hi - lo + 1 + nu) * n:
+        t = next(t for t in range(max(lo - nu, 0), min(hi + 1, len(symbols))) if len(symbols[t]) != n)
+        raise ValueError(f"symbol at time {t} has length {len(symbols[t])}")
     x = np.array(values, dtype=H.dtype).reshape(hi - lo + 1 + nu, n)
     # x holds the nu history symbols, so the valid part is exactly times lo..hi
     return (-_convolve(x, H.transpose(0, 2, 1)) % q).ravel().tolist()

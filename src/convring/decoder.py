@@ -39,7 +39,7 @@ restricted to its erased columns: one column gather of the code's window
 array (codes), which depends only on T and on the erasure pattern relative
 to the window start; the equations past the last erased time + nu read no
 erased entry, so the gather stops there and they are zero rows.
-build_window_system makes the pattern once: its erased entries, each row's
+The pattern is made once per code: its erased entries, each row's
 stratum (the p-adic valuation of the whole row) and its nonzero rows as
 two dense integer matrices, original and renormalized, exact in Python
 integers past int64.  The received values enter only through the
@@ -47,23 +47,25 @@ right-hand sides, which the window kernel reads from the stream in place
 and a window keeps raw, one per equation; the right-hand side of equation
 s is minus the syndrome sum_k H^k x_{s-k} of the symbols of times
 s - nu..s, erasures read as 0, so past the stream's end + nu it is 0 and
-is not computed.  A sequential decode computes that syndrome once, for
-every time from its first window on, by nu + 1 block products, subtracts
-x H^k[:, c] from times i..i+nu as it commits x at (i, c), and slices each
-window's right-hand sides out of it.  Each digit stage selects its rows
-from the renormalized matrix, and its payload is one product of the
-column forms with them; the list check is one product of the column forms
-with the original matrix.  A plan and the brute-force oracle read the
+is not computed.  A sequential decode computes that syndrome once, at
+its first erased time, for every time from there on, by nu + 1 block
+products, subtracts x H^k[:, c] from times i..i+nu as it commits x at
+(i, c), and slices each window's right-hand sides out of it.  Each digit
+stage selects its rows from the renormalized matrix, and its payload is
+one product of the column forms with them; the list check is one product
+of the column forms with the original matrix.  A plan and the brute-force oracle read the
 original matrix as lists.  The column forms are checked against the raw
 rows before a list is enumerated or its values are read.
 
 Whether time i takes one value on every valid window's list depends only
 on the pattern as well.  So the patterns belong to the code: it keeps up
 to _PATTERNS_KEPT of them (ConvCode._patterns), keyed on the delay and the
-relative pattern, the least recently taken evicted first, and every
-sequential decode of the code reads them, each with its plan, made once
-per code, at the pattern's first window, from one valuation-pivot
-decomposition U A V = D of the pattern's raw rows (intsolve.decompose).
+relative pattern, the least recently taken evicted first.  Every window
+system of the code takes its pattern from them (_kept_pattern, the one
+place a pattern is built), shared and read-only, with its plan, made
+once per code, at the pattern's first window in a sequential decode,
+from one valuation-pivot decomposition U A V = D of the pattern's raw
+rows (intsolve.decompose).
 It reads no value of the window and is checked once.  A pattern has a
 plan when V's time-i rows vanish on the free directions of the solutions,
 folding patterns included.  Every window of
@@ -228,7 +230,9 @@ class _Pattern:
     with v + t < r, those where p^stratum < p^(r - t).  The pattern's plan
     is kept here too: None until a sequential decode makes it, then the
     _Plan, or False when the pattern has none.  A pattern is value-free and
-    reads nothing of a stream, so a code keeps it for all its decodes.
+    reads nothing of a stream, so a code keeps it for all its windows
+    (_kept_pattern), which share it: its arrays are read-only and its
+    sequences tuples.
     """
 
     __slots__ = ("erased", "head", "moduli", "nonzero", "scales", "origs", "coeffs", "plan")
@@ -241,11 +245,13 @@ class _Pattern:
         A = code._window_array(reach)[:, erased]
         moduli = np.gcd(np.gcd.reduce(A, axis=1), q)
         keep = np.flatnonzero(moduli < q)
-        self.moduli = moduli.tolist()
+        self.moduli = tuple(moduli.tolist())
         self.scales = moduli[keep]
-        self.nonzero = list(zip(keep.tolist(), self.scales.tolist()))
+        self.nonzero = tuple(zip(keep.tolist(), self.scales.tolist()))
         self.origs = A[keep]
         self.coeffs = self.origs // self.scales[:, None]
+        for array in (self.scales, self.origs, self.coeffs):
+            array.flags.writeable = False
         self.plan: _Plan | bool | None = None
 
 
@@ -254,31 +260,28 @@ class _Syndrome:
 
     rhs holds, per equation time s in lo..hi and parity row, minus
     sum_k H^k x_{s-k} over the symbols of received, erased entries read as
-    0: a window's right-hand sides are one slice of it.  It is computed by
-    the window kernel in the first window's build, from that window's
-    start to the stream's end, plus min(T, nu) times when terminated (the
-    later equations read zero symbols only), and applies only to received,
-    the list it was built from.  Committing a value x at (i, c) subtracts
-    x H^k[:, c] from the times i + k; the times that read an overwritten
-    symbol are recomputed with the kernel.
+    0: a window's right-hand sides are one slice of it.  The decode
+    computes it with the window kernel at its first erased time lo, up to
+    the stream's end, plus min(T, nu) times when terminated (the later
+    equations read zero symbols only), and it applies only to received,
+    the list it was computed from.  Committing a value x at (i, c)
+    subtracts x H^k[:, c] from the times i + k; the times that read an
+    overwritten symbol are recomputed with the kernel.
     """
 
     __slots__ = ("received", "lo", "hi", "m", "hcols", "rhs")
 
-    def __init__(self, received: list[list[int | None]]):
-        self.received = received
-        self.rhs: list[int] | None = None
+    def __init__(self, code: ConvCode, received: list[list[int | None]], lo: int, hi: int):
+        H = code._parity_array
+        self.received, self.lo, self.hi = received, lo, hi
+        self.m = H.shape[1]
+        # per coord c, H^0[:, c] | ... | H^nu[:, c]: a commit's change
+        self.hcols = H.transpose(2, 0, 1).reshape(code.n, -1).tolist()
+        self.rhs: list[int] = []
+        self.recompute(code, lo, hi)
 
-    def window(self, code: ConvCode, i: int, T: int, terminated: bool) -> list[int]:
-        """The right-hand sides of the window [i, i+T], computing the syndrome on first use."""
-        if self.rhs is None:
-            H = code._parity_array
-            self.lo, self.hi = i, len(self.received) - 1 + (min(T, code.nu) if terminated else 0)
-            self.m = H.shape[1]
-            # per coord c, H^0[:, c] | ... | H^nu[:, c]: a commit's change
-            self.hcols = H.transpose(2, 0, 1).reshape(code.n, -1).tolist()
-            self.rhs = []
-            self.recompute(code, i, self.hi)
+    def window(self, i: int, T: int) -> list[int]:
+        """The right-hand sides of the window [i, i+T], cut at the syndrome's end."""
         m, lo = self.m, self.lo
         return self.rhs[(i - lo) * m : (i + T + 1 - lo) * m]
 
@@ -297,7 +300,6 @@ class _Syndrome:
         self.rhs[(lo - self.lo) * m : (hi + 1 - self.lo) * m] = _window_rhs(code, self.received, lo, hi)
 
 
-_SYNDROME = "syndrome"  # the store key of a sequential decode's _Syndrome
 _BRANCH_BUDGET = 64  # the list members the "branch" policy tries at one time
 _PATTERNS_KEPT = 1024  # the erasure patterns a code keeps (_kept_pattern)
 _PATTERNS_LOCK = threading.Lock()  # guards every code's kept patterns
@@ -319,7 +321,7 @@ def build_window_system(
     i: int,
     T: int,
     terminated: bool = True,
-    store: dict | None = None,
+    syndrome: _Syndrome | None = None,
 ) -> WindowSystem:
     """Assemble the restricted window system for decoding time i with delay T.
 
@@ -334,15 +336,14 @@ def build_window_system(
     the witness is found here, before any row is built.
 
     Columns, coefficients and strata depend only on T and on the erasure
-    pattern relative to i.  With no store the pattern is built fresh.  A
-    store, keyed on T and the relative pattern, keeps the patterns of its
-    windows, and takes each one at its first window there from the code's
-    kept patterns (_kept_pattern), so a pattern is built once per code.
-    The received values enter only through the right-hand sides, those of
-    the equations up to the stream's end + nu (the later ones are 0).  They
-    come from the window kernel, reading received in place, or, in a
-    sequential decode, from the running syndrome that its store holds for
-    received; the system keeps received, not a copy.
+    pattern relative to i, so every window takes its pattern from the
+    code's kept patterns (_kept_pattern): a pattern is built once per code
+    and shared, read-only, by all its windows.  The received values enter
+    only through the right-hand sides, those of the equations up to the
+    stream's end + nu (the later ones are 0).  They come from the window
+    kernel, reading received in place, or, in a sequential decode, from
+    the running syndrome, which must be that of received; the system
+    keeps received, not a copy.
     """
     if code.h_blocks is None:
         raise ValueError("decoding needs a code with a parity side")
@@ -363,18 +364,12 @@ def build_window_system(
             if t < i:
                 raise ValueError(f"erasure before window start at time {t}")
             erased.extend((t - i) * n + c for c, x in enumerate(sym) if x is None)
-    key = (T, tuple(erased))
-    if store is None:
-        pattern, syndrome = _Pattern(code, *key), None
-    else:
-        pattern, syndrome = store.get(key), store.get(_SYNDROME)
-        if pattern is None:
-            pattern = store[key] = _kept_pattern(code, key)
-    if syndrome is not None and syndrome.received is received:
-        rhs = syndrome.window(code, i, T, terminated)
-    else:
+    pattern = _kept_pattern(code, (T, tuple(erased)))
+    if syndrome is None:
         hi = min(i + T, L - 1 + code.nu)
         rhs = _window_rhs(code, received, i, hi) if hi >= i else []
+    else:
+        rhs = syndrome.window(i, T)
     # past its moduli, an equation is a zero row: its right-hand side must be 0
     moduli, witness = pattern.moduli, None
     if any(map(mod, rhs, moduli)) or any(rhs[len(moduli) :]):
@@ -389,9 +384,10 @@ def _kept_pattern(code: ConvCode, key: tuple[int, tuple[int, ...]]) -> _Pattern:
     """The code's pattern of key = (T, relative erasures), built at its first use and kept.
 
     The code keeps the _PATTERNS_KEPT patterns taken last
-    (ConvCode._patterns) and evicts the least recently taken one; a store
-    takes a pattern from the code once, at its first window there.  A kept
-    pattern equals a fresh build, so no result depends on what was kept.
+    (ConvCode._patterns) and evicts the least recently taken one.  This is
+    the one place a pattern is built, so every window of the code with
+    this key shares it; its arrays are read-only.  A kept pattern equals a
+    fresh build, so no result depends on what was kept.
 
     Memory: an entry holds its gathered rows twice and, with a plan, U, V
     and the rows as lists, at most (T + 1)^2 (m^2 + 3 m n + n^2) integers
@@ -403,10 +399,11 @@ def _kept_pattern(code: ConvCode, key: tuple[int, tuple[int, ...]]) -> _Pattern:
     """
     kept = code._patterns
     with _PATTERNS_LOCK:
-        pattern = kept.pop(key, None)
-        if pattern is None:
-            pattern = _Pattern(code, *key)
-        kept[key] = pattern
+        pattern = kept.get(key)
+        if pattern is not None:
+            kept.move_to_end(key)
+            return pattern
+        pattern = kept[key] = _Pattern(code, *key)
         if len(kept) > _PATTERNS_KEPT:
             kept.popitem(last=False)
     return pattern
@@ -913,22 +910,23 @@ def sequential_decode(
     Each erasure pattern's window rows and plan, keyed on the delay and
     the pattern relative to i, are the code's (_kept_pattern), so every
     decode of the code, "branch" sub-decodes and genie restarts included,
-    reuses those that earlier decodes made.  A pattern's first window on
-    the code makes the plan, one decomposition U A V = D of the pattern's
-    raw rows, which has a plan exactly when time i is the same on every
-    solution of every valid window.  Every window of a pattern with a
+    reuses those that earlier decodes and window builds made.  A
+    pattern's first window in a decode of the code makes the plan, one
+    decomposition U A V = D of the pattern's raw rows, which has a plan
+    exactly when time i is the same on every solution of every valid
+    window.  Every window of a pattern with a
     plan, the first one included, solves x = V (U s / D) from its
     right-hand sides s, with no row built, and commits time i from it.
     Every other window runs list_decode.  Each committed value comes from
-    a column checked against the window's raw rows.  A store kept for this
-    call holds the patterns it has seen and its running syndrome: the
-    first window's build computes the right-hand sides of every later
-    equation up to the stream's end + nu in one kernel call, each commit
-    updates the times it reaches and a "first" pick recomputes them, and
-    every window reads its right-hand sides from it.  The code keeps
-    neither the syndrome nor the stream.  Decisions and outcomes equal
-    list_decode's, whatever the code has kept; plan_counts says which path
-    each window took in this call.
+    a column checked against the window's raw rows.  The call keeps the
+    (delay, pattern) keys it has seen, for its counts, and its running
+    syndrome: at the first erased time one kernel call computes the
+    right-hand sides of every later equation up to the stream's end + nu,
+    each commit updates the times it reaches and a "first" pick
+    recomputes them, and every window reads its right-hand sides from it.
+    The code keeps neither the syndrome nor the stream.  Decisions and
+    outcomes equal list_decode's, whatever the code has kept; plan_counts
+    says which path each window took in this call.
     """
     if policy not in ("halt", "first", "branch"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -936,9 +934,7 @@ def sequential_decode(
     work = [list(sym) for sym in received]
     decisions: list[tuple] = []
     picked = None
-    syndrome = _Syndrome(work)
-    # the call's patterns per (Tw, pattern relative to i), and the syndrome of work
-    store: dict = {_SYNDROME: syndrome}
+    seen: set = set()  # the call's (Tw, pattern relative to i) keys
     counts = PlanCounts()
 
     def next_erased(start: int) -> int | None:
@@ -959,12 +955,16 @@ def sequential_decode(
         for x in work[t]:
             if type(x) is not int:
                 _integer(x, t)
+    if i is not None:
+        if code.h_blocks is None:
+            raise ValueError("decoding needs a code with a parity side")
+        syndrome = _Syndrome(code, work, i, len(work) - 1 + (min(T, code.nu) if terminated else 0))
     while i is not None:
         Tw = T if terminated else min(T, len(work) - 1 - i)
-        seen = len(store)
-        sys = build_window_system(code, work, i, Tw, terminated=terminated, store=store)
-        # the store gains each pattern at its first window in this call
-        outcome, values = _planned_decode(sys, counts, len(store) > seen)
+        sys = build_window_system(code, work, i, Tw, terminated, syndrome)
+        key = (Tw, sys.pattern.erased)
+        outcome, values = _planned_decode(sys, counts, key not in seen)
+        seen.add(key)
         if outcome is not None and outcome.kind == "invalid":
             verdict = (i, "invalid") if picked is None else (i, "invalid-after-guess", picked)
             decisions.append(verdict)

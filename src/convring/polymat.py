@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotLeftPrime, NotUnimodular
+from .intsolve import decompose
 from .linsolve import rref_mod_p, solve_mod_p
 from .ring import RingContext
 
@@ -537,32 +538,15 @@ def exact_dtype(terms: int, q: int):
     return np.int64 if terms * (q - 1) ** 2 < 2**63 else object
 
 
-def _inverse_mod(A: list[list[int]], ctx: RingContext) -> list[list[int]]:
-    """Inverse of a square integer matrix mod q by Gauss-Jordan with unit pivots."""
-    q = ctx.q
-    n = len(A)
-    work = [[x % q for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(A)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if ctx.is_unit(work[i][c])), None)
-        if piv is None:
-            raise NotUnimodular("U(0) is singular mod p")
-        work[c], work[piv] = work[piv], work[c]
-        inv = ctx.inv(work[c][c])
-        prow = work[c] = [x * inv % q for x in work[c]]
-        for i in range(n):
-            f = work[i][c]
-            if i != c and f:
-                work[i] = [(x - f * y) % q for x, y in zip(work[i], prow)]
-    return [row[n:] for row in work]
-
-
 def invert_unimodular(U: PolyMatrix) -> PolyMatrix:
     """Exact polynomial inverse of a unimodular matrix over Z_{p^r}[D].
 
     Computed as the D-adic power series V = sum_k V_k D^k of U^{-1}: with
     U = sum_j U_j D^j of degree d, V_0 = U_0^{-1} mod p^r and, from U V = I,
-    V_k = -V_0 sum_{j=1..min(k,d)} U_j V_{k-j}.  Each term depends on the d
-    before it only, so d zero terms in a row end the series.  A unimodular
+    V_k = -V_0 sum_{j=1..min(k,d)} U_j V_{k-j}.  V_0 is Y X from the
+    valuation-pivot decomposition X U_0 Y = D (intsolve.decompose), which
+    must be the identity: rank n with every pivot 1.  Each term depends on
+    the d before it only, so d zero terms in a row end the series.  A unimodular
     U has an inverse of degree at most (n-1)d + (r-1)nd (that of adj(U)
     plus that of det(U)^{-1}); a series still running past it raises.
     The result is checked exactly by one product, U V == I: over a
@@ -575,7 +559,10 @@ def invert_unimodular(U: PolyMatrix) -> PolyMatrix:
     d = 0 if U.degree == NEG_INF else int(U.degree)
     dtype = exact_dtype(n * max(d, 1), q)
     coeffs = U.coeff_array(dtype)
-    V0 = np.array(_inverse_mod(coeffs[0].tolist(), ctx), dtype=dtype).reshape(n, n)
+    dec = decompose(ctx, coeffs[0].tolist(), n)
+    if len(dec.pivots) < n or any(pv != 1 for pv in dec.pivots):
+        raise NotUnimodular("U(0) is singular mod p")
+    V0 = np.array(dec.V, dtype=dtype).reshape(n, n) @ np.array(dec.U, dtype=dtype).reshape(n, n) % q
     # [U_1 | U_2 | ... | U_d], so U_j meets V_{k-j} in one product
     wide = coeffs[1:].transpose(1, 0, 2).reshape(n, d * n)
     bound = (n - 1) * d + (ctx.r - 1) * n * d

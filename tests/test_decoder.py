@@ -444,6 +444,20 @@ class TestReceivedEntryTypes:
         with pytest.raises(ValueError, match="symbol at time 0 has a non-integer entry"):
             sequential_decode(code, rx, 2)
 
+    @pytest.mark.parametrize("terminated", [True, False])
+    @pytest.mark.parametrize("t, length", [(9, 3), (9, 5), (30, 3)], ids=["short-in-first", "long-in-first", "short-late"])
+    def test_sequential_decode_names_a_symbol_of_wrong_length(self, t, length, terminated):
+        # the running syndrome, computed at the first erased time over the
+        # rest of the stream, names a symbol of the wrong length, in the
+        # first window or past it, before any window reads it
+        code = generate_code(**PLAN_CODES["z9"])
+        rng = random.Random(4)
+        rx = code.encode([[rng.randrange(9) for _ in range(code.k)] for _ in range(40)])
+        rx[8][1] = None
+        rx[t] = [0] * length
+        with pytest.raises(ValueError, match=f"symbol at time {t} has length {length}"):
+            sequential_decode(code, rx, 2, terminated=terminated)
+
     def test_integer_types_accepted(self):
         # numpy integers and int subclasses are integers
         code = generate_code(**PLAN_CODES["z9"])
@@ -824,13 +838,14 @@ def shared_pattern_windows(draw):
 
 
 def _check_pattern_store(case):
-    """One shared store gives every window exactly its fresh build; the features seen."""
+    """The code's kept pattern gives every window exactly what a fresh pattern gives; the features seen."""
     code, T, terminated, windows = case
-    store = {}
+    patterns = []
     features = set()
     for rx, i, Tw in windows:
-        shared = build_window_system(code, rx, i, Tw, terminated=terminated, store=store)
-        fresh = build_window_system(code, rx, i, Tw, terminated=terminated)
+        shared = build_window_system(code, rx, i, Tw, terminated=terminated)
+        fresh = replace(shared, pattern=decoder._Pattern(code, Tw, shared.pattern.erased))
+        patterns.append(shared.pattern)
         assert shared.columns == fresh.columns
         assert equations(shared) == equations(fresh)
         assert shared.rhs == fresh.rhs
@@ -843,8 +858,8 @@ def _check_pattern_store(case):
             features.add("past-end")
         if Tw < T:
             features.add("tail")
-    # windows of one delay share one stored pattern, whatever their start
-    assert len(store) == len({Tw for _, _, Tw in windows})
+    # windows of one delay share one kept pattern, whatever their start
+    assert len({id(pattern) for pattern in patterns}) == len({Tw for _, _, Tw in windows})
     return features
 
 
@@ -951,7 +966,7 @@ def test_pattern_rows_vanish_outside_their_span(case):
     reach = min(Tw, columns[-1][0] + nu if columns else 0)
     assert len(pattern.moduli) == (reach + 1) * m
     assert len(sysw.rhs) == (min(Tw, len(rx) - 1 + nu - i) + 1) * m
-    moduli = pattern.moduli + [q] * (Tw - reach) * m
+    moduli = [*pattern.moduli, *[q] * (Tw - reach) * m]
     rhs = sysw.rhs + [0] * ((Tw + 1) * m - len(sysw.rhs))
     assert rhs == _window_rhs(code, rx, i, i + Tw)
     for k, pv in enumerate(moduli):
@@ -994,7 +1009,7 @@ def _check_widened(case):
     narrow = (pattern.origs == 0).any()
     native = _decode_record(sysw)
     assert pattern.origs.dtype == pattern.coeffs.dtype == np.int64
-    wide = build_window_system(code, rx, i, Tw, terminated=terminated)
+    wide = replace(sysw, pattern=decoder._Pattern(code, Tw, pattern.erased))
     wide.pattern.origs = wide.pattern.origs.astype(object)
     wide.pattern.coeffs = wide.pattern.coeffs.astype(object)
     assert _decode_record(wide) == native
@@ -1093,12 +1108,14 @@ def test_corrupt_orig_band_raises(kernel_code_z8):
     # one raw coefficient of the pattern's original matrix off by one, on a
     # column whose forms are not all zero, breaks the list check of every
     # materialize_list call, under python -O too
-    out = list_decode(build_window_system(kernel_code_z8, RECEIVED, 0, 2))
+    sysw = build_window_system(kernel_code_z8, RECEIVED, 0, 2)
+    out = list_decode(replace(sysw, pattern=decoder._Pattern(kernel_code_z8, 2, sysw.pattern.erased)))
     assert out.kind == "list"
     for limit in (1, 64, None):
         materialize_list(out, limit)  # the raw rows as built pass
     origs, cols = out.system.pattern.origs, out.branches[0].cols
     j = next(j for j in range(out.system.e) if any(col[j] for col in cols))
+    origs.flags.writeable = True
     origs[len(origs) // 2, j] += 1
     for limit in (1, 64, None):
         with pytest.raises(AssertionError, match="violates the parity equations"):
@@ -1681,14 +1698,18 @@ class TestPlanReplay:
             rx[t][1] = rx[t][2] = None
         bad = [list(sym) for sym in rx]
         bad[9][0] = (bad[9][0] + 1) % code.ctx.q
-        store, counts = {}, decoder.PlanCounts()
-        out, _ = decoder._planned_decode(build_window_system(code, bad, 10, 2, store=store), counts, True)
-        (pattern,) = store.values()
+        counts = decoder.PlanCounts()
+        first = build_window_system(code, bad, 10, 2)
+        # a fresh pattern, so that this window, not an earlier test's, makes the plan
+        pattern = decoder._Pattern(code, 2, first.pattern.erased)
+        out, _ = decoder._planned_decode(replace(first, pattern=pattern), counts, True)
         assert out.invalid_witness == ("stage", 0, 2) and pattern.plan
         for i in (10, 20):
-            sysw = build_window_system(code, rx, i, 2, store=store)
+            sysw = build_window_system(code, rx, i, 2)
+            assert sysw.pattern.erased == pattern.erased
+            sysw = replace(sysw, pattern=pattern)
             out, consts = decoder._planned_decode(sysw, counts, False)
-            assert len(store) == 1 and consts is not None
+            assert consts is not None
             head = [k for k, (t, _) in enumerate(sysw.columns) if t == i]
             assert dict(zip(head, consts)) == project_values(list_decode(sysw), head)
         assert astuple(counts) == (1, 2, 0)
@@ -1896,8 +1917,33 @@ def test_kept_patterns_are_bounded_and_value_free(monkeypatch):
     for c in (0, 1, 0, 2):
         rx = [list(sym) for sym in sent]
         rx[3][c] = None
-        build_window_system(fresh, rx, 3, 2, store={})
+        build_window_system(fresh, rx, 3, 2)
     assert list(fresh._patterns) == [(2, (0,)), (2, (2,))]
+
+
+def test_windows_share_one_read_only_pattern(kernel_code_z8):
+    # two windows of one code, delay and relative pattern, at other starts
+    # and on other streams, share one kept pattern; it equals a fresh build
+    # field by field (but for the plan, which a sequential decode makes),
+    # and none of its arrays or sequences can be written
+    shifted = [[0] * 5, [0] * 5, *RECEIVED]
+    a = build_window_system(kernel_code_z8, RECEIVED, 0, 2)
+    b = build_window_system(kernel_code_z8, shifted, 2, 2)
+    pattern = a.pattern
+    assert b.pattern is pattern and pattern.erased
+    fresh = decoder._Pattern(kernel_code_z8, 2, pattern.erased)
+    for slot in set(decoder._Pattern.__slots__) - {"plan"}:
+        got, want = getattr(pattern, slot), getattr(fresh, slot)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        else:
+            assert got == want
+    for array in (pattern.origs, pattern.coeffs, pattern.scales):
+        assert array.size
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    assert type(pattern.moduli) is type(pattern.nonzero) is tuple
+    assert all(type(entry) is tuple for entry in pattern.nonzero)
 
 
 @st.composite
@@ -1946,18 +1992,19 @@ def test_sequential_matches_list_decode_reference(case):
 def _check_running_syndrome(case):
     """Every window of a sequential decode equals its fresh build; the features seen.
 
-    Each window is built again with no store, on a copy of the stream as it
-    stands, so its right-hand sides come from the kernel and not from the
-    running syndrome.
+    Each window is built again with no running syndrome, on a copy of the
+    stream as it stands, so its right-hand sides come from the kernel, and
+    with a fresh pattern.
     """
     code, rx, T, policy, terminated = case
     build = decoder.build_window_system
     starts = []
 
-    def compared(code, received, i, T, terminated=True, store=None):
-        assert store[decoder._SYNDROME].received is received
+    def compared(code, received, i, T, terminated=True, syndrome=None):
+        assert syndrome.received is received
         fresh = build(code, [list(sym) for sym in received], i, T, terminated=terminated)
-        shared = build(code, received, i, T, terminated=terminated, store=store)
+        fresh = replace(fresh, pattern=decoder._Pattern(code, T, fresh.pattern.erased))
+        shared = build(code, received, i, T, terminated, syndrome)
         assert shared.columns == fresh.columns
         assert equations(shared) == equations(fresh)
         assert shared.rhs == fresh.rhs

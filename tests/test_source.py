@@ -1,6 +1,7 @@
 """Static checks on the package source: every import is used, __all__ is sound, and every private definition is named elsewhere."""
 
 import ast
+import inspect
 import re
 from collections import Counter
 from pathlib import Path
@@ -201,3 +202,28 @@ def test_window_equations_have_one_layout_and_form():
     m, n = code._parity_array.shape[1:]
     for T in range(4):
         assert code._window_array(T).shape == ((T + 1) * m, (T + 1) * n)
+
+
+def test_window_systems_have_one_pattern_source():
+    # every window system takes its pattern from the code's kept patterns:
+    # build_window_system takes no store, no store key for the running
+    # syndrome or second Z_q inverse is named, and a pattern is built in
+    # decoder._kept_pattern alone
+    assert "store" not in inspect.signature(convring.decoder.build_window_system).parameters
+    leftovers = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name in ("_SYNDROME", "_inverse_mod")
+        if name in _identifiers(ast.parse(path.read_text()))
+    ]
+    assert not leftovers, f"a second pattern source or Z_q inverse is still named: {leftovers}"
+    builders = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_Pattern" in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}:
+                # ast.walk reaches an outer function before the ones inside it
+                holders = [func.name for func in funcs if any(sub is node for sub in ast.walk(func))]
+                builders.append(f"{path.stem}.{holders[-1] if holders else '<module>'}")
+    assert builders == ["decoder._kept_pattern"]
